@@ -35,8 +35,6 @@ from .geometry import (
     configuration,
     enumerate_lines,
     line_through,
-    lines_of,
-    max_collinear,
 )
 from .inequalities import (
     InequalityKind,
@@ -115,9 +113,7 @@ __all__ = [
     "grid",
     "hesse",
     "line_through",
-    "lines_of",
     "local_search",
-    "max_collinear",
     "near_pencil",
     "parse_config",
     "parse_element",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import ColoredConfiguration
+from .geometry import ColoredConfiguration, Incidence
 from .profiles import EquichromaticQuery, LineProfile, compute_profile, count_equichromatic
 
 
@@ -118,13 +118,27 @@ def collinearity_limit(theorem: BoundTheorem, n: int, k: int) -> Fraction | None
     return None
 
 
+def real_plane_gate(incidence: Incidence) -> tuple[bool, str]:
+    """Real coordinates and not all points on one line."""
+    if not incidence.all_real:
+        return False, "coordinates are not all real"
+    if incidence.max_collinear == incidence.total_points:
+        return False, "all points are collinear"
+    return True, "coordinates real and not all points collinear"
+
+
+def collinearity_gate(
+    incidence: Incidence, limit: Fraction, label: str
+) -> tuple[bool, str]:
+    """At most ``limit`` points on one line; ``label`` names the limit in
+    the detail string ("2N/3", "N-2", "N-3" or "limit")."""
+    ok = incidence.max_collinear <= limit
+    rel = "<=" if ok else ">"
+    return ok, f"max_collinear={incidence.max_collinear} {rel} {label}={limit}"
+
+
 def precondition(
-    theorem: BoundTheorem,
-    n: int,
-    k: int,
-    total_points: int,
-    biggest_line: int,
-    all_real: bool,
+    theorem: BoundTheorem, n: int, k: int, incidence: Incidence
 ) -> tuple[bool, str]:
     """Applicability of a theorem from colorless statistics alone.
 
@@ -132,17 +146,9 @@ def precondition(
     of which points carry which color, so one verdict covers every
     coloring of a base set with the same (n, k).
     """
-    info = theorem_info(theorem)
-    if info.requires_real and not all_real:
-        return False, "coordinates are not all real"
-    limit = collinearity_limit(theorem, n, k)
-    if limit is None:
-        if biggest_line == total_points:
-            return False, "all points are collinear"
-        return True, "coordinates real and not all points collinear"
-    ok = biggest_line <= limit
-    rel = "<=" if ok else ">"
-    return ok, f"max_collinear={biggest_line} {rel} limit={limit}"
+    if theorem_info(theorem).requires_real:
+        return real_plane_gate(incidence)
+    return collinearity_gate(incidence, collinearity_limit(theorem, n, k), "limit")
 
 
 def evaluate_bound(
@@ -154,10 +160,7 @@ def evaluate_bound(
     if profile is None:
         profile = compute_profile(config)
     info = theorem_info(theorem)
-    biggest_line = max((i + j for (i, j), _ in profile.counts), default=0)
-    applicable, detail = precondition(
-        theorem, config.n, config.k, config.total, biggest_line, config.is_real
-    )
+    applicable, detail = precondition(theorem, config.n, config.k, config.incidence)
     t = profile.total_lines if info.needs_total_lines else None
     bound = bound_value(theorem, config.n, config.k, t)
     actual = count_equichromatic(profile, info.query)

@@ -3,12 +3,15 @@
 Points and lines are homogeneous triples canonicalized so that the first
 nonzero coordinate is 1; equality is then componentwise.  Collinearity is
 an exact 3x3 determinant test, so every incidence decision is certain.
+A point set's lines are enumerated once into an ``Incidence``, which
+holds every colorless fact the analysis needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -90,10 +93,6 @@ class ProjLine:
 def affine_point(x, y, *, d: int) -> ProjPoint:
     """Lift an affine point (x, y) to (x : y : 1)."""
     return ProjPoint(quad(x, d=d), quad(y, d=d), quad(1, d=d))
-
-
-def point(x: QuadElement, y: QuadElement, z: QuadElement) -> ProjPoint:
-    return ProjPoint(x, y, z)
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
@@ -178,12 +177,10 @@ class ColoredConfiguration:
         """Green count minus red count; nonnegative by convention."""
         return 2 * self.n - self.total
 
-    @property
-    def is_real(self) -> bool:
-        return all(p.is_real for p in self.points)
-
-    def with_colors(self, colors: tuple[str, ...]) -> ColoredConfiguration:
-        return ColoredConfiguration(self.discriminant, self.points, colors)
+    @cached_property
+    def incidence(self) -> Incidence:
+        """Colorless line structure of the points, enumerated on first use."""
+        return Incidence.of(self.points)
 
 
 def configuration(
@@ -196,10 +193,19 @@ def configuration(
 
 @dataclass(frozen=True)
 class DeterminedLine:
-    """A line through >= 2 configuration points, with their indices."""
+    """A line through >= 2 configuration points, with their indices.
 
-    line: ProjLine
+    The line is identified by its canonical integer key (see _line_key);
+    the field triple is only built when ``line`` is read.
+    """
+
+    key: tuple[int, ...]
     point_indices: tuple[int, ...]
+    d: int
+
+    @property
+    def line(self) -> ProjLine:
+        return _line_from_key(self.key, self.d)
 
     @property
     def size(self) -> int:
@@ -270,9 +276,8 @@ def enumerate_lines(points: tuple[ProjPoint, ...]) -> tuple[DeterminedLine, ...]
     Every unordered point pair contributes its canonical line once, so the
     result satisfies sum over lines of C(m, 2) = C(N, 2) by construction.
     Pair processing runs on denominator-cleared integer coordinates (still
-    exact); canonical field triples are materialized once per line.
-    Output is sorted by incident index tuple, hence independent of any
-    internal ordering.
+    exact).  Output is sorted by incident index tuple, hence independent
+    of any internal ordering.
     """
     d = points[0].d if points else 0
     ints = [_integer_coords(p) for p in points]
@@ -286,19 +291,42 @@ def enumerate_lines(points: tuple[ProjPoint, ...]) -> tuple[DeterminedLine, ...]
             else:
                 group.update((i, j))
     records = [
-        DeterminedLine(_line_from_key(key, d), tuple(sorted(idx)))
-        for key, idx in incident.items()
+        DeterminedLine(key, tuple(sorted(idx)), d) for key, idx in incident.items()
     ]
     records.sort(key=lambda rec: rec.point_indices)
     return tuple(records)
 
 
-def lines_of(config: ColoredConfiguration) -> tuple[DeterminedLine, ...]:
-    if config.total < 2:
-        raise InsufficientPointsError("line enumeration needs at least 2 points")
-    return enumerate_lines(config.points)
+@dataclass(frozen=True)
+class Incidence:
+    """Colorless incidence structure of one point set.
 
+    Everything here is independent of the coloring, so one enumeration
+    serves the profile, the inequalities, the bound preconditions and the
+    search kernels.
+    """
 
-def max_collinear(config: ColoredConfiguration) -> int:
-    """Size of the largest collinear subset of the configuration."""
-    return max(rec.size for rec in lines_of(config))
+    total_points: int
+    lines: tuple[DeterminedLine, ...]
+    size_counts: dict[int, int]  # t_m: lines through exactly m points
+    max_collinear: int
+    all_real: bool
+
+    @classmethod
+    def of(cls, points: tuple[ProjPoint, ...]) -> Incidence:
+        if len(points) < 2:
+            raise InsufficientPointsError("line enumeration needs at least 2 points")
+        lines = enumerate_lines(points)
+        sizes: dict[int, int] = {}
+        for rec in lines:
+            sizes[rec.size] = sizes.get(rec.size, 0) + 1
+        return cls(
+            total_points=len(points),
+            lines=lines,
+            size_counts=dict(sorted(sizes.items())),
+            max_collinear=max(sizes),
+            all_real=all(p.is_real for p in points),
+        )
+
+    def t(self, m: int) -> int:
+        return self.size_counts.get(m, 0)

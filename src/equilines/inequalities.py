@@ -1,8 +1,8 @@
 """Incidence inequalities on the line-size marginals t_m.
 
 All five are evaluated on the colorless marginals of a configuration
-(t_m = lines through exactly m of the N points), each with its own
-applicability precondition:
+(t_m = lines through exactly m of the N points, read from its incidence
+structure), each with its own applicability precondition:
 
   Melchior             sum (3-m) t_m >= 3          real plane, not all collinear
   Langer               sum m t_m >= N(N+3)/3       at most 2N/3 collinear
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .geometry import ColoredConfiguration, lines_of
+from .bounds import collinearity_gate, real_plane_gate
+from .geometry import ColoredConfiguration, Incidence
 
 
 class InequalityKind(Enum):
@@ -46,50 +47,19 @@ class InequalityReport:
         return self.lhs - self.rhs
 
 
-@dataclass(frozen=True)
-class LineStats:
-    """Colorless incidence statistics shared by all five inequalities."""
-
-    total_points: int
-    size_counts: dict[int, int]
-    max_collinear: int
-    all_real: bool
-
-    @classmethod
-    def of(cls, config: ColoredConfiguration) -> LineStats:
-        sizes: dict[int, int] = {}
-        for rec in lines_of(config):
-            sizes[rec.size] = sizes.get(rec.size, 0) + 1
-        return cls(
-            total_points=config.total,
-            size_counts=dict(sorted(sizes.items())),
-            max_collinear=max(sizes),
-            all_real=config.is_real,
-        )
-
-    def t(self, m: int) -> int:
-        return self.size_counts.get(m, 0)
-
-
-def _collinearity_gate(stats: LineStats, limit: Fraction, label: str) -> tuple[bool, str]:
-    ok = Fraction(stats.max_collinear) <= limit
-    rel = "<=" if ok else ">"
-    return ok, f"max_collinear={stats.max_collinear} {rel} {label}={limit}"
-
-
-def _sides(kind: InequalityKind, stats: LineStats) -> tuple[Fraction, Fraction]:
-    n = stats.total_points
-    tk = stats.size_counts
+def _sides(kind: InequalityKind, incidence: Incidence) -> tuple[Fraction, Fraction]:
+    n = incidence.total_points
+    tk = incidence.size_counts
     if kind is InequalityKind.MELCHIOR:
         return Fraction(sum((3 - m) * c for m, c in tk.items())), Fraction(3)
     if kind is InequalityKind.LANGER:
         return Fraction(sum(m * c for m, c in tk.items())), Fraction(n * (n + 3), 3)
     if kind is InequalityKind.HIRZEBRUCH_LINEAR:
         rhs = n + sum((m - 4) * c for m, c in tk.items() if m >= 5)
-        return Fraction(stats.t(2) + stats.t(3)), Fraction(rhs)
+        return Fraction(incidence.t(2) + incidence.t(3)), Fraction(rhs)
     if kind is InequalityKind.HIRZEBRUCH_QUADRATIC:
         rhs = n + sum((2 * m - 9) * c for m, c in tk.items() if m >= 5)
-        return stats.t(2) + Fraction(3, 4) * stats.t(3), Fraction(rhs)
+        return incidence.t(2) + Fraction(3, 4) * incidence.t(3), Fraction(rhs)
     if kind is InequalityKind.BOJANOWSKI_POKORA:
         return (
             Fraction(sum((4 * m - m * m) * c for m, c in tk.items())),
@@ -98,20 +68,16 @@ def _sides(kind: InequalityKind, stats: LineStats) -> tuple[Fraction, Fraction]:
     raise ValueError(f"unknown inequality kind {kind!r}")
 
 
-def _precondition(kind: InequalityKind, stats: LineStats) -> tuple[bool, str]:
-    n = stats.total_points
+def _precondition(kind: InequalityKind, incidence: Incidence) -> tuple[bool, str]:
+    n = incidence.total_points
     if kind is InequalityKind.MELCHIOR:
-        if not stats.all_real:
-            return False, "coordinates are not all real"
-        if stats.max_collinear == n:
-            return False, "all points are collinear"
-        return True, "coordinates real and not all points collinear"
+        return real_plane_gate(incidence)
     if kind in (InequalityKind.LANGER, InequalityKind.BOJANOWSKI_POKORA):
-        return _collinearity_gate(stats, Fraction(2 * n, 3), "2N/3")
+        return collinearity_gate(incidence, Fraction(2 * n, 3), "2N/3")
     if kind is InequalityKind.HIRZEBRUCH_LINEAR:
-        return _collinearity_gate(stats, Fraction(n - 2), "N-2")
+        return collinearity_gate(incidence, Fraction(n - 2), "N-2")
     if kind is InequalityKind.HIRZEBRUCH_QUADRATIC:
-        return _collinearity_gate(stats, Fraction(n - 3), "N-3")
+        return collinearity_gate(incidence, Fraction(n - 3), "N-3")
     raise ValueError(f"unknown inequality kind {kind!r}")
 
 
@@ -121,12 +87,8 @@ def evaluate(kind: InequalityKind, config: ColoredConfiguration) -> InequalityRe
     A failed precondition yields applicable=False with satisfied=None;
     the sides are still reported for diagnostics.
     """
-    return _evaluate_with_stats(kind, LineStats.of(config))
-
-
-def _evaluate_with_stats(kind: InequalityKind, stats: LineStats) -> InequalityReport:
-    applicable, detail = _precondition(kind, stats)
-    lhs, rhs = _sides(kind, stats)
+    applicable, detail = _precondition(kind, config.incidence)
+    lhs, rhs = _sides(kind, config.incidence)
     return InequalityReport(
         kind=kind,
         applicable=applicable,
@@ -138,8 +100,7 @@ def _evaluate_with_stats(kind: InequalityKind, stats: LineStats) -> InequalityRe
 
 
 def evaluate_all(config: ColoredConfiguration) -> tuple[InequalityReport, ...]:
-    stats = LineStats.of(config)
-    return tuple(_evaluate_with_stats(kind, stats) for kind in InequalityKind)
+    return tuple(evaluate(kind, config) for kind in InequalityKind)
 
 
 def bojanowski_pokora_fractional_slack(config: ColoredConfiguration) -> Fraction:
@@ -148,10 +109,10 @@ def bojanowski_pokora_fractional_slack(config: ColoredConfiguration) -> Fraction
     Exactly one quarter of the integer-form slack; kept as a cross-check
     of the algebraic equivalence between the two presentations.
     """
-    stats = LineStats.of(config)
-    n = stats.total_points
-    lhs = stats.t(2) + Fraction(3, 4) * stats.t(3)
+    incidence = config.incidence
+    n = incidence.total_points
+    lhs = incidence.t(2) + Fraction(3, 4) * incidence.t(3)
     rhs = n + sum(
-        (Fraction(m * m, 4) - m) * c for m, c in stats.size_counts.items() if m >= 5
+        (Fraction(m * m, 4) - m) * c for m, c in incidence.size_counts.items() if m >= 5
     )
     return lhs - rhs

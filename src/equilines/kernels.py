@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DeterminedLine
+from .geometry import Incidence
 
 BACKEND_ENV_VAR = "EQUILINES_BACKEND"
 
@@ -73,22 +73,17 @@ class IncidenceArrays:
         return int(self.line_sizes.shape[0])
 
 
-def build_incidence(lines: tuple[DeterminedLine, ...], n_points: int) -> IncidenceArrays:
+def build_incidence(incidence: Incidence) -> IncidenceArrays:
+    lines, n_points = incidence.lines, incidence.total_points
     n_lines = len(lines)
     sizes = np.array([rec.size for rec in lines], dtype=np.int64)
     membership = np.zeros((n_lines, n_points), dtype=np.uint8)
     for li, rec in enumerate(lines):
-        for p in rec.point_indices:
-            membership[li, p] = 1
-    counts_per_point = membership.sum(axis=0).astype(np.int64)
+        membership[li, list(rec.point_indices)] = 1
     indptr = np.zeros(n_points + 1, dtype=np.int64)
-    np.cumsum(counts_per_point, out=indptr[1:])
-    point_lines = np.empty(int(indptr[-1]), dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for li, rec in enumerate(lines):
-        for p in rec.point_indices:
-            point_lines[cursor[p]] = li
-            cursor[p] += 1
+    np.cumsum(membership.sum(axis=0), out=indptr[1:])
+    # Row-major nonzeros of the transpose: each point's lines, in line order.
+    point_lines = np.nonzero(membership.T)[1].astype(np.int64)
     return IncidenceArrays(n_points, sizes, membership, indptr, point_lines)
 
 

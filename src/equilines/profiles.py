@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InternalInconsistencyError
-from .geometry import GREEN, ColoredConfiguration, lines_of
+from .geometry import GREEN, ColoredConfiguration
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,15 @@ class IdentityReport:
 
 
 def compute_profile(config: ColoredConfiguration, checked: bool = True) -> LineProfile:
-    """Tally (green, red) cell counts over all determined lines.
+    """Tally (green, red) cell counts over the configuration's determined
+    lines, which come from its (once-enumerated) incidence structure.
 
     With checked=True (the default) the counting identities are verified
     immediately; they are free cross-checks of the geometry kernel.  Bulk
     searches disable this.
     """
     cells: dict[tuple[int, int], int] = {}
-    for rec in lines_of(config):
+    for rec in config.incidence.lines:
         greens = sum(1 for idx in rec.point_indices if config.colors[idx] == GREEN)
         cell = (greens, rec.size - greens)
         cells[cell] = cells.get(cell, 0) + 1

@@ -18,6 +18,10 @@ from .errors import ElementParseError, FieldMismatchError
 
 RationalLike = Rational | int | str
 
+# Squarefreeness is checked by trial division up to sqrt(|d|), so |d| is
+# capped to keep that check (and every config parse) fast.
+MAX_ABS_DISCRIMINANT = 10**12
+
 
 def is_squarefree(d: int) -> bool:
     """True iff no prime square divides d."""
@@ -43,6 +47,10 @@ class Discriminant:
     def __post_init__(self):
         if self.d in (0, 1):
             raise ValueError(f"discriminant must not be 0 or 1, got {self.d}")
+        if abs(self.d) > MAX_ABS_DISCRIMINANT:
+            raise ValueError(
+                f"discriminant must satisfy |d| <= {MAX_ABS_DISCRIMINANT}, got {self.d}"
+            )
         if not is_squarefree(self.d):
             raise ValueError(f"discriminant must be squarefree, got {self.d}")
 
@@ -181,7 +189,7 @@ def parse_element(text: str, d: int) -> QuadElement:
     m = _ELEMENT_RE.match(s)
     if not m or (m.group("rat") is None and m.group("d") is None):
         raise ElementParseError(f"cannot parse field element {text!r}")
-    a = Fraction(m.group("rat")) if m.group("rat") is not None else Fraction(0)
+    a = _rational(m.group("rat"), text) if m.group("rat") is not None else Fraction(0)
     b = Fraction(0)
     if m.group("d") is not None:
         written_d = int(m.group("d"))
@@ -189,10 +197,17 @@ def parse_element(text: str, d: int) -> QuadElement:
             raise ElementParseError(
                 f"element {text!r} uses sqrt({written_d}) but the ambient field is Q(sqrt({d}))"
             )
-        b = Fraction(m.group("coef")) if m.group("coef") is not None else Fraction(1)
+        b = _rational(m.group("coef"), text) if m.group("coef") is not None else Fraction(1)
         if m.group("sign") == "-":
             b = -b
     return QuadElement(a, b, d)
+
+
+def _rational(part: str, text: str) -> Fraction:
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ElementParseError(f"zero denominator in field element {text!r}") from None
 
 
 def format_element(x: QuadElement) -> str:

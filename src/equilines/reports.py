@@ -116,16 +116,15 @@ def dump_json(doc) -> str:
 
 
 def summary_section(config: ColoredConfiguration, profile: LineProfile) -> dict:
-    sizes = profile.size_marginals()
     return {
         "d": num(config.discriminant.d),
         "total_points": num(config.total),
         "green_points": num(config.n),
         "red_points": num(config.total - config.n),
         "k": num(config.k),
-        "max_collinear": num(max(sizes)),
+        "max_collinear": num(config.incidence.max_collinear),
         "total_lines": num(profile.total_lines),
-        "all_real": config.is_real,
+        "all_real": config.incidence.all_real,
         "colors_swapped": config.colors_swapped,
     }
 

@@ -1,5 +1,7 @@
 """Coloring search over a fixed base point set.
 
+The base set's lines are enumerated once per search; the kernels and the
+recount of the winner both read that one incidence structure.
 Exhaustive mode evaluates every coloring with the requested (n, k);
 local mode runs a seeded hill-descent with green/red swap moves.  Both
 minimize the bound slack, which for a fixed base set and fixed (n, k) is
@@ -30,13 +32,7 @@ from .bounds import (
     theorem_info,
 )
 from .errors import InternalInconsistencyError, SearchCapError
-from .geometry import (
-    GREEN,
-    RED,
-    ColoredConfiguration,
-    ProjPoint,
-    enumerate_lines,
-)
+from .geometry import GREEN, RED, ColoredConfiguration, Incidence, ProjPoint
 from .kernels import (
     IncidenceArrays,
     build_incidence,
@@ -127,6 +123,7 @@ def colors_from_green_indices(total: int, green: np.ndarray) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class _Prepared:
+    base: Incidence
     incidence: IncidenceArrays
     sel: np.ndarray
     bound: Fraction
@@ -135,18 +132,14 @@ class _Prepared:
 
 
 def _prepare(spec: SearchSpec) -> _Prepared:
-    lines = enumerate_lines(spec.points)
-    incidence = build_incidence(lines, spec.total)
-    biggest = int(incidence.line_sizes.max())
-    all_real = all(p.is_real for p in spec.points)
-    applicable, detail = precondition(
-        spec.theorem, spec.n_green, spec.k, spec.total, biggest, all_real
-    )
+    base = Incidence.of(spec.points)
+    incidence = build_incidence(base)
+    applicable, detail = precondition(spec.theorem, spec.n_green, spec.k, base)
     info = theorem_info(spec.theorem)
     t = incidence.n_lines if info.needs_total_lines else None
     bound = bound_value(spec.theorem, spec.n_green, spec.k, t)
     sel = selection_table(incidence.line_sizes, info.query.r, info.query.max_points)
-    return _Prepared(incidence, sel, bound, applicable, detail)
+    return _Prepared(base, incidence, sel, bound, applicable, detail)
 
 
 def _finish(
@@ -162,6 +155,10 @@ def _finish(
     config = ColoredConfiguration(
         Discriminant(spec.points[0].d), spec.points, colors
     )
+    # Same points as the base set: the recount reuses its lines rather
+    # than repeating the deterministic enumeration.  The profile is still
+    # tallied exactly, with the counting identities checked.
+    vars(config)["incidence"] = prep.base
     report = evaluate_bound(spec.theorem, config)
     if report.actual != best_actual:
         raise InternalInconsistencyError(

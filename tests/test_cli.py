@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -152,6 +153,14 @@ def test_cli_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{", encoding="utf-8")
     assert run_cli(["analyze", str(path)]) == 2
+
+
+def test_cli_rejects_huge_discriminant_quickly(tmp_path, capsys):
+    path = write_config(tmp_path, "huge_d.json", {**square_doc(), "d": 10**14 + 31})
+    start = time.perf_counter()
+    assert run_cli(["analyze", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "discriminant" in capsys.readouterr().err
 
 
 def test_cli_verify(tmp_path, capsys):

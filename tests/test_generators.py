@@ -8,21 +8,21 @@ from equilines.generators import (
     near_pencil,
     random_rational,
 )
-from equilines.geometry import GREEN, configuration, enumerate_lines, max_collinear
+from equilines.geometry import GREEN, configuration, enumerate_lines
 
 
 def test_grid():
     pts = grid(2)
     assert len(pts) == 4
     config = configuration(pts, (GREEN,) * 4, 5)
-    assert max_collinear(config) == 2
+    assert config.incidence.max_collinear == 2
     assert len(grid(3)) == 9
 
 
 def test_near_pencil():
     pts = near_pencil(5)
     config = configuration(pts, (GREEN,) * 5, 5)
-    assert max_collinear(config) == 4
+    assert config.incidence.max_collinear == 4
     assert len(enumerate_lines(pts)) == 5  # one long line + 4 two-point lines
 
 

@@ -24,8 +24,6 @@ from equilines.geometry import (
     configuration,
     enumerate_lines,
     line_through,
-    lines_of,
-    max_collinear,
 )
 from equilines.quadfield import Discriminant, one, quad, sqrt_d, zero
 
@@ -141,7 +139,7 @@ def test_enumerate_hesse():
 def test_pair_coverage_identity():
     for seed in range(40):
         config = random_config(seed, max_total=12)
-        total = sum(math.comb(rec.size, 2) for rec in lines_of(config))
+        total = sum(math.comb(rec.size, 2) for rec in config.incidence.lines)
         assert total == math.comb(config.total, 2)
 
 
@@ -162,7 +160,7 @@ def test_enumeration_is_order_independent():
 def test_line_through_matches_enumerated_line():
     for seed in (1, 5, 9):
         config = random_config(seed, max_total=9)
-        for rec in lines_of(config):
+        for rec in config.incidence.lines:
             for i, j in itertools.combinations(rec.point_indices, 2):
                 assert line_through(config.points[i], config.points[j]) == rec.line
 
@@ -200,18 +198,18 @@ def test_max_collinear():
         (GREEN, GREEN, RED, RED),
         5,
     )
-    assert max_collinear(square) == 2
+    assert square.incidence.max_collinear == 2
     pencil_pts = tuple(P(i, 0, 1) for i in range(4)) + (P(0, 1, 1),)
     pencil = configuration(pencil_pts, (GREEN,) * 5, 5)
-    assert max_collinear(pencil) == 4
+    assert pencil.incidence.max_collinear == 4
     hesse_cfg = configuration(hesse(), (GREEN,) * 9, -3)
-    assert max_collinear(hesse_cfg) == 3
+    assert hesse_cfg.incidence.max_collinear == 3
 
 
 def test_max_collinear_needs_two_points():
     lonely = configuration((P(0, 0, 1),), (GREEN,), 5)
     with pytest.raises(InsufficientPointsError):
-        max_collinear(lonely)
+        lonely.incidence
 
 
 def test_configuration_rejects_duplicates():

@@ -6,7 +6,6 @@ from equilines.generators import grid, hesse, near_pencil
 from equilines.geometry import GREEN, RED, affine_point, configuration
 from equilines.inequalities import (
     InequalityKind,
-    LineStats,
     bojanowski_pokora_fractional_slack,
     evaluate,
     evaluate_all,
@@ -83,8 +82,7 @@ def test_two_thirds_boundary_is_applicable():
         affine_point(1, 1, d=5),
     )
     config = configuration(pts, ALL_GREEN(pts), 5)
-    stats = LineStats.of(config)
-    assert stats.max_collinear == 4 and Fraction(2 * 6, 3) == 4
+    assert config.incidence.max_collinear == 4 and Fraction(2 * 6, 3) == 4
     for kind in (InequalityKind.LANGER, InequalityKind.BOJANOWSKI_POKORA):
         report = evaluate(kind, config)
         assert report.applicable
@@ -130,6 +128,6 @@ def test_sides_reported_when_inapplicable():
     config = configuration(near_pencil(8), ALL_GREEN(near_pencil(8)), 5)
     report = evaluate(InequalityKind.LANGER, config)
     assert not report.applicable
-    stats = LineStats.of(config)
-    assert report.lhs == Fraction(sum(m * c for m, c in stats.size_counts.items()))
+    sizes = config.incidence.size_counts
+    assert report.lhs == Fraction(sum(m * c for m, c in sizes.items()))
     assert report.rhs == Fraction(8 * 11, 3)

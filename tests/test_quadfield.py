@@ -30,7 +30,7 @@ def elements(d: int):
 def test_discriminant_validation():
     for d in (-3, -1, 2, 5, -6, 10, 15):
         assert Discriminant(d).d == d
-    for d in (0, 1, 4, 8, 12, 18, -4, -12):
+    for d in (0, 1, 4, 8, 12, 18, -4, -12, 10**14 + 31):
         with pytest.raises(ValueError):
             Discriminant(d)
 
@@ -127,7 +127,18 @@ def test_parse_basic_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1/", "1//2", "2*", "sqrt()", "1+sqrt(2)+sqrt(2)", "1sqrt(2)"):
+    for bad in (
+        "",
+        "x",
+        "1/",
+        "1//2",
+        "2*",
+        "sqrt()",
+        "1+sqrt(2)+sqrt(2)",
+        "1sqrt(2)",
+        "1/0",
+        "1/0*sqrt(2)",
+    ):
         with pytest.raises(ElementParseError):
             parse_element(bad, 2)
 

@@ -1,14 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from support import brute_force_scan
 
+import equilines
 from equilines.bounds import BoundTheorem, bound_value, theorem_info
 from equilines.errors import SearchCapError
-from equilines.generators import grid, near_pencil, random_rational
-from equilines.geometry import GREEN, configuration, enumerate_lines
+from equilines.generators import grid, hesse, near_pencil, random_rational
+from equilines.geometry import GREEN, Incidence, configuration, enumerate_lines
 from equilines.kernels import build_incidence, resolve_backend, selection_table
 from equilines.profiles import EquichromaticQuery, compute_profile, count_equichromatic
 from equilines.search import (
@@ -31,14 +33,27 @@ def test_backend_resolution(monkeypatch):
 
 
 def test_selection_table_matches_query():
-    lines = enumerate_lines(grid(3))
-    incidence = build_incidence(lines, 9)
+    base = Incidence.of(grid(3))
+    lines = base.lines
+    incidence = build_incidence(base)
     for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
         query = EquichromaticQuery(r, max_points)
         sel = selection_table(incidence.line_sizes, r, max_points)
         for li, rec in enumerate(lines):
             for g in range(rec.size + 1):
                 assert sel[li, g] == int(query.selects(g, rec.size - g))
+
+
+def test_incidence_arrays_match_lines():
+    for points in (grid(3), hesse(), near_pencil(6), random_rational(12, seed=4, bound=5)):
+        base = Incidence.of(points)
+        arrays = build_incidence(base)
+        for p in range(base.total_points):
+            expected = [li for li, rec in enumerate(base.lines) if p in rec.point_indices]
+            start, stop = arrays.point_indptr[p], arrays.point_indptr[p + 1]
+            assert arrays.point_lines[start:stop].tolist() == expected
+            assert arrays.membership[:, p].nonzero()[0].tolist() == expected
+        assert arrays.line_sizes.tolist() == [rec.size for rec in base.lines]
 
 
 def test_spec_validation():
@@ -252,7 +267,7 @@ def test_runs_without_numba(tmp_path):
         "print('numpy fallback ok')\n",
         encoding="utf-8",
     )
-    env = {"PATH": "/usr/bin:/bin"}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(equilines.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, env=env
     )
