@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ConfigError
 from .geometry import ProjPoint, affine_point
@@ -67,6 +68,17 @@ def random_rational(
         raise ValueError("need at least 1 point")
     if bound < 1:
         raise ValueError("coordinate bound must be >= 1")
+    # The integers -bound..bound alone give (2*bound+1)**2 points, so the
+    # exact count runs only when total is above that, i.e. for small bounds.
+    if total > (2 * bound + 1) ** 2:
+        values = 1 + 2 * sum(
+            gcd(p, q) == 1 for p in range(1, bound + 1) for q in range(1, bound + 1)
+        )
+        if total > values**2:
+            raise ValueError(
+                f"only {values**2} distinct points have coordinates p/q with "
+                f"|p| <= {bound} and 1 <= q <= {bound}, fewer than {total}"
+            )
     rng = random.Random(seed)
 
     def coord() -> Fraction:

@@ -10,17 +10,20 @@ integer (bounds are compared via scaled integers, never floats).
 
 Two backends run two different algorithms for the same results:
 
-  * numba: incremental depth-first enumeration and move replay, jitted
-    when numba imports and run as plain Python otherwise,
-  * numpy: chunked vectorized evaluation (a membership matmul) and the
-    same move replay, plain Python.
+  * numba: incremental depth-first enumeration, and a move replay that
+    updates the per-line green counts of every proposal and reverts the
+    rejected ones; jitted when numba imports, plain Python otherwise,
+  * numpy: chunked vectorized evaluation (a membership matmul), and a
+    gain-table move replay in plain Python that scores each proposal in
+    O(1) from per-point gains and updates them only on accepted swaps.
 
 Selection: the EQUILINES_BACKEND environment variable ("numba", "numpy",
 or "auto"); "auto" takes numba only when it imports, else numpy, since
 the interpreted depth-first scan is several times slower than the
 vectorized one.  A report's backend field names the kernel algorithm,
 not whether it was compiled.  Both backends visit colorings in the same
-order and break ties on the best count toward the lexicographically
+order (the exhaustive scan) or follow the same proposals (the move
+replay) and break ties on the best count toward the lexicographically
 smallest green index tuple, so results are backend-independent.
 """
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,6 +322,134 @@ def _exhaustive_numpy(
     return best_actual, best_combo, violations, examined
 
 
+def _gain_tables(sel_row: list[int], m: int):
+    """Per-count tables of one line of m points with selection row sel_row.
+
+    dm[c] = sel[c-1] - sel[c] is the change in the selected count when
+    one of the line's c green points turns red, dp[c] = sel[c+1] - sel[c]
+    when one of its red points turns green; both are 0 where the move
+    cannot happen.  Returns (dm, dp, fix, down, up): fix[c] = dm[c] +
+    dp[c]; down[c] and up[c] are the changes (d dm, d dp) when c falls or
+    rises by one, or None when neither gain changes.
+    """
+    dm = [0] + [sel_row[c - 1] - sel_row[c] for c in range(1, m + 1)]
+    dp = [sel_row[c + 1] - sel_row[c] for c in range(m)] + [0]
+    fix = [a + b for a, b in zip(dm, dp)]
+
+    def change(a: int, b: int):
+        delta = (dm[b] - dm[a], dp[b] - dp[a])
+        return delta if any(delta) else None
+
+    down = [None] + [change(c, c - 1) for c in range(1, m + 1)]
+    up = [change(c, c + 1) for c in range(m)] + [None]
+    return dm, dp, fix, down, up
+
+
+def _descent_gain_table(
+    incidence: IncidenceArrays,
+    sel: np.ndarray,
+    initial_green: np.ndarray,
+    initial_red: np.ndarray,
+    moves_green: np.ndarray,
+    moves_red: np.ndarray,
+    bound_num: int,
+    bound_den: int,
+):
+    """Move replay that scores each proposal in O(1) from per-point gains.
+
+    With the per-line gains dm and dp of _gain_tables at the current green
+    counts, rem[p] sums dm and add[p] sums dp over the lines through p.  A
+    swap of green gp and red rp leaves the count of the one line l through
+    both unchanged, so it changes the selected count by rem[gp] + add[rp]
+    - dm_l - dp_l.  Only accepted swaps touch the tables: gp turns red and
+    rp turns green, and each line whose gains change passes the change to
+    its member points.  Proposals, acceptance and the tie-break are those
+    of _descent_replay, so the results agree with it.  Python ints and
+    lists throughout, since scalar numpy access is slower.
+    """
+    n_points = incidence.n_points
+    sizes = incidence.line_sizes.tolist()
+    indptr = incidence.point_indptr.tolist()
+    point_lines = incidence.point_lines.tolist()
+    lines_of = [point_lines[indptr[p] : indptr[p + 1]] for p in range(n_points)]
+    line_points = np.nonzero(incidence.membership)[1].tolist()  # grouped by line
+    members, start = [], 0
+    for m in sizes:
+        members.append(line_points[start : start + m])
+        start += m
+    pair_line = [[0] * n_points for _ in range(n_points)]
+    for li, pts in enumerate(members):
+        for a in pts:
+            row = pair_line[a]
+            for b in pts:
+                row[b] = li
+    sel_rows = sel.tolist()
+    by_row = {}  # lines with equal selection rows share their tables
+    tables = []
+    for row, m in zip(sel_rows, sizes):
+        key = tuple(row[: m + 1])
+        if key not in by_row:
+            by_row[key] = _gain_tables(row, m)
+        tables.append(by_row[key])
+    fix = [t[2] for t in tables]
+    down = [t[3] for t in tables]
+    up = [t[4] for t in tables]
+
+    greens = initial_green.tolist()
+    reds = initial_red.tolist()
+    counts = [0] * len(sizes)
+    for p in greens:
+        for li in lines_of[p]:
+            counts[li] += 1
+    actual = sum(row[c] for row, c in zip(sel_rows, counts))
+    rem = [0] * n_points
+    add = [0] * n_points
+    for li, c in enumerate(counts):
+        dm, dp = tables[li][:2]
+        for q in members[li]:
+            rem[q] += dm[c]
+            add[q] += dp[c]
+    best = list(greens)
+    best_actual = actual
+    violations = int(actual * bound_den < bound_num)
+    for i, j in zip(memoryview(moves_green), memoryview(moves_red)):
+        gp = greens[i]
+        rp = reds[j]
+        shared = pair_line[gp][rp]
+        candidate = actual + rem[gp] + add[rp] - fix[shared][counts[shared]]
+        if candidate * bound_den < bound_num:
+            violations += 1
+        if candidate > actual:
+            continue
+        actual = candidate
+        for li in lines_of[gp]:
+            c = counts[li]
+            counts[li] = c - 1
+            delta = down[li][c]
+            if delta is not None:
+                ddm, ddp = delta
+                for q in members[li]:
+                    rem[q] += ddm
+                    add[q] += ddp
+        for li in lines_of[rp]:
+            c = counts[li]
+            counts[li] = c + 1
+            delta = up[li][c]
+            if delta is not None:
+                ddm, ddp = delta
+                for q in members[li]:
+                    rem[q] += ddm
+                    add[q] += ddp
+        del greens[i]
+        insort(greens, rp)
+        del reds[j]
+        insort(reds, gp)
+        if actual < best_actual or (actual == best_actual and greens < best):
+            best_actual = actual
+            best = list(greens)
+    return best_actual, best, violations, 1 + len(moves_green)
+
+
 def exhaustive_scan(
     incidence: IncidenceArrays,
     sel: np.ndarray,
@@ -364,25 +496,40 @@ def descent_replay(
 ) -> tuple[int, np.ndarray, int, int]:
     """Replay a seeded swap-move sequence from an initial coloring.
 
-    Both backends execute the identical algorithm on the identical move
-    arrays, so the outcome does not depend on the backend.
+    A proposal swaps the green and red points at the move arrays' positions
+    in the sorted green and red index lists; it is accepted when it does
+    not raise the selected-line count.  Returns (best_actual, best green
+    index tuple, violations, examined); ties on the best count go to the
+    lexicographically smaller green tuple.  The backends score proposals
+    by different algorithms: "numba" updates the per-line green counts of
+    every proposal and reverts the rejected ones, "numpy" reads per-point
+    gain tables and touches them only on accepted swaps.  Both follow the
+    same proposals and acceptance rule, so the outcome does not depend on
+    the backend.
     """
     which = resolve_backend(backend)
     initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
     mask = np.ones(incidence.n_points, dtype=bool)
     mask[initial_green] = False
     initial_red = np.flatnonzero(mask).astype(np.int64)
-    fn = _descent_replay_nb if which == "numba" else _descent_replay
-    best_actual, best, violations, examined = fn(
-        incidence.point_indptr,
-        incidence.point_lines,
-        sel,
-        np.int64(incidence.n_lines),
-        initial_green,
-        initial_red,
-        np.asarray(moves_green, dtype=np.int64),
-        np.asarray(moves_red, dtype=np.int64),
-        np.int64(bound_num),
-        np.int64(bound_den),
-    )
+    moves_green = np.ascontiguousarray(moves_green, dtype=np.int64)
+    moves_red = np.ascontiguousarray(moves_red, dtype=np.int64)
+    if which == "numpy":
+        best_actual, best, violations, examined = _descent_gain_table(
+            incidence, sel, initial_green, initial_red, moves_green, moves_red,
+            bound_num, bound_den,
+        )
+    else:
+        best_actual, best, violations, examined = _descent_replay_nb(
+            incidence.point_indptr,
+            incidence.point_lines,
+            sel,
+            np.int64(incidence.n_lines),
+            initial_green,
+            initial_red,
+            moves_green,
+            moves_red,
+            np.int64(bound_num),
+            np.int64(bound_den),
+        )
     return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import equilines
 from equilines.cli import run_cli
 from equilines.generators import generate, hesse
 from equilines.geometry import GREEN, configuration
@@ -262,6 +267,29 @@ def test_cli_search_parity_error(capsys):
         ["search", "--generator", "grid(3)", "--k", "0", "--theorem", "equisix"]
     )
     assert code == 2
+
+
+def test_cli_rejects_infeasible_random_rational_quickly(capsys):
+    # Bound 1 allows only 9 distinct points; asking for 10 used to loop forever.
+    spec = "random_rational(10,0,1)"
+    for argv in (
+        ["generate", "--name", spec],
+        ["search", "--generator", spec, "--k", "0", "--theorem", "equisix"],
+    ):
+        start = time.perf_counter()
+        assert run_cli(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "distinct points" in capsys.readouterr().err
+
+
+def test_cli_runs_as_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(equilines.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "equilines.cli", "generate", "--name", "grid(2)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert parse_config(proc.stdout).points == generate("grid(2)")
 
 
 def test_cli_generate_round_trip(capsys):

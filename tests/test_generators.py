@@ -58,3 +58,12 @@ def test_generate_rejects_bad_specs():
     for bad in ("", "grid", "grid(a)", "grid(2,3)", "hesse(1)", "warp(3)", "grid(0)"):
         with pytest.raises(ConfigError):
             generate(bad)
+
+
+def test_random_rational_rejects_more_points_than_exist():
+    # Bound 1 allows the values -1, 0, 1 and bound 2 adds -2, 2, -1/2, 1/2.
+    for bound, values in ((1, 3), (2, 7)):
+        pts = random_rational(values**2, seed=0, bound=bound)
+        assert len(set(pts)) == values**2
+        with pytest.raises(ValueError, match="distinct points"):
+            random_rational(values**2 + 1, seed=0, bound=bound)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import brute_force_scan
 
@@ -177,18 +179,58 @@ def test_local_two_seeds_both_satisfy():
         assert result.violations == 0
 
 
-def test_local_deterministic_and_backend_independent():
-    spec = SearchSpec(
-        points=grid(4), k=2, theorem=BoundTheorem.EQUI_FOUR, mode="local", seed=11, budget=3000
+def local_outcome(result):
+    return (
+        result.best_colors,
+        result.best_report,
+        result.colorings_examined,
+        result.violations,
+        result.all_inapplicable,
     )
-    results = [local_search(spec, backend=b) for b in BACKENDS]
-    results.append(local_search(spec, backend=BACKENDS[0]))
-    first = results[0]
-    for other in results[1:]:
-        assert other.best_colors == first.best_colors
-        assert other.best_report == first.best_report
-        assert other.colorings_examined == first.colorings_examined
-        assert other.violations == first.violations
+
+
+def test_local_deterministic_and_backend_independent():
+    cases = [
+        (grid(4), 2, BoundTheorem.EQUI_FOUR, 11, 3000),
+        # About 90% of these proposals are accepted, so the numpy backend's
+        # gain tables are updated on most moves.
+        (random_rational(18, seed=1, bound=9), 0, BoundTheorem.EQUI_SIX, 0, 5000),
+    ]
+    for base, k, theorem, seed, budget in cases:
+        spec = SearchSpec(
+            points=base, k=k, theorem=theorem, mode="local", seed=seed, budget=budget
+        )
+        results = [local_search(spec, backend=b) for b in BACKENDS]
+        results.append(local_search(spec, backend=BACKENDS[0]))
+        first = local_outcome(results[0])
+        for other in results[1:]:
+            assert local_outcome(other) == first
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    total=st.integers(2, 12),
+    base_seed=st.integers(0, 10**6),
+    bound=st.integers(4, 7),
+    theorem=st.sampled_from(list(BoundTheorem)),
+    k_index=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.integers(0, 400),
+)
+def test_local_backends_agree(total, base_seed, bound, theorem, k_index, seed, budget):
+    # The numpy backend's gain-table replay against the incremental replay
+    # of the numba backend (jitted or interpreted), on every valid k.
+    ks = range(total % 2, total + 1, 2)
+    spec = SearchSpec(
+        points=random_rational(total, seed=base_seed, bound=bound),
+        k=ks[k_index % len(ks)],
+        theorem=theorem,
+        mode="local",
+        seed=seed,
+        budget=budget,
+    )
+    numba_result = local_search(spec, backend="numba")
+    assert local_outcome(local_search(spec, backend="numpy")) == local_outcome(numba_result)
 
 
 def test_exhaustive_backend_equivalence():
