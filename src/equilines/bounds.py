@@ -180,6 +180,7 @@ def evaluate_bound(
     )
 
 
-def evaluate_all_bounds(config: ColoredConfiguration) -> tuple[BoundReport, ...]:
-    profile = compute_profile(config)
+def evaluate_all_bounds(
+    config: ColoredConfiguration, profile: LineProfile
+) -> tuple[BoundReport, ...]:
     return tuple(evaluate_bound(th, config, profile) for th in BoundTheorem)

@@ -116,7 +116,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.file)
-    profile = compute_profile(config, checked=False)
+    profile = compute_profile(config)
     report = evaluate(_INEQUALITY_NAMES[args.inequality], config)
     doc = {
         "summary": summary_section(config, profile),
@@ -128,7 +128,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     config = _load_config(args.file)
-    profile = compute_profile(config, checked=False)
+    profile = compute_profile(config)
     report = evaluate_bound(_THEOREM_NAMES[args.theorem], config, profile)
     doc = {
         "summary": summary_section(config, profile),

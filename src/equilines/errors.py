@@ -55,7 +55,7 @@ class ClaimRefutedError(EquilinesError):
 
 
 class SearchCapError(EquilinesError):
-    """An exhaustive search would exceed the configured coloring cap."""
+    """A search would examine more colorings than the configured cap."""
 
     def __init__(self, message: str, coloring_count: int):
         super().__init__(message)

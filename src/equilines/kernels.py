@@ -17,11 +17,11 @@ Two backends run two different algorithms for the same results:
     gain-table move replay in plain Python that scores each proposal in
     O(1) from per-point gains and updates them only on accepted swaps.
 
-Selection: the EQUILINES_BACKEND environment variable ("numba", "numpy",
-or "auto"); "auto" takes numba only when it imports, else numpy, since
+The platform picks the backend: numba when it imports, else numpy, since
 the interpreted depth-first scan is several times slower than the
-vectorized one.  A report's backend field names the kernel algorithm,
-not whether it was compiled.  Both backends visit colorings in the same
+vectorized one.  Callers (the tests) may name either one explicitly.  A
+report's backend field names the kernel algorithm, not whether it was
+compiled.  Both backends visit colorings in the same
 order (the exhaustive scan) or follow the same proposals (the move
 replay) and break ties on the best count toward the lexicographically
 smallest green index tuple, so results are backend-independent.
@@ -30,15 +30,13 @@ smallest green index tuple, so results are backend-independent.
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Incidence
-
-BACKEND_ENV_VAR = "EQUILINES_BACKEND"
+from .profiles import EquichromaticQuery
 
 try:
     from numba import njit
@@ -55,20 +53,14 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Pick "numba" or "numpy" from an explicit request or the environment.
-
-    "numba" names the incremental depth-first scan and move replay; it
-    runs jitted when numba imports and interpreted otherwise, so it is
-    available on every host.  "auto" resolves to "numba" only when numba
-    imports.  The returned name is the kernel algorithm, not whether it
-    was compiled.
-    """
-    choice = backend or os.environ.get(BACKEND_ENV_VAR, "auto")
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}")
-    if choice == "auto":
+    """Return the named backend, or the platform's when none is named:
+    "numba" when numba imports and "numpy" otherwise.  "numba" is available
+    on every host; without numba its kernels run interpreted."""
+    if backend is None:
         return "numba" if HAVE_NUMBA else "numpy"
-    return choice
+    if backend not in ("numba", "numpy"):
+        raise ValueError(f"unknown backend {backend!r}")
+    return backend
 
 
 @dataclass(frozen=True)
@@ -80,10 +72,6 @@ class IncidenceArrays:
     membership: np.ndarray  # uint8[L, N], 1 iff point on line
     point_indptr: np.ndarray  # int64[N+1], CSR point -> incident lines
     point_lines: np.ndarray  # int64[total incidences]
-
-    @property
-    def n_lines(self) -> int:
-        return int(self.line_sizes.shape[0])
 
 
 def build_incidence(incidence: Incidence) -> IncidenceArrays:
@@ -100,21 +88,14 @@ def build_incidence(incidence: Incidence) -> IncidenceArrays:
     return IncidenceArrays(n_points, sizes, membership, indptr, point_lines)
 
 
-def selection_table(
-    line_sizes: np.ndarray, r: int, max_points: int | None
-) -> np.ndarray:
-    """sel[l, g] = 1 iff line l, carrying g green of its m points, lands in
-    a cell with |g - (m - g)| <= r and m <= max_points.  int64 so the
-    kernels can form signed deltas."""
-    max_size = int(line_sizes.max())
-    sel = np.zeros((line_sizes.shape[0], max_size + 1), dtype=np.int64)
-    for li in range(line_sizes.shape[0]):
-        m = int(line_sizes[li])
-        if max_points is not None and m > max_points:
-            continue
+def selection_table(line_sizes: np.ndarray, query: EquichromaticQuery) -> np.ndarray:
+    """sel[l, g] = 1 iff the query selects line l when g of its m points
+    are green, i.e. the cell (g, m - g).  int64 so the kernels can form
+    signed deltas."""
+    sel = np.zeros((line_sizes.shape[0], int(line_sizes.max()) + 1), dtype=np.int64)
+    for li, m in enumerate(line_sizes.tolist()):
         for g in range(m + 1):
-            if abs(2 * g - m) <= r:
-                sel[li, g] = 1
+            sel[li, g] = query.selects(g, m - g)
     return sel
 
 
@@ -122,8 +103,6 @@ def _exhaustive_scan(
     point_indptr,
     point_lines,
     sel,
-    n_lines,
-    n_points,
     n_green,
     bound_num,
     bound_den,
@@ -132,6 +111,8 @@ def _exhaustive_scan(
     order, maintaining per-line green counts and the selected-line total
     incrementally.  Returns (best_actual, best_combo, violations, examined).
     """
+    n_lines = sel.shape[0]
+    n_points = point_indptr.shape[0] - 1
     counts = np.zeros(n_lines, dtype=np.int64)
     actual = np.int64(0)
     for li in range(n_lines):
@@ -185,7 +166,6 @@ def _descent_replay(
     point_indptr,
     point_lines,
     sel,
-    n_lines,
     initial_green,
     initial_red,
     moves_green,
@@ -197,6 +177,7 @@ def _descent_replay(
     not increase the selected-line count.  Proposals are evaluated via
     count deltas; rejected moves are reverted exactly.  Ties on the best
     count go to the lexicographically smaller green index tuple."""
+    n_lines = sel.shape[0]
     n_green = initial_green.shape[0]
     greens = initial_green.copy()
     reds = initial_red.copy()
@@ -294,10 +275,9 @@ def _exhaustive_numpy(
     a different algorithm from the jitted scan so the two backends
     cross-check each other."""
     n_points = incidence.n_points
-    n_lines = incidence.n_lines
     mem_t = incidence.membership.astype(np.float64).T  # N x L
     sel_flat = sel.ravel()
-    offsets = (np.arange(n_lines, dtype=np.int64) * sel.shape[1])[None, :]
+    offsets = (np.arange(sel.shape[0], dtype=np.int64) * sel.shape[1])[None, :]
     best_actual = -1
     best_combo = np.empty(0, dtype=np.int64)
     violations = 0
@@ -475,8 +455,6 @@ def exhaustive_scan(
             incidence.point_indptr,
             incidence.point_lines,
             sel,
-            np.int64(incidence.n_lines),
-            np.int64(incidence.n_points),
             np.int64(n_green),
             np.int64(bound_num),
             np.int64(bound_den),
@@ -524,7 +502,6 @@ def descent_replay(
             incidence.point_indptr,
             incidence.point_lines,
             sel,
-            np.int64(incidence.n_lines),
             initial_green,
             initial_red,
             moves_green,

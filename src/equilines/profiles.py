@@ -8,7 +8,7 @@ points.  Three identities tie the profile to (n, k) alone:
   balance:      sum (i+j) * t_{i,j} - sum (i-j)^2 * t_{i,j} = 2n - (k^2+k)
 
 They hold for every configuration, so a failure is always a kernel bug;
-checked-mode profile computation raises on any mismatch.
+every profile computation checks them and raises on any mismatch.
 """
 
 from __future__ import annotations
@@ -93,13 +93,12 @@ class IdentityReport:
         return all(c.passed for c in self.checks)
 
 
-def compute_profile(config: ColoredConfiguration, checked: bool = True) -> LineProfile:
+def compute_profile(config: ColoredConfiguration) -> LineProfile:
     """Tally (green, red) cell counts over the configuration's determined
     lines, which come from its (once-enumerated) incidence structure.
 
-    With checked=True (the default) the counting identities are verified
-    immediately; they are free cross-checks of the geometry kernel.  Bulk
-    searches disable this.
+    The counting identities are verified before the profile is returned;
+    they are cheap cross-checks of the geometry kernel.
     """
     cells: dict[tuple[int, int], int] = {}
     for rec in config.incidence.lines:
@@ -107,14 +106,13 @@ def compute_profile(config: ColoredConfiguration, checked: bool = True) -> LineP
         cell = (greens, rec.size - greens)
         cells[cell] = cells.get(cell, 0) + 1
     profile = LineProfile.from_dict(cells, config.n, config.k)
-    if checked:
-        report = verify_identities(profile)
-        if not report.all_passed:
-            failed = [c.name for c in report.checks if not c.passed]
-            raise InternalInconsistencyError(
-                f"counting identities failed ({', '.join(failed)}): "
-                "the enumeration or profile code is buggy"
-            )
+    report = verify_identities(profile)
+    if not report.all_passed:
+        failed = [c.name for c in report.checks if not c.passed]
+        raise InternalInconsistencyError(
+            f"counting identities failed ({', '.join(failed)}): "
+            "the enumeration or profile code is buggy"
+        )
     return profile
 
 

@@ -30,10 +30,14 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping
 
-from .bounds import BoundTheorem
+from .bounds import BoundTheorem, bound_value
 from .errors import ClaimRefutedError, InternalInconsistencyError
 
 Cell = tuple[int, int]
+
+# Certification enumerates O(window^2) cells: 500 takes about a second,
+# 1500 about ten, so larger windows are refused rather than left to run.
+MAX_WINDOW = 500
 
 
 def pair_imbalance_coefficient(i: int, j: int) -> Fraction:
@@ -196,6 +200,8 @@ def verify_template_sign_claim(tpl: InequalityTemplate, window: int) -> SignCert
             f"window {window} cannot certify {tpl.name}: the tail bound only "
             f"covers i+j >= {tpl.tail_threshold}"
         )
+    if window > MAX_WINDOW:
+        raise ValueError(f"window {window} exceeds the limit of {MAX_WINDOW}")
     sign = tpl.exceptional_sign
     checked = 0
     for cell in _window_cells(window):
@@ -248,22 +254,16 @@ def verify_identity_simplification(window: int) -> bool:
 def rhs_check(theorem: BoundTheorem, n: int, k: int) -> tuple[Fraction, Fraction]:
     """Combined right-hand side and the count bound it yields.
 
-    EQUI_SIX: -(2n-k) - n + (k^2+k)/2 must equal (-6n + k(k+3))/2; dividing
-    the combination by the extreme coefficient -2 gives (6n - k(k+3))/4.
-    EQUI_FOUR: 4(2n-k) + 2n - (k^2+k) must equal 10n - k(k+5); dividing by
-    the extreme coefficient 6 gives (10n - k(k+5))/6.
+    Dividing the combination's right-hand side by the extreme coefficient
+    (-2 for EQUI_SIX, 6 for EQUI_FOUR) must give the theorem's bound as
+    bounds.bound_value states it, which also validates n and k.
     """
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
     tpl = template_for(theorem)
     combined = tpl.rhs(n, k)
-    if theorem is BoundTheorem.EQUI_SIX:
-        simplified = Fraction(-6 * n + k * (k + 3), 2)
-    else:
-        simplified = Fraction(10 * n - k * (k + 5))
-    if combined != simplified:
+    derived = combined / max(tpl.claimed_cells.values(), key=abs)
+    stated = bound_value(theorem, n, k)
+    if derived != stated:
         raise InternalInconsistencyError(
-            f"{tpl.name}: combined RHS {combined} != simplified form {simplified}"
+            f"{tpl.name}: combined RHS {combined} gives {derived}, not the bound {stated}"
         )
-    extreme = max(tpl.claimed_cells.values(), key=abs)
-    return combined, combined / extreme
+    return combined, derived

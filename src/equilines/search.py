@@ -86,6 +86,10 @@ class SearchSpec:
         return (self.total + self.k) // 2
 
     def coloring_count(self) -> int:
+        """Colorings the search examines at most: every one with the spec's
+        (n, k) when exhaustive, the initial one plus one per move when local."""
+        if self.mode == LOCAL:
+            return self.budget + 1
         return math.comb(self.total, self.n_green)
 
 
@@ -132,13 +136,19 @@ class _Prepared:
 
 
 def _prepare(spec: SearchSpec) -> _Prepared:
+    # Before any work, and before local search allocates its budget-long moves.
+    count = spec.coloring_count()
+    if count > spec.cap:
+        raise SearchCapError(
+            f"{spec.mode} search over {count} colorings exceeds the cap {spec.cap}", count
+        )
     base = Incidence.of(spec.points)
     incidence = build_incidence(base)
     applicable, detail = precondition(spec.theorem, spec.n_green, spec.k, base)
     info = theorem_info(spec.theorem)
-    t = incidence.n_lines if info.needs_total_lines else None
+    t = len(base.lines) if info.needs_total_lines else None
     bound = bound_value(spec.theorem, spec.n_green, spec.k, t)
-    sel = selection_table(incidence.line_sizes, info.query.r, info.query.max_points)
+    sel = selection_table(incidence.line_sizes, info.query)
     return _Prepared(base, incidence, sel, bound, applicable, detail)
 
 
@@ -195,12 +205,6 @@ def exhaustive_search(spec: SearchSpec, backend: str | None = None) -> SearchRes
     ties going to the lexicographically smallest green index tuple."""
     if spec.mode != EXHAUSTIVE:
         raise ValueError("spec.mode must be 'exhaustive'")
-    count = spec.coloring_count()
-    if count > spec.cap:
-        raise SearchCapError(
-            f"exhaustive search over {count} colorings exceeds the cap {spec.cap}",
-            count,
-        )
     which = resolve_backend(backend)
     prep = _prepare(spec)
     if not prep.applicable:

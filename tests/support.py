@@ -98,7 +98,7 @@ def brute_force_scan(
         chosen = set(combo)
         colors = tuple(GREEN if i in chosen else RED for i in range(len(points)))
         config = configuration(points, colors, d)
-        profile = compute_profile(config, checked=False)
+        profile = compute_profile(config)
         actual = count_equichromatic(profile, query)
         examined += 1
         if actual < bound:

@@ -27,7 +27,7 @@ def test_criterion_1_identity_suite():
     start = time.perf_counter()
     for seed in range(1000):
         config = random_config(seed, max_total=20)
-        profile = compute_profile(config, checked=False)
+        profile = compute_profile(config)
         report = verify_identities(profile)
         assert report.all_passed, (seed, report)
     elapsed = time.perf_counter() - start
@@ -150,7 +150,7 @@ def test_criterion_5_worked_small_example():
     profile = compute_profile(config)
     assert profile.as_dict() == {(2, 0): 1, (0, 2): 1, (1, 1): 4}
 
-    reports = {r.theorem: r for r in evaluate_all_bounds(config)}
+    reports = {r.theorem: r for r in evaluate_all_bounds(config, profile)}
     equi_six = reports[BoundTheorem.EQUI_SIX]
     assert equi_six.applicable and equi_six.actual == 4 and equi_six.bound == 3
     assert equi_six.satisfied

@@ -54,7 +54,7 @@ def test_bound_value_input_validation():
 
 def test_square_worked_example():
     config = square_config()
-    reports = {r.theorem: r for r in evaluate_all_bounds(config)}
+    reports = {r.theorem: r for r in evaluate_all_bounds(config, compute_profile(config))}
 
     equi_six = reports[BoundTheorem.EQUI_SIX]
     assert equi_six.applicable  # max_collinear 2 <= 2n-k-2 = 2
@@ -91,7 +91,7 @@ def test_all_collinear_equi_six_inapplicable():
 
 def test_hesse_all_green_bounds():
     config = configuration(hesse(), (GREEN,) * 9, -3)
-    reports = {r.theorem: r for r in evaluate_all_bounds(config)}
+    reports = {r.theorem: r for r in evaluate_all_bounds(config, compute_profile(config))}
     for theorem in (BoundTheorem.PS1, BoundTheorem.PS2, BoundTheorem.PS4):
         assert not reports[theorem].applicable  # not real
     equi_six = reports[BoundTheorem.EQUI_SIX]
@@ -153,7 +153,7 @@ def test_ps3_dominated_by_equi_six():
     checked = 0
     for seed in range(80):
         config = random_config(seed, max_total=10)
-        profile = compute_profile(config, checked=False)
+        profile = compute_profile(config)
         ps3 = evaluate_bound(BoundTheorem.PS3, config, profile)
         equi_six = evaluate_bound(BoundTheorem.EQUI_SIX, config, profile)
         assert ps3.bound == equi_six.bound
@@ -167,7 +167,7 @@ def test_ps3_dominated_by_equi_six():
 def test_random_configs_never_violate_complex_valid_bounds():
     for seed in range(60):
         config = random_config(seed, max_total=12)
-        profile = compute_profile(config, checked=False)
+        profile = compute_profile(config)
         for theorem in (BoundTheorem.PS3, BoundTheorem.EQUI_SIX, BoundTheorem.EQUI_FOUR):
             report = evaluate_bound(theorem, config, profile)
             if report.applicable:

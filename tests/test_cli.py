@@ -8,15 +8,19 @@ from pathlib import Path
 import pytest
 
 import equilines
+from equilines.bounds import BoundTheorem
 from equilines.cli import run_cli
-from equilines.generators import generate, hesse
+from equilines.generators import MAX_GENERATED_POINTS, generate, hesse
 from equilines.geometry import GREEN, configuration
+from equilines.proofcheck import MAX_WINDOW
 from equilines.reports import (
     analysis_document,
     config_document,
     dump_json,
     parse_config,
+    search_section,
 )
+from equilines.search import SearchSpec, run_search
 
 
 def write_config(tmp_path, name, doc):
@@ -79,6 +83,19 @@ def test_parse_config_errors():
     for text in cases:
         with pytest.raises(ConfigError):
             parse_config(text)
+
+
+def test_parse_config_coordinate_types():
+    from equilines.errors import ConfigError
+
+    def doc(coord):
+        points = [{"coords": ["0", "0"], "color": "green"}, {"coords": ["1", coord], "color": "red"}]
+        return json.dumps({"d": 5, "points": points})
+
+    assert parse_config(doc(3)).points == parse_config(doc("3")).points
+    for value, kind in ((True, "boolean"), (1.5, "number"), (None, "null"), ([1], "array"), ({}, "object")):
+        with pytest.raises(ConfigError, match=f"point 1: a coordinate is a JSON {kind}"):
+            parse_config(doc(value))
 
 
 def test_generate_parse_round_trip():
@@ -239,26 +256,14 @@ def test_cli_search_local(capsys):
     assert "best coloring" in capsys.readouterr().out
 
 
-def test_cli_search_backend_env(monkeypatch, capsys):
-    # EQUILINES_BACKEND=numba must run with or without numba installed
+def test_cli_search_backend_env():
+    # The numba backend must run with or without numba installed
     # (interpreted when it does not import) and agree with numpy.
-    args = [
-        "search",
-        "--generator",
-        "grid(2)",
-        "--k",
-        "0",
-        "--theorem",
-        "equisix",
-        "--format",
-        "json",
-    ]
+    spec = SearchSpec(points=generate("grid(2)"), k=0, theorem=BoundTheorem.EQUI_SIX)
     docs = {}
     for backend in ("numba", "numpy"):
-        monkeypatch.setenv("EQUILINES_BACKEND", backend)
-        assert run_cli(args) == 0
-        docs[backend] = json.loads(capsys.readouterr().out)
-        assert docs[backend]["search"].pop("backend") == backend
+        docs[backend] = search_section(run_search(spec, backend=backend))
+        assert docs[backend].pop("backend") == backend
     assert docs["numba"] == docs["numpy"]
 
 
@@ -280,6 +285,24 @@ def test_cli_rejects_infeasible_random_rational_quickly(capsys):
         assert run_cli(argv) == 2
         assert time.perf_counter() - start < 1.0
         assert "distinct points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["search", "--generator", "grid(3)", "--k", "1", "--theorem", "equisix",
+          "--mode", "local", "--budget", "1000000000"], "cap 10000000"),
+        (["generate", "--name", "grid(400)"], f"limit of {MAX_GENERATED_POINTS}"),
+        (["search", "--generator", "random_rational(5000,0,9)", "--k", "0",
+          "--theorem", "equisix"], f"limit of {MAX_GENERATED_POINTS}"),
+        (["proofcheck", "--theorem", "equisix", "--window", "100000"], f"limit of {MAX_WINDOW}"),
+    ],
+)
+def test_cli_rejects_oversized_requests_quickly(argv, limit, capsys):
+    start = time.perf_counter()
+    assert run_cli(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert limit in capsys.readouterr().err
 
 
 def test_cli_runs_as_module():

@@ -2,6 +2,7 @@ import pytest
 
 from equilines.errors import ConfigError
 from equilines.generators import (
+    MAX_GENERATED_POINTS,
     generate,
     grid,
     hesse,
@@ -58,6 +59,19 @@ def test_generate_rejects_bad_specs():
     for bad in ("", "grid", "grid(a)", "grid(2,3)", "hesse(1)", "warp(3)", "grid(0)"):
         with pytest.raises(ConfigError):
             generate(bad)
+
+
+def test_generators_reject_more_points_than_the_limit():
+    assert len(near_pencil(MAX_GENERATED_POINTS)) == MAX_GENERATED_POINTS
+    limit = f"limit of {MAX_GENERATED_POINTS}"
+    for make in (
+        lambda: grid(32),
+        lambda: near_pencil(MAX_GENERATED_POINTS + 1),
+        lambda: random_rational(MAX_GENERATED_POINTS + 1, seed=0, bound=9),
+        lambda: generate("grid(400)"),
+    ):
+        with pytest.raises(ConfigError, match=limit):
+            make()
 
 
 def test_random_rational_rejects_more_points_than_exist():

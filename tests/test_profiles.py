@@ -91,7 +91,7 @@ def test_checked_mode_raises_on_tampered_kernel(monkeypatch):
         lambda profile: profiles_mod.IdentityReport(fake_checks),
     )
     with pytest.raises(InternalInconsistencyError):
-        profiles_mod.compute_profile(square_config(), checked=True)
+        profiles_mod.compute_profile(square_config())
 
 
 def test_tampered_profile_fails_identities():
@@ -131,7 +131,7 @@ def test_query_r_at_most_one_selects_only_bichromatic():
 @given(st.integers(0, 200), st.integers(0, 8), st.sampled_from([2, 3, 4, 6, 10, None]))
 @settings(max_examples=60, deadline=None)
 def test_count_monotone_in_r_and_max(seed, r, max_points):
-    profile = compute_profile(random_config(seed, max_total=10), checked=False)
+    profile = compute_profile(random_config(seed, max_total=10))
     base = count_equichromatic(profile, EquichromaticQuery(r, max_points))
     assert count_equichromatic(profile, EquichromaticQuery(r + 1, max_points)) >= base
     wider = None if max_points is None else max_points + 1
@@ -140,7 +140,7 @@ def test_count_monotone_in_r_and_max(seed, r, max_points):
 
 def test_count_unbounded_query_gives_total_lines():
     for seed in (0, 3, 11):
-        profile = compute_profile(random_config(seed, max_total=12), checked=False)
+        profile = compute_profile(random_config(seed, max_total=12))
         big_r = 2 * (profile.n + 1)
         assert count_equichromatic(profile, EquichromaticQuery(big_r, None)) == (
             profile.total_lines

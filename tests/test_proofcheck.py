@@ -8,6 +8,7 @@ from equilines.errors import ClaimRefutedError
 from equilines.proofcheck import (
     EQUI_FOUR_TEMPLATE,
     EQUI_SIX_TEMPLATE,
+    MAX_WINDOW,
     InequalityTemplate,
     build_table,
     equi_four_coefficient,
@@ -108,6 +109,12 @@ def test_sign_claim_rejects_small_window():
         verify_sign_claim(BoundTheorem.EQUI_SIX, 7)
     with pytest.raises(ValueError):
         verify_sign_claim(BoundTheorem.EQUI_FOUR, 4)
+
+
+def test_sign_claim_rejects_window_above_limit():
+    for theorem in (BoundTheorem.EQUI_SIX, BoundTheorem.EQUI_FOUR):
+        with pytest.raises(ValueError, match=f"limit of {MAX_WINDOW}"):
+            verify_sign_claim(theorem, MAX_WINDOW + 1)
 
 
 def test_corrupted_template_is_refuted_at_2_2():

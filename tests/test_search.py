@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -25,16 +26,14 @@ from equilines.search import (
 BACKENDS = ("numba", "numpy")
 
 
-def test_backend_resolution(monkeypatch):
+def test_backend_resolution():
     assert resolve_backend("numpy") == "numpy"
     assert resolve_backend("numba") == "numba"  # interpreted without numba
-    monkeypatch.delenv("EQUILINES_BACKEND", raising=False)
-    assert resolve_backend("auto") == ("numba" if HAVE_NUMBA else "numpy")
-    monkeypatch.setenv("EQUILINES_BACKEND", "numpy")
-    assert resolve_backend() == "numpy"
-    monkeypatch.setenv("EQUILINES_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        resolve_backend()
+    assert resolve_backend() == ("numba" if HAVE_NUMBA else "numpy")
+    assert resolve_backend(None) == resolve_backend()
+    for name in ("auto", "bogus"):
+        with pytest.raises(ValueError):
+            resolve_backend(name)
 
 
 def test_selection_table_matches_query():
@@ -43,7 +42,7 @@ def test_selection_table_matches_query():
     incidence = build_incidence(base)
     for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
         query = EquichromaticQuery(r, max_points)
-        sel = selection_table(incidence.line_sizes, r, max_points)
+        sel = selection_table(incidence.line_sizes, query)
         for li, rec in enumerate(lines):
             for g in range(rec.size + 1):
                 assert sel[li, g] == int(query.selects(g, rec.size - g))
@@ -79,6 +78,17 @@ def test_exhaustive_cap():
     with pytest.raises(SearchCapError) as exc:
         exhaustive_search(spec)
     assert exc.value.coloring_count == math.comb(16, 8)
+
+
+def test_local_cap():
+    # The initial coloring plus one per proposed move must fit the cap.
+    spec = SearchSpec(
+        points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", budget=9, cap=10
+    )
+    assert local_search(spec).colorings_examined == 10
+    with pytest.raises(SearchCapError) as exc:
+        local_search(dataclasses.replace(spec, budget=10))
+    assert exc.value.coloring_count == 11
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -285,7 +295,7 @@ def test_exhaustive_all_green_single_coloring():
 
 
 def test_runs_without_numba(tmp_path):
-    # Block the numba import in a fresh interpreter: the auto backend must
+    # Block the numba import in a fresh interpreter: the default backend must
     # fall back to numpy, the numba backend must run its kernels
     # interpreted, and both must reproduce the known grid(2) answer.
     import subprocess
