@@ -54,8 +54,6 @@ from .proofcheck import (
     InequalityTemplate,
     SignCertificate,
     build_table,
-    rhs_check,
-    verify_identity_simplification,
     verify_sign_claim,
 )
 from .quadfield import Discriminant, QuadElement, parse_element, format_element, quad
@@ -119,8 +117,6 @@ __all__ = [
     "parse_element",
     "quad",
     "random_rational",
-    "rhs_check",
     "verify_identities",
-    "verify_identity_simplification",
     "verify_sign_claim",
 ]

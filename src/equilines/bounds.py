@@ -2,20 +2,13 @@
 
 Six named theorems are evaluated.  Each selects lines by an equichromatic
 query (balance tolerance r, maximum points per line), carries an exact
-bound in n, k (and sometimes the total line count t), a collinearity
-precondition, and a realness requirement:
-
-  PS1       r=1, unbounded   (t + 2n + 3 - k(k+1))/4    real, not all collinear
-  PS2       r=1, <= 4 pts    (2n + 6 - k(k+1))/4        real, not all collinear
-  PS3       r=1, <= 5 pts    (6n - k(k+3))/4            C ok, max_collinear <= 2n-k-3
-  PS4       r=1, <= 6 pts    (t + 6n + 15 - 3k(k+1))/12 real, not all collinear
-  EQUI_SIX  r=1, <= 6 pts    (6n - k(k+3))/4            C ok, max_collinear <= 2n-k-2
-  EQUI_FOUR r=2, <= 4 pts    (10n - k(k+5))/6           C ok, max_collinear <= (2/3)(2n-k)
+bound in n, k (and sometimes the total line count t) from
+``bound_value``, and takes its precondition from the gate of the
+incidence inequality its ``TheoremInfo`` names, read from
+``inequalities.INEQUALITIES`` at N = 2n - k.
 
 PS1-PS4 are the Purdy-Smith bounds; EQUI_SIX and EQUI_FOUR are the two
-bounds whose coefficient certificates live in the proofcheck module.
-The PS3 / EQUI_SIX preconditions differ by one ("no 2n-k-2 collinear"
-vs "at most 2n-k-2 collinear"); both are kept literally.
+bounds whose derivations the proofcheck module certifies.
 """
 
 from __future__ import annotations
@@ -26,6 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .geometry import ColoredConfiguration, Incidence
+from .inequalities import INEQUALITIES, InequalityKind, gate
 from .profiles import EquichromaticQuery, LineProfile, compute_profile, count_equichromatic
 
 
@@ -46,17 +40,18 @@ EQUI_FOUR_SUPPORT_CELLS = frozenset({(0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2,
 @dataclass(frozen=True)
 class TheoremInfo:
     query: EquichromaticQuery
-    requires_real: bool
+    gate: InequalityKind  # whose gate at N = 2n - k is the precondition
     needs_total_lines: bool
 
 
+_K = InequalityKind
 _INFO: dict[BoundTheorem, TheoremInfo] = {
-    BoundTheorem.PS1: TheoremInfo(EquichromaticQuery(1, None), True, True),
-    BoundTheorem.PS2: TheoremInfo(EquichromaticQuery(1, 4), True, False),
-    BoundTheorem.PS3: TheoremInfo(EquichromaticQuery(1, 5), False, False),
-    BoundTheorem.PS4: TheoremInfo(EquichromaticQuery(1, 6), True, True),
-    BoundTheorem.EQUI_SIX: TheoremInfo(EquichromaticQuery(1, 6), False, False),
-    BoundTheorem.EQUI_FOUR: TheoremInfo(EquichromaticQuery(2, 4), False, False),
+    BoundTheorem.PS1: TheoremInfo(EquichromaticQuery(1, None), _K.MELCHIOR, True),
+    BoundTheorem.PS2: TheoremInfo(EquichromaticQuery(1, 4), _K.MELCHIOR, False),
+    BoundTheorem.PS3: TheoremInfo(EquichromaticQuery(1, 5), _K.HIRZEBRUCH_QUADRATIC, False),
+    BoundTheorem.PS4: TheoremInfo(EquichromaticQuery(1, 6), _K.MELCHIOR, True),
+    BoundTheorem.EQUI_SIX: TheoremInfo(EquichromaticQuery(1, 6), _K.HIRZEBRUCH_LINEAR, False),
+    BoundTheorem.EQUI_FOUR: TheoremInfo(EquichromaticQuery(2, 4), _K.BOJANOWSKI_POKORA, False),
 }
 
 
@@ -109,32 +104,8 @@ def bound_value(
 
 def collinearity_limit(theorem: BoundTheorem, n: int, k: int) -> Fraction | None:
     """Largest allowed collinear subset; None means only "not all collinear"."""
-    if theorem is BoundTheorem.PS3:
-        return Fraction(2 * n - k - 3)
-    if theorem is BoundTheorem.EQUI_SIX:
-        return Fraction(2 * n - k - 2)
-    if theorem is BoundTheorem.EQUI_FOUR:
-        return Fraction(2 * (2 * n - k), 3)
-    return None
-
-
-def real_plane_gate(incidence: Incidence) -> tuple[bool, str]:
-    """Real coordinates and not all points on one line."""
-    if not incidence.all_real:
-        return False, "coordinates are not all real"
-    if incidence.max_collinear == incidence.total_points:
-        return False, "all points are collinear"
-    return True, "coordinates real and not all points collinear"
-
-
-def collinearity_gate(
-    incidence: Incidence, limit: Fraction, label: str
-) -> tuple[bool, str]:
-    """At most ``limit`` points on one line; ``label`` names the limit in
-    the detail string ("2N/3", "N-2", "N-3" or "limit")."""
-    ok = incidence.max_collinear <= limit
-    rel = "<=" if ok else ">"
-    return ok, f"max_collinear={incidence.max_collinear} {rel} {label}={limit}"
+    limit = INEQUALITIES[theorem_info(theorem).gate].limit
+    return None if limit is None else limit(2 * n - k)
 
 
 def precondition(
@@ -146,9 +117,7 @@ def precondition(
     of which points carry which color, so one verdict covers every
     coloring of a base set with the same (n, k).
     """
-    if theorem_info(theorem).requires_real:
-        return real_plane_gate(incidence)
-    return collinearity_gate(incidence, collinearity_limit(theorem, n, k), "limit")
+    return gate(theorem_info(theorem).gate, incidence, 2 * n - k, "limit")
 
 
 def evaluate_bound(

@@ -162,7 +162,7 @@ def _cmd_proofcheck(args) -> int:
     try:
         cert = verify_sign_claim(theorem, window)
     except ClaimRefutedError as exc:
-        sys.stdout.write(f"claim refuted at cell {exc.cell}: {exc}\n")
+        sys.stdout.write(f"claim refuted: {exc}\n")
         return 1
     _emit({"certificates": [certificate_section(cert)]}, args.format, args.decimal)
     return 0

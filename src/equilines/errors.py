@@ -43,11 +43,12 @@ class InternalInconsistencyError(EquilinesError):
 class ClaimRefutedError(EquilinesError):
     """A certified coefficient claim does not match the computed table.
 
-    Carries the offending cell and both values; firing means either an
-    implementation bug or an erratum in the claimed inequality.
+    Carries the offending cell (None when the failed step is not about
+    one cell) and both values; firing means either an implementation bug
+    or an erratum in the claimed inequality.
     """
 
-    def __init__(self, message: str, cell: tuple[int, int], expected, actual):
+    def __init__(self, message: str, cell=None, expected=None, actual=None):
         super().__init__(message)
         self.cell = cell
         self.expected = expected

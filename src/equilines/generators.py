@@ -20,23 +20,22 @@ from .quadfield import quad
 
 DEFAULT_RATIONAL_D = 5
 HESSE_D = -3
-# Analysis and search key every pair of points exactly, so specs are
-# untrusted input whose size must be bounded before any point is built.
-MAX_GENERATED_POINTS = 1000
+# Analysis and search key every pair of points exactly, so generator
+# specs and config files are untrusted input whose size must be bounded
+# before any point is built.
+MAX_POINTS = 1000
 
 
-def _check_size(total: int) -> None:
-    if total > MAX_GENERATED_POINTS:
-        raise ConfigError(
-            f"{total} points exceed the generator limit of {MAX_GENERATED_POINTS}"
-        )
+def check_point_count(total: int) -> None:
+    if total > MAX_POINTS:
+        raise ConfigError(f"{total} points exceed the limit of {MAX_POINTS}")
 
 
 def grid(m: int, d: int = DEFAULT_RATIONAL_D) -> tuple[ProjPoint, ...]:
     """The m x m affine integer grid."""
     if m < 1:
         raise ValueError("grid size must be >= 1")
-    _check_size(m * m)
+    check_point_count(m * m)
     return tuple(
         affine_point(x, y, d=d) for x in range(m) for y in range(m)
     )
@@ -46,7 +45,7 @@ def near_pencil(total: int, d: int = DEFAULT_RATIONAL_D) -> tuple[ProjPoint, ...
     """total - 1 collinear points on y = 0 plus the single point (0, 1)."""
     if total < 3:
         raise ValueError("a near-pencil needs at least 3 points")
-    _check_size(total)
+    check_point_count(total)
     pts = [affine_point(x, 0, d=d) for x in range(total - 1)]
     pts.append(affine_point(0, 1, d=d))
     return tuple(pts)
@@ -78,7 +77,7 @@ def random_rational(
     numerators and denominators are bounded by the given bound; seeded."""
     if total < 1:
         raise ValueError("need at least 1 point")
-    _check_size(total)
+    check_point_count(total)
     if bound < 1:
         raise ValueError("coordinate bound must be >= 1")
     # The integers -bound..bound alone give (2*bound+1)**2 points, so the

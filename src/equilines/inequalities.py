@@ -1,17 +1,15 @@
 """Incidence inequalities on the line-size marginals t_m.
 
-All five are evaluated on the colorless marginals of a configuration
-(t_m = lines through exactly m of the N points, read from its incidence
-structure), each with its own applicability precondition:
-
-  Melchior             sum (3-m) t_m >= 3          real plane, not all collinear
-  Langer               sum m t_m >= N(N+3)/3       at most 2N/3 collinear
-  Hirzebruch (linear)  t_2 + t_3 >= N + sum_{m>=5} (m-4) t_m     at most N-2 collinear
-  Hirzebruch (quadr.)  t_2 + (3/4) t_3 >= N + sum_{m>=5} (2m-9) t_m   at most N-3 collinear
-  Bojanowski-Pokora    sum (4m - m^2) t_m >= 4N    at most 2N/3 collinear
+``INEQUALITIES`` is the one table of the five inequalities (Melchior,
+Langer, Hirzebruch linear and quadratic, Bojanowski-Pokora), each of the
+form sum left(m) t_m >= constant(N) + sum right(m) t_m over the colorless
+marginals of a configuration (t_m = lines through exactly m of the N
+points), with its applicability gate.  The bounds module takes each
+theorem's precondition from one of these gates at N = 2n - k, and the
+proofcheck templates combine the rows with the counting identities.
 
 Melchior needs real coordinates; the other four hold over C.  Sides are
-always reported exactly, even when the precondition fails, because
+always reported exactly, even when the gate fails, because
 inapplicable-but-violated cases are instructive diagnostics.
 """
 
@@ -20,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
-from .bounds import collinearity_gate, real_plane_gate
 from .geometry import ColoredConfiguration, Incidence
 
 
@@ -31,6 +29,45 @@ class InequalityKind(Enum):
     HIRZEBRUCH_LINEAR = "hirzebruch-linear"
     HIRZEBRUCH_QUADRATIC = "hirzebruch-quadratic"
     BOJANOWSKI_POKORA = "bojanowski-pokora"
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """sum left(m) t_m >= constant(N) + sum right(m) t_m, applicable when at
+    most limit(N) points are collinear (``label`` names that limit), or in
+    the real plane when ``limit`` is None.  The report keeps each term on
+    the side the literature writes it."""
+
+    left: Callable[[int], int | Fraction]
+    right: Callable[[int], int]
+    constant: Callable[[int], int | Fraction]
+    limit: Callable[[int], Fraction] | None
+    label: str
+
+    def weight(self, m: int) -> int | Fraction:
+        """Net weight of t_m once every term is moved to the left."""
+        return self.left(m) - self.right(m)
+
+
+_ZERO = lambda m: 0  # noqa: E731
+_TWO_THIRDS = lambda n: Fraction(2 * n, 3)  # noqa: E731
+INEQUALITIES: dict[InequalityKind, Inequality] = {
+    InequalityKind.MELCHIOR: Inequality(lambda m: 3 - m, _ZERO, lambda n: 3, None, ""),
+    InequalityKind.LANGER: Inequality(
+        lambda m: m, _ZERO, lambda n: Fraction(n * (n + 3), 3), _TWO_THIRDS, "2N/3"
+    ),
+    InequalityKind.HIRZEBRUCH_LINEAR: Inequality(
+        lambda m: int(m in (2, 3)), lambda m: max(m - 4, 0), lambda n: n,
+        lambda n: Fraction(n - 2), "N-2",
+    ),
+    InequalityKind.HIRZEBRUCH_QUADRATIC: Inequality(
+        lambda m: {2: 1, 3: Fraction(3, 4)}.get(m, 0), lambda m: max(2 * m - 9, 0),
+        lambda n: n, lambda n: Fraction(n - 3), "N-3",
+    ),
+    InequalityKind.BOJANOWSKI_POKORA: Inequality(
+        lambda m: 4 * m - m * m, _ZERO, lambda n: 4 * n, _TWO_THIRDS, "2N/3"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -47,38 +84,34 @@ class InequalityReport:
         return self.lhs - self.rhs
 
 
+def gate(
+    kind: InequalityKind, incidence: Incidence, n_points: int, label: str
+) -> tuple[bool, str]:
+    """The inequality's gate for ``n_points`` points: real coordinates and
+    not all points on one line when it has no limit, else at most
+    limit(n_points) points on one line, named ``label`` in the detail."""
+    limit = INEQUALITIES[kind].limit
+    if limit is None:
+        if not incidence.all_real:
+            return False, "coordinates are not all real"
+        if incidence.max_collinear == incidence.total_points:
+            return False, "all points are collinear"
+        return True, "coordinates real and not all points collinear"
+    ok = incidence.max_collinear <= limit(n_points)
+    rel = "<=" if ok else ">"
+    return ok, f"max_collinear={incidence.max_collinear} {rel} {label}={limit(n_points)}"
+
+
 def _sides(kind: InequalityKind, incidence: Incidence) -> tuple[Fraction, Fraction]:
-    n = incidence.total_points
-    tk = incidence.size_counts
-    if kind is InequalityKind.MELCHIOR:
-        return Fraction(sum((3 - m) * c for m, c in tk.items())), Fraction(3)
-    if kind is InequalityKind.LANGER:
-        return Fraction(sum(m * c for m, c in tk.items())), Fraction(n * (n + 3), 3)
-    if kind is InequalityKind.HIRZEBRUCH_LINEAR:
-        rhs = n + sum((m - 4) * c for m, c in tk.items() if m >= 5)
-        return Fraction(incidence.t(2) + incidence.t(3)), Fraction(rhs)
-    if kind is InequalityKind.HIRZEBRUCH_QUADRATIC:
-        rhs = n + sum((2 * m - 9) * c for m, c in tk.items() if m >= 5)
-        return incidence.t(2) + Fraction(3, 4) * incidence.t(3), Fraction(rhs)
-    if kind is InequalityKind.BOJANOWSKI_POKORA:
-        return (
-            Fraction(sum((4 * m - m * m) * c for m, c in tk.items())),
-            Fraction(4 * n),
-        )
-    raise ValueError(f"unknown inequality kind {kind!r}")
+    row = INEQUALITIES[kind]
+    tk = incidence.size_counts.items()
+    lhs = sum((row.left(m) * c for m, c in tk), Fraction(0))
+    rhs = sum((row.right(m) * c for m, c in tk), Fraction(row.constant(incidence.total_points)))
+    return lhs, rhs
 
 
 def _precondition(kind: InequalityKind, incidence: Incidence) -> tuple[bool, str]:
-    n = incidence.total_points
-    if kind is InequalityKind.MELCHIOR:
-        return real_plane_gate(incidence)
-    if kind in (InequalityKind.LANGER, InequalityKind.BOJANOWSKI_POKORA):
-        return collinearity_gate(incidence, Fraction(2 * n, 3), "2N/3")
-    if kind is InequalityKind.HIRZEBRUCH_LINEAR:
-        return collinearity_gate(incidence, Fraction(n - 2), "N-2")
-    if kind is InequalityKind.HIRZEBRUCH_QUADRATIC:
-        return collinearity_gate(incidence, Fraction(n - 3), "N-3")
-    raise ValueError(f"unknown inequality kind {kind!r}")
+    return gate(kind, incidence, incidence.total_points, INEQUALITIES[kind].label)
 
 
 def evaluate(kind: InequalityKind, config: ColoredConfiguration) -> InequalityReport:
@@ -101,18 +134,3 @@ def evaluate(kind: InequalityKind, config: ColoredConfiguration) -> InequalityRe
 
 def evaluate_all(config: ColoredConfiguration) -> tuple[InequalityReport, ...]:
     return tuple(evaluate(kind, config) for kind in InequalityKind)
-
-
-def bojanowski_pokora_fractional_slack(config: ColoredConfiguration) -> Fraction:
-    """Slack of the equivalent form t_2 + (3/4)t_3 - N - sum_{m>=5} (m^2/4 - m) t_m.
-
-    Exactly one quarter of the integer-form slack; kept as a cross-check
-    of the algebraic equivalence between the two presentations.
-    """
-    incidence = config.incidence
-    n = incidence.total_points
-    lhs = incidence.t(2) + Fraction(3, 4) * incidence.t(3)
-    rhs = n + sum(
-        (Fraction(m * m, 4) - m) * c for m, c in incidence.size_counts.items() if m >= 5
-    )
-    return lhs - rhs

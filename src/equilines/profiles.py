@@ -1,20 +1,18 @@
 """Bichromatic line profiles t_{i,j} and their exact counting identities.
 
 t_{i,j} counts the determined lines with exactly i green and j red
-points.  Three identities tie the profile to (n, k) alone:
-
-  mixed pairs:  sum ij * t_{i,j}                       = n(n-k)
-  same pairs:   sum [C(i,2) + C(j,2)] * t_{i,j}        = C(n,2) + C(n-k,2)
-  balance:      sum (i+j) * t_{i,j} - sum (i-j)^2 * t_{i,j} = 2n - (k^2+k)
-
-They hold for every configuration, so a failure is always a kernel bug;
-every profile computation checks them and raises on any mismatch.
+points.  ``IDENTITIES`` is the one table of the counting identities
+sum w(i, j) t_{i,j} = rhs(n, k) that tie a profile to (n, k) alone; the
+proofcheck templates combine its rows.  They hold for every
+configuration, so a failure is always a kernel bug; every profile
+computation checks them and raises on any mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 from .errors import InternalInconsistencyError
 from .geometry import GREEN, ColoredConfiguration
@@ -74,6 +72,25 @@ class EquichromaticQuery:
 
 
 @dataclass(frozen=True)
+class Identity:
+    """sum weight(i, j) * t_{i,j} = rhs(n, k) over every profile."""
+
+    weight: Callable[[int, int], int]
+    rhs: Callable[[int, int], int]
+
+
+IDENTITIES: dict[str, Identity] = {
+    "mixed_pairs": Identity(lambda i, j: i * j, lambda n, k: n * (n - k)),
+    "same_color_pairs": Identity(
+        lambda i, j: comb(i, 2) + comb(j, 2), lambda n, k: comb(n, 2) + comb(n - k, 2)
+    ),
+    "incidence_balance": Identity(
+        lambda i, j: (i + j) - (i - j) ** 2, lambda n, k: 2 * n - (k * k + k)
+    ),
+}
+
+
+@dataclass(frozen=True)
 class IdentityCheck:
     name: str
     lhs: int
@@ -117,22 +134,15 @@ def compute_profile(config: ColoredConfiguration) -> LineProfile:
 
 
 def verify_identities(profile: LineProfile) -> IdentityReport:
-    """Evaluate both sides of the three counting identities exactly."""
-    n, k = profile.n, profile.k
-    mixed = sum(i * j * c for (i, j), c in profile.counts)
-    same = sum((comb(i, 2) + comb(j, 2)) * c for (i, j), c in profile.counts)
-    weighted_size = sum((i + j) * c for (i, j), c in profile.counts)
-    imbalance = sum((i - j) ** 2 * c for (i, j), c in profile.counts)
-    checks = (
-        IdentityCheck("mixed_pairs", mixed, n * (n - k)),
-        IdentityCheck("same_color_pairs", same, comb(n, 2) + comb(n - k, 2)),
+    """Evaluate both sides of every counting identity exactly."""
+    return IdentityReport(tuple(
         IdentityCheck(
-            "incidence_balance",
-            weighted_size - imbalance,
-            2 * n - (k * k + k),
-        ),
-    )
-    return IdentityReport(checks)
+            name,
+            sum(row.weight(i, j) * c for (i, j), c in profile.counts),
+            row.rhs(profile.n, profile.k),
+        )
+        for name, row in IDENTITIES.items()
+    ))
 
 
 def count_equichromatic(profile: LineProfile, query: EquichromaticQuery) -> int:

@@ -1,37 +1,30 @@
 """Mechanical certification of the coefficient combinations behind the bounds.
 
-Each of EQUI_SIX and EQUI_FOUR rests on a linear combination of counting
-facts whose per-cell coefficient alpha_{i,j} has a claimed exceptional
-set: finitely many cells of one sign, everything else of the other.
-The claim ranges over infinitely many cells, so certification is a
+Each of EQUI_SIX and EQUI_FOUR rests on a signed sum of counting
+identities (``profiles.IDENTITIES``) and one incidence inequality
+(``inequalities.INEQUALITIES``); an ``InequalityTemplate`` names those
+rows, and its per-cell coefficient alpha(i, j) and right-hand side
+RHS(n, k) are derived from them.  The claim is a finite exceptional set:
+finitely many cells on the inequality's side of zero, everything else on
+the other.  It ranges over infinitely many cells, so certification is a
 finite enumeration over a window plus a hard-coded analytic tail bound
-whose hypothesis (window >= threshold) the code asserts.
-
-The checker is generic over inequality templates (a coefficient function
-of (i, j), an RHS function of (n, k), a claimed exceptional table, and a
-tail certificate); the two shipped instances are:
-
-  EQUI_SIX   alpha = [C(i,2)+C(j,2)-ij] + h(i+j), h = -1 on sizes 2..3,
-             0 on 4, s-4 beyond; combination <= -(2n-k) - n + (k^2+k)/2.
-             Negative cells: (1,1),(1,2),(2,1),(2,2) at -2 and
-             (2,3),(3,2),(3,3) at -1.  Tail: s >= 8 gives
-             alpha = (i-j)^2/2 + s/2 - 4 >= 0.
-
-  EQUI_FOUR  alpha = 5s - (i-j)^2 - s^2; combination >= 10n - k(k+5).
-             Positive cells: (0,2),(2,0) at 2, (1,1) at 6, (1,2),(2,1)
-             at 5, (2,2) at 4.  Tail: s >= 5 gives 5s - s^2 <= 0 and
-             -(i-j)^2 <= 0, so alpha <= 0.
+whose hypothesis (window >= threshold) the code asserts.  The count
+bound RHS / extreme holds under the template inequality's gate, for the
+lines in cells the theorem's query selects, and must equal
+``bounds.bound_value``; ``verify_sign_claim`` checks all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable, Mapping
+from itertools import product
+from typing import Mapping
 
-from .bounds import BoundTheorem, bound_value
-from .errors import ClaimRefutedError, InternalInconsistencyError
+from .bounds import BoundTheorem, bound_value, theorem_info
+from .errors import ClaimRefutedError
+from .inequalities import INEQUALITIES, InequalityKind
+from .profiles import IDENTITIES
 
 Cell = tuple[int, int]
 
@@ -40,62 +33,40 @@ Cell = tuple[int, int]
 MAX_WINDOW = 500
 
 
-def pair_imbalance_coefficient(i: int, j: int) -> Fraction:
-    """C(i,2) + C(j,2) - ij, the same-minus-mixed pair weight of a cell."""
-    return Fraction(comb(i, 2) + comb(j, 2) - i * j)
-
-
-def hirzebruch_size_coefficient(s: int) -> Fraction:
-    """Per-size coefficient of the linear Hirzebruch inequality, oriented
-    as an upper bound: -t_2 - t_3 + sum_{s>=5} (s-4) t_s <= -N."""
-    if s in (2, 3):
-        return Fraction(-1)
-    if s == 4:
-        return Fraction(0)
-    return Fraction(s - 4)
-
-
-def equi_six_coefficient(i: int, j: int) -> Fraction:
-    return pair_imbalance_coefficient(i, j) + hirzebruch_size_coefficient(i + j)
-
-
-def equi_four_coefficient(i: int, j: int) -> Fraction:
-    s = i + j
-    return Fraction(5 * s - (i - j) ** 2 - s * s)
-
-
-def equi_six_rhs(n: int, k: int) -> Fraction:
-    return Fraction(-(2 * n - k) - n) + Fraction(k * k + k, 2)
-
-
-def equi_four_rhs(n: int, k: int) -> Fraction:
-    return Fraction(4 * (2 * n - k) + 2 * n - (k * k + k))
-
-
 @dataclass(frozen=True)
 class InequalityTemplate:
-    """A coefficient combination with a claimed exceptional sign pattern.
+    """sum_r sign_r * identity_r + sign * inequality, with a claimed
+    exceptional sign pattern.
 
-    exceptional_sign=-1 claims finitely many negative cells (an upper-
-    bound combination), +1 finitely many positive cells (a lower bound).
+    The combination reads sum alpha(i, j) t_{i,j} >= RHS(n, k) when the
+    inequality's sign is +1, claiming finitely many positive cells, and
+    <= RHS(n, k) when it is -1, claiming finitely many negative cells.
     The tail certificate is an analytic fact covering every cell with
     i + j >= tail_threshold; enumeration covers the rest.
     """
 
     name: str
-    coefficient: Callable[[int, int], Fraction]
-    rhs: Callable[[int, int], Fraction]
-    exceptional_sign: int
+    identities: tuple[tuple[int, str], ...]
+    inequality: tuple[int, InequalityKind]
     claimed_cells: Mapping[Cell, Fraction]
     tail_threshold: int
     tail_certificate: str
 
+    def coefficient(self, i: int, j: int) -> Fraction:
+        sign, kind = self.inequality
+        ids = sum(s * IDENTITIES[name].weight(i, j) for s, name in self.identities)
+        return Fraction(ids + sign * INEQUALITIES[kind].weight(i + j))
+
+    def rhs(self, n: int, k: int) -> Fraction:
+        sign, kind = self.inequality
+        ids = sum(s * IDENTITIES[name].rhs(n, k) for s, name in self.identities)
+        return Fraction(ids + sign * INEQUALITIES[kind].constant(2 * n - k))
+
 
 EQUI_SIX_TEMPLATE = InequalityTemplate(
     name="equisix",
-    coefficient=equi_six_coefficient,
-    rhs=equi_six_rhs,
-    exceptional_sign=-1,
+    identities=((+1, "same_color_pairs"), (-1, "mixed_pairs")),
+    inequality=(-1, InequalityKind.HIRZEBRUCH_LINEAR),
     claimed_cells={
         (1, 1): Fraction(-2),
         (1, 2): Fraction(-2),
@@ -114,9 +85,8 @@ EQUI_SIX_TEMPLATE = InequalityTemplate(
 
 EQUI_FOUR_TEMPLATE = InequalityTemplate(
     name="equifour",
-    coefficient=equi_four_coefficient,
-    rhs=equi_four_rhs,
-    exceptional_sign=+1,
+    identities=((+1, "incidence_balance"),),
+    inequality=(+1, InequalityKind.BOJANOWSKI_POKORA),
     claimed_cells={
         (0, 2): Fraction(2),
         (2, 0): Fraction(2),
@@ -202,7 +172,7 @@ def verify_template_sign_claim(tpl: InequalityTemplate, window: int) -> SignCert
         )
     if window > MAX_WINDOW:
         raise ValueError(f"window {window} exceeds the limit of {MAX_WINDOW}")
-    sign = tpl.exceptional_sign
+    sign = tpl.inequality[0]
     checked = 0
     for cell in _window_cells(window):
         value = tpl.coefficient(*cell)
@@ -211,14 +181,14 @@ def verify_template_sign_claim(tpl: InequalityTemplate, window: int) -> SignCert
         if claimed is not None:
             if value != claimed:
                 raise ClaimRefutedError(
-                    f"{tpl.name}: cell {cell} has coefficient {value}, claimed {claimed}",
+                    f"{tpl.name} sign: cell {cell} has coefficient {value}, claimed {claimed}",
                     cell,
                     claimed,
                     value,
                 )
         elif sign * value > 0:
             raise ClaimRefutedError(
-                f"{tpl.name}: unclaimed cell {cell} has exceptional-sign "
+                f"{tpl.name} sign: unclaimed cell {cell} has exceptional-sign "
                 f"coefficient {value}",
                 cell,
                 Fraction(0),
@@ -237,33 +207,38 @@ def verify_template_sign_claim(tpl: InequalityTemplate, window: int) -> SignCert
 
 
 def verify_sign_claim(theorem: BoundTheorem, window: int) -> SignCertificate:
-    return verify_template_sign_claim(template_for(theorem), window)
+    """Certify the theorem's count bound from its template.
 
-
-def verify_identity_simplification(window: int) -> bool:
-    """Check C(i,2) + C(j,2) - ij = ((i-j)^2 - (i+j))/2 on [0, window]^2."""
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    return all(
-        pair_imbalance_coefficient(i, j) == Fraction((i - j) ** 2 - (i + j), 2)
-        for i in range(window + 1)
-        for j in range(window + 1)
-    )
-
-
-def rhs_check(theorem: BoundTheorem, n: int, k: int) -> tuple[Fraction, Fraction]:
-    """Combined right-hand side and the count bound it yields.
-
-    Dividing the combination's right-hand side by the extreme coefficient
-    (-2 for EQUI_SIX, 6 for EQUI_FOUR) must give the theorem's bound as
-    bounds.bound_value states it, which also validates n and k.
+    Beyond the template's sign claim and tail, three links to the bounds
+    module are checked: the theorem's gate is the template inequality's,
+    its query selects every exceptional cell (so the lines those cells
+    count are lines the bound counts), and RHS / extreme equals
+    ``bound_value``.  Both sides of the last are polynomials of degree at
+    most 2 in each of n and k, so agreement on a 3 x 3 grid proves it.
+    Raises ClaimRefutedError naming the step that failed.
     """
     tpl = template_for(theorem)
-    combined = tpl.rhs(n, k)
-    derived = combined / max(tpl.claimed_cells.values(), key=abs)
-    stated = bound_value(theorem, n, k)
-    if derived != stated:
-        raise InternalInconsistencyError(
-            f"{tpl.name}: combined RHS {combined} gives {derived}, not the bound {stated}"
+    cert = verify_template_sign_claim(tpl, window)
+    info = theorem_info(theorem)
+    if info.gate is not tpl.inequality[1]:
+        raise ClaimRefutedError(
+            f"{tpl.name} gate: the theorem is gated by {info.gate.value}, "
+            f"the template combines {tpl.inequality[1].value}"
         )
-    return combined, derived
+    for cell, _ in cert.exceptional_cells:
+        if not info.query.selects(*cell):
+            raise ClaimRefutedError(
+                f"{tpl.name} query: exceptional cell {cell} is not selected by {info.query}",
+                cell,
+            )
+    for n, k in product((2, 3, 4), (0, 1, 2)):
+        derived = tpl.rhs(n, k) / cert.extreme_coefficient
+        stated = bound_value(theorem, n, k)
+        if derived != stated:
+            raise ClaimRefutedError(
+                f"{tpl.name} rhs: at n={n}, k={k} the combination gives {derived}, "
+                f"the bound is {stated}",
+                expected=stated,
+                actual=derived,
+            )
+    return cert

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .bounds import BoundReport, evaluate_all_bounds
 from .errors import ConfigError
+from .generators import check_point_count
 from .geometry import COLORS, ColoredConfiguration, ProjPoint
 from .inequalities import InequalityReport, evaluate_all
 from .profiles import IdentityReport, LineProfile, compute_profile, verify_identities
@@ -59,6 +60,7 @@ def parse_config(text: str) -> ColoredConfiguration:
     pts_raw = raw["points"]
     if not isinstance(pts_raw, list) or len(pts_raw) < 2:
         raise ConfigError("field 'points' must be a list of at least 2 points")
+    check_point_count(len(pts_raw))
     points: list[ProjPoint] = []
     colors: list[str] = []
     for idx, entry in enumerate(pts_raw):

@@ -10,7 +10,7 @@ import pytest
 import equilines
 from equilines.bounds import BoundTheorem
 from equilines.cli import run_cli
-from equilines.generators import MAX_GENERATED_POINTS, generate, hesse
+from equilines.generators import MAX_POINTS, generate, hesse
 from equilines.geometry import GREEN, configuration
 from equilines.proofcheck import MAX_WINDOW
 from equilines.reports import (
@@ -292,9 +292,9 @@ def test_cli_rejects_infeasible_random_rational_quickly(capsys):
     [
         (["search", "--generator", "grid(3)", "--k", "1", "--theorem", "equisix",
           "--mode", "local", "--budget", "1000000000"], "cap 10000000"),
-        (["generate", "--name", "grid(400)"], f"limit of {MAX_GENERATED_POINTS}"),
+        (["generate", "--name", "grid(400)"], f"limit of {MAX_POINTS}"),
         (["search", "--generator", "random_rational(5000,0,9)", "--k", "0",
-          "--theorem", "equisix"], f"limit of {MAX_GENERATED_POINTS}"),
+          "--theorem", "equisix"], f"limit of {MAX_POINTS}"),
         (["proofcheck", "--theorem", "equisix", "--window", "100000"], f"limit of {MAX_WINDOW}"),
     ],
 )
@@ -303,6 +303,26 @@ def test_cli_rejects_oversized_requests_quickly(argv, limit, capsys):
     assert run_cli(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert limit in capsys.readouterr().err
+
+
+def test_cli_rejects_config_above_point_limit_quickly(tmp_path, capsys):
+    # Valid distinct points, so only the count can reject the document.
+    doc = {
+        "d": 5,
+        "points": [
+            {"coords": [str(x), str(x * x)], "color": "green"} for x in range(MAX_POINTS + 1)
+        ],
+    }
+    path = write_config(tmp_path, "big.json", doc)
+    start = time.perf_counter()
+    assert run_cli(["analyze", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"limit of {MAX_POINTS}" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    for name in equilines.__all__:
+        assert hasattr(equilines, name), name
 
 
 def test_cli_runs_as_module():

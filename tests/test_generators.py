@@ -2,7 +2,7 @@ import pytest
 
 from equilines.errors import ConfigError
 from equilines.generators import (
-    MAX_GENERATED_POINTS,
+    MAX_POINTS,
     generate,
     grid,
     hesse,
@@ -62,12 +62,12 @@ def test_generate_rejects_bad_specs():
 
 
 def test_generators_reject_more_points_than_the_limit():
-    assert len(near_pencil(MAX_GENERATED_POINTS)) == MAX_GENERATED_POINTS
-    limit = f"limit of {MAX_GENERATED_POINTS}"
+    assert len(near_pencil(MAX_POINTS)) == MAX_POINTS
+    limit = f"limit of {MAX_POINTS}"
     for make in (
         lambda: grid(32),
-        lambda: near_pencil(MAX_GENERATED_POINTS + 1),
-        lambda: random_rational(MAX_GENERATED_POINTS + 1, seed=0, bound=9),
+        lambda: near_pencil(MAX_POINTS + 1),
+        lambda: random_rational(MAX_POINTS + 1, seed=0, bound=9),
         lambda: generate("grid(400)"),
     ):
         with pytest.raises(ConfigError, match=limit):

@@ -4,12 +4,7 @@ from support import random_real_config
 
 from equilines.generators import grid, hesse, near_pencil
 from equilines.geometry import GREEN, RED, affine_point, configuration
-from equilines.inequalities import (
-    InequalityKind,
-    bojanowski_pokora_fractional_slack,
-    evaluate,
-    evaluate_all,
-)
+from equilines.inequalities import InequalityKind, evaluate, evaluate_all
 
 ALL_GREEN = lambda pts: (GREEN,) * len(pts)  # noqa: E731
 
@@ -94,6 +89,16 @@ def test_grid_reports_satisfied():
     for report in evaluate_all(config):
         assert report.applicable
         assert report.satisfied
+
+
+def bojanowski_pokora_fractional_slack(config):
+    """Slack of the equivalent form t_2 + (3/4)t_3 - N - sum_{m>=5} (m^2/4 - m) t_m."""
+    incidence = config.incidence
+    lhs = incidence.t(2) + Fraction(3, 4) * incidence.t(3)
+    rhs = incidence.total_points + sum(
+        (Fraction(m * m, 4) - m) * c for m, c in incidence.size_counts.items() if m >= 5
+    )
+    return lhs - rhs
 
 
 def test_bp_forms_equivalent_up_to_factor_four():

@@ -1,25 +1,57 @@
+import dataclasses
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from equilines import bounds, proofcheck
 from equilines.bounds import BoundTheorem, bound_value
+from equilines.cli import run_cli
 from equilines.errors import ClaimRefutedError
+from equilines.inequalities import INEQUALITIES, InequalityKind
+from equilines.profiles import IDENTITIES, EquichromaticQuery, Identity
 from equilines.proofcheck import (
     EQUI_FOUR_TEMPLATE,
     EQUI_SIX_TEMPLATE,
     MAX_WINDOW,
-    InequalityTemplate,
     build_table,
-    equi_four_coefficient,
-    equi_six_coefficient,
-    hirzebruch_size_coefficient,
-    pair_imbalance_coefficient,
-    rhs_check,
-    verify_identity_simplification,
+    template_for,
     verify_sign_claim,
     verify_template_sign_claim,
 )
+
+HIRZEBRUCH_LINEAR = InequalityKind.HIRZEBRUCH_LINEAR
+
+
+def pair_imbalance_coefficient(i: int, j: int) -> Fraction:
+    """C(i,2) + C(j,2) - ij: same-color minus mixed pairs, from the identity rows."""
+    return Fraction(
+        IDENTITIES["same_color_pairs"].weight(i, j) - IDENTITIES["mixed_pairs"].weight(i, j)
+    )
+
+
+def hirzebruch_size_coefficient(s: int) -> Fraction:
+    """The linear Hirzebruch inequality as an upper bound, written out:
+    -t_2 - t_3 + sum_{s>=5} (s-4) t_s <= -N."""
+    if s in (2, 3):
+        return Fraction(-1)
+    return Fraction(0) if s == 4 else Fraction(s - 4)
+
+
+def verify_identity_simplification(window: int) -> bool:
+    """Check C(i,2) + C(j,2) - ij = ((i-j)^2 - (i+j))/2 on [0, window]^2."""
+    return all(
+        pair_imbalance_coefficient(i, j) == Fraction((i - j) ** 2 - (i + j), 2)
+        for i in range(window + 1)
+        for j in range(window + 1)
+    )
+
+
+def rhs_check(theorem: BoundTheorem, n: int, k: int) -> tuple[Fraction, Fraction]:
+    """The template's combined RHS and the count bound RHS / extreme."""
+    tpl = template_for(theorem)
+    combined = tpl.rhs(n, k)
+    return combined, combined / max(tpl.claimed_cells.values(), key=abs)
 
 
 def test_equi_six_table_reference_values():
@@ -60,7 +92,7 @@ def test_equi_six_decomposes_into_its_two_summands():
     for s in range(2, 13):
         for i in range(s + 1):
             j = s - i
-            assert equi_six_coefficient(i, j) == (
+            assert EQUI_SIX_TEMPLATE.coefficient(i, j) == (
                 pair_imbalance_coefficient(i, j) + hirzebruch_size_coefficient(s)
             )
 
@@ -117,38 +149,23 @@ def test_sign_claim_rejects_window_above_limit():
             verify_sign_claim(theorem, MAX_WINDOW + 1)
 
 
-def test_corrupted_template_is_refuted_at_2_2():
+def test_corrupted_template_is_refuted_at_2_2(monkeypatch):
     # Mutation self-test: nudging the size-4 step by +1 must be caught.
-    def corrupted_step(s: int) -> Fraction:
-        if s == 4:
-            return Fraction(1)
-        return hirzebruch_size_coefficient(s)
-
-    corrupted = InequalityTemplate(
-        name="equisix-corrupted",
-        coefficient=lambda i, j: pair_imbalance_coefficient(i, j)
-        + corrupted_step(i + j),
-        rhs=EQUI_SIX_TEMPLATE.rhs,
-        exceptional_sign=-1,
-        claimed_cells=EQUI_SIX_TEMPLATE.claimed_cells,
-        tail_threshold=EQUI_SIX_TEMPLATE.tail_threshold,
-        tail_certificate=EQUI_SIX_TEMPLATE.tail_certificate,
-    )
+    # The template subtracts the Hirzebruch row, so its size-4 weight drops by 1.
+    row = INEQUALITIES[HIRZEBRUCH_LINEAR]
+    corrupted = dataclasses.replace(row, right=lambda m: row.right(m) + (m == 4))
+    monkeypatch.setitem(INEQUALITIES, HIRZEBRUCH_LINEAR, corrupted)
     with pytest.raises(ClaimRefutedError) as exc:
-        verify_template_sign_claim(corrupted, 8)
+        verify_template_sign_claim(EQUI_SIX_TEMPLATE, 8)
     assert exc.value.cell == (2, 2)
     assert exc.value.expected == -2 and exc.value.actual == -1
 
 
 def test_unclaimed_exceptional_cell_is_refuted():
-    missing_claim = InequalityTemplate(
+    missing_claim = dataclasses.replace(
+        EQUI_FOUR_TEMPLATE,
         name="equifour-missing",
-        coefficient=EQUI_FOUR_TEMPLATE.coefficient,
-        rhs=EQUI_FOUR_TEMPLATE.rhs,
-        exceptional_sign=+1,
         claimed_cells={c: v for c, v in EQUI_FOUR_TEMPLATE.claimed_cells.items() if c != (1, 1)},
-        tail_threshold=5,
-        tail_certificate=EQUI_FOUR_TEMPLATE.tail_certificate,
     )
     with pytest.raises(ClaimRefutedError) as exc:
         verify_template_sign_claim(missing_claim, 5)
@@ -165,12 +182,12 @@ def test_tail_formula_spot_checks():
     # Beyond the window the analytic tail must agree with the formula.
     for s in range(8, 26):
         for i in range(s + 1):
-            value = equi_six_coefficient(i, s - i)
+            value = EQUI_SIX_TEMPLATE.coefficient(i, s - i)
             assert value == Fraction((2 * i - s) ** 2, 2) + Fraction(s, 2) - 4
             assert value >= 0
     for s in range(5, 26):
         for i in range(s + 1):
-            assert equi_four_coefficient(i, s - i) <= 0
+            assert EQUI_FOUR_TEMPLATE.coefficient(i, s - i) <= 0
 
 
 def test_rhs_check_equi_six():
@@ -202,3 +219,56 @@ def test_pair_imbalance_matches_binomials():
 def test_templates_not_available_for_other_theorems():
     with pytest.raises(ValueError):
         build_table(BoundTheorem.PS1, 8)
+
+
+def _corrupt_identity(monkeypatch):
+    row = IDENTITIES["mixed_pairs"]
+    monkeypatch.setitem(
+        IDENTITIES, "mixed_pairs", Identity(lambda i, j: row.weight(i, j) + 1, row.rhs)
+    )
+
+
+def _corrupt_inequality(monkeypatch):
+    kind = InequalityKind.BOJANOWSKI_POKORA
+    row = INEQUALITIES[kind]
+    corrupted = dataclasses.replace(row, left=lambda m: row.left(m) + 1)
+    monkeypatch.setitem(INEQUALITIES, kind, corrupted)
+
+
+def _corrupt_query(monkeypatch):
+    info = bounds.theorem_info(BoundTheorem.EQUI_SIX)
+    corrupted = dataclasses.replace(info, query=EquichromaticQuery(1, 5))
+    monkeypatch.setitem(bounds._INFO, BoundTheorem.EQUI_SIX, corrupted)
+
+
+def _corrupt_gate(monkeypatch):
+    info = bounds.theorem_info(BoundTheorem.EQUI_SIX)
+    corrupted = dataclasses.replace(info, gate=InequalityKind.HIRZEBRUCH_QUADRATIC)
+    monkeypatch.setitem(bounds._INFO, BoundTheorem.EQUI_SIX, corrupted)
+
+
+def _corrupt_bound(monkeypatch):
+    def corrupted(theorem, n, k, t=None):
+        if theorem is BoundTheorem.EQUI_FOUR:
+            return Fraction(10 * n - k * (k + 3), 6)
+        return bound_value(theorem, n, k, t)
+
+    monkeypatch.setattr(proofcheck, "bound_value", corrupted)
+
+
+@pytest.mark.parametrize(
+    "corrupt, theorem, step",
+    [
+        (_corrupt_identity, "equisix", "equisix sign"),
+        (_corrupt_inequality, "equifour", "equifour sign"),
+        (_corrupt_query, "equisix", "equisix query"),
+        (_corrupt_gate, "equisix", "equisix gate"),
+        (_corrupt_bound, "equifour", "equifour rhs"),
+    ],
+)
+def test_proofcheck_cli_refutes_mutations(corrupt, theorem, step, monkeypatch, capsys):
+    assert run_cli(["proofcheck", "--theorem", theorem, "--window", "8"]) == 0
+    capsys.readouterr()
+    corrupt(monkeypatch)
+    assert run_cli(["proofcheck", "--theorem", theorem, "--window", "8"]) == 1
+    assert f"claim refuted: {step}:" in capsys.readouterr().out
