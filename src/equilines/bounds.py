@@ -130,7 +130,7 @@ def evaluate_bound(
         profile = compute_profile(config)
     info = theorem_info(theorem)
     applicable, detail = precondition(theorem, config.n, config.k, config.incidence)
-    t = profile.total_lines if info.needs_total_lines else None
+    t = len(config.incidence.lines) if info.needs_total_lines else None
     bound = bound_value(theorem, config.n, config.k, t)
     actual = count_equichromatic(profile, info.query)
     support = None

@@ -4,7 +4,9 @@ Points and lines are homogeneous triples canonicalized so that the first
 nonzero coordinate is 1; equality is then componentwise.  Collinearity is
 an exact 3x3 determinant test, so every incidence decision is certain.
 A point set's lines are enumerated once into an ``Incidence``, which
-holds every colorless fact the analysis needs.
+holds every colorless fact the analysis needs, including the CSR arrays
+of its lines (``kernels.IncidenceArrays``) that the profile tally and the
+search kernels read; no array of lines times points is built.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+import numpy as np
+
 from .errors import (
     DegeneratePairError,
     DuplicatePointError,
     FieldMismatchError,
     InsufficientPointsError,
 )
+from .kernels import IncidenceArrays, build_incidence
 from .quadfield import Discriminant, QuadElement, quad
 
 GREEN = "green"
@@ -191,7 +196,7 @@ def configuration(
     return ColoredConfiguration(Discriminant(d), tuple(points), tuple(colors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeterminedLine:
     """A line through >= 2 configuration points, with their indices.
 
@@ -303,11 +308,14 @@ class Incidence:
 
     Everything here is independent of the coloring, so one enumeration
     serves the profile, the inequalities, the bound preconditions and the
-    search kernels.
+    search kernels.  ``csr`` holds the lines' point-index tuples as CSR
+    arrays in both directions, built once; the line sizes, t_m and the
+    largest collinear subset are read off it.
     """
 
     total_points: int
     lines: tuple[DeterminedLine, ...]
+    csr: IncidenceArrays
     size_counts: dict[int, int]  # t_m: lines through exactly m points
     max_collinear: int
     all_real: bool
@@ -317,14 +325,14 @@ class Incidence:
         if len(points) < 2:
             raise InsufficientPointsError("line enumeration needs at least 2 points")
         lines = enumerate_lines(points)
-        sizes: dict[int, int] = {}
-        for rec in lines:
-            sizes[rec.size] = sizes.get(rec.size, 0) + 1
+        csr = build_incidence(lines, len(points))
+        sizes, counts = np.unique(csr.line_sizes, return_counts=True)
         return cls(
             total_points=len(points),
             lines=lines,
-            size_counts=dict(sorted(sizes.items())),
-            max_collinear=max(sizes),
+            csr=csr,
+            size_counts=dict(zip(sizes.tolist(), counts.tolist())),
+            max_collinear=int(sizes[-1]),
             all_real=all(p.is_real for p in points),
         )
 

@@ -1,6 +1,6 @@
 """Hot counting kernels behind the coloring search.
 
-The line set of a base configuration and each line's point membership are
+The line set of a base configuration and each line's points are
 color-independent, so evaluating one coloring reduces to small-integer
 work: per-line green counts plus a lookup table saying whether a line of
 size m with g green points is selected by the equichromatic query.  That
@@ -8,14 +8,19 @@ makes the per-coloring loop a pure array kernel with no exact-arithmetic
 dependency; exactness is preserved because every quantity is a small
 integer (bounds are compared via scaled integers, never floats).
 
+``build_incidence`` lays a point set's lines out once as CSR arrays in
+both directions (``IncidenceArrays``, held by ``geometry.Incidence``).
+Every kernel reads those arrays; no array of lines times points is built.
+
 Two backends run two different algorithms for the same results:
 
   * numba: incremental depth-first enumeration, and a move replay that
     updates the per-line green counts of every proposal and reverts the
     rejected ones; jitted when numba imports, plain Python otherwise,
-  * numpy: chunked vectorized evaluation (a membership matmul), and a
-    gain-table move replay in plain Python that scores each proposal in
-    O(1) from per-point gains and updates them only on accepted swaps.
+  * numpy: chunked vectorized evaluation (a CSR gather and per-line sum),
+    and a gain-table move replay in plain Python that scores each
+    proposal in O(1) from per-point gains and updates them only on
+    accepted swaps.
 
 The platform picks the backend: numba when it imports, else numpy, since
 the interpreted depth-first scan is several times slower than the
@@ -32,11 +37,15 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Incidence
-from .profiles import EquichromaticQuery
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from .geometry import DeterminedLine
+    from .profiles import EquichromaticQuery
 
 try:
     from numba import njit
@@ -65,38 +74,53 @@ def resolve_backend(backend: str | None = None) -> str:
 
 @dataclass(frozen=True)
 class IncidenceArrays:
-    """Color-independent line structure of a base point set, as arrays."""
+    """CSR incidence of a point set's lines, in both directions.
 
-    n_points: int
+    Lines are numbered in enumeration order and each line's points, like
+    each point's lines, are listed in increasing order.  The arrays grow
+    with the number of incidences, never with lines times points.
+    """
+
     line_sizes: np.ndarray  # int64[L]
-    membership: np.ndarray  # uint8[L, N], 1 iff point on line
+    line_indptr: np.ndarray  # int64[L+1], CSR line -> its points
+    line_points: np.ndarray  # int64[total incidences]
     point_indptr: np.ndarray  # int64[N+1], CSR point -> incident lines
     point_lines: np.ndarray  # int64[total incidences]
 
+    @property
+    def n_points(self) -> int:
+        return self.point_indptr.shape[0] - 1
 
-def build_incidence(incidence: Incidence) -> IncidenceArrays:
-    lines, n_points = incidence.lines, incidence.total_points
-    n_lines = len(lines)
-    sizes = np.array([rec.size for rec in lines], dtype=np.int64)
-    membership = np.zeros((n_lines, n_points), dtype=np.uint8)
-    for li, rec in enumerate(lines):
-        membership[li, list(rec.point_indices)] = 1
-    indptr = np.zeros(n_points + 1, dtype=np.int64)
-    np.cumsum(membership.sum(axis=0), out=indptr[1:])
-    # Row-major nonzeros of the transpose: each point's lines, in line order.
-    point_lines = np.nonzero(membership.T)[1].astype(np.int64)
-    return IncidenceArrays(n_points, sizes, membership, indptr, point_lines)
+
+def build_incidence(lines: Sequence[DeterminedLine], n_points: int) -> IncidenceArrays:
+    """The CSR arrays of the lines' point-index tuples over n_points points."""
+    sizes = np.fromiter((rec.size for rec in lines), np.int64, len(lines))
+    line_indptr = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=line_indptr[1:])
+    line_points = np.fromiter(
+        itertools.chain.from_iterable(rec.point_indices for rec in lines),
+        np.int64,
+        int(line_indptr[-1]),
+    )
+    point_indptr = np.zeros(n_points + 1, dtype=np.int64)
+    np.cumsum(np.bincount(line_points, minlength=n_points), out=point_indptr[1:])
+    # A stable sort by point keeps each point's lines in line order.
+    order = np.argsort(line_points, kind="stable")
+    point_lines = np.repeat(np.arange(len(lines), dtype=np.int64), sizes)[order]
+    return IncidenceArrays(sizes, line_indptr, line_points, point_indptr, point_lines)
 
 
 def selection_table(line_sizes: np.ndarray, query: EquichromaticQuery) -> np.ndarray:
     """sel[l, g] = 1 iff the query selects line l when g of its m points
-    are green, i.e. the cell (g, m - g).  int64 so the kernels can form
-    signed deltas."""
-    sel = np.zeros((line_sizes.shape[0], int(line_sizes.max()) + 1), dtype=np.int64)
-    for li, m in enumerate(line_sizes.tolist()):
-        for g in range(m + 1):
-            sel[li, g] = query.selects(g, m - g)
-    return sel
+    are green, i.e. the cell (g, m - g).  One row is filled per distinct
+    line size and gathered for every line; int8, since the kernels form
+    their signed deltas and sums in int64 or Python ints."""
+    distinct, row_of = np.unique(line_sizes, return_inverse=True)
+    width = int(distinct[-1]) + 1
+    rows = np.zeros((distinct.shape[0], width), dtype=np.int8)
+    for r, m in enumerate(distinct.tolist()):
+        rows[r, : m + 1] = [query.selects(g, m - g) for g in range(m + 1)]
+    return rows[row_of]
 
 
 def _exhaustive_scan(
@@ -260,7 +284,8 @@ def _descent_replay(
 _exhaustive_scan_nb = njit(cache=True)(_exhaustive_scan)
 _descent_replay_nb = njit(cache=True)(_descent_replay)
 
-_NUMPY_CHUNK = 4096
+# Colorings per chunk times incidences: bounds every per-chunk array.
+_CHUNK_ELEMENTS = 1 << 22
 
 
 def _exhaustive_numpy(
@@ -270,29 +295,38 @@ def _exhaustive_numpy(
     bound_num: int,
     bound_den: int,
 ):
-    """Vectorized exhaustive scan: chunks of colorings are evaluated with a
-    membership matmul and a gather over the selection table.  Deliberately
-    a different algorithm from the jitted scan so the two backends
-    cross-check each other."""
+    """Vectorized exhaustive scan over chunks of colorings.  Lines are
+    grouped by size from the CSR; for the m-point lines, m column gathers
+    of the chunk's green flags sum to their green counts, which index the
+    selection row of size m.  Deliberately a different algorithm from the
+    depth-first scan so the two backends cross-check each other."""
     n_points = incidence.n_points
-    mem_t = incidence.membership.astype(np.float64).T  # N x L
-    sel_flat = sel.ravel()
-    offsets = (np.arange(sel.shape[0], dtype=np.int64) * sel.shape[1])[None, :]
+    sizes = incidence.line_sizes
+    groups = []  # (points of the m-point lines, L_m x m; their selection row)
+    for m in np.unique(sizes).tolist():
+        lines = np.flatnonzero(sizes == m)
+        members = incidence.line_points[incidence.line_indptr[lines][:, None] + np.arange(m)]
+        groups.append((members, sel[lines[0]]))
+    chunk_len = max(1, _CHUNK_ELEMENTS // incidence.line_points.shape[0])
     best_actual = -1
     best_combo = np.empty(0, dtype=np.int64)
     violations = 0
     examined = 0
     combos = itertools.combinations(range(n_points), n_green)
     while True:
-        chunk = list(itertools.islice(combos, _NUMPY_CHUNK))
+        chunk = list(itertools.islice(combos, chunk_len))
         if not chunk:
             break
         idx = np.array(chunk, dtype=np.int64)
         batch = idx.shape[0]
-        onehot = np.zeros((batch, n_points), dtype=np.float64)
-        onehot[np.arange(batch)[:, None], idx] = 1.0
-        green_counts = (onehot @ mem_t).astype(np.int64)  # exact: small ints
-        actual = sel_flat[green_counts + offsets].sum(axis=1)
+        green = np.zeros((batch, n_points), dtype=np.int32)
+        green[np.arange(batch)[:, None], idx] = 1
+        actual = np.zeros(batch, dtype=np.int64)
+        for members, row in groups:
+            counts = green[:, members[:, 0]]
+            for j in range(1, members.shape[1]):
+                counts += green[:, members[:, j]]
+            actual += row[counts].sum(axis=1)
         violations += int((actual * bound_den < bound_num).sum())
         examined += batch
         pos = int(actual.argmin())
@@ -352,28 +386,22 @@ def _descent_gain_table(
     indptr = incidence.point_indptr.tolist()
     point_lines = incidence.point_lines.tolist()
     lines_of = [point_lines[indptr[p] : indptr[p + 1]] for p in range(n_points)]
-    line_points = np.nonzero(incidence.membership)[1].tolist()  # grouped by line
-    members, start = [], 0
-    for m in sizes:
-        members.append(line_points[start : start + m])
-        start += m
+    line_indptr = incidence.line_indptr.tolist()
+    line_points = incidence.line_points.tolist()
+    members = [line_points[a:b] for a, b in zip(line_indptr, line_indptr[1:])]
     pair_line = [[0] * n_points for _ in range(n_points)]
     for li, pts in enumerate(members):
         for a in pts:
             row = pair_line[a]
             for b in pts:
                 row[b] = li
-    sel_rows = sel.tolist()
-    by_row = {}  # lines with equal selection rows share their tables
-    tables = []
-    for row, m in zip(sel_rows, sizes):
-        key = tuple(row[: m + 1])
-        if key not in by_row:
-            by_row[key] = _gain_tables(row, m)
-        tables.append(by_row[key])
-    fix = [t[2] for t in tables]
-    down = [t[3] for t in tables]
-    up = [t[4] for t in tables]
+    # selection_table fills one row per line size, so lines of one size
+    # share their row and tables.
+    distinct, first = np.unique(incidence.line_sizes, return_index=True)
+    sel_row = {m: sel[li].tolist() for m, li in zip(distinct.tolist(), first.tolist())}
+    by_size = {m: _gain_tables(row, m) for m, row in sel_row.items()}
+    tables = [by_size[m] for m in sizes]
+    fix, down, up = ([t[i] for t in tables] for i in (2, 3, 4))
 
     greens = initial_green.tolist()
     reds = initial_red.tolist()
@@ -381,7 +409,7 @@ def _descent_gain_table(
     for p in greens:
         for li in lines_of[p]:
             counts[li] += 1
-    actual = sum(row[c] for row, c in zip(sel_rows, counts))
+    actual = sum(sel_row[m][c] for m, c in zip(sizes, counts))
     rem = [0] * n_points
     add = [0] * n_points
     for li, c in enumerate(counts):
@@ -402,24 +430,16 @@ def _descent_gain_table(
         if candidate > actual:
             continue
         actual = candidate
-        for li in lines_of[gp]:
-            c = counts[li]
-            counts[li] = c - 1
-            delta = down[li][c]
-            if delta is not None:
-                ddm, ddp = delta
-                for q in members[li]:
-                    rem[q] += ddm
-                    add[q] += ddp
-        for li in lines_of[rp]:
-            c = counts[li]
-            counts[li] = c + 1
-            delta = up[li][c]
-            if delta is not None:
-                ddm, ddp = delta
-                for q in members[li]:
-                    rem[q] += ddm
-                    add[q] += ddp
+        for p, step, changes in ((gp, -1, down), (rp, 1, up)):
+            for li in lines_of[p]:
+                c = counts[li]
+                counts[li] = c + step
+                delta = changes[li][c]
+                if delta is not None:
+                    ddm, ddp = delta
+                    for q in members[li]:
+                        rem[q] += ddm
+                        add[q] += ddp
         del greens[i]
         insort(greens, rp)
         del reds[j]
@@ -452,12 +472,8 @@ def exhaustive_scan(
         )
     else:
         best_actual, best, violations, examined = _exhaustive_scan_nb(
-            incidence.point_indptr,
-            incidence.point_lines,
-            sel,
-            np.int64(n_green),
-            np.int64(bound_num),
-            np.int64(bound_den),
+            incidence.point_indptr, incidence.point_lines, sel,
+            np.int64(n_green), np.int64(bound_num), np.int64(bound_den),
         )
     return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
 
@@ -499,14 +515,7 @@ def descent_replay(
         )
     else:
         best_actual, best, violations, examined = _descent_replay_nb(
-            incidence.point_indptr,
-            incidence.point_lines,
-            sel,
-            initial_green,
-            initial_red,
-            moves_green,
-            moves_red,
-            np.int64(bound_num),
-            np.int64(bound_den),
+            incidence.point_indptr, incidence.point_lines, sel, initial_green, initial_red,
+            moves_green, moves_red, np.int64(bound_num), np.int64(bound_den),
         )
     return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
+import numpy as np
+
 from .errors import InternalInconsistencyError
 from .geometry import GREEN, ColoredConfiguration
 
@@ -36,17 +38,6 @@ class LineProfile:
 
     def cell(self, i: int, j: int) -> int:
         return self.as_dict().get((i, j), 0)
-
-    @property
-    def total_lines(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def size_marginals(self) -> dict[int, int]:
-        """t_m = number of determined lines through exactly m points."""
-        out: dict[int, int] = {}
-        for (i, j), c in self.counts:
-            out[i + j] = out.get(i + j, 0) + c
-        return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)
@@ -112,16 +103,18 @@ class IdentityReport:
 
 def compute_profile(config: ColoredConfiguration) -> LineProfile:
     """Tally (green, red) cell counts over the configuration's determined
-    lines, which come from its (once-enumerated) incidence structure.
+    lines; each line's green count is a segment sum over the CSR arrays
+    of its (once-enumerated) incidence structure.
 
     The counting identities are verified before the profile is returned;
     they are cheap cross-checks of the geometry kernel.
     """
-    cells: dict[tuple[int, int], int] = {}
-    for rec in config.incidence.lines:
-        greens = sum(1 for idx in rec.point_indices if config.colors[idx] == GREEN)
-        cell = (greens, rec.size - greens)
-        cells[cell] = cells.get(cell, 0) + 1
+    csr = config.incidence.csr
+    green = np.fromiter((c == GREEN for c in config.colors), np.int64, config.total)
+    greens = np.add.reduceat(green[csr.line_points], csr.line_indptr[:-1])
+    width = config.incidence.max_collinear + 1
+    tally = np.bincount(greens * width + csr.line_sizes - greens)
+    cells = {divmod(cell, width): int(tally[cell]) for cell in np.flatnonzero(tally).tolist()}
     profile = LineProfile.from_dict(cells, config.n, config.k)
     report = verify_identities(profile)
     if not report.all_passed:

@@ -127,7 +127,7 @@ def dump_json(doc) -> str:
 # report sections
 
 
-def summary_section(config: ColoredConfiguration, profile: LineProfile) -> dict:
+def summary_section(config: ColoredConfiguration) -> dict:
     return {
         "d": num(config.discriminant.d),
         "total_points": num(config.total),
@@ -135,13 +135,13 @@ def summary_section(config: ColoredConfiguration, profile: LineProfile) -> dict:
         "red_points": num(config.total - config.n),
         "k": num(config.k),
         "max_collinear": num(config.incidence.max_collinear),
-        "total_lines": num(profile.total_lines),
+        "total_lines": num(len(config.incidence.lines)),
         "all_real": config.incidence.all_real,
         "colors_swapped": config.colors_swapped,
     }
 
 
-def profile_section(profile: LineProfile) -> dict:
+def profile_section(config: ColoredConfiguration, profile: LineProfile) -> dict:
     return {
         "cells": [
             {"greens": num(i), "reds": num(j), "lines": num(c)}
@@ -149,7 +149,7 @@ def profile_section(profile: LineProfile) -> dict:
         ],
         "size_marginals": [
             {"points": num(m), "lines": num(c)}
-            for m, c in profile.size_marginals().items()
+            for m, c in config.incidence.size_counts.items()
         ],
     }
 
@@ -235,8 +235,8 @@ def analysis_document(config: ColoredConfiguration) -> tuple[dict, bool]:
     ineqs = evaluate_all(config)
     bnds = evaluate_all_bounds(config, profile)
     doc = {
-        "summary": summary_section(config, profile),
-        "profile": profile_section(profile),
+        "summary": summary_section(config),
+        "profile": profile_section(config, profile),
         "identities": identities_section(verify_identities(profile)),
         "inequalities": [inequality_section(r) for r in ineqs],
         "bounds": [bound_section(r) for r in bnds],

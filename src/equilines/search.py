@@ -1,7 +1,8 @@
 """Coloring search over a fixed base point set.
 
-The base set's lines are enumerated once per search; the kernels and the
-recount of the winner both read that one incidence structure.
+The base set's lines are enumerated once per search into one
+``Incidence``; the kernels read its CSR arrays (no array of lines times
+points is built) and the recount of the winner reads the same structure.
 Exhaustive mode evaluates every coloring with the requested (n, k);
 local mode runs a seeded hill-descent with green/red swap moves.  Both
 minimize the bound slack, which for a fixed base set and fixed (n, k) is
@@ -34,8 +35,6 @@ from .bounds import (
 from .errors import InternalInconsistencyError, SearchCapError
 from .geometry import GREEN, RED, ColoredConfiguration, Incidence, ProjPoint
 from .kernels import (
-    IncidenceArrays,
-    build_incidence,
     descent_replay,
     exhaustive_scan,
     resolve_backend,
@@ -128,7 +127,6 @@ def colors_from_green_indices(total: int, green: np.ndarray) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class _Prepared:
     base: Incidence
-    incidence: IncidenceArrays
     sel: np.ndarray
     bound: Fraction
     applicable: bool
@@ -143,13 +141,12 @@ def _prepare(spec: SearchSpec) -> _Prepared:
             f"{spec.mode} search over {count} colorings exceeds the cap {spec.cap}", count
         )
     base = Incidence.of(spec.points)
-    incidence = build_incidence(base)
     applicable, detail = precondition(spec.theorem, spec.n_green, spec.k, base)
     info = theorem_info(spec.theorem)
     t = len(base.lines) if info.needs_total_lines else None
     bound = bound_value(spec.theorem, spec.n_green, spec.k, t)
-    sel = selection_table(incidence.line_sizes, info.query)
-    return _Prepared(base, incidence, sel, bound, applicable, detail)
+    sel = selection_table(base.csr.line_sizes, info.query)
+    return _Prepared(base, sel, bound, applicable, detail)
 
 
 def _finish(
@@ -210,12 +207,8 @@ def exhaustive_search(spec: SearchSpec, backend: str | None = None) -> SearchRes
     if not prep.applicable:
         return _inapplicable(spec, prep, which)
     best_actual, best_green, violations, examined = exhaustive_scan(
-        prep.incidence,
-        prep.sel,
-        spec.n_green,
-        prep.bound.numerator,
-        prep.bound.denominator,
-        backend=which,
+        prep.base.csr, prep.sel, spec.n_green,
+        prep.bound.numerator, prep.bound.denominator, backend=which,
     )
     return _finish(spec, prep, best_green, best_actual, violations, examined, which)
 
@@ -244,14 +237,8 @@ def local_search(spec: SearchSpec, backend: str | None = None) -> SearchResult:
         moves_g = rng.integers(0, n, size=spec.budget, dtype=np.int64)
         moves_r = rng.integers(0, n_red, size=spec.budget, dtype=np.int64)
     best_actual, best_green, violations, examined = descent_replay(
-        prep.incidence,
-        prep.sel,
-        initial_green,
-        moves_g,
-        moves_r,
-        prep.bound.numerator,
-        prep.bound.denominator,
-        backend=which,
+        prep.base.csr, prep.sel, initial_green, moves_g, moves_r,
+        prep.bound.numerator, prep.bound.denominator, backend=which,
     )
     return _finish(spec, prep, best_green, best_actual, violations, examined, which)
 

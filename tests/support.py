@@ -14,7 +14,12 @@ from equilines.geometry import (
     configuration,
     enumerate_lines,
 )
-from equilines.profiles import EquichromaticQuery, compute_profile, count_equichromatic
+from equilines.profiles import (
+    EquichromaticQuery,
+    LineProfile,
+    compute_profile,
+    count_equichromatic,
+)
 from equilines.quadfield import one, quad, zero
 
 ALL_DS = (-3, -1, 2, 5)
@@ -78,6 +83,17 @@ def random_real_config(
             break
     colors = tuple(rng.choice((GREEN, RED)) for _ in pts)
     return configuration(pts, colors, d)
+
+
+def reference_profile(config: ColoredConfiguration) -> LineProfile:
+    """Per-line tally of the (green, red) cells over freshly enumerated
+    exact lines: the reference for the array-based compute_profile."""
+    cells: dict[tuple[int, int], int] = {}
+    for rec in enumerate_lines(config.points):
+        greens = sum(1 for idx in rec.point_indices if config.colors[idx] == GREEN)
+        cell = (greens, rec.size - greens)
+        cells[cell] = cells.get(cell, 0) + 1
+    return LineProfile.from_dict(cells, config.n, config.k)
 
 
 def brute_force_scan(

@@ -69,7 +69,7 @@ def test_criterion_3_hesse_oracle():
     config = configuration(hesse(), (GREEN,) * 9, -3)
     profile = compute_profile(config)
     assert profile.cell(2, 0) + profile.cell(0, 2) + profile.cell(1, 1) == 0  # t_2 = 0
-    sizes = profile.size_marginals()
+    sizes = config.incidence.size_counts
     assert sizes == {3: 12}
     assert max(sizes) == 3  # max_collinear
 

@@ -335,6 +335,29 @@ def test_cli_runs_as_module():
     assert parse_config(proc.stdout).points == generate("grid(2)")
 
 
+def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
+    # 400 colorings of a 400-point base set with about 60,000 lines: the scan
+    # must not hold a lines-by-points matrix, nor one per coloring chunk.
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(equilines.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    argv = ["search", "--generator", "random_rational(400,0,9)", "--k", "398",
+            "--theorem", "equisix", "--format", "json"]
+    out_path, err_path = tmp_path / "out", tmp_path / "err"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "equilines.cli", *argv], stdout=out, stderr=err, env=env
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, err_path.read_text()
+    assert json.loads(out_path.read_text())["search"]["colorings_examined"] == "400"
+    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
+
+
 def test_cli_generate_round_trip(capsys):
     assert run_cli(["generate", "--name", "hesse"]) == 0
     out = capsys.readouterr().out

@@ -1,16 +1,18 @@
-"""Each point set is enumerated once per analyzed config and once per search,
-and each analyzed config's profile is tallied once."""
+"""Each point set is enumerated, and its CSR arrays built, once per analyzed
+config and once per search; each analyzed config's profile is tallied
+once; and the arrays grow with the incidences, not with lines times points."""
 
 import sys
 
+import numpy as np
 import pytest
 
 from support import random_config
 
-from equilines import geometry, profiles
+from equilines import geometry, kernels, profiles
 from equilines.bounds import BoundTheorem
-from equilines.generators import grid, hesse
-from equilines.geometry import GREEN, configuration
+from equilines.generators import grid, hesse, random_rational
+from equilines.geometry import GREEN, Incidence, configuration
 from equilines.reports import analysis_document
 from equilines.search import EXHAUSTIVE, LOCAL, SearchSpec, run_search
 
@@ -33,6 +35,20 @@ def enumerations(monkeypatch):
     def counting(points):
         calls.append(len(points))
         return original(points)
+
+    install(monkeypatch, original, counting)
+    return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Point counts passed to kernels.build_incidence."""
+    calls = []
+    original = kernels.build_incidence
+
+    def counting(lines, n_points):
+        calls.append(n_points)
+        return original(lines, n_points)
 
     install(monkeypatch, original, counting)
     return calls
@@ -77,3 +93,33 @@ def test_search_enumerates_once_per_spec(enumerations, mode):
     result = run_search(spec, backend="numpy")
     assert result.best_report is not None
     assert enumerations == [9]
+
+
+def test_analysis_builds_arrays_once_per_config(builds):
+    configs = analyzed_configs()
+    for config in configs:
+        analysis_document(config)
+    assert builds == [config.total for config in configs]
+
+
+@pytest.mark.parametrize("mode", [EXHAUSTIVE, LOCAL])
+@pytest.mark.parametrize("backend", ["numba", "numpy"])
+def test_search_builds_arrays_once_per_spec(builds, mode, backend):
+    spec = SearchSpec(
+        points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode, budget=200
+    )
+    result = run_search(spec, backend=backend)
+    assert result.best_report is not None
+    assert builds == [9]
+
+
+def test_incidence_arrays_grow_with_incidences():
+    # Two int64 words per incidence, point and line at most; a dense
+    # lines-by-points matrix (L * N bytes even as uint8) cannot fit.
+    base = Incidence.of(random_rational(60, seed=0, bound=9))
+    csr = base.csr
+    arrays = [v for obj in (base, csr) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    incidences = csr.line_points.shape[0]
+    n_lines, n_points = len(base.lines), base.total_points
+    assert n_lines * n_points > 16 * (incidences + n_points + n_lines)
+    assert sum(a.nbytes for a in arrays) <= 16 * (incidences + n_points + n_lines)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import random_config
+from support import ALL_DS, random_config, reference_profile
 
 from equilines.errors import InternalInconsistencyError
 from equilines.generators import hesse
@@ -28,10 +28,11 @@ def square_config():
 
 
 def test_profile_two_green_two_red():
-    profile = compute_profile(square_config())
+    config = square_config()
+    profile = compute_profile(config)
     assert profile.as_dict() == {(2, 0): 1, (0, 2): 1, (1, 1): 4}
     assert profile.n == 2 and profile.k == 0
-    assert profile.total_lines == 6
+    assert len(config.incidence.lines) == 6
 
 
 def test_profile_three_collinear():
@@ -94,6 +95,15 @@ def test_checked_mode_raises_on_tampered_kernel(monkeypatch):
         profiles_mod.compute_profile(square_config())
 
 
+def test_array_profile_matches_per_line_tally():
+    seen = set()
+    for seed in range(40):
+        config = random_config(seed)
+        seen.add(config.discriminant.d)
+        assert compute_profile(config) == reference_profile(config)
+    assert seen == set(ALL_DS)
+
+
 def test_tampered_profile_fails_identities():
     profile = LineProfile.from_dict({(2, 0): 1, (0, 2): 1, (1, 1): 3}, 2, 0)
     assert not verify_identities(profile).all_passed
@@ -140,15 +150,14 @@ def test_count_monotone_in_r_and_max(seed, r, max_points):
 
 def test_count_unbounded_query_gives_total_lines():
     for seed in (0, 3, 11):
-        profile = compute_profile(random_config(seed, max_total=12))
+        config = random_config(seed, max_total=12)
+        profile = compute_profile(config)
         big_r = 2 * (profile.n + 1)
         assert count_equichromatic(profile, EquichromaticQuery(big_r, None)) == (
-            profile.total_lines
+            len(config.incidence.lines)
         )
 
 
 def test_size_marginals():
-    profile = compute_profile(square_config())
-    assert profile.size_marginals() == {2: 6}
-    hesse_profile = compute_profile(configuration(hesse(), (GREEN,) * 9, -3))
-    assert hesse_profile.size_marginals() == {3: 12}
+    assert square_config().incidence.size_counts == {2: 6}
+    assert configuration(hesse(), (GREEN,) * 9, -3).incidence.size_counts == {3: 12}

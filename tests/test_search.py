@@ -14,7 +14,7 @@ from equilines.bounds import BoundTheorem, bound_value, theorem_info
 from equilines.errors import SearchCapError
 from equilines.generators import grid, hesse, near_pencil, random_rational
 from equilines.geometry import GREEN, Incidence, configuration, enumerate_lines
-from equilines.kernels import HAVE_NUMBA, build_incidence, resolve_backend, selection_table
+from equilines.kernels import HAVE_NUMBA, resolve_backend, selection_table
 from equilines.profiles import EquichromaticQuery, compute_profile, count_equichromatic
 from equilines.search import (
     SearchSpec,
@@ -38,12 +38,10 @@ def test_backend_resolution():
 
 def test_selection_table_matches_query():
     base = Incidence.of(grid(3))
-    lines = base.lines
-    incidence = build_incidence(base)
     for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
         query = EquichromaticQuery(r, max_points)
-        sel = selection_table(incidence.line_sizes, query)
-        for li, rec in enumerate(lines):
+        sel = selection_table(base.csr.line_sizes, query)
+        for li, rec in enumerate(base.lines):
             for g in range(rec.size + 1):
                 assert sel[li, g] == int(query.selects(g, rec.size - g))
 
@@ -51,13 +49,20 @@ def test_selection_table_matches_query():
 def test_incidence_arrays_match_lines():
     for points in (grid(3), hesse(), near_pencil(6), random_rational(12, seed=4, bound=5)):
         base = Incidence.of(points)
-        arrays = build_incidence(base)
+        csr = base.csr
+        assert csr.n_points == base.total_points
+        assert csr.line_indptr[-1] == csr.line_points.shape[0] == csr.point_lines.shape[0]
+        for li, rec in enumerate(base.lines):
+            start, stop = csr.line_indptr[li], csr.line_indptr[li + 1]
+            assert csr.line_points[start:stop].tolist() == list(rec.point_indices)
         for p in range(base.total_points):
             expected = [li for li, rec in enumerate(base.lines) if p in rec.point_indices]
-            start, stop = arrays.point_indptr[p], arrays.point_indptr[p + 1]
-            assert arrays.point_lines[start:stop].tolist() == expected
-            assert arrays.membership[:, p].nonzero()[0].tolist() == expected
-        assert arrays.line_sizes.tolist() == [rec.size for rec in base.lines]
+            start, stop = csr.point_indptr[p], csr.point_indptr[p + 1]
+            assert csr.point_lines[start:stop].tolist() == expected
+        sizes = [rec.size for rec in base.lines]
+        assert csr.line_sizes.tolist() == sizes
+        assert list(base.size_counts.items()) == [(m, sizes.count(m)) for m in sorted(set(sizes))]
+        assert base.max_collinear == max(sizes)
 
 
 def test_spec_validation():
