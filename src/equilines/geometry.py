@@ -3,14 +3,17 @@
 Points and lines are homogeneous triples canonicalized so that the first
 nonzero coordinate is 1; equality is then componentwise.  Collinearity is
 an exact 3x3 determinant test, so every incidence decision is certain.
-A point set's lines are enumerated once into an ``Incidence``, which
-holds every colorless fact the analysis needs, including the CSR arrays
-of its lines (``kernels.IncidenceArrays``) that the profile tally and the
-search kernels read; no array of lines times points is built.
+A point set's lines are enumerated once, keying every point pair in one
+array pass (int64 where the headroom is proven, Python ints otherwise),
+into an ``Incidence``: every colorless fact the analysis needs, including
+the CSR arrays (``kernels.IncidenceArrays``) that the profile tally and
+the search kernels read.  No array of lines times points is built, and a
+``DeterminedLine`` only when one is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -200,7 +203,7 @@ def configuration(
 class DeterminedLine:
     """A line through >= 2 configuration points, with their indices.
 
-    The line is identified by its canonical integer key (see _line_key);
+    The line is identified by its canonical integer key (see _pair_keys);
     the field triple is only built when ``line`` is read.
     """
 
@@ -217,6 +220,25 @@ class DeterminedLine:
         return len(self.point_indices)
 
 
+class DeterminedLines(Sequence[DeterminedLine]):
+    """A point set's determined lines, sorted by point-index tuple: a key per
+    row of ``keys``, and each line's points in increasing order as CSR
+    (``indptr``, ``points``).  A ``DeterminedLine`` is built only when read."""
+
+    def __init__(self, keys: np.ndarray, indptr: np.ndarray, points: np.ndarray, d: int):
+        self.keys, self.indptr, self.points, self.d = keys, indptr, points, d
+
+    def __len__(self) -> int:
+        return self.keys.shape[0]
+
+    def __getitem__(self, index: int) -> DeterminedLine:
+        i = range(len(self))[index]
+        start, stop = self.indptr[i : i + 2].tolist()
+        return DeterminedLine(
+            tuple(self.keys[i].tolist()), tuple(self.points[start:stop].tolist()), self.d
+        )
+
+
 def _integer_coords(p: ProjPoint) -> tuple[int, int, int, int, int, int]:
     """Denominator-cleared coordinates (xa, xb, ya, yb, za, zb) with each
     component xa + xb*sqrt(d) etc.; proportional to the point over Q."""
@@ -227,14 +249,26 @@ def _integer_coords(p: ProjPoint) -> tuple[int, int, int, int, int, int]:
     return tuple(f.numerator * (den // f.denominator) for f in fracs)
 
 
-def _line_key(p: tuple, q: tuple, d: int) -> tuple:
-    """Canonical integer 6-tuple identifying the line through two points.
+def _key_dtype(ints: list[tuple[int, ...]], d: int):
+    """np.int64 when _pair_keys provably stays exact in it on these
+    coordinates, else object (Python ints).  With M the largest |component|
+    and D = |d| >= 1, a cross-product component is at most C = 2 M^2 (1 + D)
+    in absolute value and a key entry before the gcd at most C^2 (1 + D),
+    which bounds every partial sum too."""
+    m = max((abs(v) for row in ints for v in row), default=0)
+    c = 2 * m * m * (1 + abs(d))
+    return np.int64 if c * c * (1 + abs(d)) < 2**63 else object
 
-    The cross product is taken in Z[sqrt(d)] on denominator-cleared
-    coordinates.  Multiplying through by the conjugate of the first
-    nonzero component makes that component a plain (rational) integer,
-    after which two field-proportional triples are integer-proportional;
-    dividing by the signed gcd then yields a unique representative.
+
+def _pair_keys(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
+    """Column r: the canonical key of the line through points p[:, r], q[:, r].
+
+    Columns are denominator-cleared coordinates (see _integer_coords), and
+    the keys keep their dtype.  The cross product is taken in Z[sqrt(d)].
+    Multiplying through by the conjugate of the first nonzero component
+    makes that component a plain (rational) integer, after which two
+    field-proportional triples are integer-proportional; dividing by the
+    gcd, signed by the first nonzero entry, yields a unique representative.
     """
     xa1, xb1, ya1, yb1, za1, zb1 = p
     xa2, xb2, ya2, yb2, za2, zb2 = q
@@ -245,25 +279,14 @@ def _line_key(p: tuple, q: tuple, d: int) -> tuple:
     vb = za1 * xb2 + zb1 * xa2 - (xa1 * zb2 + xb1 * za2)
     wa = xa1 * ya2 + xb1 * yb2 * d - (ya1 * xa2 + yb1 * xb2 * d)
     wb = xa1 * yb2 + xb1 * ya2 - (ya1 * xb2 + yb1 * xa2)
-    if ua or ub:
-        lead_a, lead_b = ua, ub
-    elif va or vb:
-        lead_a, lead_b = va, vb
-    else:
-        lead_a, lead_b = wa, wb
-    out = []
-    for c, e in ((ua, ub), (va, vb), (wa, wb)):
-        out.append(c * lead_a - e * lead_b * d)
-        out.append(e * lead_a - c * lead_b)
-    g = 0
-    for v in out:
-        g = gcd(g, v)
-    for v in out:
-        if v:
-            if v < 0:
-                g = -g
-            break
-    return tuple(v // g for v in out)
+    u_lead, v_lead = (ua != 0) | (ub != 0), (va != 0) | (vb != 0)
+    la = np.where(u_lead, ua, np.where(v_lead, va, wa))
+    lb = np.where(u_lead, ub, np.where(v_lead, vb, wb))
+    cross = ((ua, ub), (va, vb), (wa, wb))
+    keys = np.stack([x for c, e in cross for x in (c * la - e * lb * d, e * la - c * lb)])
+    g = np.gcd.reduce(keys)
+    first = keys[(keys != 0).argmax(axis=0), np.arange(keys.shape[1])]
+    return keys // np.where(first < 0, -g, g)
 
 
 def _line_from_key(key: tuple, d: int) -> ProjLine:
@@ -275,31 +298,40 @@ def _line_from_key(key: tuple, d: int) -> ProjLine:
     )
 
 
-def enumerate_lines(points: tuple[ProjPoint, ...]) -> tuple[DeterminedLine, ...]:
+def enumerate_lines(points: tuple[ProjPoint, ...]) -> DeterminedLines:
     """All determined lines with their exact incident point index sets.
 
-    Every unordered point pair contributes its canonical line once, so the
-    result satisfies sum over lines of C(m, 2) = C(N, 2) by construction.
-    Pair processing runs on denominator-cleared integer coordinates (still
-    exact).  Output is sorted by incident index tuple, hence independent
-    of any internal ordering.
+    Every point pair is keyed in one array pass, in int64 when _key_dtype
+    proves the headroom and in Python ints otherwise.  Each line's pairs
+    share one key, so sum over lines of C(m, 2) = C(N, 2).  Output is sorted
+    by incident index tuple, hence independent of any internal ordering.
     """
     d = points[0].d if points else 0
     ints = [_integer_coords(p) for p in points]
-    incident: dict[tuple, set[int]] = {}
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            key = _line_key(ints[i], ints[j], d)
-            group = incident.get(key)
-            if group is None:
-                incident[key] = {i, j}
-            else:
-                group.update((i, j))
-    records = [
-        DeterminedLine(key, tuple(sorted(idx)), d) for key, idx in incident.items()
-    ]
-    records.sort(key=lambda rec: rec.point_indices)
-    return tuple(records)
+    # Keys come out one contiguous row per component, for the sort and compare.
+    coords = np.array(ints, dtype=_key_dtype(ints, d)).reshape(-1, 6).T
+    i, j = np.triu_indices(len(points), 1)  # pairs in (i, j) order
+    keys = _pair_keys(coords[:, i], coords[:, j], d)
+    order = np.lexsort(keys)  # stable: each line's pairs stay in (i, j) order
+    keys = keys[:, order]
+    new = np.ones(order.shape[0], dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    group = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    # A line's first pair joins its two smallest points a < b, and its
+    # first m - 1 pairs are (a, x) for its other points x, in increasing x.
+    first = order[starts]
+    sizes = np.bincount(group[i[order] == i[first][group]], minlength=starts.shape[0]) + 1
+    # Lines share at most one point, so by first pair is by point-index tuple.
+    by_first = np.argsort(first)
+    sizes, starts, first = sizes[by_first], starts[by_first], first[by_first]
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    line = np.repeat(np.arange(sizes.shape[0]), sizes)
+    # Entry t > 0 of a line is x of its t-th pair (a, x); entry 0, read
+    # one pair early here, is a.
+    members = j[order[starts[line] + np.arange(indptr[-1]) - indptr[line] - 1]]
+    members[indptr[:-1]] = i[first]
+    return DeterminedLines(keys[:, starts].T, indptr, members, d)
 
 
 @dataclass(frozen=True)
@@ -314,7 +346,7 @@ class Incidence:
     """
 
     total_points: int
-    lines: tuple[DeterminedLine, ...]
+    lines: DeterminedLines
     csr: IncidenceArrays
     size_counts: dict[int, int]  # t_m: lines through exactly m points
     max_collinear: int

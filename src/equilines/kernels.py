@@ -42,9 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
-
-    from .geometry import DeterminedLine
+    from .geometry import DeterminedLines
     from .profiles import EquichromaticQuery
 
 try:
@@ -92,22 +90,16 @@ class IncidenceArrays:
         return self.point_indptr.shape[0] - 1
 
 
-def build_incidence(lines: Sequence[DeterminedLine], n_points: int) -> IncidenceArrays:
-    """The CSR arrays of the lines' point-index tuples over n_points points."""
-    sizes = np.fromiter((rec.size for rec in lines), np.int64, len(lines))
-    line_indptr = np.zeros(len(lines) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=line_indptr[1:])
-    line_points = np.fromiter(
-        itertools.chain.from_iterable(rec.point_indices for rec in lines),
-        np.int64,
-        int(line_indptr[-1]),
-    )
+def build_incidence(lines: DeterminedLines, n_points: int) -> IncidenceArrays:
+    """The CSR arrays of the lines over n_points points: the enumeration's
+    own line-to-points arrays, and their transpose."""
+    sizes = np.diff(lines.indptr)
     point_indptr = np.zeros(n_points + 1, dtype=np.int64)
-    np.cumsum(np.bincount(line_points, minlength=n_points), out=point_indptr[1:])
+    np.cumsum(np.bincount(lines.points, minlength=n_points), out=point_indptr[1:])
     # A stable sort by point keeps each point's lines in line order.
-    order = np.argsort(line_points, kind="stable")
+    order = np.argsort(lines.points, kind="stable")
     point_lines = np.repeat(np.arange(len(lines), dtype=np.int64), sizes)[order]
-    return IncidenceArrays(sizes, line_indptr, line_points, point_indptr, point_lines)
+    return IncidenceArrays(sizes, lines.indptr, lines.points, point_indptr, point_lines)
 
 
 def selection_table(line_sizes: np.ndarray, query: EquichromaticQuery) -> np.ndarray:

@@ -13,6 +13,7 @@ from equilines.geometry import (
     ProjPoint,
     configuration,
     enumerate_lines,
+    line_through,
 )
 from equilines.profiles import (
     EquichromaticQuery,
@@ -83,6 +84,15 @@ def random_real_config(
             break
     colors = tuple(rng.choice((GREEN, RED)) for _ in pts)
     return configuration(pts, colors, d)
+
+
+def reference_lines(points: tuple[ProjPoint, ...]) -> list[tuple[int, ...]]:
+    """Sorted point-index tuples of the determined lines, grouping the pairs
+    by their exact line_through: the oracle for enumerate_lines."""
+    groups: dict = {}
+    for (i, p), (j, q) in itertools.combinations(enumerate(points), 2):
+        groups.setdefault(line_through(p, q), set()).update((i, j))
+    return sorted(tuple(sorted(g)) for g in groups.values())
 
 
 def reference_profile(config: ColoredConfiguration) -> LineProfile:

@@ -29,6 +29,14 @@ def write_config(tmp_path, name, doc):
     return str(path)
 
 
+def cli_env():
+    return {
+        **os.environ,
+        "PYTHONPATH": str(Path(equilines.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+
+
 def square_doc():
     return {
         "d": -1,
@@ -338,17 +346,12 @@ def test_cli_runs_as_module():
 def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
     # 400 colorings of a 400-point base set with about 60,000 lines: the scan
     # must not hold a lines-by-points matrix, nor one per coloring chunk.
-    env = {
-        **os.environ,
-        "PYTHONPATH": str(Path(equilines.__file__).parents[1]),
-        "OPENBLAS_NUM_THREADS": "1",
-    }
     argv = ["search", "--generator", "random_rational(400,0,9)", "--k", "398",
             "--theorem", "equisix", "--format", "json"]
     out_path, err_path = tmp_path / "out", tmp_path / "err"
     with open(out_path, "wb") as out, open(err_path, "wb") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "equilines.cli", *argv], stdout=out, stderr=err, env=env
+            [sys.executable, "-m", "equilines.cli", *argv], stdout=out, stderr=err, env=cli_env()
         )
         _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
@@ -356,6 +359,46 @@ def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
     assert json.loads(out_path.read_text())["search"]["colorings_examined"] == "400"
     peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
     assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_cli_analyze_and_local_search_leave_numpy_ma_unimported(tmp_path):
+    # Plain np.unique imports numpy.ma, which costs each process memory and time.
+    pts = generate("grid(4)")
+    path = write_config(tmp_path, "grid.json", config_document(pts, (GREEN,) * 16, pts[0].d))
+    code = "\n".join([
+        "import sys",
+        "from equilines.cli import run_cli",
+        f"assert run_cli(['analyze', {path!r}]) == 0",
+        "assert run_cli(['search', '--generator', 'grid(4)', '--k', '0', '--theorem',"
+        " 'equisix', '--mode', 'local', '--budget', '500']) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_analyze_at_the_point_limit_is_fast_and_small(tmp_path):
+    # 1000 points and 381,767 lines: the pairs are keyed in arrays, and no
+    # per-line Python object is built.
+    pts = generate("random_rational(1000,0,9)")
+    path = write_config(tmp_path, "n1000.json", config_document(pts, (GREEN,) * 1000, pts[0].d))
+    out_path, err_path = tmp_path / "out", tmp_path / "err"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "equilines.cli", "analyze", path],
+            stdout=out, stderr=err, env=cli_env(),
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    assert os.waitstatus_to_exitcode(status) == 0, err_path.read_text()
+    assert "total lines 381767" in out_path.read_text()
+    assert wall < 3.0, f"wall time {wall:.2f} s"
+    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert peak_mb < 230, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_cli_generate_round_trip(capsys):

@@ -3,10 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from support import random_config, random_points
+from support import ALL_DS, random_config, random_points, reference_lines
 
+from equilines import geometry
 from equilines.errors import (
     DegeneratePairError,
     DuplicatePointError,
@@ -22,10 +26,22 @@ from equilines.geometry import (
     affine_point,
     collinear,
     configuration,
+    _integer_coords,
+    _key_dtype,
+    _line_from_key,
+    _pair_keys,
     enumerate_lines,
     line_through,
 )
-from equilines.quadfield import Discriminant, one, quad, sqrt_d, zero
+from equilines.quadfield import (
+    MAX_ABS_DISCRIMINANT,
+    Discriminant,
+    is_squarefree,
+    one,
+    quad,
+    sqrt_d,
+    zero,
+)
 
 
 def P(x, y, z, d=5):
@@ -168,28 +184,113 @@ def test_line_through_matches_enumerated_line():
 def test_line_key_invariant_under_irrational_scaling():
     # Pairs on one line yield cross products differing by a field scalar
     # that is irrational in general; the dedup key must not depend on it.
-    from equilines.geometry import _integer_coords, _line_from_key, _line_key
-
     d = -3
     omega = quad(Fraction(-1, 2), Fraction(1, 2), d=d)
     a = ProjPoint(zero(d), one(d), -one(d))
     b = ProjPoint(zero(d), one(d), -omega)
     c = ProjPoint(zero(d), one(d), -(omega * omega))
     ia, ib, ic = (_integer_coords(p) for p in (a, b, c))
-    keys = {_line_key(ia, ib, d), _line_key(ia, ic, d), _line_key(ib, ic, d)}
+    keys = _pair_keys(np.array([ia, ia, ib]).T, np.array([ib, ic, ic]).T, d)
+    keys = {tuple(key) for key in keys.T.tolist()}
     assert len(keys) == 1
     assert _line_from_key(keys.pop(), d) == line_through(a, b)
 
 
 def test_line_key_matches_line_through_on_random_pairs():
-    from equilines.geometry import _integer_coords, _line_from_key, _line_key
-
     rng = random.Random(21)
     for d in (-3, -1, 2, 5):
         pts = random_points(rng, 8, d)
-        for p, q in itertools.combinations(pts, 2):
-            key = _line_key(_integer_coords(p), _integer_coords(q), d)
-            assert _line_from_key(key, d) == line_through(p, q)
+        pairs = list(itertools.combinations(pts, 2))
+        keys = _pair_keys(
+            np.array([_integer_coords(p) for p, _ in pairs]).T,
+            np.array([_integer_coords(q) for _, q in pairs]).T,
+            d,
+        )
+        for (p, q), key in zip(pairs, keys.T.tolist()):
+            assert _line_from_key(tuple(key), d) == line_through(p, q)
+
+
+ORACLE_SEEDS = range(40)
+
+
+def test_enumerate_lines_matches_exact_oracle():
+    seen = set()
+    for seed in ORACLE_SEEDS:
+        config = random_config(seed, max_total=14)
+        seen.add(config.discriminant.d)
+        lines = enumerate_lines(config.points)
+        assert [rec.point_indices for rec in lines] == reference_lines(config.points)
+    assert seen == set(ALL_DS)
+
+
+def test_int64_and_object_keys_agree(monkeypatch):
+    points = [random_config(seed, max_total=14).points for seed in ORACLE_SEEDS]
+    fast = [enumerate_lines(pts) for pts in points]
+    monkeypatch.setattr(geometry, "_key_dtype", lambda ints, d: object)
+    for pts, lines in zip(points, fast):
+        exact = enumerate_lines(pts)
+        assert lines.keys.dtype == np.int64 and exact.keys.dtype == object
+        assert lines.keys.tolist() == exact.keys.tolist()
+        assert lines.indptr.tolist() == exact.indptr.tolist()
+        assert lines.points.tolist() == exact.points.tolist()
+        assert list(lines) == list(exact)
+
+
+def lines_and_stragglers(d, base, step):
+    """Four points on one line through `base`, a line of three, and two
+    more points, all with coordinates near `base`."""
+    pts = [affine_point(base + t * step, base + 2 * t * step, d=d) for t in range(4)]
+    pts += [affine_point(base + t, base - 3 * t + 1, d=d) for t in (1, 2, 3)]
+    pts += [affine_point(base - 5, base + 7, d=d), affine_point(base + 11, base - 2, d=d)]
+    return tuple(pts)
+
+
+def test_object_path_on_large_coordinates():
+    pts = lines_and_stragglers(5, 10**7, 3) + random_points(random.Random(2), 6, 5)
+    assert _key_dtype([_integer_coords(p) for p in pts], 5) is object
+    lines = enumerate_lines(pts)
+    assert lines.keys.dtype == object
+    assert [rec.point_indices for rec in lines] == reference_lines(pts)
+    assert max(rec.size for rec in lines) == 4
+
+
+def test_object_path_on_large_discriminant():
+    d = -next(m for m in range(MAX_ABS_DISCRIMINANT, 0, -1) if is_squarefree(m))
+    assert -d > MAX_ABS_DISCRIMINANT - 100
+    pts = lines_and_stragglers(d, 0, 1) + random_points(random.Random(3), 8, d)
+    assert _key_dtype([_integer_coords(p) for p in pts], d) is object
+    lines = enumerate_lines(pts)
+    assert lines.keys.dtype == object
+    assert [rec.point_indices for rec in lines] == reference_lines(pts)
+
+
+def largest_int64_component(d):
+    """The largest M for which _key_dtype still picks int64."""
+    lo, hi = 1, 2**32
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _key_dtype([(mid,) * 6], d) is np.int64 else (lo, mid)
+    return lo
+
+
+def as_point(row, d):
+    return ProjPoint(*(quad(row[k], row[k + 1], d=d) for k in (0, 2, 4)))
+
+
+@pytest.mark.parametrize("d", ALL_DS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_int64_keys_exact_just_under_headroom_threshold(d, data):
+    # Components at +-M with aligned signs reach every bound the headroom
+    # rule relies on, so an underestimated bound shows up as a mismatch.
+    m = largest_int64_component(d)
+    assert _key_dtype([(m + 1,) * 6], d) is object
+    component = st.one_of(st.sampled_from([m, -m, m - 1, -m + 1]), st.integers(-m, m))
+    p, q = (data.draw(st.tuples(*[component] * 6)) for _ in range(2))
+    assume(any(p) and any(q) and as_point(p, d) != as_point(q, d))
+    fast = _pair_keys(np.array([p], dtype=np.int64).T, np.array([q], dtype=np.int64).T, d)
+    exact = _pair_keys(np.array([p], dtype=object).T, np.array([q], dtype=object).T, d)
+    assert fast.tolist() == exact.tolist()
 
 
 def test_max_collinear():

@@ -1,6 +1,7 @@
 """Each point set is enumerated, and its CSR arrays built, once per analyzed
 config and once per search; each analyzed config's profile is tallied
-once; and the arrays grow with the incidences, not with lines times points."""
+once; no DeterminedLine is built unless a line is read; and the arrays
+grow with the incidences, not with lines times points."""
 
 import sys
 
@@ -54,6 +55,20 @@ def builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def line_objects(monkeypatch):
+    """Arguments of every geometry.DeterminedLine construction."""
+    built = []
+    original = geometry.DeterminedLine
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    install(monkeypatch, original, counting)
+    return built
+
+
 def analyzed_configs():
     return [
         configuration(hesse(), (GREEN,) * 9, -3),
@@ -93,6 +108,25 @@ def test_search_enumerates_once_per_spec(enumerations, mode):
     result = run_search(spec, backend="numpy")
     assert result.best_report is not None
     assert enumerations == [9]
+
+
+def test_analysis_builds_no_line_objects(line_objects):
+    configs = analyzed_configs()
+    for config in configs:
+        analysis_document(config)
+    assert line_objects == []
+    # Reading a line is what builds one.
+    assert configs[0].incidence.lines[0].size == 3
+    assert len(line_objects) == 1
+
+
+@pytest.mark.parametrize("mode", [EXHAUSTIVE, LOCAL])
+def test_search_builds_no_line_objects(line_objects, mode):
+    spec = SearchSpec(
+        points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode, budget=200
+    )
+    assert run_search(spec).best_report is not None
+    assert line_objects == []
 
 
 def test_analysis_builds_arrays_once_per_config(builds):
