@@ -72,8 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, choices=sorted(_THEOREM_NAMES))
     p.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=SearchSpec.budget)
 
     p = sub.add_parser("proofcheck", parents=[common], help="certify coefficient claims")
     p.add_argument(
@@ -147,7 +146,6 @@ def _cmd_search(args) -> int:
         mode=args.mode,
         seed=args.seed,
         budget=args.budget,
-        cap=args.cap,
     )
     result = run_search(spec)
     _emit({"search": search_section(result)}, args.format, args.decimal)

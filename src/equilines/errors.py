@@ -56,7 +56,7 @@ class ClaimRefutedError(EquilinesError):
 
 
 class SearchCapError(EquilinesError):
-    """A search would examine more colorings than the configured cap."""
+    """A search would examine more colorings than ``search.MAX_COLORINGS``."""
 
     def __init__(self, message: str, coloring_count: int):
         super().__init__(message)

@@ -22,14 +22,15 @@ Two backends run two different algorithms for the same results:
     proposal in O(1) from per-point gains and updates them only on
     accepted swaps.
 
-The platform picks the backend: numba when it imports, else numpy, since
-the interpreted depth-first scan is several times slower than the
-vectorized one.  Callers (the tests) may name either one explicitly.  A
-report's backend field names the kernel algorithm, not whether it was
-compiled.  Both backends visit colorings in the same
-order (the exhaustive scan) or follow the same proposals (the move
-replay) and break ties on the best count toward the lexicographically
-smallest green index tuple, so results are backend-independent.
+numpy is the default on every host, so no report depends on whether
+numba imports; numba only jits the numba backend's reference algorithms.
+A report's backend field names the kernel algorithm, not whether it was
+compiled.  Every kernel takes the selection table by line size,
+sel[m, g]; the reference kernels read its per-line view.  Both backends
+visit colorings in the same order (the exhaustive scan) or follow the
+same proposals (the move replay) and break ties on the best count toward
+the lexicographically smallest green index tuple, so results are
+backend-independent.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Return the named backend, or the platform's when none is named:
-    "numba" when numba imports and "numpy" otherwise.  "numba" is available
-    on every host; without numba its kernels run interpreted."""
+    """Return the named backend, or "numpy" when none is named, on every
+    host.  "numba" is available on every host; without numba its kernels
+    run interpreted."""
     if backend is None:
-        return "numba" if HAVE_NUMBA else "numpy"
+        return "numpy"
     if backend not in ("numba", "numpy"):
         raise ValueError(f"unknown backend {backend!r}")
     return backend
@@ -102,17 +103,16 @@ def build_incidence(lines: DeterminedLines, n_points: int) -> IncidenceArrays:
     return IncidenceArrays(sizes, lines.indptr, lines.points, point_indptr, point_lines)
 
 
-def selection_table(line_sizes: np.ndarray, query: EquichromaticQuery) -> np.ndarray:
-    """sel[l, g] = 1 iff the query selects line l when g of its m points
-    are green, i.e. the cell (g, m - g).  One row is filled per distinct
-    line size and gathered for every line; int8, since the kernels form
-    their signed deltas and sums in int64 or Python ints."""
-    distinct, row_of = np.unique(line_sizes, return_inverse=True)
-    width = int(distinct[-1]) + 1
-    rows = np.zeros((distinct.shape[0], width), dtype=np.int8)
-    for r, m in enumerate(distinct.tolist()):
-        rows[r, : m + 1] = [query.selects(g, m - g) for g in range(m + 1)]
-    return rows[row_of]
+def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> np.ndarray:
+    """sel[m, g] = 1 iff the query selects an m-point line with g green
+    points, i.e. the cell (g, m - g), for each size m in size_counts; rows
+    of other sizes stay 0.  int8, since the kernels form their signed
+    deltas and sums in int64 or Python ints."""
+    width = max(size_counts) + 1
+    sel = np.zeros((width, width), dtype=np.int8)
+    for m in size_counts:
+        sel[m, : m + 1] = [query.selects(g, m - g) for g in range(m + 1)]
+    return sel
 
 
 def _exhaustive_scan(
@@ -288,17 +288,18 @@ def _exhaustive_numpy(
     bound_den: int,
 ):
     """Vectorized exhaustive scan over chunks of colorings.  Lines are
-    grouped by size from the CSR; for the m-point lines, m column gathers
-    of the chunk's green flags sum to their green counts, which index the
-    selection row of size m.  Deliberately a different algorithm from the
-    depth-first scan so the two backends cross-check each other."""
+    grouped by size from the CSR, skipping sizes whose selection row is
+    all 0; for the m-point lines, m column gathers of the chunk's green
+    flags sum to their green counts, which index sel[m].  Deliberately a
+    different algorithm from the depth-first scan so the two backends
+    cross-check each other."""
     n_points = incidence.n_points
     sizes = incidence.line_sizes
     groups = []  # (points of the m-point lines, L_m x m; their selection row)
-    for m in np.unique(sizes).tolist():
+    for m in np.flatnonzero(sel.any(axis=1)).tolist():
         lines = np.flatnonzero(sizes == m)
         members = incidence.line_points[incidence.line_indptr[lines][:, None] + np.arange(m)]
-        groups.append((members, sel[lines[0]]))
+        groups.append((members, sel[m]))
     chunk_len = max(1, _CHUNK_ELEMENTS // incidence.line_points.shape[0])
     best_actual = -1
     best_combo = np.empty(0, dtype=np.int64)
@@ -387,11 +388,9 @@ def _descent_gain_table(
             row = pair_line[a]
             for b in pts:
                 row[b] = li
-    # selection_table fills one row per line size, so lines of one size
-    # share their row and tables.
-    distinct, first = np.unique(incidence.line_sizes, return_index=True)
-    sel_row = {m: sel[li].tolist() for m, li in zip(distinct.tolist(), first.tolist())}
-    by_size = {m: _gain_tables(row, m) for m, row in sel_row.items()}
+    # Lines of one size share their selection row and tables.
+    rows = sel.tolist()
+    by_size = {m: _gain_tables(rows[m], m) for m in set(sizes)}
     tables = [by_size[m] for m in sizes]
     fix, down, up = ([t[i] for t in tables] for i in (2, 3, 4))
 
@@ -401,7 +400,7 @@ def _descent_gain_table(
     for p in greens:
         for li in lines_of[p]:
             counts[li] += 1
-    actual = sum(sel_row[m][c] for m, c in zip(sizes, counts))
+    actual = sum(rows[m][c] for m, c in zip(sizes, counts))
     rem = [0] * n_points
     add = [0] * n_points
     for li, c in enumerate(counts):
@@ -464,7 +463,7 @@ def exhaustive_scan(
         )
     else:
         best_actual, best, violations, examined = _exhaustive_scan_nb(
-            incidence.point_indptr, incidence.point_lines, sel,
+            incidence.point_indptr, incidence.point_lines, sel[incidence.line_sizes],
             np.int64(n_green), np.int64(bound_num), np.int64(bound_den),
         )
     return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
@@ -507,7 +506,8 @@ def descent_replay(
         )
     else:
         best_actual, best, violations, examined = _descent_replay_nb(
-            incidence.point_indptr, incidence.point_lines, sel, initial_green, initial_red,
-            moves_green, moves_red, np.int64(bound_num), np.int64(bound_den),
+            incidence.point_indptr, incidence.point_lines, sel[incidence.line_sizes],
+            initial_green, initial_red, moves_green, moves_red,
+            np.int64(bound_num), np.int64(bound_den),
         )
     return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)

@@ -44,7 +44,8 @@ from .quadfield import Discriminant
 
 EXHAUSTIVE = "exhaustive"
 LOCAL = "local"
-DEFAULT_CAP = 10_000_000
+# Colorings one search may examine; bounds the time and memory of any request.
+MAX_COLORINGS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class SearchSpec:
     mode: str = EXHAUSTIVE
     seed: int = 0
     budget: int = 10_000
-    cap: int = DEFAULT_CAP
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -136,16 +136,16 @@ class _Prepared:
 def _prepare(spec: SearchSpec) -> _Prepared:
     # Before any work, and before local search allocates its budget-long moves.
     count = spec.coloring_count()
-    if count > spec.cap:
+    if count > MAX_COLORINGS:
         raise SearchCapError(
-            f"{spec.mode} search over {count} colorings exceeds the cap {spec.cap}", count
+            f"{spec.mode} search over {count} colorings exceeds the cap {MAX_COLORINGS}", count
         )
     base = Incidence.of(spec.points)
     applicable, detail = precondition(spec.theorem, spec.n_green, spec.k, base)
     info = theorem_info(spec.theorem)
     t = len(base.lines) if info.needs_total_lines else None
     bound = bound_value(spec.theorem, spec.n_green, spec.k, t)
-    sel = selection_table(base.csr.line_sizes, info.query)
+    sel = selection_table(base.size_counts, info.query)
     return _Prepared(base, sel, bound, applicable, detail)
 
 

@@ -304,6 +304,9 @@ def test_cli_rejects_infeasible_random_rational_quickly(capsys):
         (["search", "--generator", "random_rational(5000,0,9)", "--k", "0",
           "--theorem", "equisix"], f"limit of {MAX_POINTS}"),
         (["proofcheck", "--theorem", "equisix", "--window", "100000"], f"limit of {MAX_WINDOW}"),
+        # C(36, 18) = 9,075,135,300 colorings: rejected before any work.
+        (["search", "--generator", "grid(6)", "--k", "0", "--theorem", "equisix"],
+         "cap 10000000"),
     ],
 )
 def test_cli_rejects_oversized_requests_quickly(argv, limit, capsys):
@@ -371,6 +374,8 @@ def test_cli_analyze_and_local_search_leave_numpy_ma_unimported(tmp_path):
         f"assert run_cli(['analyze', {path!r}]) == 0",
         "assert run_cli(['search', '--generator', 'grid(4)', '--k', '0', '--theorem',"
         " 'equisix', '--mode', 'local', '--budget', '500']) == 0",
+        "assert run_cli(['search', '--generator', 'grid(4)', '--k', '2', '--theorem',"
+        " 'equisix']) == 0",
         "print('numpy.ma' in sys.modules)",
     ])
     proc = subprocess.run(

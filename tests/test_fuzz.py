@@ -120,8 +120,6 @@ def argvs(draw, path):
             "--seed", draw(st.sampled_from(["-1", "0", "7"])),
             "--budget", draw(st.sampled_from(["-1", "0", "1", "300", "2000", "10000000", str(10**15)])),
         ]
-        if draw(st.booleans()):
-            argv += ["--cap", str(draw(st.integers(-1, 10**4)))]
     return argv + draw(formats)
 
 

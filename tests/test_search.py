@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from support import brute_force_scan
 
 import equilines
+from equilines import kernels, search
 from equilines.bounds import BoundTheorem, bound_value, theorem_info
 from equilines.errors import SearchCapError
 from equilines.generators import grid, hesse, near_pencil, random_rational
 from equilines.geometry import GREEN, Incidence, configuration, enumerate_lines
-from equilines.kernels import HAVE_NUMBA, resolve_backend, selection_table
+from equilines.kernels import resolve_backend, selection_table
 from equilines.profiles import EquichromaticQuery, compute_profile, count_equichromatic
+from equilines.reports import search_section
 from equilines.search import (
     SearchSpec,
     exhaustive_search,
@@ -29,21 +31,57 @@ BACKENDS = ("numba", "numpy")
 def test_backend_resolution():
     assert resolve_backend("numpy") == "numpy"
     assert resolve_backend("numba") == "numba"  # interpreted without numba
-    assert resolve_backend() == ("numba" if HAVE_NUMBA else "numpy")
+    assert resolve_backend() == "numpy"
     assert resolve_backend(None) == resolve_backend()
     for name in ("auto", "bogus"):
         with pytest.raises(ValueError):
             resolve_backend(name)
 
 
+def test_default_backend_is_numpy_with_numba(monkeypatch):
+    # The default must not depend on whether numba imports.
+    specs = [
+        SearchSpec(points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX),
+        SearchSpec(points=grid(4), k=2, theorem=BoundTheorem.EQUI_FOUR, mode="local", budget=500),
+    ]
+    unpatched = [search_section(run_search(spec)) for spec in specs]
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
+    assert resolve_backend() == "numpy"
+    assert [search_section(run_search(spec)) for spec in specs] == unpatched
+
+
 def test_selection_table_matches_query():
-    base = Incidence.of(grid(3))
-    for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
-        query = EquichromaticQuery(r, max_points)
-        sel = selection_table(base.csr.line_sizes, query)
-        for li, rec in enumerate(base.lines):
-            for g in range(rec.size + 1):
-                assert sel[li, g] == int(query.selects(g, rec.size - g))
+    for points in (grid(3), hesse(), near_pencil(6)):
+        base = Incidence.of(points)
+        sizes = base.csr.line_sizes.tolist()
+        width = max(sizes) + 1
+        for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
+            query = EquichromaticQuery(r, max_points)
+            sel = selection_table(base.size_counts, query)
+            assert sel.shape == (width, width)
+            for m in range(width):
+                for g in range(width):
+                    selected = m in base.size_counts and g <= m and query.selects(g, m - g)
+                    assert sel[m, g] == int(selected)
+            # The per-line view the reference kernels read.
+            per_line = [[int(g <= m and query.selects(g, m - g)) for g in range(width)]
+                        for m in sizes]
+            assert sel[base.csr.line_sizes].tolist() == per_line
+
+
+def test_backends_agree_when_a_present_size_selects_nothing():
+    # equifour counts lines of at most 4 points: grid(5)'s 5-point lines
+    # have an all-zero row, though lines of that size exist.
+    base = Incidence.of(grid(5))
+    sel = selection_table(base.size_counts, theorem_info(BoundTheorem.EQUI_FOUR).query)
+    assert base.t(5) > 0 and not sel[5].any()
+    for mode in ("exhaustive", "local"):
+        spec = SearchSpec(points=grid(5), k=21, theorem=BoundTheorem.EQUI_FOUR, mode=mode,
+                          seed=3, budget=300)
+        results = [run_search(spec, backend=b) for b in BACKENDS]
+        assert not results[0].all_inapplicable
+        assert results[0].colorings_examined == (300 if mode == "exhaustive" else 301)
+        assert local_outcome(results[0]) == local_outcome(results[1])
 
 
 def test_incidence_arrays_match_lines():
@@ -78,17 +116,19 @@ def test_spec_validation():
     assert spec.coloring_count() == math.comb(9, 5) == 126
 
 
-def test_exhaustive_cap():
-    spec = SearchSpec(points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX, cap=100)
+def test_exhaustive_cap(monkeypatch):
+    monkeypatch.setattr(search, "MAX_COLORINGS", 100)
+    spec = SearchSpec(points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX)
     with pytest.raises(SearchCapError) as exc:
         exhaustive_search(spec)
     assert exc.value.coloring_count == math.comb(16, 8)
 
 
-def test_local_cap():
+def test_local_cap(monkeypatch):
     # The initial coloring plus one per proposed move must fit the cap.
+    monkeypatch.setattr(search, "MAX_COLORINGS", 10)
     spec = SearchSpec(
-        points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", budget=9, cap=10
+        points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", budget=9
     )
     assert local_search(spec).colorings_examined == 10
     with pytest.raises(SearchCapError) as exc:
@@ -250,7 +290,7 @@ def test_local_backends_agree(total, base_seed, bound, theorem, k_index, seed, b
 
 def test_exhaustive_backend_equivalence():
     for k, theorem in ((0, BoundTheorem.EQUI_SIX), (2, BoundTheorem.EQUI_FOUR)):
-        spec = SearchSpec(points=grid(4), k=k, theorem=theorem, cap=20_000)
+        spec = SearchSpec(points=grid(4), k=k, theorem=theorem)
         a = exhaustive_search(spec, backend="numba")
         b = exhaustive_search(spec, backend="numpy")
         assert a.best_colors == b.best_colors
@@ -301,8 +341,8 @@ def test_exhaustive_all_green_single_coloring():
 
 def test_runs_without_numba(tmp_path):
     # Block the numba import in a fresh interpreter: the default backend must
-    # fall back to numpy, the numba backend must run its kernels
-    # interpreted, and both must reproduce the known grid(2) answer.
+    # be numpy, the numba backend must run its kernels interpreted, and both
+    # must reproduce the known grid(2) answer.
     import subprocess
     import sys
 
