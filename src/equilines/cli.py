@@ -2,8 +2,8 @@
 
 Subcommands: analyze, verify, bounds, search, proofcheck, generate.
 Exit codes: 0 = every evaluated check passed or was inapplicable,
-1 = some check came back unsatisfied (or a certified claim was refuted),
-2 = input or usage error.
+1 = some check came back unsatisfied (or a certified claim was refuted,
+or an internal cross-check failed), 2 = input or usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bounds import BoundTheorem, evaluate_bound
-from .errors import ClaimRefutedError, EquilinesError
+from .errors import ClaimRefutedError, EquilinesError, InternalInconsistencyError
 from .generators import discriminant_of, generate
 from .geometry import GREEN
 from .inequalities import InequalityKind, evaluate
@@ -189,6 +189,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except InternalInconsistencyError as exc:
+        sys.stderr.write(f"error: internal inconsistency: {exc}\n")
+        return 1
     except EquilinesError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -37,7 +37,8 @@ class ConfigError(EquilinesError):
 
 
 class InternalInconsistencyError(EquilinesError):
-    """An identity that is a theorem failed: the geometry kernel has a bug."""
+    """An internal cross-check failed (a counting identity, or the exact
+    recount of a search winner): the program has a bug."""
 
 
 class ClaimRefutedError(EquilinesError):

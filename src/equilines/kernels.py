@@ -12,25 +12,18 @@ integer (bounds are compared via scaled integers, never floats).
 both directions (``IncidenceArrays``, held by ``geometry.Incidence``).
 Every kernel reads those arrays; no array of lines times points is built.
 
-Two backends run two different algorithms for the same results:
+One algorithm runs per search mode:
 
-  * numba: incremental depth-first enumeration, and a move replay that
-    updates the per-line green counts of every proposal and reverts the
-    rejected ones; jitted when numba imports, plain Python otherwise,
-  * numpy: chunked vectorized evaluation (a CSR gather and per-line sum),
-    and a gain-table move replay in plain Python that scores each
+  * exhaustive: chunked vectorized evaluation, a CSR gather and per-line
+    sum over each chunk of colorings in lexicographic order,
+  * local: a gain-table move replay in plain Python that scores each
     proposal in O(1) from per-point gains and updates them only on
     accepted swaps.
 
-numpy is the default on every host, so no report depends on whether
-numba imports; numba only jits the numba backend's reference algorithms.
-A report's backend field names the kernel algorithm, not whether it was
-compiled.  Every kernel takes the selection table by line size,
-sel[m, g]; the reference kernels read its per-line view.  Both backends
-visit colorings in the same order (the exhaustive scan) or follow the
-same proposals (the move replay) and break ties on the best count toward
-the lexicographically smallest green index tuple, so results are
-backend-independent.
+Both take the selection table by line size, sel[m, g], and break ties on
+the best count toward the lexicographically smallest green index tuple.
+The test suite holds incremental reference algorithms for both modes and
+checks these kernels against them.
 """
 
 from __future__ import annotations
@@ -46,29 +39,11 @@ if TYPE_CHECKING:
     from .geometry import DeterminedLines
     from .profiles import EquichromaticQuery
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Return the named backend, or "numpy" when none is named, on every
-    host.  "numba" is available on every host; without numba its kernels
-    run interpreted."""
-    if backend is None:
-        return "numpy"
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return backend
+def resolve_backend() -> str:
+    """The name of the search algorithms a report's backend field records:
+    "numpy" on every host."""
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -115,185 +90,29 @@ def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> n
     return sel
 
 
-def _exhaustive_scan(
-    point_indptr,
-    point_lines,
-    sel,
-    n_green,
-    bound_num,
-    bound_den,
-):
-    """Depth-first enumeration of all n_green-subsets in lexicographic
-    order, maintaining per-line green counts and the selected-line total
-    incrementally.  Returns (best_actual, best_combo, violations, examined).
-    """
-    n_lines = sel.shape[0]
-    n_points = point_indptr.shape[0] - 1
-    counts = np.zeros(n_lines, dtype=np.int64)
-    actual = np.int64(0)
-    for li in range(n_lines):
-        actual += sel[li, 0]
-    combo = np.empty(n_green, dtype=np.int64)
-    best = np.empty(n_green, dtype=np.int64)
-    best_actual = np.int64(-1)
-    violations = np.int64(0)
-    examined = np.int64(0)
-    depth = 0
-    v = 0
-    while True:
-        if n_points - v < n_green - depth:
-            if depth == 0:
-                break
-            depth -= 1
-            v = combo[depth]
-            for ci in range(point_indptr[v], point_indptr[v + 1]):
-                li = point_lines[ci]
-                c = counts[li]
-                actual += sel[li, c - 1] - sel[li, c]
-                counts[li] = c - 1
-            v += 1
-            continue
-        combo[depth] = v
-        for ci in range(point_indptr[v], point_indptr[v + 1]):
-            li = point_lines[ci]
-            c = counts[li]
-            actual += sel[li, c + 1] - sel[li, c]
-            counts[li] = c + 1
-        if depth == n_green - 1:
-            examined += 1
-            if actual * bound_den < bound_num:
-                violations += 1
-            if best_actual < 0 or actual < best_actual:
-                best_actual = actual
-                best[:] = combo
-            for ci in range(point_indptr[v], point_indptr[v + 1]):
-                li = point_lines[ci]
-                c = counts[li]
-                actual += sel[li, c - 1] - sel[li, c]
-                counts[li] = c - 1
-            v += 1
-        else:
-            depth += 1
-            v = combo[depth - 1] + 1
-    return best_actual, best, violations, examined
-
-
-def _descent_replay(
-    point_indptr,
-    point_lines,
-    sel,
-    initial_green,
-    initial_red,
-    moves_green,
-    moves_red,
-    bound_num,
-    bound_den,
-):
-    """Replay a pregenerated swap-move sequence, accepting moves that do
-    not increase the selected-line count.  Proposals are evaluated via
-    count deltas; rejected moves are reverted exactly.  Ties on the best
-    count go to the lexicographically smaller green index tuple."""
-    n_lines = sel.shape[0]
-    n_green = initial_green.shape[0]
-    greens = initial_green.copy()
-    reds = initial_red.copy()
-    counts = np.zeros(n_lines, dtype=np.int64)
-    actual = np.int64(0)
-    for li in range(n_lines):
-        actual += sel[li, 0]
-    for gi in range(n_green):
-        p = greens[gi]
-        for ci in range(point_indptr[p], point_indptr[p + 1]):
-            li = point_lines[ci]
-            c = counts[li]
-            actual += sel[li, c + 1] - sel[li, c]
-            counts[li] = c + 1
-    best = greens.copy()
-    best_actual = actual
-    violations = np.int64(0)
-    examined = np.int64(1)
-    if actual * bound_den < bound_num:
-        violations += 1
-    for t in range(moves_green.shape[0]):
-        gp = greens[moves_green[t]]
-        rp = reds[moves_red[t]]
-        candidate = actual
-        for ci in range(point_indptr[gp], point_indptr[gp + 1]):
-            li = point_lines[ci]
-            c = counts[li]
-            candidate += sel[li, c - 1] - sel[li, c]
-            counts[li] = c - 1
-        for ci in range(point_indptr[rp], point_indptr[rp + 1]):
-            li = point_lines[ci]
-            c = counts[li]
-            candidate += sel[li, c + 1] - sel[li, c]
-            counts[li] = c + 1
-        examined += 1
-        if candidate * bound_den < bound_num:
-            violations += 1
-        if candidate <= actual:
-            actual = candidate
-            # Swap gp -> rp in greens and rp -> gp in reds, keeping both
-            # arrays sorted (shift-based replace, arrays are short).
-            pos = 0
-            while greens[pos] != gp:
-                pos += 1
-            while pos + 1 < n_green and greens[pos + 1] < rp:
-                greens[pos] = greens[pos + 1]
-                pos += 1
-            while pos > 0 and greens[pos - 1] > rp:
-                greens[pos] = greens[pos - 1]
-                pos -= 1
-            greens[pos] = rp
-            n_red = reds.shape[0]
-            pos = 0
-            while reds[pos] != rp:
-                pos += 1
-            while pos + 1 < n_red and reds[pos + 1] < gp:
-                reds[pos] = reds[pos + 1]
-                pos += 1
-            while pos > 0 and reds[pos - 1] > gp:
-                reds[pos] = reds[pos - 1]
-                pos -= 1
-            reds[pos] = gp
-            improved = actual < best_actual
-            if actual == best_actual:
-                for i in range(n_green):
-                    if greens[i] != best[i]:
-                        improved = greens[i] < best[i]
-                        break
-            if improved:
-                best_actual = actual
-                best[:] = greens
-        else:
-            for ci in range(point_indptr[gp], point_indptr[gp + 1]):
-                counts[point_lines[ci]] += 1
-            for ci in range(point_indptr[rp], point_indptr[rp + 1]):
-                counts[point_lines[ci]] -= 1
-    return best_actual, best, violations, examined
-
-
-_exhaustive_scan_nb = njit(cache=True)(_exhaustive_scan)
-_descent_replay_nb = njit(cache=True)(_descent_replay)
-
 # Colorings per chunk times incidences: bounds every per-chunk array.
 _CHUNK_ELEMENTS = 1 << 22
 
 
-def _exhaustive_numpy(
+def exhaustive_scan(
     incidence: IncidenceArrays,
     sel: np.ndarray,
     n_green: int,
     bound_num: int,
     bound_den: int,
-):
-    """Vectorized exhaustive scan over chunks of colorings.  Lines are
-    grouped by size from the CSR, skipping sizes whose selection row is
-    all 0; for the m-point lines, m column gathers of the chunk's green
-    flags sum to their green counts, which index sel[m].  Deliberately a
-    different algorithm from the depth-first scan so the two backends
-    cross-check each other."""
+) -> tuple[int, np.ndarray, int, int]:
+    """Evaluate every coloring with n_green green points (1 <= n_green <= N).
+
+    Returns (best_actual, best green index tuple, violations, examined);
+    the best coloring is the lexicographically smallest among minimizers.
+    The colorings are scanned in lexicographic chunks.  Lines are grouped
+    by size from the CSR, skipping sizes whose selection row is all 0; for
+    the m-point lines, m column gathers of the chunk's green flags sum to
+    their green counts, which index sel[m].
+    """
     n_points = incidence.n_points
+    if not 1 <= n_green <= n_points:
+        raise ValueError(f"n_green must be in [1, {n_points}]")
     sizes = incidence.line_sizes
     groups = []  # (points of the m-point lines, L_m x m; their selection row)
     for m in np.flatnonzero(sel.any(axis=1)).tolist():
@@ -352,29 +171,41 @@ def _gain_tables(sel_row: list[int], m: int):
     return dm, dp, fix, down, up
 
 
-def _descent_gain_table(
+def descent_replay(
     incidence: IncidenceArrays,
     sel: np.ndarray,
     initial_green: np.ndarray,
-    initial_red: np.ndarray,
     moves_green: np.ndarray,
     moves_red: np.ndarray,
     bound_num: int,
     bound_den: int,
-):
-    """Move replay that scores each proposal in O(1) from per-point gains.
+) -> tuple[int, np.ndarray, int, int]:
+    """Replay a seeded swap-move sequence from an initial coloring.
 
-    With the per-line gains dm and dp of _gain_tables at the current green
-    counts, rem[p] sums dm and add[p] sums dp over the lines through p.  A
-    swap of green gp and red rp leaves the count of the one line l through
-    both unchanged, so it changes the selected count by rem[gp] + add[rp]
-    - dm_l - dp_l.  Only accepted swaps touch the tables: gp turns red and
+    A proposal swaps the green and red points at the move arrays' positions
+    in the sorted green and red index lists; it is accepted when it does
+    not raise the selected-line count.  Returns (best_actual, best green
+    index tuple, violations, examined); ties on the best count go to the
+    lexicographically smaller green tuple.
+
+    Each proposal is scored in O(1) from per-point gains.  With the
+    per-line gains dm and dp of _gain_tables at the current green counts,
+    rem[p] sums dm and add[p] sums dp over the lines through p.  A swap of
+    green gp and red rp leaves the count of the one line l through both
+    unchanged, so it changes the selected count by rem[gp] + add[rp] -
+    dm_l - dp_l.  Only accepted swaps touch the tables: gp turns red and
     rp turns green, and each line whose gains change passes the change to
-    its member points.  Proposals, acceptance and the tie-break are those
-    of _descent_replay, so the results agree with it.  Python ints and
-    lists throughout, since scalar numpy access is slower.
+    its member points.  Python ints and lists throughout, since scalar
+    numpy access is slower.
     """
     n_points = incidence.n_points
+    initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
+    mask = np.ones(n_points, dtype=bool)
+    mask[initial_green] = False
+    greens = initial_green.tolist()
+    reds = np.flatnonzero(mask).tolist()
+    moves_green = np.ascontiguousarray(moves_green, dtype=np.int64)
+    moves_red = np.ascontiguousarray(moves_red, dtype=np.int64)
     sizes = incidence.line_sizes.tolist()
     indptr = incidence.point_indptr.tolist()
     point_lines = incidence.point_lines.tolist()
@@ -394,8 +225,6 @@ def _descent_gain_table(
     tables = [by_size[m] for m in sizes]
     fix, down, up = ([t[i] for t in tables] for i in (2, 3, 4))
 
-    greens = initial_green.tolist()
-    reds = initial_red.tolist()
     counts = [0] * len(sizes)
     for p in greens:
         for li in lines_of[p]:
@@ -438,76 +267,4 @@ def _descent_gain_table(
         if actual < best_actual or (actual == best_actual and greens < best):
             best_actual = actual
             best = list(greens)
-    return best_actual, best, violations, 1 + len(moves_green)
-
-
-def exhaustive_scan(
-    incidence: IncidenceArrays,
-    sel: np.ndarray,
-    n_green: int,
-    bound_num: int,
-    bound_den: int,
-    backend: str | None = None,
-) -> tuple[int, np.ndarray, int, int]:
-    """Evaluate every coloring with n_green green points (1 <= n_green <= N).
-
-    Returns (best_actual, best green index tuple, violations, examined);
-    the best coloring is the lexicographically smallest among minimizers.
-    """
-    if not 1 <= n_green <= incidence.n_points:
-        raise ValueError(f"n_green must be in [1, {incidence.n_points}]")
-    which = resolve_backend(backend)
-    if which == "numpy":
-        best_actual, best, violations, examined = _exhaustive_numpy(
-            incidence, sel, n_green, bound_num, bound_den
-        )
-    else:
-        best_actual, best, violations, examined = _exhaustive_scan_nb(
-            incidence.point_indptr, incidence.point_lines, sel[incidence.line_sizes],
-            np.int64(n_green), np.int64(bound_num), np.int64(bound_den),
-        )
-    return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
-
-
-def descent_replay(
-    incidence: IncidenceArrays,
-    sel: np.ndarray,
-    initial_green: np.ndarray,
-    moves_green: np.ndarray,
-    moves_red: np.ndarray,
-    bound_num: int,
-    bound_den: int,
-    backend: str | None = None,
-) -> tuple[int, np.ndarray, int, int]:
-    """Replay a seeded swap-move sequence from an initial coloring.
-
-    A proposal swaps the green and red points at the move arrays' positions
-    in the sorted green and red index lists; it is accepted when it does
-    not raise the selected-line count.  Returns (best_actual, best green
-    index tuple, violations, examined); ties on the best count go to the
-    lexicographically smaller green tuple.  The backends score proposals
-    by different algorithms: "numba" updates the per-line green counts of
-    every proposal and reverts the rejected ones, "numpy" reads per-point
-    gain tables and touches them only on accepted swaps.  Both follow the
-    same proposals and acceptance rule, so the outcome does not depend on
-    the backend.
-    """
-    which = resolve_backend(backend)
-    initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
-    mask = np.ones(incidence.n_points, dtype=bool)
-    mask[initial_green] = False
-    initial_red = np.flatnonzero(mask).astype(np.int64)
-    moves_green = np.ascontiguousarray(moves_green, dtype=np.int64)
-    moves_red = np.ascontiguousarray(moves_red, dtype=np.int64)
-    if which == "numpy":
-        best_actual, best, violations, examined = _descent_gain_table(
-            incidence, sel, initial_green, initial_red, moves_green, moves_red,
-            bound_num, bound_den,
-        )
-    else:
-        best_actual, best, violations, examined = _descent_replay_nb(
-            incidence.point_indptr, incidence.point_lines, sel[incidence.line_sizes],
-            initial_green, initial_red, moves_green, moves_red,
-            np.int64(bound_num), np.int64(bound_den),
-        )
-    return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
+    return best_actual, np.asarray(best, dtype=np.int64), violations, 1 + len(moves_green)

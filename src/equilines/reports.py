@@ -22,6 +22,7 @@ from .errors import ConfigError
 from .generators import check_point_count
 from .geometry import COLORS, ColoredConfiguration, ProjPoint
 from .inequalities import InequalityReport, evaluate_all
+from .kernels import resolve_backend
 from .profiles import IdentityReport, LineProfile, compute_profile, verify_identities
 from .proofcheck import SignCertificate
 from .quadfield import Discriminant, format_element, parse_element
@@ -213,7 +214,7 @@ def search_section(result: SearchResult) -> dict:
         "k": num(result.spec.k),
         "n_green": num(result.spec.n_green),
         "seed": num(result.spec.seed),
-        "backend": result.backend,
+        "backend": resolve_backend(),
         "colorings_examined": num(result.colorings_examined),
         "violations": num(result.violations),
         "all_inapplicable": result.all_inapplicable,

@@ -34,12 +34,7 @@ from .bounds import (
 )
 from .errors import InternalInconsistencyError, SearchCapError
 from .geometry import GREEN, RED, ColoredConfiguration, Incidence, ProjPoint
-from .kernels import (
-    descent_replay,
-    exhaustive_scan,
-    resolve_backend,
-    selection_table,
-)
+from .kernels import descent_replay, exhaustive_scan, selection_table
 from .quadfield import Discriminant
 
 EXHAUSTIVE = "exhaustive"
@@ -103,7 +98,6 @@ class SearchResult:
     violations: int
     all_inapplicable: bool
     precondition_detail: str
-    backend: str
 
     @property
     def bound_violated(self) -> bool:
@@ -156,7 +150,6 @@ def _finish(
     best_actual: int,
     violations: int,
     examined: int,
-    backend: str,
 ) -> SearchResult:
     colors = colors_from_green_indices(spec.total, best_green)
     config = ColoredConfiguration(
@@ -170,7 +163,7 @@ def _finish(
     if report.actual != best_actual:
         raise InternalInconsistencyError(
             f"kernel count {best_actual} != exact recount {report.actual} "
-            "for the best coloring"
+            f"for the best coloring, green points {best_green.tolist()}"
         )
     return SearchResult(
         spec=spec,
@@ -180,11 +173,10 @@ def _finish(
         violations=violations,
         all_inapplicable=False,
         precondition_detail=prep.detail,
-        backend=backend,
     )
 
 
-def _inapplicable(spec: SearchSpec, prep: _Prepared, backend: str) -> SearchResult:
+def _inapplicable(spec: SearchSpec, prep: _Prepared) -> SearchResult:
     return SearchResult(
         spec=spec,
         best_colors=None,
@@ -193,40 +185,36 @@ def _inapplicable(spec: SearchSpec, prep: _Prepared, backend: str) -> SearchResu
         violations=0,
         all_inapplicable=True,
         precondition_detail=prep.detail,
-        backend=backend,
     )
 
 
-def exhaustive_search(spec: SearchSpec, backend: str | None = None) -> SearchResult:
+def exhaustive_search(spec: SearchSpec) -> SearchResult:
     """Evaluate every coloring with the spec's (n, k); minimal slack wins,
     ties going to the lexicographically smallest green index tuple."""
     if spec.mode != EXHAUSTIVE:
         raise ValueError("spec.mode must be 'exhaustive'")
-    which = resolve_backend(backend)
     prep = _prepare(spec)
     if not prep.applicable:
-        return _inapplicable(spec, prep, which)
+        return _inapplicable(spec, prep)
     best_actual, best_green, violations, examined = exhaustive_scan(
-        prep.base.csr, prep.sel, spec.n_green,
-        prep.bound.numerator, prep.bound.denominator, backend=which,
+        prep.base.csr, prep.sel, spec.n_green, prep.bound.numerator, prep.bound.denominator
     )
-    return _finish(spec, prep, best_green, best_actual, violations, examined, which)
+    return _finish(spec, prep, best_green, best_actual, violations, examined)
 
 
-def local_search(spec: SearchSpec, backend: str | None = None) -> SearchResult:
+def local_search(spec: SearchSpec) -> SearchResult:
     """Seeded stochastic hill-descent on slack with green/red swap moves.
 
     The move sequence is pregenerated from the seed, so a fixed spec
-    yields an identical result on every backend.  Swaps preserve n and k
-    by construction.  Budget counts proposed moves beyond the initial
-    coloring; rejected proposals still count as examined colorings.
+    yields an identical result.  Swaps preserve n and k by construction.
+    Budget counts proposed moves beyond the initial coloring; rejected
+    proposals still count as examined colorings.
     """
     if spec.mode != LOCAL:
         raise ValueError("spec.mode must be 'local'")
-    which = resolve_backend(backend)
     prep = _prepare(spec)
     if not prep.applicable:
-        return _inapplicable(spec, prep, which)
+        return _inapplicable(spec, prep)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n, n_red = spec.n_green, spec.total - spec.n_green
     initial_green = np.sort(rng.permutation(spec.total)[:n]).astype(np.int64)
@@ -238,12 +226,12 @@ def local_search(spec: SearchSpec, backend: str | None = None) -> SearchResult:
         moves_r = rng.integers(0, n_red, size=spec.budget, dtype=np.int64)
     best_actual, best_green, violations, examined = descent_replay(
         prep.base.csr, prep.sel, initial_green, moves_g, moves_r,
-        prep.bound.numerator, prep.bound.denominator, backend=which,
+        prep.bound.numerator, prep.bound.denominator,
     )
-    return _finish(spec, prep, best_green, best_actual, violations, examined, which)
+    return _finish(spec, prep, best_green, best_actual, violations, examined)
 
 
-def run_search(spec: SearchSpec, backend: str | None = None) -> SearchResult:
+def run_search(spec: SearchSpec) -> SearchResult:
     if spec.mode == EXHAUSTIVE:
-        return exhaustive_search(spec, backend)
-    return local_search(spec, backend)
+        return exhaustive_search(spec)
+    return local_search(spec)

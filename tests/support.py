@@ -1,4 +1,6 @@
-"""Shared test helpers: seeded random configurations and brute-force oracles."""
+"""Shared test helpers: seeded random configurations, brute-force oracles,
+and the incremental reference algorithms the search kernels are checked
+against."""
 
 from __future__ import annotations
 
@@ -6,6 +8,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from equilines import kernels, search
 from equilines.geometry import (
     GREEN,
     RED,
@@ -133,3 +139,217 @@ def brute_force_scan(
             best_actual = actual
             best_combo = combo
     return best_actual, best_combo, violations, examined
+
+
+def _exhaustive_scan(
+    point_indptr,
+    point_lines,
+    sel,
+    n_green,
+    bound_num,
+    bound_den,
+):
+    """Depth-first enumeration of all n_green-subsets in lexicographic
+    order, maintaining per-line green counts and the selected-line total
+    incrementally.  Returns (best_actual, best_combo, violations, examined).
+    """
+    n_lines = sel.shape[0]
+    n_points = point_indptr.shape[0] - 1
+    counts = np.zeros(n_lines, dtype=np.int64)
+    actual = np.int64(0)
+    for li in range(n_lines):
+        actual += sel[li, 0]
+    combo = np.empty(n_green, dtype=np.int64)
+    best = np.empty(n_green, dtype=np.int64)
+    best_actual = np.int64(-1)
+    violations = np.int64(0)
+    examined = np.int64(0)
+    depth = 0
+    v = 0
+    while True:
+        if n_points - v < n_green - depth:
+            if depth == 0:
+                break
+            depth -= 1
+            v = combo[depth]
+            for ci in range(point_indptr[v], point_indptr[v + 1]):
+                li = point_lines[ci]
+                c = counts[li]
+                actual += sel[li, c - 1] - sel[li, c]
+                counts[li] = c - 1
+            v += 1
+            continue
+        combo[depth] = v
+        for ci in range(point_indptr[v], point_indptr[v + 1]):
+            li = point_lines[ci]
+            c = counts[li]
+            actual += sel[li, c + 1] - sel[li, c]
+            counts[li] = c + 1
+        if depth == n_green - 1:
+            examined += 1
+            if actual * bound_den < bound_num:
+                violations += 1
+            if best_actual < 0 or actual < best_actual:
+                best_actual = actual
+                best[:] = combo
+            for ci in range(point_indptr[v], point_indptr[v + 1]):
+                li = point_lines[ci]
+                c = counts[li]
+                actual += sel[li, c - 1] - sel[li, c]
+                counts[li] = c - 1
+            v += 1
+        else:
+            depth += 1
+            v = combo[depth - 1] + 1
+    return best_actual, best, violations, examined
+
+
+def _descent_replay(
+    point_indptr,
+    point_lines,
+    sel,
+    initial_green,
+    initial_red,
+    moves_green,
+    moves_red,
+    bound_num,
+    bound_den,
+):
+    """Replay a pregenerated swap-move sequence, accepting moves that do
+    not increase the selected-line count.  Proposals are evaluated via
+    count deltas; rejected moves are reverted exactly.  Ties on the best
+    count go to the lexicographically smaller green index tuple."""
+    n_lines = sel.shape[0]
+    n_green = initial_green.shape[0]
+    greens = initial_green.copy()
+    reds = initial_red.copy()
+    counts = np.zeros(n_lines, dtype=np.int64)
+    actual = np.int64(0)
+    for li in range(n_lines):
+        actual += sel[li, 0]
+    for gi in range(n_green):
+        p = greens[gi]
+        for ci in range(point_indptr[p], point_indptr[p + 1]):
+            li = point_lines[ci]
+            c = counts[li]
+            actual += sel[li, c + 1] - sel[li, c]
+            counts[li] = c + 1
+    best = greens.copy()
+    best_actual = actual
+    violations = np.int64(0)
+    examined = np.int64(1)
+    if actual * bound_den < bound_num:
+        violations += 1
+    for t in range(moves_green.shape[0]):
+        gp = greens[moves_green[t]]
+        rp = reds[moves_red[t]]
+        candidate = actual
+        for ci in range(point_indptr[gp], point_indptr[gp + 1]):
+            li = point_lines[ci]
+            c = counts[li]
+            candidate += sel[li, c - 1] - sel[li, c]
+            counts[li] = c - 1
+        for ci in range(point_indptr[rp], point_indptr[rp + 1]):
+            li = point_lines[ci]
+            c = counts[li]
+            candidate += sel[li, c + 1] - sel[li, c]
+            counts[li] = c + 1
+        examined += 1
+        if candidate * bound_den < bound_num:
+            violations += 1
+        if candidate <= actual:
+            actual = candidate
+            # Swap gp -> rp in greens and rp -> gp in reds, keeping both
+            # arrays sorted (shift-based replace, arrays are short).
+            pos = 0
+            while greens[pos] != gp:
+                pos += 1
+            while pos + 1 < n_green and greens[pos + 1] < rp:
+                greens[pos] = greens[pos + 1]
+                pos += 1
+            while pos > 0 and greens[pos - 1] > rp:
+                greens[pos] = greens[pos - 1]
+                pos -= 1
+            greens[pos] = rp
+            n_red = reds.shape[0]
+            pos = 0
+            while reds[pos] != rp:
+                pos += 1
+            while pos + 1 < n_red and reds[pos + 1] < gp:
+                reds[pos] = reds[pos + 1]
+                pos += 1
+            while pos > 0 and reds[pos - 1] > gp:
+                reds[pos] = reds[pos - 1]
+                pos -= 1
+            reds[pos] = gp
+            improved = actual < best_actual
+            if actual == best_actual:
+                for i in range(n_green):
+                    if greens[i] != best[i]:
+                        improved = greens[i] < best[i]
+                        break
+            if improved:
+                best_actual = actual
+                best[:] = greens
+        else:
+            for ci in range(point_indptr[gp], point_indptr[gp + 1]):
+                counts[point_lines[ci]] += 1
+            for ci in range(point_indptr[rp], point_indptr[rp + 1]):
+                counts[point_lines[ci]] -= 1
+    return best_actual, best, violations, examined
+
+
+def oracle_exhaustive_scan(incidence, sel, n_green, bound_num, bound_den):
+    """kernels.exhaustive_scan computed by the depth-first reference scan."""
+    best_actual, best, violations, examined = _exhaustive_scan(
+        incidence.point_indptr, incidence.point_lines, sel[incidence.line_sizes],
+        np.int64(n_green), np.int64(bound_num), np.int64(bound_den),
+    )
+    return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
+
+
+def oracle_descent_replay(
+    incidence, sel, initial_green, moves_green, moves_red, bound_num, bound_den
+):
+    """kernels.descent_replay computed by the reference replay, which
+    updates the per-line green counts of every proposal and reverts the
+    rejected ones."""
+    initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
+    mask = np.ones(incidence.n_points, dtype=bool)
+    mask[initial_green] = False
+    initial_red = np.flatnonzero(mask).astype(np.int64)
+    best_actual, best, violations, examined = _descent_replay(
+        incidence.point_indptr, incidence.point_lines, sel[incidence.line_sizes],
+        initial_green, initial_red,
+        np.ascontiguousarray(moves_green, dtype=np.int64),
+        np.ascontiguousarray(moves_red, dtype=np.int64),
+        np.int64(bound_num), np.int64(bound_den),
+    )
+    return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
+
+
+KERNELS = ("oracle", "kernel")
+# Parametrization over KERNELS.  The ids name the two former search
+# backends whose algorithms these are, so the suite's test ids stayed the
+# same when the reference algorithms moved into the tests.
+KERNEL_PARAMS = [pytest.param("oracle", id="numba"), pytest.param("kernel", id="numpy")]
+
+
+def use_kernels(monkeypatch, which: str) -> None:
+    """Point the search at the production kernels ("kernel") or at the
+    reference algorithms ("oracle") for the rest of the monkeypatch."""
+    if which == "oracle":
+        scan, replay = oracle_exhaustive_scan, oracle_descent_replay
+    elif which == "kernel":
+        scan, replay = kernels.exhaustive_scan, kernels.descent_replay
+    else:
+        raise ValueError(f"unknown kernels {which!r}")
+    monkeypatch.setattr(search, "exhaustive_scan", scan)
+    monkeypatch.setattr(search, "descent_replay", replay)
+
+
+def run_with_kernels(which: str, spec):
+    """search.run_search(spec) on the kernels named by which."""
+    with pytest.MonkeyPatch.context() as mp:
+        use_kernels(mp, which)
+        return search.run_search(spec)

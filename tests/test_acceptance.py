@@ -7,7 +7,7 @@ lines.  Every expected value is exact; there are no tolerances anywhere.
 import time
 from fractions import Fraction
 
-from support import random_config, random_real_config
+from support import KERNELS, random_config, random_real_config, run_with_kernels
 
 from equilines.bounds import BoundTheorem, evaluate_all_bounds
 from equilines.generators import generate, grid, hesse, random_rational
@@ -204,13 +204,14 @@ def test_criterion_7_determinism_and_io():
     doc3, _ = analysis_document(reparsed)
     assert dump_json(doc3) == dump_json(doc1)
 
-    # local search is reproducible for a fixed seed, on either backend
+    # local search is reproducible for a fixed seed, on the kernel and on
+    # the reference replay
     spec = SearchSpec(
         points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=5, budget=2000
     )
     first = local_search(spec)
-    for backend in ("numba", "numpy"):
-        repeat = local_search(spec, backend=backend)
+    for which in KERNELS:
+        repeat = run_with_kernels(which, spec)
         assert repeat.best_colors == first.best_colors
         assert repeat.best_report == first.best_report
         assert repeat.colorings_examined == first.colorings_examined

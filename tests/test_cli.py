@@ -7,11 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from support import KERNELS, run_with_kernels
+
 import equilines
 from equilines.bounds import BoundTheorem
+from equilines import search
 from equilines.cli import run_cli
 from equilines.generators import MAX_POINTS, generate, hesse
 from equilines.geometry import GREEN, configuration
+from equilines.kernels import resolve_backend
+from equilines.profiles import IDENTITIES, Identity
 from equilines.proofcheck import MAX_WINDOW
 from equilines.reports import (
     analysis_document,
@@ -20,7 +25,7 @@ from equilines.reports import (
     parse_config,
     search_section,
 )
-from equilines.search import SearchSpec, run_search
+from equilines.search import SearchSpec
 
 
 def write_config(tmp_path, name, doc):
@@ -265,14 +270,41 @@ def test_cli_search_local(capsys):
 
 
 def test_cli_search_backend_env():
-    # The numba backend must run with or without numba installed
-    # (interpreted when it does not import) and agree with numpy.
+    # The kernel and the reference algorithm give the same search report.
     spec = SearchSpec(points=generate("grid(2)"), k=0, theorem=BoundTheorem.EQUI_SIX)
     docs = {}
-    for backend in ("numba", "numpy"):
-        docs[backend] = search_section(run_search(spec, backend=backend))
-        assert docs[backend].pop("backend") == backend
-    assert docs["numba"] == docs["numpy"]
+    for which in KERNELS:
+        docs[which] = search_section(run_with_kernels(which, spec))
+        assert docs[which].pop("backend") == resolve_backend()
+    assert docs["oracle"] == docs["kernel"]
+
+
+def test_cli_search_recount_mismatch_exits_one(monkeypatch, capsys):
+    # A kernel that miscounts is caught by the exact recount of the winner:
+    # an internal error (exit 1) that names the winner, not a usage error.
+    scan = search.exhaustive_scan
+
+    def miscounting_scan(*args):
+        best_actual, best, violations, examined = scan(*args)
+        return best_actual + 1, best, violations, examined
+
+    monkeypatch.setattr(search, "exhaustive_scan", miscounting_scan)
+    code = run_cli(["search", "--generator", "grid(3)", "--k", "1", "--theorem", "equisix"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal inconsistency: ")
+    assert "exact recount" in err
+    assert "green points [0, 1, 4, 5, 6]" in err
+
+
+def test_cli_analyze_failed_identity_exits_one(tmp_path, monkeypatch, capsys):
+    row = IDENTITIES["mixed_pairs"]
+    monkeypatch.setitem(
+        IDENTITIES, "mixed_pairs", Identity(row.weight, lambda n, k: row.rhs(n, k) + 1)
+    )
+    path = write_config(tmp_path, "square.json", square_doc())
+    assert run_cli(["analyze", path]) == 1
+    assert capsys.readouterr().err.startswith("error: internal inconsistency: ")
 
 
 def test_cli_search_parity_error(capsys):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from support import random_config
+from support import KERNEL_PARAMS, random_config, use_kernels
 
 from equilines import geometry, kernels, profiles
 from equilines.bounds import BoundTheorem
@@ -105,7 +105,7 @@ def test_search_enumerates_once_per_spec(enumerations, mode):
     spec = SearchSpec(
         points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode, budget=200
     )
-    result = run_search(spec, backend="numpy")
+    result = run_search(spec)
     assert result.best_report is not None
     assert enumerations == [9]
 
@@ -137,12 +137,13 @@ def test_analysis_builds_arrays_once_per_config(builds):
 
 
 @pytest.mark.parametrize("mode", [EXHAUSTIVE, LOCAL])
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_search_builds_arrays_once_per_spec(builds, mode, backend):
+@pytest.mark.parametrize("which", KERNEL_PARAMS)
+def test_search_builds_arrays_once_per_spec(builds, monkeypatch, mode, which):
+    use_kernels(monkeypatch, which)
     spec = SearchSpec(
         points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode, budget=200
     )
-    result = run_search(spec, backend=backend)
+    result = run_search(spec)
     assert result.best_report is not None
     assert builds == [9]
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import brute_force_scan
+import support
+from support import KERNEL_PARAMS, KERNELS, brute_force_scan, run_with_kernels, use_kernels
 
 import equilines
-from equilines import kernels, search
+from equilines import search
 from equilines.bounds import BoundTheorem, bound_value, theorem_info
 from equilines.errors import SearchCapError
 from equilines.generators import grid, hesse, near_pencil, random_rational
@@ -25,29 +26,11 @@ from equilines.search import (
     run_search,
 )
 
-BACKENDS = ("numba", "numpy")
-
 
 def test_backend_resolution():
-    assert resolve_backend("numpy") == "numpy"
-    assert resolve_backend("numba") == "numba"  # interpreted without numba
     assert resolve_backend() == "numpy"
-    assert resolve_backend(None) == resolve_backend()
-    for name in ("auto", "bogus"):
-        with pytest.raises(ValueError):
-            resolve_backend(name)
-
-
-def test_default_backend_is_numpy_with_numba(monkeypatch):
-    # The default must not depend on whether numba imports.
-    specs = [
-        SearchSpec(points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX),
-        SearchSpec(points=grid(4), k=2, theorem=BoundTheorem.EQUI_FOUR, mode="local", budget=500),
-    ]
-    unpatched = [search_section(run_search(spec)) for spec in specs]
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-    assert resolve_backend() == "numpy"
-    assert [search_section(run_search(spec)) for spec in specs] == unpatched
+    spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX)
+    assert search_section(run_search(spec))["backend"] == resolve_backend()
 
 
 def test_selection_table_matches_query():
@@ -63,7 +46,7 @@ def test_selection_table_matches_query():
                 for g in range(width):
                     selected = m in base.size_counts and g <= m and query.selects(g, m - g)
                     assert sel[m, g] == int(selected)
-            # The per-line view the reference kernels read.
+            # The per-line view the reference algorithms read.
             per_line = [[int(g <= m and query.selects(g, m - g)) for g in range(width)]
                         for m in sizes]
             assert sel[base.csr.line_sizes].tolist() == per_line
@@ -78,7 +61,7 @@ def test_backends_agree_when_a_present_size_selects_nothing():
     for mode in ("exhaustive", "local"):
         spec = SearchSpec(points=grid(5), k=21, theorem=BoundTheorem.EQUI_FOUR, mode=mode,
                           seed=3, budget=300)
-        results = [run_search(spec, backend=b) for b in BACKENDS]
+        results = [run_with_kernels(which, spec) for which in KERNELS]
         assert not results[0].all_inapplicable
         assert results[0].colorings_examined == (300 if mode == "exhaustive" else 301)
         assert local_outcome(results[0]) == local_outcome(results[1])
@@ -136,10 +119,11 @@ def test_local_cap(monkeypatch):
     assert exc.value.coloring_count == 11
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_exhaustive_grid2_all_colorings(backend):
+@pytest.mark.parametrize("which", KERNEL_PARAMS)
+def test_exhaustive_grid2_all_colorings(monkeypatch, which):
+    use_kernels(monkeypatch, which)
     spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX)
-    result = exhaustive_search(spec, backend=backend)
+    result = exhaustive_search(spec)
     assert result.colorings_examined == 6
     assert result.violations == 0
     assert not result.all_inapplicable
@@ -148,10 +132,11 @@ def test_exhaustive_grid2_all_colorings(backend):
     assert result.best_colors.count(GREEN) == 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_exhaustive_near_pencil_inapplicable(backend):
+@pytest.mark.parametrize("which", KERNEL_PARAMS)
+def test_exhaustive_near_pencil_inapplicable(monkeypatch, which):
+    use_kernels(monkeypatch, which)
     spec = SearchSpec(points=near_pencil(5), k=1, theorem=BoundTheorem.EQUI_SIX)
-    result = exhaustive_search(spec, backend=backend)
+    result = exhaustive_search(spec)
     assert result.all_inapplicable
     assert result.colorings_examined == 0
     assert result.best_colors is None and result.best_report is None
@@ -186,8 +171,8 @@ def test_kernels_match_brute_force_oracle(base, k, theorem):
         base, n_green, info.query, bound
     )
     spec = SearchSpec(points=base, k=k, theorem=theorem)
-    for backend in BACKENDS:
-        result = exhaustive_search(spec, backend=backend)
+    for which in KERNELS:
+        result = run_with_kernels(which, spec)
         if result.all_inapplicable:
             pytest.skip("precondition fails for this base/(n, k)")
         assert result.best_report.actual == oracle_best
@@ -197,12 +182,13 @@ def test_kernels_match_brute_force_oracle(base, k, theorem):
         assert greens == oracle_combo
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_local_budget_zero_returns_initial(backend):
+@pytest.mark.parametrize("which", KERNEL_PARAMS)
+def test_local_budget_zero_returns_initial(monkeypatch, which):
+    use_kernels(monkeypatch, which)
     spec = SearchSpec(
         points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=4, budget=0
     )
-    result = local_search(spec, backend=backend)
+    result = local_search(spec)
     assert result.colorings_examined == 1
     assert result.violations == 0
     rng = np.random.Generator(np.random.PCG64(4))
@@ -247,16 +233,16 @@ def local_outcome(result):
 def test_local_deterministic_and_backend_independent():
     cases = [
         (grid(4), 2, BoundTheorem.EQUI_FOUR, 11, 3000),
-        # About 90% of these proposals are accepted, so the numpy backend's
-        # gain tables are updated on most moves.
+        # About 90% of these proposals are accepted, so the kernel's gain
+        # tables are updated on most moves.
         (random_rational(18, seed=1, bound=9), 0, BoundTheorem.EQUI_SIX, 0, 5000),
     ]
     for base, k, theorem, seed, budget in cases:
         spec = SearchSpec(
             points=base, k=k, theorem=theorem, mode="local", seed=seed, budget=budget
         )
-        results = [local_search(spec, backend=b) for b in BACKENDS]
-        results.append(local_search(spec, backend=BACKENDS[0]))
+        results = [run_with_kernels(which, spec) for which in KERNELS]
+        results.append(run_with_kernels(KERNELS[0], spec))
         first = local_outcome(results[0])
         for other in results[1:]:
             assert local_outcome(other) == first
@@ -273,8 +259,8 @@ def test_local_deterministic_and_backend_independent():
     budget=st.integers(0, 400),
 )
 def test_local_backends_agree(total, base_seed, bound, theorem, k_index, seed, budget):
-    # The numpy backend's gain-table replay against the incremental replay
-    # of the numba backend (jitted or interpreted), on every valid k.
+    # The kernel's gain-table replay against the incremental reference
+    # replay, on every valid k.
     ks = range(total % 2, total + 1, 2)
     spec = SearchSpec(
         points=random_rational(total, seed=base_seed, bound=bound),
@@ -284,18 +270,45 @@ def test_local_backends_agree(total, base_seed, bound, theorem, k_index, seed, b
         seed=seed,
         budget=budget,
     )
-    numba_result = local_search(spec, backend="numba")
-    assert local_outcome(local_search(spec, backend="numpy")) == local_outcome(numba_result)
+    oracle_result = run_with_kernels("oracle", spec)
+    assert local_outcome(run_with_kernels("kernel", spec)) == local_outcome(oracle_result)
 
 
 def test_exhaustive_backend_equivalence():
     for k, theorem in ((0, BoundTheorem.EQUI_SIX), (2, BoundTheorem.EQUI_FOUR)):
         spec = SearchSpec(points=grid(4), k=k, theorem=theorem)
-        a = exhaustive_search(spec, backend="numba")
-        b = exhaustive_search(spec, backend="numpy")
+        a = run_with_kernels("oracle", spec)
+        b = run_with_kernels("kernel", spec)
         assert a.best_colors == b.best_colors
         assert a.best_report == b.best_report
         assert (a.colorings_examined, a.violations) == (b.colorings_examined, b.violations)
+
+
+def test_use_kernels_reaches_the_oracles(monkeypatch):
+    # Under "oracle" each search runs its oracle exactly once, and under
+    # "kernel" never; otherwise a kernel-versus-oracle test would compare
+    # the kernel with itself.
+    calls = []
+    for name in ("oracle_exhaustive_scan", "oracle_descent_replay"):
+        oracle = getattr(support, name)
+
+        def counting(*args, name=name, oracle=oracle):
+            calls.append(name)
+            return oracle(*args)
+
+        monkeypatch.setattr(support, name, counting)
+    specs = [
+        SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX),
+        SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", budget=50),
+    ]
+    for spec in specs:
+        run_with_kernels("kernel", spec)
+    assert calls == []
+    use_kernels(monkeypatch, "oracle")
+    exhaustive_search(specs[0])
+    assert calls == ["oracle_exhaustive_scan"]
+    local_search(specs[1])
+    assert calls == ["oracle_exhaustive_scan", "oracle_descent_replay"]
 
 
 def test_swap_moves_preserve_n_and_k():
@@ -340,9 +353,9 @@ def test_exhaustive_all_green_single_coloring():
 
 
 def test_runs_without_numba(tmp_path):
-    # Block the numba import in a fresh interpreter: the default backend must
-    # be numpy, the numba backend must run its kernels interpreted, and both
-    # must reproduce the known grid(2) answer.
+    # Block and record every numba import in a fresh interpreter: both
+    # search modes must run, reproduce the known grid(2) answer, and never
+    # try to import numba.
     import subprocess
     import sys
 
@@ -350,25 +363,26 @@ def test_runs_without_numba(tmp_path):
     script.write_text(
         "import sys\n"
         "from importlib.abc import MetaPathFinder\n"
+        "attempts = []\n"
         "class Block(MetaPathFinder):\n"
         "    def find_spec(self, fullname, path, target=None):\n"
         "        if fullname == 'numba' or fullname.startswith('numba.'):\n"
+        "            attempts.append(fullname)\n"
         "            raise ImportError('numba blocked')\n"
         "sys.meta_path.insert(0, Block())\n"
-        "from equilines.kernels import HAVE_NUMBA, resolve_backend\n"
-        "assert not HAVE_NUMBA\n"
-        "assert resolve_backend() == 'numpy'\n"
         "from equilines.bounds import BoundTheorem\n"
         "from equilines.generators import grid\n"
-        "from equilines.search import SearchSpec, exhaustive_search\n"
+        "from equilines.search import SearchSpec, exhaustive_search, local_search\n"
         "spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX)\n"
         "result = exhaustive_search(spec)\n"
         "assert result.colorings_examined == 6 and result.violations == 0\n"
         "assert result.best_report.actual == 4\n"
-        "assert resolve_backend('numba') == 'numba'\n"
-        "result = exhaustive_search(spec, backend='numba')\n"
-        "assert result.colorings_examined == 6 and result.violations == 0\n"
+        "spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX, mode='local',\n"
+        "                  budget=50)\n"
+        "result = local_search(spec)\n"
+        "assert result.colorings_examined == 51 and result.violations == 0\n"
         "assert result.best_report.actual == 4\n"
+        "assert attempts == [], attempts\n"
         "print('numpy fallback ok')\n",
         encoding="utf-8",
     )
