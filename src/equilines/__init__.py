@@ -50,10 +50,8 @@ from .profiles import (
     verify_identities,
 )
 from .proofcheck import (
-    CoefficientTable,
     InequalityTemplate,
     SignCertificate,
-    build_table,
     verify_sign_claim,
 )
 from .quadfield import Discriminant, QuadElement, parse_element, format_element, quad
@@ -66,7 +64,6 @@ __all__ = [
     "BoundReport",
     "BoundTheorem",
     "ClaimRefutedError",
-    "CoefficientTable",
     "ColoredConfiguration",
     "ConfigError",
     "DegeneratePairError",
@@ -95,7 +92,6 @@ __all__ = [
     "affine_point",
     "analysis_document",
     "bound_value",
-    "build_table",
     "collinear",
     "compute_profile",
     "configuration",

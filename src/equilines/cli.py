@@ -9,6 +9,7 @@ or an internal cross-check failed), 2 = input or usage error.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .generators import discriminant_of, generate
 from .geometry import GREEN
 from .inequalities import InequalityKind, evaluate
 from .profiles import compute_profile
-from .proofcheck import template_for, verify_sign_claim
+from .proofcheck import TEMPLATES, verify_sign_claim
 from .reports import (
     analysis_document,
     bound_section,
@@ -75,10 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=SearchSpec.budget)
 
     p = sub.add_parser("proofcheck", parents=[common], help="certify coefficient claims")
-    p.add_argument(
-        "--theorem", required=True, choices=("equisix", "equifour")
-    )
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--theorem", required=True, choices=[th.value for th in TEMPLATES])
 
     p = sub.add_parser("generate", parents=[common], help="emit a config document")
     p.add_argument("--name", required=True, metavar="SPEC")
@@ -153,12 +151,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_proofcheck(args) -> int:
-    theorem = _THEOREM_NAMES[args.theorem]
-    window = args.window
-    if window is None:
-        window = template_for(theorem).tail_threshold
     try:
-        cert = verify_sign_claim(theorem, window)
+        cert = verify_sign_claim(_THEOREM_NAMES[args.theorem])
     except ClaimRefutedError as exc:
         sys.stdout.write(f"claim refuted: {exc}\n")
         return 1
@@ -185,12 +179,13 @@ _COMMANDS = {
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InternalInconsistencyError as exc:
         sys.stderr.write(f"error: internal inconsistency: {exc}\n")
+        sys.stderr.write(f"reproduce: {shlex.join(['equilines', *argv])}\n")
         return 1
     except EquilinesError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -15,10 +15,10 @@ inapplicable-but-violated cases are instructive diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Mapping
 
 from .geometry import ColoredConfiguration, Incidence
 
@@ -32,14 +32,29 @@ class InequalityKind(Enum):
 
 
 @dataclass(frozen=True)
+class Side:
+    """One side's weight of t_m: the polynomial sum coeffs[d] * m^d, except
+    at the small sizes listed in ``exceptions``."""
+
+    coeffs: tuple[int, ...] = ()
+    exceptions: Mapping[int, int | Fraction] = field(default_factory=dict)
+
+    def __call__(self, m: int) -> int | Fraction:
+        if m in self.exceptions:
+            return self.exceptions[m]
+        return sum(c * m**d for d, c in enumerate(self.coeffs))
+
+
+@dataclass(frozen=True)
 class Inequality:
     """sum left(m) t_m >= constant(N) + sum right(m) t_m, applicable when at
     most limit(N) points are collinear (``label`` names that limit), or in
     the real plane when ``limit`` is None.  The report keeps each term on
-    the side the literature writes it."""
+    the side the literature writes it.  Above the last exception of either
+    side the weight is one polynomial in m; proofcheck derives its tail there."""
 
-    left: Callable[[int], int | Fraction]
-    right: Callable[[int], int]
+    left: Side
+    right: Side
     constant: Callable[[int], int | Fraction]
     limit: Callable[[int], Fraction] | None
     label: str
@@ -49,23 +64,24 @@ class Inequality:
         return self.left(m) - self.right(m)
 
 
-_ZERO = lambda m: 0  # noqa: E731
 _TWO_THIRDS = lambda n: Fraction(2 * n, 3)  # noqa: E731
+# Weights from Hirzebruch (1983) and Pokora, "Hirzebruch-type inequalities
+# viewed as tools in combinatorics"; lines have m >= 2 points.
 INEQUALITIES: dict[InequalityKind, Inequality] = {
-    InequalityKind.MELCHIOR: Inequality(lambda m: 3 - m, _ZERO, lambda n: 3, None, ""),
+    InequalityKind.MELCHIOR: Inequality(Side((3, -1)), Side(), lambda n: 3, None, ""),
     InequalityKind.LANGER: Inequality(
-        lambda m: m, _ZERO, lambda n: Fraction(n * (n + 3), 3), _TWO_THIRDS, "2N/3"
+        Side((0, 1)), Side(), lambda n: Fraction(n * (n + 3), 3), _TWO_THIRDS, "2N/3"
     ),
     InequalityKind.HIRZEBRUCH_LINEAR: Inequality(
-        lambda m: int(m in (2, 3)), lambda m: max(m - 4, 0), lambda n: n,
+        Side(exceptions={2: 1, 3: 1}), Side((-4, 1), {2: 0, 3: 0}), lambda n: n,
         lambda n: Fraction(n - 2), "N-2",
     ),
     InequalityKind.HIRZEBRUCH_QUADRATIC: Inequality(
-        lambda m: {2: 1, 3: Fraction(3, 4)}.get(m, 0), lambda m: max(2 * m - 9, 0),
+        Side(exceptions={2: 1, 3: Fraction(3, 4)}), Side((-9, 2), {2: 0, 3: 0, 4: 0}),
         lambda n: n, lambda n: Fraction(n - 3), "N-3",
     ),
     InequalityKind.BOJANOWSKI_POKORA: Inequality(
-        lambda m: 4 * m - m * m, _ZERO, lambda n: 4 * n, _TWO_THIRDS, "2N/3"
+        Side((0, 4, -1)), Side(), lambda n: 4 * n, _TWO_THIRDS, "2N/3"
     ),
 }
 

@@ -6,12 +6,15 @@ identities (``profiles.IDENTITIES``) and one incidence inequality
 rows, and its per-cell coefficient alpha(i, j) and right-hand side
 RHS(n, k) are derived from them.  The claim is a finite exceptional set:
 finitely many cells on the inequality's side of zero, everything else on
-the other.  It ranges over infinitely many cells, so certification is a
-finite enumeration over a window plus a hard-coded analytic tail bound
-whose hypothesis (window >= threshold) the code asserts.  The count
-bound RHS / extreme holds under the template inequality's gate, for the
-lines in cells the theorem's query selects, and must equal
-``bounds.bound_value``; ``verify_sign_claim`` checks all three.
+the other.  Above the inequality row's last exception alpha is a
+polynomial of degree at most 2 in (i, j): the row's data says so for its
+part, and the identity rows are taken to be such polynomials, as the rhs
+step takes their right-hand sides to be.  So a tail threshold T is
+derived from an exact fit of alpha, and only the cells with i + j < T
+are enumerated.  The count bound RHS / extreme holds under the template
+inequality's gate, for the lines in cells the theorem's query selects,
+and must equal ``bounds.bound_value``; ``verify_sign_claim`` checks all
+three.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ from .profiles import IDENTITIES
 
 Cell = tuple[int, int]
 
-# Certification enumerates O(window^2) cells: 500 takes about a second,
-# 1500 about ten, so larger windows are refused rather than left to run.
-MAX_WINDOW = 500
-
 
 @dataclass(frozen=True)
 class InequalityTemplate:
@@ -41,16 +40,12 @@ class InequalityTemplate:
     The combination reads sum alpha(i, j) t_{i,j} >= RHS(n, k) when the
     inequality's sign is +1, claiming finitely many positive cells, and
     <= RHS(n, k) when it is -1, claiming finitely many negative cells.
-    The tail certificate is an analytic fact covering every cell with
-    i + j >= tail_threshold; enumeration covers the rest.
     """
 
     name: str
     identities: tuple[tuple[int, str], ...]
     inequality: tuple[int, InequalityKind]
     claimed_cells: Mapping[Cell, Fraction]
-    tail_threshold: int
-    tail_certificate: str
 
     def coefficient(self, i: int, j: int) -> Fraction:
         sign, kind = self.inequality
@@ -68,19 +63,9 @@ EQUI_SIX_TEMPLATE = InequalityTemplate(
     identities=((+1, "same_color_pairs"), (-1, "mixed_pairs")),
     inequality=(-1, InequalityKind.HIRZEBRUCH_LINEAR),
     claimed_cells={
-        (1, 1): Fraction(-2),
-        (1, 2): Fraction(-2),
-        (2, 1): Fraction(-2),
-        (2, 2): Fraction(-2),
-        (2, 3): Fraction(-1),
-        (3, 2): Fraction(-1),
-        (3, 3): Fraction(-1),
+        (1, 1): Fraction(-2), (1, 2): Fraction(-2), (2, 1): Fraction(-2), (2, 2): Fraction(-2),
+        (2, 3): Fraction(-1), (3, 2): Fraction(-1), (3, 3): Fraction(-1),
     },
-    tail_threshold=8,
-    tail_certificate=(
-        "for s = i+j >= 8: alpha = (i-j)^2/2 + s/2 - 4 >= s/2 - 4 >= 0, "
-        "so every cell beyond the enumerated window is nonnegative"
-    ),
 )
 
 EQUI_FOUR_TEMPLATE = InequalityTemplate(
@@ -88,67 +73,29 @@ EQUI_FOUR_TEMPLATE = InequalityTemplate(
     identities=((+1, "incidence_balance"),),
     inequality=(+1, InequalityKind.BOJANOWSKI_POKORA),
     claimed_cells={
-        (0, 2): Fraction(2),
-        (2, 0): Fraction(2),
-        (1, 1): Fraction(6),
-        (1, 2): Fraction(5),
-        (2, 1): Fraction(5),
-        (2, 2): Fraction(4),
+        (0, 2): Fraction(2), (2, 0): Fraction(2), (1, 1): Fraction(6),
+        (1, 2): Fraction(5), (2, 1): Fraction(5), (2, 2): Fraction(4),
     },
-    tail_threshold=5,
-    tail_certificate=(
-        "for s = i+j >= 5: 5s - s^2 <= 0 and -(i-j)^2 <= 0, so "
-        "alpha = 5s - s^2 - (i-j)^2 <= 0 beyond the enumerated window"
-    ),
 )
 
-_TEMPLATES: dict[BoundTheorem, InequalityTemplate] = {
+TEMPLATES: dict[BoundTheorem, InequalityTemplate] = {
     BoundTheorem.EQUI_SIX: EQUI_SIX_TEMPLATE,
     BoundTheorem.EQUI_FOUR: EQUI_FOUR_TEMPLATE,
 }
 
 
 def template_for(theorem: BoundTheorem) -> InequalityTemplate:
-    if theorem not in _TEMPLATES:
+    if theorem not in TEMPLATES:
         raise ValueError(f"no coefficient template for {theorem.value}")
-    return _TEMPLATES[theorem]
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    theorem: BoundTheorem
-    window: int
-    entries: tuple[tuple[Cell, Fraction], ...]
-
-    def as_dict(self) -> dict[Cell, Fraction]:
-        return dict(self.entries)
-
-
-def _window_cells(window: int):
-    for s in range(2, window + 1):
-        for i in range(s + 1):
-            yield (i, s - i)
-
-
-def build_table(theorem: BoundTheorem, window: int) -> CoefficientTable:
-    """Exact alpha_{i,j} for every cell with 2 <= i + j <= window."""
-    if window < 4:
-        raise ValueError("window must be >= 4")
-    tpl = template_for(theorem)
-    entries = tuple((cell, tpl.coefficient(*cell)) for cell in _window_cells(window))
-    return CoefficientTable(theorem, window, entries)
+    return TEMPLATES[theorem]
 
 
 @dataclass(frozen=True)
 class SignCertificate:
-    """Record of a verified exceptional-cell claim.
-
-    Construction happens only after enumeration confirmed the claim; the
-    tail certificate extends it to all cells beyond the window.
-    """
+    """Record of a verified exceptional-cell claim: enumeration confirmed it
+    on the cells with i + j < tail_threshold, the tail certificate beyond."""
 
     template_name: str
-    window: int
     exceptional_cells: tuple[tuple[Cell, Fraction], ...]
     cells_checked: int
     tail_threshold: int
@@ -158,58 +105,103 @@ class SignCertificate:
     extreme_coefficient: Fraction
 
 
-def verify_template_sign_claim(tpl: InequalityTemplate, window: int) -> SignCertificate:
-    """Enumerate the window and check the claimed exceptional set exactly.
+# alpha beyond m0 in the basis u^a * s^b with u = i - j and s = i + j
+_TERMS = ((2, 0), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
+_TERM_TEXT = ("*(i-j)^2", "*(i-j)*s", "*(i-j)", "*s^2", "*s", "")
+
+
+def _text(coeffs, terms=_TERM_TEXT) -> str:
+    text = " + ".join(f"{c}{t}" for c, t in zip(coeffs, terms) if c) or "0"
+    return text.replace("+ -", "- ")
+
+
+def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Exact Gauss-Jordan solution of a nonsingular square system."""
+    m = [[*row, b] for row, b in zip(rows, rhs)]
+    for c in range(len(m)):
+        p = next(r for r in range(c, len(m)) if m[r][c])
+        m[c], m[p] = m[p], m[c]
+        pivot = m[c] = [x / m[c][c] for x in m[c]]
+        m = [r if r is pivot else [x - r[c] * y for x, y in zip(r, pivot)] for r in m]
+    return [row[-1] for row in m]
+
+
+def _tail(tpl: InequalityTemplate) -> tuple[int, str]:
+    """The threshold T from which every cell has alpha on the claimed
+    non-exceptional side of zero, with its certificate text."""
+    sign, kind = tpl.inequality
+    row = INEQUALITIES[kind]
+    m0 = max((*row.left.exceptions, *row.right.exceptions), default=1) + 1
+
+    def basis(i, j):
+        return [Fraction((i - j) ** a * (i + j) ** b) for a, b in _TERMS]
+
+    lattice = [(a, m0 + b) for a in range(3) for b in range(3 - a)]
+    fit = _solve([basis(*c) for c in lattice], [tpl.coefficient(*c) for c in lattice])
+    A, us, u, c2, c1, c0 = fit
+    q = lambda s: c2 * s * s + c1 * s + c0  # noqa: E731
+    lead = next((c for c in (c2, c1, c0) if c), 0)
+    rel = "<=" if sign > 0 else ">="
+    grid = [(i, s - i) for s in range(m0, m0 + 5) for i in range(s + 1)]
+    if us or u or sign * A > 0 or sign * lead > 0 or any(
+        sum(f * x for f, x in zip(fit, basis(*c))) != tpl.coefficient(*c) for c in grid
+    ):
+        raise ClaimRefutedError(
+            f"{tpl.name} tail: the fit alpha = {_text(fit)} for i+j >= {m0} is not "
+            f"A*(i-j)^2 + q(i+j) with A {rel} 0 and q's leading coefficient {rel} 0, "
+            f"or it misses a cell with i+j <= {m0 + 4}"
+        )
+    t = m0
+    while sign * q(t) > 0 or sign * (q(t + 1) - q(t)) > 0:
+        t += 1
+    return t, (
+        f"for s = i+j >= {t}: alpha = A*(i-j)^2 + q(s) with A = {A} {rel} 0 and "
+        f"q(s) = {_text(fit[3:], _TERM_TEXT[3:])}; q({t}) = {q(t)} {rel} 0 and "
+        f"q(s+1) - q(s) = {_text((2 * c2, c1 + c2), ('*s', ''))} {rel} 0 from s = {t} on, "
+        f"so alpha {rel} 0"
+    )
+
+
+def verify_template_sign_claim(tpl: InequalityTemplate) -> SignCertificate:
+    """Derive the tail, then check the claimed exceptional set exactly on
+    every cell below it (and on every claimed cell).
 
     Raises ClaimRefutedError at the first offending cell: a claimed value
     that differs, a claimed cell that is not exceptional, or an unclaimed
     cell on the exceptional side of zero.
     """
-    if window < tpl.tail_threshold:
-        raise ValueError(
-            f"window {window} cannot certify {tpl.name}: the tail bound only "
-            f"covers i+j >= {tpl.tail_threshold}"
-        )
-    if window > MAX_WINDOW:
-        raise ValueError(f"window {window} exceeds the limit of {MAX_WINDOW}")
-    sign = tpl.inequality[0]
-    checked = 0
-    for cell in _window_cells(window):
+    threshold, certificate = _tail(tpl)
+    end = max(threshold, *(i + j + 1 for i, j in tpl.claimed_cells))
+    cells = [(i, s - i) for s in range(2, end) for i in range(s + 1)]
+    for cell in cells:
         value = tpl.coefficient(*cell)
-        checked += 1
         claimed = tpl.claimed_cells.get(cell)
         if claimed is not None:
             if value != claimed:
                 raise ClaimRefutedError(
                     f"{tpl.name} sign: cell {cell} has coefficient {value}, claimed {claimed}",
-                    cell,
-                    claimed,
-                    value,
+                    cell, claimed, value,
                 )
-        elif sign * value > 0:
+        elif tpl.inequality[0] * value > 0:
             raise ClaimRefutedError(
                 f"{tpl.name} sign: unclaimed cell {cell} has exceptional-sign "
                 f"coefficient {value}",
-                cell,
-                Fraction(0),
-                value,
+                cell, Fraction(0), value,
             )
-    extreme = max(tpl.claimed_cells.values(), key=abs)
     return SignCertificate(
         template_name=tpl.name,
-        window=window,
         exceptional_cells=tuple(sorted(tpl.claimed_cells.items())),
-        cells_checked=checked,
-        tail_threshold=tpl.tail_threshold,
-        tail_certificate=tpl.tail_certificate,
-        extreme_coefficient=extreme,
+        cells_checked=len(cells),
+        tail_threshold=threshold,
+        tail_certificate=certificate,
+        extreme_coefficient=max(tpl.claimed_cells.values(), key=abs),
     )
 
 
-def verify_sign_claim(theorem: BoundTheorem, window: int) -> SignCertificate:
+def verify_sign_claim(theorem: BoundTheorem) -> SignCertificate:
     """Certify the theorem's count bound from its template.
 
-    Beyond the template's sign claim and tail, three links to the bounds
+    Beyond the template's sign claim and derived tail, three links to the bounds
     module are checked: the theorem's gate is the template inequality's,
     its query selects every exceptional cell (so the lines those cells
     count are lines the bound counts), and RHS / extreme equals
@@ -218,7 +210,7 @@ def verify_sign_claim(theorem: BoundTheorem, window: int) -> SignCertificate:
     Raises ClaimRefutedError naming the step that failed.
     """
     tpl = template_for(theorem)
-    cert = verify_template_sign_claim(tpl, window)
+    cert = verify_template_sign_claim(tpl)
     info = theorem_info(theorem)
     if info.gate is not tpl.inequality[1]:
         raise ClaimRefutedError(

@@ -193,7 +193,6 @@ def bound_section(report: BoundReport) -> dict:
 def certificate_section(cert: SignCertificate) -> dict:
     return {
         "template": cert.template_name,
-        "window": num(cert.window),
         "cells_checked": num(cert.cells_checked),
         "exceptional_cells": [
             {"greens": num(i), "reds": num(j), "coefficient": num(v)}
@@ -286,14 +285,14 @@ def render_text(doc: dict, decimal: bool = False) -> str:
     if "certificates" in doc:
         for c in doc["certificates"]:
             out.append(
-                f"certificate {c['template']}: window {c['window']}, "
-                f"{c['cells_checked']} cells checked, verified={c['verified']}"
+                f"certificate {c['template']}: {c['cells_checked']} cells checked, "
+                f"verified={c['verified']}"
             )
             for cell in c["exceptional_cells"]:
                 out.append(
                     f"  alpha[{cell['greens']},{cell['reds']}] = {cell['coefficient']}"
                 )
-            out.append(f"  tail (i+j >= {c['tail_threshold']}): {c['tail_certificate']}")
+            out.append(f"  tail: {c['tail_certificate']}")
     if "search" in doc:
         s = doc["search"]
         out.append(

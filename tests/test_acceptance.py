@@ -37,7 +37,7 @@ def test_criterion_1_identity_suite():
 
 def test_criterion_2_coefficient_reproduction():
     start = time.perf_counter()
-    six = verify_sign_claim(BoundTheorem.EQUI_SIX, 8)
+    six = verify_sign_claim(BoundTheorem.EQUI_SIX)
     assert dict(six.exceptional_cells) == {
         (1, 1): Fraction(-2),
         (1, 2): Fraction(-2),
@@ -47,9 +47,9 @@ def test_criterion_2_coefficient_reproduction():
         (3, 2): Fraction(-1),
         (3, 3): Fraction(-1),
     }
-    assert six.tail_threshold == 8 and six.window == 8
+    assert six.tail_threshold == 8
 
-    four = verify_sign_claim(BoundTheorem.EQUI_FOUR, 5)
+    four = verify_sign_claim(BoundTheorem.EQUI_FOUR)
     assert dict(four.exceptional_cells) == {
         (0, 2): Fraction(2),
         (2, 0): Fraction(2),
@@ -58,7 +58,7 @@ def test_criterion_2_coefficient_reproduction():
         (2, 1): Fraction(5),
         (2, 2): Fraction(4),
     }
-    assert four.tail_threshold == 5 and four.window == 5
+    assert four.tail_threshold == 5
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"coefficient reproduction took {elapsed:.2f}s (limit 1s)"
     _report(2, "coefficient tables and tail certificates", elapsed)

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -12,12 +15,11 @@ from support import KERNELS, run_with_kernels
 import equilines
 from equilines.bounds import BoundTheorem
 from equilines import search
-from equilines.cli import run_cli
+from equilines.cli import _build_parser, run_cli
 from equilines.generators import MAX_POINTS, generate, hesse
 from equilines.geometry import GREEN, configuration
 from equilines.kernels import resolve_backend
 from equilines.profiles import IDENTITIES, Identity
-from equilines.proofcheck import MAX_WINDOW
 from equilines.reports import (
     analysis_document,
     config_document,
@@ -214,7 +216,7 @@ def test_cli_bounds(tmp_path, capsys):
 
 
 def test_cli_proofcheck(capsys):
-    assert run_cli(["proofcheck", "--theorem", "equisix", "--window", "8"]) == 0
+    assert run_cli(["proofcheck", "--theorem", "equisix"]) == 0
     out = capsys.readouterr().out
     assert "verified" in out
     assert run_cli(["proofcheck", "--theorem", "equifour", "--format", "json"]) == 0
@@ -222,8 +224,31 @@ def test_cli_proofcheck(capsys):
     assert len(doc["certificates"][0]["exceptional_cells"]) == 6
 
 
-def test_cli_proofcheck_window_too_small(capsys):
-    assert run_cli(["proofcheck", "--theorem", "equisix", "--window", "7"]) == 2
+def test_cli_proofcheck_takes_no_window(capsys):
+    # The tail threshold is derived, so there is no window to choose.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["proofcheck", "--theorem", "equisix", "--window", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window 8" in capsys.readouterr().err
+
+
+def test_readme_cli_block_matches_parser():
+    # Each synopsis line in README's CLI block documents exactly the flags
+    # of its subcommand, apart from the options every subcommand shares.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    shared = {"-h", "--help", "--format", "--decimal"}
+    documented = {
+        line.split()[1]: set(re.findall(r"--[a-z-]+", line)) - shared
+        for line in block.splitlines()
+    }
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert documented == {
+        name: {o for a in sub._actions for o in a.option_strings} - shared
+        for name, sub in subparsers.choices.items()
+    }
 
 
 def test_cli_search(capsys):
@@ -295,6 +320,9 @@ def test_cli_search_recount_mismatch_exits_one(monkeypatch, capsys):
     assert err.startswith("error: internal inconsistency: ")
     assert "exact recount" in err
     assert "green points [0, 1, 4, 5, 6]" in err
+    assert err.endswith(
+        "\nreproduce: equilines search --generator 'grid(3)' --k 1 --theorem equisix\n"
+    )
 
 
 def test_cli_analyze_failed_identity_exits_one(tmp_path, monkeypatch, capsys):
@@ -304,7 +332,10 @@ def test_cli_analyze_failed_identity_exits_one(tmp_path, monkeypatch, capsys):
     )
     path = write_config(tmp_path, "square.json", square_doc())
     assert run_cli(["analyze", path]) == 1
-    assert capsys.readouterr().err.startswith("error: internal inconsistency: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal inconsistency: ")
+    assert err.endswith(f"\nreproduce: equilines analyze {shlex.quote(path)}\n")
 
 
 def test_cli_search_parity_error(capsys):
@@ -335,7 +366,6 @@ def test_cli_rejects_infeasible_random_rational_quickly(capsys):
         (["generate", "--name", "grid(400)"], f"limit of {MAX_POINTS}"),
         (["search", "--generator", "random_rational(5000,0,9)", "--k", "0",
           "--theorem", "equisix"], f"limit of {MAX_POINTS}"),
-        (["proofcheck", "--theorem", "equisix", "--window", "100000"], f"limit of {MAX_WINDOW}"),
         # C(36, 18) = 9,075,135,300 colorings: rejected before any work.
         (["search", "--generator", "grid(6)", "--k", "0", "--theorem", "equisix"],
          "cap 10000000"),

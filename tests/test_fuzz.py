@@ -108,8 +108,10 @@ def argvs(draw, path):
     elif command == "generate":
         argv = ["generate", "--name", draw(generator_specs)]
     elif command == "proofcheck":
-        window = draw(st.integers(-5, 60) | st.integers(501, 10**12))
-        argv = ["proofcheck", "--theorem", draw(theorems), "--window", str(window)]
+        # --window is gone, so a stray one must be a usage error (exit 2).
+        window = draw(st.none() | st.integers(-5, 60))
+        argv = ["proofcheck", "--theorem", draw(theorems)]
+        argv += [] if window is None else ["--window", str(window)]
     else:
         argv = [
             "search",
@@ -138,5 +140,7 @@ def test_run_cli_fuzz(tmp_path, capsys, data, text):
     out, err = capsys.readouterr()
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2), (argv, code)
+    if "--window" in argv:
+        assert code == 2, (argv, code)
     assert (err if code == 2 else out).strip(), (argv, code)
     assert elapsed < SECONDS, (argv, elapsed)

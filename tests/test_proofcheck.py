@@ -8,19 +8,24 @@ from equilines import bounds, proofcheck
 from equilines.bounds import BoundTheorem, bound_value
 from equilines.cli import run_cli
 from equilines.errors import ClaimRefutedError
-from equilines.inequalities import INEQUALITIES, InequalityKind
+from equilines.inequalities import INEQUALITIES, InequalityKind, Side
 from equilines.profiles import IDENTITIES, EquichromaticQuery, Identity
 from equilines.proofcheck import (
     EQUI_FOUR_TEMPLATE,
     EQUI_SIX_TEMPLATE,
-    MAX_WINDOW,
-    build_table,
     template_for,
     verify_sign_claim,
     verify_template_sign_claim,
 )
 
 HIRZEBRUCH_LINEAR = InequalityKind.HIRZEBRUCH_LINEAR
+
+
+def _set_side(monkeypatch, kind, side, **fields):
+    """Replace fields of one side of an inequality row for this test."""
+    row = INEQUALITIES[kind]
+    new = dataclasses.replace(getattr(row, side), **fields)
+    monkeypatch.setitem(INEQUALITIES, kind, dataclasses.replace(row, **{side: new}))
 
 
 def pair_imbalance_coefficient(i: int, j: int) -> Fraction:
@@ -55,37 +60,39 @@ def rhs_check(theorem: BoundTheorem, n: int, k: int) -> tuple[Fraction, Fraction
 
 
 def test_equi_six_table_reference_values():
-    table = build_table(BoundTheorem.EQUI_SIX, 8).as_dict()
-    assert table[(1, 1)] == -2
-    assert table[(1, 2)] == -2 and table[(2, 1)] == -2
-    assert table[(2, 2)] == -2
-    assert table[(2, 3)] == -1 and table[(3, 2)] == -1
-    assert table[(3, 3)] == -1
-    assert table[(0, 2)] == 0  # 1 + (-1)
-    assert table[(0, 3)] == 2
-    assert table[(0, 4)] == 6
-    assert table[(1, 3)] == 0
-    assert table[(3, 4)] == 0
+    alpha = template_for(BoundTheorem.EQUI_SIX).coefficient
+    assert alpha(1, 1) == -2
+    assert alpha(1, 2) == -2 and alpha(2, 1) == -2
+    assert alpha(2, 2) == -2
+    assert alpha(2, 3) == -1 and alpha(3, 2) == -1
+    assert alpha(3, 3) == -1
+    assert alpha(0, 2) == 0  # 1 + (-1)
+    assert alpha(0, 3) == 2
+    assert alpha(0, 4) == 6
+    assert alpha(1, 3) == 0
+    assert alpha(3, 4) == 0
 
 
 def test_equi_four_table_reference_values():
-    table = build_table(BoundTheorem.EQUI_FOUR, 6).as_dict()
-    assert table[(1, 1)] == 6
-    assert table[(2, 2)] == 4
-    assert table[(0, 2)] == 2 and table[(2, 0)] == 2
-    assert table[(1, 2)] == 5 and table[(2, 1)] == 5
-    assert table[(1, 3)] == 0  # 20 - 4 - 16
-    assert table[(0, 3)] == -3
-    assert table[(0, 4)] == -12
+    alpha = template_for(BoundTheorem.EQUI_FOUR).coefficient
+    assert alpha(1, 1) == 6
+    assert alpha(2, 2) == 4
+    assert alpha(0, 2) == 2 and alpha(2, 0) == 2
+    assert alpha(1, 2) == 5 and alpha(2, 1) == 5
+    assert alpha(1, 3) == 0  # 20 - 4 - 16
+    assert alpha(0, 3) == -3
+    assert alpha(0, 4) == -12
 
 
 def test_table_window_and_coverage():
-    with pytest.raises(ValueError):
-        build_table(BoundTheorem.EQUI_SIX, 3)
-    table = build_table(BoundTheorem.EQUI_SIX, 8)
-    cells = set(table.as_dict())
-    assert len(cells) == sum(s + 1 for s in range(2, 9))
-    assert all(2 <= i + j <= 8 for i, j in cells)
+    # Enumeration covers exactly the cells below the derived tail threshold.
+    for theorem, threshold, cells in (
+        (BoundTheorem.EQUI_SIX, 8, 33),
+        (BoundTheorem.EQUI_FOUR, 5, 12),
+    ):
+        cert = verify_sign_claim(theorem)
+        assert cert.tail_threshold == threshold
+        assert cert.cells_checked == sum(s + 1 for s in range(2, threshold)) == cells
 
 
 def test_equi_six_decomposes_into_its_two_summands():
@@ -98,7 +105,7 @@ def test_equi_six_decomposes_into_its_two_summands():
 
 
 def test_sign_claim_equi_six():
-    cert = verify_sign_claim(BoundTheorem.EQUI_SIX, 8)
+    cert = verify_sign_claim(BoundTheorem.EQUI_SIX)
     assert len(cert.exceptional_cells) == 7
     assert dict(cert.exceptional_cells) == {
         (1, 1): -2,
@@ -114,7 +121,7 @@ def test_sign_claim_equi_six():
 
 
 def test_sign_claim_equi_four():
-    cert = verify_sign_claim(BoundTheorem.EQUI_FOUR, 5)
+    cert = verify_sign_claim(BoundTheorem.EQUI_FOUR)
     assert len(cert.exceptional_cells) == 6
     assert dict(cert.exceptional_cells) == {
         (0, 2): 2,
@@ -127,36 +134,12 @@ def test_sign_claim_equi_four():
     assert cert.extreme_coefficient == 6
 
 
-def test_sign_claim_window_independent_above_minimum():
-    for window in (8, 9, 12, 16):
-        cert = verify_sign_claim(BoundTheorem.EQUI_SIX, window)
-        assert len(cert.exceptional_cells) == 7
-    for window in (5, 6, 10, 14):
-        cert = verify_sign_claim(BoundTheorem.EQUI_FOUR, window)
-        assert len(cert.exceptional_cells) == 6
-
-
-def test_sign_claim_rejects_small_window():
-    with pytest.raises(ValueError):
-        verify_sign_claim(BoundTheorem.EQUI_SIX, 7)
-    with pytest.raises(ValueError):
-        verify_sign_claim(BoundTheorem.EQUI_FOUR, 4)
-
-
-def test_sign_claim_rejects_window_above_limit():
-    for theorem in (BoundTheorem.EQUI_SIX, BoundTheorem.EQUI_FOUR):
-        with pytest.raises(ValueError, match=f"limit of {MAX_WINDOW}"):
-            verify_sign_claim(theorem, MAX_WINDOW + 1)
-
-
 def test_corrupted_template_is_refuted_at_2_2(monkeypatch):
     # Mutation self-test: nudging the size-4 step by +1 must be caught.
     # The template subtracts the Hirzebruch row, so its size-4 weight drops by 1.
-    row = INEQUALITIES[HIRZEBRUCH_LINEAR]
-    corrupted = dataclasses.replace(row, right=lambda m: row.right(m) + (m == 4))
-    monkeypatch.setitem(INEQUALITIES, HIRZEBRUCH_LINEAR, corrupted)
+    _set_side(monkeypatch, HIRZEBRUCH_LINEAR, "right", exceptions={2: 0, 3: 0, 4: 1})
     with pytest.raises(ClaimRefutedError) as exc:
-        verify_template_sign_claim(EQUI_SIX_TEMPLATE, 8)
+        verify_template_sign_claim(EQUI_SIX_TEMPLATE)
     assert exc.value.cell == (2, 2)
     assert exc.value.expected == -2 and exc.value.actual == -1
 
@@ -168,7 +151,7 @@ def test_unclaimed_exceptional_cell_is_refuted():
         claimed_cells={c: v for c, v in EQUI_FOUR_TEMPLATE.claimed_cells.items() if c != (1, 1)},
     )
     with pytest.raises(ClaimRefutedError) as exc:
-        verify_template_sign_claim(missing_claim, 5)
+        verify_template_sign_claim(missing_claim)
     assert exc.value.cell == (1, 1)
 
 
@@ -218,7 +201,7 @@ def test_pair_imbalance_matches_binomials():
 
 def test_templates_not_available_for_other_theorems():
     with pytest.raises(ValueError):
-        build_table(BoundTheorem.PS1, 8)
+        template_for(BoundTheorem.PS1)
 
 
 def _corrupt_identity(monkeypatch):
@@ -229,10 +212,7 @@ def _corrupt_identity(monkeypatch):
 
 
 def _corrupt_inequality(monkeypatch):
-    kind = InequalityKind.BOJANOWSKI_POKORA
-    row = INEQUALITIES[kind]
-    corrupted = dataclasses.replace(row, left=lambda m: row.left(m) + 1)
-    monkeypatch.setitem(INEQUALITIES, kind, corrupted)
+    _set_side(monkeypatch, InequalityKind.BOJANOWSKI_POKORA, "left", coeffs=(1, 4, -1))
 
 
 def _corrupt_query(monkeypatch):
@@ -267,8 +247,67 @@ def _corrupt_bound(monkeypatch):
     ],
 )
 def test_proofcheck_cli_refutes_mutations(corrupt, theorem, step, monkeypatch, capsys):
-    assert run_cli(["proofcheck", "--theorem", theorem, "--window", "8"]) == 0
+    assert run_cli(["proofcheck", "--theorem", theorem]) == 0
     capsys.readouterr()
     corrupt(monkeypatch)
-    assert run_cli(["proofcheck", "--theorem", theorem, "--window", "8"]) == 1
+    assert run_cli(["proofcheck", "--theorem", theorem]) == 1
     assert f"claim refuted: {step}:" in capsys.readouterr().out
+
+
+def test_tail_is_derived_from_the_tables():
+    six = verify_sign_claim(BoundTheorem.EQUI_SIX)
+    assert six.tail_certificate == (
+        "for s = i+j >= 8: alpha = A*(i-j)^2 + q(s) with A = 1/2 >= 0 and "
+        "q(s) = 1/2*s - 4; q(8) = 0 >= 0 and q(s+1) - q(s) = 1/2 >= 0 from s = 8 on, "
+        "so alpha >= 0"
+    )
+    four = verify_sign_claim(BoundTheorem.EQUI_FOUR)
+    assert four.tail_certificate == (
+        "for s = i+j >= 5: alpha = A*(i-j)^2 + q(s) with A = -1 <= 0 and "
+        "q(s) = -1*s^2 + 5*s; q(5) = 0 <= 0 and q(s+1) - q(s) = -2*s + 4 <= 0 "
+        "from s = 5 on, so alpha <= 0"
+    )
+
+
+def test_large_line_mutation_is_refuted_without_options(monkeypatch, capsys):
+    # A change to the weight of 9-point lines lies above any fixed cut-off
+    # the tail would have had to trust; the exception moves the tail past it.
+    _set_side(monkeypatch, HIRZEBRUCH_LINEAR, "right", exceptions={2: 0, 3: 0, 9: -95})
+    assert run_cli(["proofcheck", "--theorem", "equisix"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("claim refuted: equisix sign: unclaimed cell (0, 9) ")
+    assert "coefficient -59" in out
+
+
+@pytest.mark.parametrize(
+    "kind, side, fields, theorem",
+    [
+        # Bojanowski-Pokora 4m - m^2 -> 4m + m^2: q grows, no threshold.
+        (InequalityKind.BOJANOWSKI_POKORA, "left", {"coeffs": (0, 4, 1)}, "equifour"),
+        # Hirzebruch linear m - 4 -> 4 - m: q falls below zero for large lines.
+        (HIRZEBRUCH_LINEAR, "right", {"coeffs": (4, -1)}, "equisix"),
+        # A cubic weight is not the quadratic the fit assumes.
+        (InequalityKind.BOJANOWSKI_POKORA, "left", {"coeffs": (0, 4, -1, 1)}, "equifour"),
+    ],
+    ids=["bp-square-sign", "hl-linear-sign", "bp-cubic"],
+)
+def test_tail_coefficient_mutation_is_refuted(kind, side, fields, theorem, monkeypatch, capsys):
+    _set_side(monkeypatch, kind, side, **fields)
+    assert run_cli(["proofcheck", "--theorem", theorem]) == 1
+    assert capsys.readouterr().out.startswith(f"claim refuted: {theorem} tail: ")
+
+
+def test_asymmetric_alpha_is_refuted_at_the_tail(monkeypatch):
+    # An (i-j) term breaks the A*(i-j)^2 + q(s) form the tail argument needs.
+    row = IDENTITIES["mixed_pairs"]
+    monkeypatch.setitem(
+        IDENTITIES, "mixed_pairs", Identity(lambda i, j: row.weight(i, j) + i, row.rhs)
+    )
+    with pytest.raises(ClaimRefutedError, match=r"^equisix tail: the fit alpha = .*1/2\*\(i-j\)"):
+        verify_sign_claim(BoundTheorem.EQUI_SIX)
+
+
+def test_side_is_polynomial_above_its_exceptions():
+    side = INEQUALITIES[HIRZEBRUCH_LINEAR].right
+    assert [side(m) for m in range(2, 8)] == [0, 0, 0, 1, 2, 3]
+    assert Side((0, 4, -1))(5) == -5 and Side()(7) == 0
