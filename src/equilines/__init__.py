@@ -56,7 +56,7 @@ from .proofcheck import (
 )
 from .quadfield import Discriminant, QuadElement, parse_element, format_element, quad
 from .reports import analysis_document, parse_config
-from .search import SearchResult, SearchSpec, exhaustive_search, local_search
+from .search import SearchResult, SearchSpec, run_search
 
 __version__ = "0.1.0"
 
@@ -101,18 +101,17 @@ __all__ = [
     "evaluate_all",
     "evaluate_all_bounds",
     "evaluate_bound",
-    "exhaustive_search",
     "format_element",
     "generate",
     "grid",
     "hesse",
     "line_through",
-    "local_search",
     "near_pencil",
     "parse_config",
     "parse_element",
     "quad",
     "random_rational",
+    "run_search",
     "verify_identities",
     "verify_sign_claim",
 ]

@@ -1,11 +1,14 @@
 """Lower bounds on equichromatic line counts, checked against actual profiles.
 
 Six named theorems are evaluated.  Each selects lines by an equichromatic
-query (balance tolerance r, maximum points per line), carries an exact
+query (balance tolerance r, maximum points per line) and carries an exact
 bound in n, k (and sometimes the total line count t) from
-``bound_value``, and takes its precondition from the gate of the
-incidence inequality its ``TheoremInfo`` names, read from
-``inequalities.INEQUALITIES`` at N = 2n - k.
+``bound_value``.  Its precondition is the gate of the incidence
+inequality its ``TheoremInfo`` names, read from
+``inequalities.INEQUALITIES`` at N = 2n - k.  ``verdict`` decides gate
+and bound from the colorless incidence alone, so one verdict covers every
+coloring of a point set with the same (n, k); ``evaluate_bound`` and the
+search both take it from there.
 
 PS1-PS4 are the Purdy-Smith bounds; EQUI_SIX and EQUI_FOUR are the two
 bounds whose derivations the proofcheck module certifies.
@@ -19,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .geometry import ColoredConfiguration, Incidence
-from .inequalities import INEQUALITIES, InequalityKind, gate
+from .inequalities import InequalityKind, gate
 from .profiles import EquichromaticQuery, LineProfile, compute_profile, count_equichromatic
 
 
@@ -102,22 +105,19 @@ def bound_value(
     raise ValueError(f"unknown theorem {theorem!r}")
 
 
-def collinearity_limit(theorem: BoundTheorem, n: int, k: int) -> Fraction | None:
-    """Largest allowed collinear subset; None means only "not all collinear"."""
-    limit = INEQUALITIES[theorem_info(theorem).gate].limit
-    return None if limit is None else limit(2 * n - k)
-
-
-def precondition(
+def verdict(
     theorem: BoundTheorem, n: int, k: int, incidence: Incidence
-) -> tuple[bool, str]:
-    """Applicability of a theorem from colorless statistics alone.
+) -> tuple[bool, str, Fraction]:
+    """Applicability, its detail, and the exact bound, from colorless data.
 
-    Realness, the largest collinear subset, n, and k are all independent
-    of which points carry which color, so one verdict covers every
-    coloring of a base set with the same (n, k).
+    Realness, the largest collinear subset, the line count t, n and k are
+    all independent of which points carry which color, so one verdict
+    covers every coloring of a point set with the same (n, k).
     """
-    return gate(theorem_info(theorem).gate, incidence, 2 * n - k, "limit")
+    info = theorem_info(theorem)
+    applicable, detail = gate(info.gate, incidence, 2 * n - k, "limit")
+    t = len(incidence.lines) if info.needs_total_lines else None
+    return applicable, detail, bound_value(theorem, n, k, t)
 
 
 def evaluate_bound(
@@ -128,11 +128,8 @@ def evaluate_bound(
     """Compare the actual equichromatic count against the theorem's bound."""
     if profile is None:
         profile = compute_profile(config)
-    info = theorem_info(theorem)
-    applicable, detail = precondition(theorem, config.n, config.k, config.incidence)
-    t = len(config.incidence.lines) if info.needs_total_lines else None
-    bound = bound_value(theorem, config.n, config.k, t)
-    actual = count_equichromatic(profile, info.query)
+    applicable, detail, bound = verdict(theorem, config.n, config.k, config.incidence)
+    actual = count_equichromatic(profile, theorem_info(theorem).query)
     support = None
     if theorem is BoundTheorem.EQUI_FOUR:
         support = sum(

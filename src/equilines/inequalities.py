@@ -126,18 +126,15 @@ def _sides(kind: InequalityKind, incidence: Incidence) -> tuple[Fraction, Fracti
     return lhs, rhs
 
 
-def _precondition(kind: InequalityKind, incidence: Incidence) -> tuple[bool, str]:
-    return gate(kind, incidence, incidence.total_points, INEQUALITIES[kind].label)
-
-
 def evaluate(kind: InequalityKind, config: ColoredConfiguration) -> InequalityReport:
     """Evaluate one inequality with exact sides and precondition status.
 
     A failed precondition yields applicable=False with satisfied=None;
     the sides are still reported for diagnostics.
     """
-    applicable, detail = _precondition(kind, config.incidence)
-    lhs, rhs = _sides(kind, config.incidence)
+    incidence = config.incidence
+    applicable, detail = gate(kind, incidence, incidence.total_points, INEQUALITIES[kind].label)
+    lhs, rhs = _sides(kind, incidence)
     return InequalityReport(
         kind=kind,
         applicable=applicable,

@@ -1,37 +1,29 @@
 """Coloring search over a fixed base point set.
 
-The base set's lines are enumerated once per search into one
-``Incidence``; the kernels read its CSR arrays (no array of lines times
-points is built) and the recount of the winner reads the same structure.
-Exhaustive mode evaluates every coloring with the requested (n, k);
-local mode runs a seeded hill-descent with green/red swap moves.  Both
-minimize the bound slack, which for a fixed base set and fixed (n, k) is
-equivalent to minimizing the selected-line count, so the hot loop runs
-in the array kernels.  The winning coloring is re-evaluated through the
-exact profile path and the two counts must agree; a mismatch raises, so
-the fast kernels never stand unchecked.
-
-Applicability of a bound theorem depends only on the base set and
-(n, k), never on the coloring: if the precondition fails, every coloring
-is inapplicable and the result says so explicitly.
+``run_search`` is the one entry point.  It checks the coloring cap,
+enumerates the base set's lines once into one ``Incidence`` and takes the
+theorem's verdict from ``bounds.verdict``.  Applicability depends only on
+the base set and (n, k), never on the coloring: if the gate fails, every
+coloring is inapplicable, the result says so, and no kernel runs.
+Otherwise the kernels read the incidence's CSR arrays (no array of lines
+times points is built).  Exhaustive mode evaluates every coloring with
+the requested (n, k); local mode runs a seeded hill-descent with
+green/red swap moves.  Both minimize the bound slack, which for a fixed
+base set and fixed (n, k) is equivalent to minimizing the selected-line
+count, so the hot loop runs in the array kernels.  The winning coloring
+is re-evaluated through ``bounds.evaluate_bound`` on the same incidence,
+and the two counts must agree; a mismatch raises, so the fast kernels
+never stand unchecked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (
-    BoundReport,
-    BoundTheorem,
-    bound_value,
-    evaluate_bound,
-    precondition,
-    theorem_info,
-)
+from .bounds import BoundReport, BoundTheorem, evaluate_bound, theorem_info, verdict
 from .errors import InternalInconsistencyError, SearchCapError
 from .geometry import GREEN, RED, ColoredConfiguration, Incidence, ProjPoint
 from .kernels import descent_replay, exhaustive_scan, selection_table
@@ -70,6 +62,8 @@ class SearchSpec:
             raise ValueError("k cannot exceed the number of points")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def total(self) -> int:
@@ -118,16 +112,28 @@ def colors_from_green_indices(total: int, green: np.ndarray) -> tuple[str, ...]:
     return tuple(GREEN if i in green_set else RED for i in range(total))
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    base: Incidence
-    sel: np.ndarray
-    bound: Fraction
-    applicable: bool
-    detail: str
+def _seeded_moves(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The initial green indices and the (green slot, red slot) swap
+    proposals, all drawn from the seed, so a fixed spec replays exactly."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    n, n_red = spec.n_green, spec.total - spec.n_green
+    initial_green = np.sort(rng.permutation(spec.total)[:n]).astype(np.int64)
+    if n_red == 0 or spec.budget == 0:
+        return initial_green, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    moves_g = rng.integers(0, n, size=spec.budget, dtype=np.int64)
+    moves_r = rng.integers(0, n_red, size=spec.budget, dtype=np.int64)
+    return initial_green, moves_g, moves_r
 
 
-def _prepare(spec: SearchSpec) -> _Prepared:
+def run_search(spec: SearchSpec) -> SearchResult:
+    """Search the colorings with the spec's (n, k) for minimal slack.
+
+    Exhaustive mode examines every coloring, ties going to the
+    lexicographically smallest green index tuple.  Local mode is a seeded
+    stochastic hill-descent on slack; swaps preserve n and k by
+    construction, and the budget counts proposed moves beyond the initial
+    coloring, rejected proposals included.
+    """
     # Before any work, and before local search allocates its budget-long moves.
     count = spec.coloring_count()
     if count > MAX_COLORINGS:
@@ -135,30 +141,27 @@ def _prepare(spec: SearchSpec) -> _Prepared:
             f"{spec.mode} search over {count} colorings exceeds the cap {MAX_COLORINGS}", count
         )
     base = Incidence.of(spec.points)
-    applicable, detail = precondition(spec.theorem, spec.n_green, spec.k, base)
-    info = theorem_info(spec.theorem)
-    t = len(base.lines) if info.needs_total_lines else None
-    bound = bound_value(spec.theorem, spec.n_green, spec.k, t)
-    sel = selection_table(base.size_counts, info.query)
-    return _Prepared(base, sel, bound, applicable, detail)
-
-
-def _finish(
-    spec: SearchSpec,
-    prep: _Prepared,
-    best_green: np.ndarray,
-    best_actual: int,
-    violations: int,
-    examined: int,
-) -> SearchResult:
+    applicable, detail, bound = verdict(spec.theorem, spec.n_green, spec.k, base)
+    if not applicable:
+        return SearchResult(
+            spec, best_colors=None, best_report=None, colorings_examined=0,
+            violations=0, all_inapplicable=True, precondition_detail=detail,
+        )
+    sel = selection_table(base.size_counts, theorem_info(spec.theorem).query)
+    if spec.mode == EXHAUSTIVE:
+        best_actual, best_green, violations, examined = exhaustive_scan(
+            base.csr, sel, spec.n_green, bound.numerator, bound.denominator
+        )
+    else:
+        best_actual, best_green, violations, examined = descent_replay(
+            base.csr, sel, *_seeded_moves(spec), bound.numerator, bound.denominator
+        )
     colors = colors_from_green_indices(spec.total, best_green)
-    config = ColoredConfiguration(
-        Discriminant(spec.points[0].d), spec.points, colors
-    )
+    config = ColoredConfiguration(Discriminant(spec.points[0].d), spec.points, colors)
     # Same points as the base set: the recount reuses its lines rather
     # than repeating the deterministic enumeration.  The profile is still
     # tallied exactly, with the counting identities checked.
-    vars(config)["incidence"] = prep.base
+    vars(config)["incidence"] = base
     report = evaluate_bound(spec.theorem, config)
     if report.actual != best_actual:
         raise InternalInconsistencyError(
@@ -166,72 +169,6 @@ def _finish(
             f"for the best coloring, green points {best_green.tolist()}"
         )
     return SearchResult(
-        spec=spec,
-        best_colors=colors,
-        best_report=report,
-        colorings_examined=examined,
-        violations=violations,
-        all_inapplicable=False,
-        precondition_detail=prep.detail,
+        spec, best_colors=colors, best_report=report, colorings_examined=examined,
+        violations=violations, all_inapplicable=False, precondition_detail=detail,
     )
-
-
-def _inapplicable(spec: SearchSpec, prep: _Prepared) -> SearchResult:
-    return SearchResult(
-        spec=spec,
-        best_colors=None,
-        best_report=None,
-        colorings_examined=0,
-        violations=0,
-        all_inapplicable=True,
-        precondition_detail=prep.detail,
-    )
-
-
-def exhaustive_search(spec: SearchSpec) -> SearchResult:
-    """Evaluate every coloring with the spec's (n, k); minimal slack wins,
-    ties going to the lexicographically smallest green index tuple."""
-    if spec.mode != EXHAUSTIVE:
-        raise ValueError("spec.mode must be 'exhaustive'")
-    prep = _prepare(spec)
-    if not prep.applicable:
-        return _inapplicable(spec, prep)
-    best_actual, best_green, violations, examined = exhaustive_scan(
-        prep.base.csr, prep.sel, spec.n_green, prep.bound.numerator, prep.bound.denominator
-    )
-    return _finish(spec, prep, best_green, best_actual, violations, examined)
-
-
-def local_search(spec: SearchSpec) -> SearchResult:
-    """Seeded stochastic hill-descent on slack with green/red swap moves.
-
-    The move sequence is pregenerated from the seed, so a fixed spec
-    yields an identical result.  Swaps preserve n and k by construction.
-    Budget counts proposed moves beyond the initial coloring; rejected
-    proposals still count as examined colorings.
-    """
-    if spec.mode != LOCAL:
-        raise ValueError("spec.mode must be 'local'")
-    prep = _prepare(spec)
-    if not prep.applicable:
-        return _inapplicable(spec, prep)
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    n, n_red = spec.n_green, spec.total - spec.n_green
-    initial_green = np.sort(rng.permutation(spec.total)[:n]).astype(np.int64)
-    if n_red == 0 or spec.budget == 0:
-        moves_g = np.empty(0, dtype=np.int64)
-        moves_r = np.empty(0, dtype=np.int64)
-    else:
-        moves_g = rng.integers(0, n, size=spec.budget, dtype=np.int64)
-        moves_r = rng.integers(0, n_red, size=spec.budget, dtype=np.int64)
-    best_actual, best_green, violations, examined = descent_replay(
-        prep.base.csr, prep.sel, initial_green, moves_g, moves_r,
-        prep.bound.numerator, prep.bound.denominator,
-    )
-    return _finish(spec, prep, best_green, best_actual, violations, examined)
-
-
-def run_search(spec: SearchSpec) -> SearchResult:
-    if spec.mode == EXHAUSTIVE:
-        return exhaustive_search(spec)
-    return local_search(spec)

@@ -16,7 +16,7 @@ from equilines.inequalities import InequalityKind, evaluate_all
 from equilines.profiles import compute_profile, verify_identities
 from equilines.proofcheck import verify_sign_claim
 from equilines.reports import analysis_document, config_document, dump_json, parse_config
-from equilines.search import SearchSpec, exhaustive_search, local_search
+from equilines.search import SearchSpec, run_search
 
 
 def _report(number: int, name: str, elapsed: float):
@@ -105,7 +105,7 @@ def test_criterion_4_exhaustive_bound_verification():
                 continue  # no coloring realizes this k
             for theorem in (BoundTheorem.EQUI_SIX, BoundTheorem.EQUI_FOUR):
                 spec = SearchSpec(points=base, k=k, theorem=theorem)
-                result = exhaustive_search(spec)
+                result = run_search(spec)
                 assert result.violations == 0, (name, k, theorem, result)
                 if not result.all_inapplicable:
                     checked_instances += 1
@@ -118,7 +118,7 @@ def test_criterion_4_exhaustive_bound_verification():
     # dual route: recount one instance coloring-by-coloring through the
     # exact profile path and compare with the kernel scan
     spec = SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX)
-    result = exhaustive_search(spec)
+    result = run_search(spec)
     info = theorem_info(spec.theorem)
     best, combo, violations, examined = brute_force_scan(
         spec.points, spec.n_green, info.query, bound_value(spec.theorem, spec.n_green, 1)
@@ -209,7 +209,7 @@ def test_criterion_7_determinism_and_io():
     spec = SearchSpec(
         points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=5, budget=2000
     )
-    first = local_search(spec)
+    first = run_search(spec)
     for which in KERNELS:
         repeat = run_with_kernels(which, spec)
         assert repeat.best_colors == first.best_colors

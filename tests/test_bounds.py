@@ -9,13 +9,13 @@ from equilines.bounds import (
     EQUI_FOUR_SUPPORT_CELLS,
     BoundTheorem,
     bound_value,
-    collinearity_limit,
     evaluate_all_bounds,
     evaluate_bound,
     theorem_info,
+    verdict,
 )
 from equilines.generators import grid, hesse
-from equilines.geometry import GREEN, RED, affine_point, configuration
+from equilines.geometry import GREEN, RED, Incidence, affine_point, configuration
 from equilines.profiles import compute_profile
 from equilines.proofcheck import EQUI_FOUR_TEMPLATE, EQUI_SIX_TEMPLATE
 
@@ -175,10 +175,14 @@ def test_random_configs_never_violate_complex_valid_bounds():
 
 
 def test_collinearity_limits():
-    assert collinearity_limit(BoundTheorem.PS3, 5, 1) == 6
-    assert collinearity_limit(BoundTheorem.EQUI_SIX, 5, 1) == 7
-    assert collinearity_limit(BoundTheorem.EQUI_FOUR, 5, 1) == Fraction(18, 3)
-    assert collinearity_limit(BoundTheorem.PS1, 5, 1) is None
+    # The gate's limit at N = 2n - k = 9, read from the verdict's detail
+    # (equifour's limit is 2N/3 = 18/3).
+    base = Incidence.of(grid(3))
+    details = {th: verdict(th, 5, 1, base)[1] for th in BoundTheorem}
+    assert details[BoundTheorem.PS3] == "max_collinear=3 <= limit=6"
+    assert details[BoundTheorem.EQUI_SIX] == "max_collinear=3 <= limit=7"
+    assert details[BoundTheorem.EQUI_FOUR] == "max_collinear=3 <= limit=6"
+    assert details[BoundTheorem.PS1] == "coordinates real and not all points collinear"
 
 
 def test_bound_ceiling():

@@ -370,6 +370,7 @@ def test_cli_rejects_infeasible_random_rational_quickly(capsys):
         (["search", "--generator", "grid(6)", "--k", "0", "--theorem", "equisix"],
          "cap 10000000"),
     ],
+    ids=["local-budget", "generate-points", "search-points", "exhaustive-colorings"],
 )
 def test_cli_rejects_oversized_requests_quickly(argv, limit, capsys):
     start = time.perf_counter()

@@ -12,19 +12,14 @@ from support import KERNEL_PARAMS, KERNELS, brute_force_scan, run_with_kernels, 
 
 import equilines
 from equilines import search
-from equilines.bounds import BoundTheorem, bound_value, theorem_info
+from equilines.bounds import BoundTheorem, theorem_info, verdict
 from equilines.errors import SearchCapError
 from equilines.generators import grid, hesse, near_pencil, random_rational
-from equilines.geometry import GREEN, Incidence, configuration, enumerate_lines
+from equilines.geometry import GREEN, Incidence, configuration
 from equilines.kernels import resolve_backend, selection_table
 from equilines.profiles import EquichromaticQuery, compute_profile, count_equichromatic
 from equilines.reports import search_section
-from equilines.search import (
-    SearchSpec,
-    exhaustive_search,
-    local_search,
-    run_search,
-)
+from equilines.search import SearchSpec, run_search
 
 
 def test_backend_resolution():
@@ -94,6 +89,8 @@ def test_spec_validation():
         SearchSpec(points=pts, k=-1, theorem=BoundTheorem.EQUI_SIX)
     with pytest.raises(ValueError):
         SearchSpec(points=pts, k=1, theorem=BoundTheorem.EQUI_SIX, mode="annealing")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SearchSpec(points=pts, k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=-1)
     spec = SearchSpec(points=pts, k=1, theorem=BoundTheorem.EQUI_SIX)
     assert spec.n_green == 5
     assert spec.coloring_count() == math.comb(9, 5) == 126
@@ -103,7 +100,7 @@ def test_exhaustive_cap(monkeypatch):
     monkeypatch.setattr(search, "MAX_COLORINGS", 100)
     spec = SearchSpec(points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX)
     with pytest.raises(SearchCapError) as exc:
-        exhaustive_search(spec)
+        run_search(spec)
     assert exc.value.coloring_count == math.comb(16, 8)
 
 
@@ -113,9 +110,9 @@ def test_local_cap(monkeypatch):
     spec = SearchSpec(
         points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", budget=9
     )
-    assert local_search(spec).colorings_examined == 10
+    assert run_search(spec).colorings_examined == 10
     with pytest.raises(SearchCapError) as exc:
-        local_search(dataclasses.replace(spec, budget=10))
+        run_search(dataclasses.replace(spec, budget=10))
     assert exc.value.coloring_count == 11
 
 
@@ -123,7 +120,7 @@ def test_local_cap(monkeypatch):
 def test_exhaustive_grid2_all_colorings(monkeypatch, which):
     use_kernels(monkeypatch, which)
     spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX)
-    result = exhaustive_search(spec)
+    result = run_search(spec)
     assert result.colorings_examined == 6
     assert result.violations == 0
     assert not result.all_inapplicable
@@ -132,11 +129,16 @@ def test_exhaustive_grid2_all_colorings(monkeypatch, which):
     assert result.best_colors.count(GREEN) == 2
 
 
-@pytest.mark.parametrize("which", KERNEL_PARAMS)
-def test_exhaustive_near_pencil_inapplicable(monkeypatch, which):
-    use_kernels(monkeypatch, which)
-    spec = SearchSpec(points=near_pencil(5), k=1, theorem=BoundTheorem.EQUI_SIX)
-    result = exhaustive_search(spec)
+@pytest.mark.parametrize("mode", ["exhaustive", "local"])
+def test_exhaustive_near_pencil_inapplicable(monkeypatch, mode):
+    # The gate fails for every coloring, so the search returns before any kernel.
+    def kernel_called(*args):
+        pytest.fail("a search kernel ran on an inapplicable base set")
+
+    monkeypatch.setattr(search, "exhaustive_scan", kernel_called)
+    monkeypatch.setattr(search, "descent_replay", kernel_called)
+    spec = SearchSpec(points=near_pencil(5), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode)
+    result = run_search(spec)
     assert result.all_inapplicable
     assert result.colorings_examined == 0
     assert result.best_colors is None and result.best_report is None
@@ -144,7 +146,7 @@ def test_exhaustive_near_pencil_inapplicable(monkeypatch, which):
 
 def test_exhaustive_grid3():
     spec = SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX)
-    result = exhaustive_search(spec)
+    result = run_search(spec)
     assert result.colorings_examined == 126
     assert result.violations == 0
 
@@ -164,11 +166,9 @@ def test_kernels_match_brute_force_oracle(base, k, theorem):
     # Exact per-coloring recount through the profile path is the oracle.
     total = len(base)
     n_green = (total + k) // 2
-    info = theorem_info(theorem)
-    t = len(enumerate_lines(base)) if info.needs_total_lines else None
-    bound = bound_value(theorem, n_green, k, t)
+    _, _, bound = verdict(theorem, n_green, k, Incidence.of(base))
     oracle_best, oracle_combo, oracle_viol, oracle_count = brute_force_scan(
-        base, n_green, info.query, bound
+        base, n_green, theorem_info(theorem).query, bound
     )
     spec = SearchSpec(points=base, k=k, theorem=theorem)
     for which in KERNELS:
@@ -188,7 +188,7 @@ def test_local_budget_zero_returns_initial(monkeypatch, which):
     spec = SearchSpec(
         points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=4, budget=0
     )
-    result = local_search(spec)
+    result = run_search(spec)
     assert result.colorings_examined == 1
     assert result.violations == 0
     rng = np.random.Generator(np.random.PCG64(4))
@@ -202,10 +202,10 @@ def test_local_descent_never_worse_than_initial():
     spec = SearchSpec(
         points=base, k=0, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=1, budget=10_000
     )
-    initial = local_search(
+    initial = run_search(
         SearchSpec(points=base, k=0, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=1, budget=0)
     )
-    result = local_search(spec)
+    result = run_search(spec)
     assert result.best_report.slack <= initial.best_report.slack
     assert result.colorings_examined == 10_001
 
@@ -215,7 +215,7 @@ def test_local_two_seeds_both_satisfy():
         spec = SearchSpec(
             points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=seed, budget=2000
         )
-        result = local_search(spec)
+        result = run_search(spec)
         assert result.best_report.satisfied
         assert result.violations == 0
 
@@ -305,9 +305,9 @@ def test_use_kernels_reaches_the_oracles(monkeypatch):
         run_with_kernels("kernel", spec)
     assert calls == []
     use_kernels(monkeypatch, "oracle")
-    exhaustive_search(specs[0])
+    run_search(specs[0])
     assert calls == ["oracle_exhaustive_scan"]
-    local_search(specs[1])
+    run_search(specs[1])
     assert calls == ["oracle_exhaustive_scan", "oracle_descent_replay"]
 
 
@@ -315,7 +315,7 @@ def test_swap_moves_preserve_n_and_k():
     spec = SearchSpec(
         points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", seed=7, budget=500
     )
-    result = local_search(spec)
+    result = run_search(spec)
     assert result.best_colors.count(GREEN) == spec.n_green
     config = configuration(spec.points, result.best_colors, 5)
     assert config.n == spec.n_green and config.k == 1
@@ -346,7 +346,7 @@ def test_run_search_dispatch():
 def test_exhaustive_all_green_single_coloring():
     # k = N: every point green, exactly one coloring.
     spec = SearchSpec(points=grid(2), k=4, theorem=BoundTheorem.EQUI_SIX)
-    result = exhaustive_search(spec)
+    result = run_search(spec)
     assert result.colorings_examined == 1
     assert result.best_colors == (GREEN,) * 4
     assert result.best_report.actual == 0  # no bichromatic lines
@@ -372,14 +372,14 @@ def test_runs_without_numba(tmp_path):
         "sys.meta_path.insert(0, Block())\n"
         "from equilines.bounds import BoundTheorem\n"
         "from equilines.generators import grid\n"
-        "from equilines.search import SearchSpec, exhaustive_search, local_search\n"
+        "from equilines.search import SearchSpec, run_search\n"
         "spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX)\n"
-        "result = exhaustive_search(spec)\n"
+        "result = run_search(spec)\n"
         "assert result.colorings_examined == 6 and result.violations == 0\n"
         "assert result.best_report.actual == 4\n"
         "spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX, mode='local',\n"
         "                  budget=50)\n"
-        "result = local_search(spec)\n"
+        "result = run_search(spec)\n"
         "assert result.colorings_examined == 51 and result.violations == 0\n"
         "assert result.best_report.actual == 4\n"
         "assert attempts == [], attempts\n"
