@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .bounds import BoundTheorem, evaluate_bound
 from .errors import ClaimRefutedError, EquilinesError, InternalInconsistencyError
-from .generators import discriminant_of, generate
+from .generators import generate
 from .geometry import GREEN
 from .inequalities import InequalityKind, evaluate
 from .profiles import compute_profile
@@ -163,7 +163,7 @@ def _cmd_proofcheck(args) -> int:
 def _cmd_generate(args) -> int:
     points = generate(args.name)
     colors = tuple(GREEN for _ in points)
-    doc = config_document(points, colors, discriminant_of(points))
+    doc = config_document(points, colors, points[0].d)
     sys.stdout.write(dump_json(doc))
     return 0
 

@@ -141,7 +141,3 @@ def generate(spec: str) -> tuple[ProjPoint, ...]:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad arguments in generator spec {spec!r}: {exc}") from None
     raise ConfigError(f"unknown generator {name!r}")
-
-
-def discriminant_of(points: tuple[ProjPoint, ...]) -> int:
-    return points[0].d

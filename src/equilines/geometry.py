@@ -7,21 +7,22 @@ A point set's lines are enumerated once, keying every point pair in one
 array pass (int64 where the headroom is proven, Python ints otherwise),
 into an ``Incidence``: every colorless fact the analysis needs, including
 the CSR arrays (``kernels.IncidenceArrays``) that the profile tally and
-the search kernels read.  No array of lines times points is built, and a
-``DeterminedLine`` only when one is read.
+the search kernels read, never an array of lines times points.  The keys
+only group the pairs: a line is its points, a ``DeterminedLine`` is built
+only when one is read, and its exact line from its first two points.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegeneratePairError,
     DuplicatePointError,
     FieldMismatchError,
@@ -201,19 +202,16 @@ def configuration(
 
 @dataclass(frozen=True, slots=True)
 class DeterminedLine:
-    """A line through >= 2 configuration points, with their indices.
+    """A line through >= 2 of the ``base`` points, with their indices; the
+    exact line is built from its first two points only when ``line`` is read."""
 
-    The line is identified by its canonical integer key (see _pair_keys);
-    the field triple is only built when ``line`` is read.
-    """
-
-    key: tuple[int, ...]
     point_indices: tuple[int, ...]
-    d: int
+    base: tuple[ProjPoint, ...] = field(repr=False)
 
     @property
     def line(self) -> ProjLine:
-        return _line_from_key(self.key, self.d)
+        a, b = self.point_indices[:2]
+        return line_through(self.base[a], self.base[b])
 
     @property
     def size(self) -> int:
@@ -221,22 +219,20 @@ class DeterminedLine:
 
 
 class DeterminedLines(Sequence[DeterminedLine]):
-    """A point set's determined lines, sorted by point-index tuple: a key per
-    row of ``keys``, and each line's points in increasing order as CSR
-    (``indptr``, ``points``).  A ``DeterminedLine`` is built only when read."""
+    """The lines determined by the ``base`` points, sorted by point-index
+    tuple: each line's points in increasing order as CSR (``indptr``,
+    ``points``).  A ``DeterminedLine`` is built only when read."""
 
-    def __init__(self, keys: np.ndarray, indptr: np.ndarray, points: np.ndarray, d: int):
-        self.keys, self.indptr, self.points, self.d = keys, indptr, points, d
+    def __init__(self, base: tuple[ProjPoint, ...], indptr: np.ndarray, points: np.ndarray):
+        self.base, self.indptr, self.points = base, indptr, points
 
     def __len__(self) -> int:
-        return self.keys.shape[0]
+        return self.indptr.shape[0] - 1
 
     def __getitem__(self, index: int) -> DeterminedLine:
         i = range(len(self))[index]
         start, stop = self.indptr[i : i + 2].tolist()
-        return DeterminedLine(
-            tuple(self.keys[i].tolist()), tuple(self.points[start:stop].tolist()), self.d
-        )
+        return DeterminedLine(tuple(self.points[start:stop].tolist()), self.base)
 
 
 def _integer_coords(p: ProjPoint) -> tuple[int, int, int, int, int, int]:
@@ -249,13 +245,21 @@ def _integer_coords(p: ProjPoint) -> tuple[int, int, int, int, int, int]:
     return tuple(f.numerator * (den // f.denominator) for f in fracs)
 
 
+# Largest bit length of a denominator-cleared coordinate component; above
+# it, Python-int keying of 1000 points no longer ends within seconds.
+MAX_KEY_BITS = 192
+
+
 def _key_dtype(ints: list[tuple[int, ...]], d: int):
     """np.int64 when _pair_keys provably stays exact in it on these
     coordinates, else object (Python ints).  With M the largest |component|
     and D = |d| >= 1, a cross-product component is at most C = 2 M^2 (1 + D)
     in absolute value and a key entry before the gcd at most C^2 (1 + D),
-    which bounds every partial sum too."""
+    which bounds every partial sum too.  Raises ConfigError when M has
+    more than MAX_KEY_BITS bits."""
     m = max((abs(v) for row in ints for v in row), default=0)
+    if m.bit_length() > MAX_KEY_BITS:
+        raise ConfigError(f"a coordinate needs {m.bit_length()} bits; the limit is {MAX_KEY_BITS}")
     c = 2 * m * m * (1 + abs(d))
     return np.int64 if c * c * (1 + abs(d)) < 2**63 else object
 
@@ -289,22 +293,14 @@ def _pair_keys(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
     return keys // np.where(first < 0, -g, g)
 
 
-def _line_from_key(key: tuple, d: int) -> ProjLine:
-    lead = next(v for v in key if v)
-    return ProjLine(
-        QuadElement(Fraction(key[0], lead), Fraction(key[1], lead), d),
-        QuadElement(Fraction(key[2], lead), Fraction(key[3], lead), d),
-        QuadElement(Fraction(key[4], lead), Fraction(key[5], lead), d),
-    )
-
-
 def enumerate_lines(points: tuple[ProjPoint, ...]) -> DeterminedLines:
     """All determined lines with their exact incident point index sets.
 
     Every point pair is keyed in one array pass, in int64 when _key_dtype
     proves the headroom and in Python ints otherwise.  Each line's pairs
-    share one key, so sum over lines of C(m, 2) = C(N, 2).  Output is sorted
-    by incident index tuple, hence independent of any internal ordering.
+    share one key, so sum over lines of C(m, 2) = C(N, 2); the keys only
+    group the pairs and are dropped.  Output is sorted by incident index
+    tuple, hence independent of any internal ordering.
     """
     d = points[0].d if points else 0
     ints = [_integer_coords(p) for p in points]
@@ -331,7 +327,7 @@ def enumerate_lines(points: tuple[ProjPoint, ...]) -> DeterminedLines:
     # one pair early here, is a.
     members = j[order[starts[line] + np.arange(indptr[-1]) - indptr[line] - 1]]
     members[indptr[:-1]] = i[first]
-    return DeterminedLines(keys[:, starts].T, indptr, members, d)
+    return DeterminedLines(tuple(points), indptr, members)
 
 
 @dataclass(frozen=True)

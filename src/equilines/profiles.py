@@ -2,17 +2,19 @@
 
 t_{i,j} counts the determined lines with exactly i green and j red
 points.  ``IDENTITIES`` is the one table of the counting identities
-sum w(i, j) t_{i,j} = rhs(n, k) that tie a profile to (n, k) alone; the
-proofcheck templates combine its rows.  They hold for every
-configuration, so a failure is always a kernel bug; every profile
+sum w(i, j) t_{i,j} = rhs(n, k) that tie a profile to (n, k) alone, each
+w stored as its polynomial coefficients; the proofcheck templates combine
+its rows and sum those coefficients into their tails.  They hold for
+every configuration, so a failure is always a kernel bug; every profile
 computation checks them and raises on any mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -64,20 +66,26 @@ class EquichromaticQuery:
 
 @dataclass(frozen=True)
 class Identity:
-    """sum weight(i, j) * t_{i,j} = rhs(n, k) over every profile."""
+    """sum weight(i, j) * t_{i,j} = rhs(n, k) over every profile, the weight
+    held as its coefficients of (i - j)^a (i + j)^b, keyed by (a, b)."""
 
-    weight: Callable[[int, int], int]
+    terms: Mapping[tuple[int, int], Fraction]
     rhs: Callable[[int, int], int]
 
+    def weight(self, i: int, j: int) -> Fraction:
+        return sum(c * (i - j) ** a * (i + j) ** b for (a, b), c in self.terms.items())
 
+
+_QUARTER = Fraction(1, 4)
+# With s = i + j and u = i - j: i*j = (s^2 - u^2) / 4 and
+# C(i, 2) + C(j, 2) = (s^2 + u^2) / 4 - s / 2.
 IDENTITIES: dict[str, Identity] = {
-    "mixed_pairs": Identity(lambda i, j: i * j, lambda n, k: n * (n - k)),
+    "mixed_pairs": Identity({(0, 2): _QUARTER, (2, 0): -_QUARTER}, lambda n, k: n * (n - k)),
     "same_color_pairs": Identity(
-        lambda i, j: comb(i, 2) + comb(j, 2), lambda n, k: comb(n, 2) + comb(n - k, 2)
+        {(0, 2): _QUARTER, (2, 0): _QUARTER, (0, 1): Fraction(-1, 2)},
+        lambda n, k: comb(n, 2) + comb(n - k, 2),
     ),
-    "incidence_balance": Identity(
-        lambda i, j: (i + j) - (i - j) ** 2, lambda n, k: 2 * n - (k * k + k)
-    ),
+    "incidence_balance": Identity({(0, 1): 1, (2, 0): -1}, lambda n, k: 2 * n - (k * k + k)),
 }
 
 

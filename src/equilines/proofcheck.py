@@ -6,12 +6,13 @@ identities (``profiles.IDENTITIES``) and one incidence inequality
 rows, and its per-cell coefficient alpha(i, j) and right-hand side
 RHS(n, k) are derived from them.  The claim is a finite exceptional set:
 finitely many cells on the inequality's side of zero, everything else on
-the other.  Above the inequality row's last exception alpha is a
-polynomial of degree at most 2 in (i, j): the row's data says so for its
-part, and the identity rows are taken to be such polynomials, as the rhs
-step takes their right-hand sides to be.  So a tail threshold T is
-derived from an exact fit of alpha, and only the cells with i + j < T
-are enumerated.  The count bound RHS / extreme holds under the template
+the other.  Above the inequality row's last exception alpha is the sum
+of the rows' polynomial data: the identity rows' terms in (i - j) and
+i + j, and the inequality row's sides in i + j.  That sum must have
+degree at most 2 and no odd power of i - j; a tail threshold T is derived
+from it, and only the cells with i + j < T are enumerated.  The rhs step
+takes the identities' right-hand sides to be polynomials of degree at
+most 2 in n and k.  The count bound RHS / extreme holds under the template
 inequality's gate, for the lines in cells the theorem's query selects,
 and must equal ``bounds.bound_value``; ``verify_sign_claim`` checks all
 three.
@@ -19,6 +20,7 @@ three.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -105,25 +107,12 @@ class SignCertificate:
     extreme_coefficient: Fraction
 
 
-# alpha beyond m0 in the basis u^a * s^b with u = i - j and s = i + j
-_TERMS = ((2, 0), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0))
-_TERM_TEXT = ("*(i-j)^2", "*(i-j)*s", "*(i-j)", "*s^2", "*s", "")
-
-
-def _text(coeffs, terms=_TERM_TEXT) -> str:
-    text = " + ".join(f"{c}{t}" for c, t in zip(coeffs, terms) if c) or "0"
+def _text(poly: dict[tuple[int, int], Fraction]) -> str:
+    """poly's nonzero terms c*(i-j)^a*s^b, keyed (a, b), highest first."""
+    power = lambda v, e: f"*{v}^{e}" if e > 1 else f"*{v}" * e  # noqa: E731
+    terms = sorted(((t, c) for t, c in poly.items() if c), reverse=True)
+    text = " + ".join(f"{c}{power('(i-j)', a)}{power('s', b)}" for (a, b), c in terms) or "0"
     return text.replace("+ -", "- ")
-
-
-def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gauss-Jordan solution of a nonsingular square system."""
-    m = [[*row, b] for row, b in zip(rows, rhs)]
-    for c in range(len(m)):
-        p = next(r for r in range(c, len(m)) if m[r][c])
-        m[c], m[p] = m[p], m[c]
-        pivot = m[c] = [x / m[c][c] for x in m[c]]
-        m = [r if r is pivot else [x - r[c] * y for x, y in zip(r, pivot)] for r in m]
-    return [row[-1] for row in m]
 
 
 def _tail(tpl: InequalityTemplate) -> tuple[int, str]:
@@ -132,32 +121,30 @@ def _tail(tpl: InequalityTemplate) -> tuple[int, str]:
     sign, kind = tpl.inequality
     row = INEQUALITIES[kind]
     m0 = max((*row.left.exceptions, *row.right.exceptions), default=1) + 1
-
-    def basis(i, j):
-        return [Fraction((i - j) ** a * (i + j) ** b) for a, b in _TERMS]
-
-    lattice = [(a, m0 + b) for a in range(3) for b in range(3 - a)]
-    fit = _solve([basis(*c) for c in lattice], [tpl.coefficient(*c) for c in lattice])
-    A, us, u, c2, c1, c0 = fit
+    poly: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    for s, name in tpl.identities:
+        for term, c in IDENTITIES[name].terms.items():
+            poly[term] += s * c
+    for side, s in ((row.left, sign), (row.right, -sign)):
+        for b, c in enumerate(side.coeffs):
+            poly[0, b] += s * c
+    A, c2, c1, c0 = (poly[t] for t in ((2, 0), (0, 2), (0, 1), (0, 0)))
     q = lambda s: c2 * s * s + c1 * s + c0  # noqa: E731
     lead = next((c for c in (c2, c1, c0) if c), 0)
     rel = "<=" if sign > 0 else ">="
-    grid = [(i, s - i) for s in range(m0, m0 + 5) for i in range(s + 1)]
-    if us or u or sign * A > 0 or sign * lead > 0 or any(
-        sum(f * x for f, x in zip(fit, basis(*c))) != tpl.coefficient(*c) for c in grid
-    ):
+    odd_or_cubic = any(c and (a % 2 or a + b > 2) for (a, b), c in poly.items())
+    if odd_or_cubic or sign * A > 0 or sign * lead > 0:
         raise ClaimRefutedError(
-            f"{tpl.name} tail: the fit alpha = {_text(fit)} for i+j >= {m0} is not "
-            f"A*(i-j)^2 + q(i+j) with A {rel} 0 and q's leading coefficient {rel} 0, "
-            f"or it misses a cell with i+j <= {m0 + 4}"
+            f"{tpl.name} tail: alpha = {_text(poly)} for i+j >= {m0} is not "
+            f"A*(i-j)^2 + q(i+j) with A {rel} 0 and q's leading coefficient {rel} 0"
         )
     t = m0
     while sign * q(t) > 0 or sign * (q(t + 1) - q(t)) > 0:
         t += 1
     return t, (
         f"for s = i+j >= {t}: alpha = A*(i-j)^2 + q(s) with A = {A} {rel} 0 and "
-        f"q(s) = {_text(fit[3:], _TERM_TEXT[3:])}; q({t}) = {q(t)} {rel} 0 and "
-        f"q(s+1) - q(s) = {_text((2 * c2, c1 + c2), ('*s', ''))} {rel} 0 from s = {t} on, "
+        f"q(s) = {_text({(0, 2): c2, (0, 1): c1, (0, 0): c0})}; q({t}) = {q(t)} {rel} 0 and "
+        f"q(s+1) - q(s) = {_text({(0, 1): 2 * c2, (0, 0): c1 + c2})} {rel} 0 from s = {t} on, "
         f"so alpha {rel} 0"
     )
 

@@ -118,9 +118,6 @@ class QuadElement:
             raise ZeroDivisionError(f"division by zero in Q(sqrt({self.d}))")
         return QuadElement(self.a / norm, -self.b / norm, self.d)
 
-    def conjugate(self) -> QuadElement:
-        return QuadElement(self.a, -self.b, self.d)
-
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -132,10 +129,6 @@ class QuadElement:
     def is_real(self) -> bool:
         """True iff the element lies in R: always for d > 0, else iff b = 0."""
         return self.d > 0 or self.b == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __complex__(self) -> complex:
         """Approximate numeric embedding, for diagnostics only."""

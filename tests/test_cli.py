@@ -17,7 +17,7 @@ from equilines.bounds import BoundTheorem
 from equilines import search
 from equilines.cli import _build_parser, run_cli
 from equilines.generators import MAX_POINTS, generate, hesse
-from equilines.geometry import GREEN, configuration
+from equilines.geometry import GREEN, MAX_KEY_BITS, configuration
 from equilines.kernels import resolve_backend
 from equilines.profiles import IDENTITIES, Identity
 from equilines.reports import (
@@ -328,7 +328,7 @@ def test_cli_search_recount_mismatch_exits_one(monkeypatch, capsys):
 def test_cli_analyze_failed_identity_exits_one(tmp_path, monkeypatch, capsys):
     row = IDENTITIES["mixed_pairs"]
     monkeypatch.setitem(
-        IDENTITIES, "mixed_pairs", Identity(row.weight, lambda n, k: row.rhs(n, k) + 1)
+        IDENTITIES, "mixed_pairs", Identity(row.terms, lambda n, k: row.rhs(n, k) + 1)
     )
     path = write_config(tmp_path, "square.json", square_doc())
     assert run_cli(["analyze", path]) == 1
@@ -377,6 +377,24 @@ def test_cli_rejects_oversized_requests_quickly(argv, limit, capsys):
     assert run_cli(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert limit in capsys.readouterr().err
+
+
+def test_cli_rejects_coordinates_above_key_limit_quickly(tmp_path, capsys):
+    # 200 points with 1000-digit coordinates: a 1.2 MB config whose
+    # Python-int pair keying would run for minutes.
+    spec = f"random_rational(200,0,{'9' * 1000})"
+    assert run_cli(["generate", "--name", spec]) == 0
+    path = tmp_path / "wide.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    for argv in (
+        ["analyze", str(path)],
+        ["search", "--generator", spec, "--k", "0", "--theorem", "equisix",
+         "--mode", "local", "--budget", "1"],
+    ):
+        start = time.perf_counter()
+        assert run_cli(argv) == 2
+        assert time.perf_counter() - start < 5.0
+        assert f"the limit is {MAX_KEY_BITS}" in capsys.readouterr().err
 
 
 def test_cli_rejects_config_above_point_limit_quickly(tmp_path, capsys):

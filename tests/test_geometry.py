@@ -28,7 +28,6 @@ from equilines.geometry import (
     configuration,
     _integer_coords,
     _key_dtype,
-    _line_from_key,
     _pair_keys,
     enumerate_lines,
     line_through,
@@ -193,7 +192,9 @@ def test_line_key_invariant_under_irrational_scaling():
     keys = _pair_keys(np.array([ia, ia, ib]).T, np.array([ib, ic, ic]).T, d)
     keys = {tuple(key) for key in keys.T.tolist()}
     assert len(keys) == 1
-    assert _line_from_key(keys.pop(), d) == line_through(a, b)
+    (line,) = enumerate_lines((a, b, c))
+    assert line.point_indices == (0, 1, 2)
+    assert line.line == line_through(a, b)
 
 
 def test_line_key_matches_line_through_on_random_pairs():
@@ -206,8 +207,9 @@ def test_line_key_matches_line_through_on_random_pairs():
             np.array([_integer_coords(q) for _, q in pairs]).T,
             d,
         )
-        for (p, q), key in zip(pairs, keys.T.tolist()):
-            assert _line_from_key(tuple(key), d) == line_through(p, q)
+        keyed = [(key, line_through(p, q)) for (p, q), key in zip(pairs, keys.T.tolist())]
+        for (key1, line1), (key2, line2) in itertools.product(keyed, repeat=2):
+            assert (key1 == key2) == (line1 == line2)
 
 
 ORACLE_SEEDS = range(40)
@@ -225,12 +227,20 @@ def test_enumerate_lines_matches_exact_oracle():
 
 def test_int64_and_object_keys_agree(monkeypatch):
     points = [random_config(seed, max_total=14).points for seed in ORACLE_SEEDS]
+    for pts in points:
+        ints = [_integer_coords(p) for p in pts]
+        assert _key_dtype(ints, pts[0].d) is np.int64
+        i, j = np.triu_indices(len(pts), 1)
+        keys = {}
+        for dtype in (np.int64, object):
+            coords = np.array(ints, dtype=dtype).T
+            keys[dtype] = _pair_keys(coords[:, i], coords[:, j], pts[0].d)
+        assert keys[np.int64].dtype == np.int64 and keys[object].dtype == object
+        assert keys[np.int64].tolist() == keys[object].tolist()
     fast = [enumerate_lines(pts) for pts in points]
     monkeypatch.setattr(geometry, "_key_dtype", lambda ints, d: object)
     for pts, lines in zip(points, fast):
         exact = enumerate_lines(pts)
-        assert lines.keys.dtype == np.int64 and exact.keys.dtype == object
-        assert lines.keys.tolist() == exact.keys.tolist()
         assert lines.indptr.tolist() == exact.indptr.tolist()
         assert lines.points.tolist() == exact.points.tolist()
         assert list(lines) == list(exact)
@@ -249,7 +259,6 @@ def test_object_path_on_large_coordinates():
     pts = lines_and_stragglers(5, 10**7, 3) + random_points(random.Random(2), 6, 5)
     assert _key_dtype([_integer_coords(p) for p in pts], 5) is object
     lines = enumerate_lines(pts)
-    assert lines.keys.dtype == object
     assert [rec.point_indices for rec in lines] == reference_lines(pts)
     assert max(rec.size for rec in lines) == 4
 
@@ -260,7 +269,6 @@ def test_object_path_on_large_discriminant():
     pts = lines_and_stragglers(d, 0, 1) + random_points(random.Random(3), 8, d)
     assert _key_dtype([_integer_coords(p) for p in pts], d) is object
     lines = enumerate_lines(pts)
-    assert lines.keys.dtype == object
     assert [rec.point_indices for rec in lines] == reference_lines(pts)
 
 

@@ -153,8 +153,14 @@ def test_incidence_arrays_grow_with_incidences():
     # lines-by-points matrix (L * N bytes even as uint8) cannot fit.
     base = Incidence.of(random_rational(60, seed=0, bound=9))
     csr = base.csr
-    arrays = [v for obj in (base, csr) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    # Each distinct array once: the lines and csr share their CSR arrays.
+    arrays = {
+        id(v): v
+        for obj in (base, csr, base.lines)
+        for v in vars(obj).values()
+        if isinstance(v, np.ndarray)
+    }
     incidences = csr.line_points.shape[0]
     n_lines, n_points = len(base.lines), base.total_points
     assert n_lines * n_points > 16 * (incidences + n_points + n_lines)
-    assert sum(a.nbytes for a in arrays) <= 16 * (incidences + n_points + n_lines)
+    assert sum(a.nbytes for a in arrays.values()) <= 16 * (incidences + n_points + n_lines)

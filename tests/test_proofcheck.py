@@ -206,9 +206,7 @@ def test_templates_not_available_for_other_theorems():
 
 def _corrupt_identity(monkeypatch):
     row = IDENTITIES["mixed_pairs"]
-    monkeypatch.setitem(
-        IDENTITIES, "mixed_pairs", Identity(lambda i, j: row.weight(i, j) + 1, row.rhs)
-    )
+    monkeypatch.setitem(IDENTITIES, "mixed_pairs", Identity({**row.terms, (0, 0): 1}, row.rhs))
 
 
 def _corrupt_inequality(monkeypatch):
@@ -286,7 +284,7 @@ def test_large_line_mutation_is_refuted_without_options(monkeypatch, capsys):
         (InequalityKind.BOJANOWSKI_POKORA, "left", {"coeffs": (0, 4, 1)}, "equifour"),
         # Hirzebruch linear m - 4 -> 4 - m: q falls below zero for large lines.
         (HIRZEBRUCH_LINEAR, "right", {"coeffs": (4, -1)}, "equisix"),
-        # A cubic weight is not the quadratic the fit assumes.
+        # A cubic weight puts a term of degree 3 in the tail polynomial.
         (InequalityKind.BOJANOWSKI_POKORA, "left", {"coeffs": (0, 4, -1, 1)}, "equifour"),
     ],
     ids=["bp-square-sign", "hl-linear-sign", "bp-cubic"],
@@ -300,10 +298,20 @@ def test_tail_coefficient_mutation_is_refuted(kind, side, fields, theorem, monke
 def test_asymmetric_alpha_is_refuted_at_the_tail(monkeypatch):
     # An (i-j) term breaks the A*(i-j)^2 + q(s) form the tail argument needs.
     row = IDENTITIES["mixed_pairs"]
-    monkeypatch.setitem(
-        IDENTITIES, "mixed_pairs", Identity(lambda i, j: row.weight(i, j) + i, row.rhs)
-    )
-    with pytest.raises(ClaimRefutedError, match=r"^equisix tail: the fit alpha = .*1/2\*\(i-j\)"):
+    half = Fraction(1, 2)
+    terms = {**row.terms, (0, 1): half, (1, 0): half}  # + i = + (s + u) / 2
+    monkeypatch.setitem(IDENTITIES, "mixed_pairs", Identity(terms, row.rhs))
+    with pytest.raises(ClaimRefutedError, match=r"^equisix tail: alpha = .*1/2\*\(i-j\)"):
+        verify_sign_claim(BoundTheorem.EQUI_SIX)
+
+
+@pytest.mark.parametrize("term", [(1, 0), (1, 1)], ids=["u", "u*s"])
+def test_odd_alpha_term_is_refuted_at_the_tail(term, monkeypatch):
+    # Too small to move A or q, so only the parity of the tail form refutes it.
+    row = IDENTITIES["mixed_pairs"]
+    terms = {**row.terms, term: Fraction(1, 1000)}
+    monkeypatch.setitem(IDENTITIES, "mixed_pairs", Identity(terms, row.rhs))
+    with pytest.raises(ClaimRefutedError, match=r"^equisix tail: alpha = .*1/1000\*\(i-j\)"):
         verify_sign_claim(BoundTheorem.EQUI_SIX)
 
 
