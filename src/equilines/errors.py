@@ -57,7 +57,7 @@ class ClaimRefutedError(EquilinesError):
 
 
 class SearchCapError(EquilinesError):
-    """A search would examine more colorings than ``search.MAX_COLORINGS``."""
+    """A search would exceed ``search.MAX_COLORINGS`` or ``search.MAX_LOCAL_BUDGET``."""
 
     def __init__(self, message: str, coloring_count: int):
         super().__init__(message)

@@ -1,8 +1,10 @@
 """Exact projective points, lines, and line enumeration over Q(sqrt(d)).
 
 Points and lines are homogeneous triples canonicalized so that the first
-nonzero coordinate is 1; equality is then componentwise.  Collinearity is
-an exact 3x3 determinant test, so every incidence decision is certain.
+nonzero coordinate is 1, fraction-free, leaving each point the integer
+row that finds duplicates and feeds the pair keys; equality is then
+componentwise.  Collinearity is an exact 3x3 determinant test, so every
+incidence decision is certain.
 A point set's lines are enumerated once, keying every point pair in one
 array pass (int64 where the headroom is proven, Python ints otherwise),
 into an ``Incidence``: every colorless fact the analysis needs, including
@@ -16,8 +18,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -34,33 +37,45 @@ from .quadfield import Discriminant, QuadElement, quad
 GREEN = "green"
 RED = "red"
 COLORS = (GREEN, RED)
+_ZERO = Fraction(0)
 
 
-def _canonical_triple(
-    c0: QuadElement, c1: QuadElement, c2: QuadElement
-) -> tuple[QuadElement, QuadElement, QuadElement]:
-    if c0.d != c1.d or c0.d != c2.d:
+def _canonical_triple(*triple: QuadElement) -> tuple[tuple[QuadElement, ...], tuple[int, ...]]:
+    """The triple scaled to make its first nonzero coordinate 1, and its primitive
+    integer row (xa, xb, ya, yb, za, zb), x = xa + xb*sqrt(d) etc., Q-proportional
+    to it with that entry > 0: cleared to one denominator, times the conjugate
+    of the pivot (a rational pivot then) and divided by the gcd, in ints."""
+    d = triple[0].d
+    if triple[1].d != d or triple[2].d != d:
         raise FieldMismatchError("coordinates of one triple must share a discriminant")
-    for pivot in (c0, c1, c2):
-        if not pivot.is_zero:
-            inv = pivot.invert()
-            return (c0 * inv, c1 * inv, c2 * inv)
-    raise ValueError("homogeneous triple must not be identically zero")
+    ratios = [f.as_integer_ratio() for c in triple for f in (c.a, c.b)]
+    den = lcm(*(q for _, q in ratios))
+    row = [p * (den // q) for p, q in ratios]
+    k = 0 if row[0] or row[1] else 2 if row[2] or row[3] else 4
+    pa, pb = row[k], row[k + 1]
+    if not (pa or pb):
+        raise ValueError("homogeneous triple must not be identically zero")
+    if pb:  # (a + b sqrt(d)) (pa - pb sqrt(d)) = (a pa - b pb d) + (b pa - a pb) sqrt(d)
+        pairs = zip(row[::2], row[1::2])
+        row = [v for a, b in pairs for v in (a * pa - b * pb * d, b * pa - a * pb)]
+    g = gcd(*row) if row[k] > 0 else -gcd(*row)
+    row = tuple(v // g for v in row)
+    f = [Fraction(v, row[k]) if v else _ZERO for v in row]
+    return (QuadElement(f[0], f[1], d), QuadElement(f[2], f[3], d), QuadElement(f[4], f[5], d)), row
 
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Projective point (x : y : z), canonical on construction."""
+    """Projective point (x : y : z), canonical on construction, and its ``row``."""
 
     x: QuadElement
     y: QuadElement
     z: QuadElement
+    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x, y, z = _canonical_triple(self.x, self.y, self.z)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        (x, y, z), row = _canonical_triple(self.x, self.y, self.z)
+        vars(self).update(x=x, y=y, z=z, row=row)
 
     @property
     def d(self) -> int:
@@ -87,10 +102,8 @@ class ProjLine:
     w: QuadElement
 
     def __post_init__(self):
-        u, v, w = _canonical_triple(self.u, self.v, self.w)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
+        (u, v, w), _ = _canonical_triple(self.u, self.v, self.w)
+        vars(self).update(u=u, v=v, w=w)
 
     def contains(self, p: ProjPoint) -> bool:
         return (self.u * p.x + self.v * p.y + self.w * p.z).is_zero
@@ -156,13 +169,11 @@ class ColoredConfiguration:
                 raise FieldMismatchError(
                     f"point {p} does not live in Q(sqrt({self.discriminant.d}))"
                 )
-        seen: dict[ProjPoint, int] = {}
+        seen: dict[tuple[int, ...], int] = {}
         for i, p in enumerate(self.points):
-            if p in seen:
-                raise DuplicatePointError(
-                    f"points {seen[p]} and {i} coincide at {p}", (seen[p], i)
-                )
-            seen[p] = i
+            first = seen.setdefault(p.row, i)
+            if first != i:
+                raise DuplicatePointError(f"points {first} and {i} coincide at {p}", (first, i))
         greens = self.colors.count(GREEN)
         if greens < len(self.points) - greens:
             object.__setattr__(
@@ -235,16 +246,6 @@ class DeterminedLines(Sequence[DeterminedLine]):
         return DeterminedLine(tuple(self.points[start:stop].tolist()), self.base)
 
 
-def _integer_coords(p: ProjPoint) -> tuple[int, int, int, int, int, int]:
-    """Denominator-cleared coordinates (xa, xb, ya, yb, za, zb) with each
-    component xa + xb*sqrt(d) etc.; proportional to the point over Q."""
-    fracs = (p.x.a, p.x.b, p.y.a, p.y.b, p.z.a, p.z.b)
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return tuple(f.numerator * (den // f.denominator) for f in fracs)
-
-
 # Largest bit length of a denominator-cleared coordinate component; above
 # it, Python-int keying of 1000 points no longer ends within seconds.
 MAX_KEY_BITS = 192
@@ -267,7 +268,7 @@ def _key_dtype(ints: list[tuple[int, ...]], d: int):
 def _pair_keys(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
     """Column r: the canonical key of the line through points p[:, r], q[:, r].
 
-    Columns are denominator-cleared coordinates (see _integer_coords), and
+    Columns are the points' integer rows (ProjPoint.row), and
     the keys keep their dtype.  The cross product is taken in Z[sqrt(d)].
     Multiplying through by the conjugate of the first nonzero component
     makes that component a plain (rational) integer, after which two
@@ -303,7 +304,7 @@ def enumerate_lines(points: tuple[ProjPoint, ...]) -> DeterminedLines:
     tuple, hence independent of any internal ordering.
     """
     d = points[0].d if points else 0
-    ints = [_integer_coords(p) for p in points]
+    ints = [p.row for p in points]
     # Keys come out one contiguous row per component, for the sort and compare.
     coords = np.array(ints, dtype=_key_dtype(ints, d)).reshape(-1, 6).T
     i, j = np.triu_indices(len(points), 1)  # pairs in (i, j) order

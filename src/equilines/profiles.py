@@ -11,7 +11,7 @@ computation checks them and raises on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping
@@ -24,11 +24,12 @@ from .geometry import GREEN, ColoredConfiguration
 
 @dataclass(frozen=True)
 class LineProfile:
-    """Counts t_{i,j} for one configuration, plus its n and k."""
+    """Counts t_{i,j} for one configuration, its n and k, and its checked identities."""
 
     counts: tuple[tuple[tuple[int, int], int], ...]
     n: int
     k: int
+    identities: IdentityReport | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, cells: dict[tuple[int, int], int], n: int, k: int) -> LineProfile:
@@ -131,15 +132,16 @@ def compute_profile(config: ColoredConfiguration) -> LineProfile:
             f"counting identities failed ({', '.join(failed)}): "
             "the enumeration or profile code is buggy"
         )
-    return profile
+    return replace(profile, identities=report)
 
 
 def verify_identities(profile: LineProfile) -> IdentityReport:
-    """Evaluate both sides of every counting identity exactly."""
+    """Both sides of every identity, exactly: sum coef * (int sum t (i-j)^a (i+j)^b)."""
     return IdentityReport(tuple(
         IdentityCheck(
             name,
-            sum(row.weight(i, j) * c for (i, j), c in profile.counts),
+            sum(coef * sum(c * (i - j) ** a * (i + j) ** b for (i, j), c in profile.counts)
+                for (a, b), coef in row.terms.items()),
             row.rhs(profile.n, profile.k),
         )
         for name, row in IDENTITIES.items()

@@ -16,8 +16,6 @@ from numbers import Rational
 
 from .errors import ElementParseError, FieldMismatchError
 
-RationalLike = Rational | int | str
-
 # Squarefreeness is checked by trial division up to sqrt(|d|), so |d| is
 # capped to keep that check (and every config parse) fast.
 MAX_ABS_DISCRIMINANT = 10**12
@@ -53,10 +51,6 @@ class Discriminant:
             )
         if not is_squarefree(self.d):
             raise ValueError(f"discriminant must be squarefree, got {self.d}")
-
-    @property
-    def is_real(self) -> bool:
-        return self.d > 0
 
 
 @dataclass(frozen=True)
@@ -103,9 +97,7 @@ class QuadElement:
         )
 
     def __truediv__(self, other: QuadElement) -> QuadElement:
-        if not isinstance(other, QuadElement):
-            return NotImplemented
-        return self * other.invert()
+        return self * other.invert() if isinstance(other, QuadElement) else NotImplemented
 
     def invert(self) -> QuadElement:
         """Multiplicative inverse (a - b*sqrt(d)) / (a^2 - b^2 d).
@@ -142,7 +134,7 @@ class QuadElement:
         return f"QuadElement({self.a!r}, {self.b!r}, d={self.d})"
 
 
-def quad(a: RationalLike, b: RationalLike = 0, *, d: int) -> QuadElement:
+def quad(a: Rational | int | str, b: Rational | int | str = 0, *, d: int) -> QuadElement:
     """Build a + b*sqrt(d) from ints, Fractions, or fraction strings."""
     return QuadElement(Fraction(a), Fraction(b), d)
 
@@ -166,6 +158,7 @@ _ELEMENT_RE = re.compile(
     r"^(?:(?P<rat>-?\d+(?:/\d+)?)(?=[+-]|$))?"
     r"(?:(?P<sign>[+-])?(?:(?P<coef>\d+(?:/\d+)?)\*)?sqrt\((?P<d>-?\d+)\))?$"
 )
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def parse_element(text: str, d: int) -> QuadElement:
@@ -180,27 +173,28 @@ def parse_element(text: str, d: int) -> QuadElement:
     if not s:
         raise ElementParseError("empty field element")
     m = _ELEMENT_RE.match(s)
-    if not m or (m.group("rat") is None and m.group("d") is None):
+    rat, sign, coef, root = m.groups() if m else (None,) * 4
+    if rat is None and root is None:
         raise ElementParseError(f"cannot parse field element {text!r}")
-    a = _rational(m.group("rat"), text) if m.group("rat") is not None else Fraction(0)
-    b = Fraction(0)
-    if m.group("d") is not None:
-        written_d = int(m.group("d"))
+    a = _rational(rat, text) if rat is not None else _ZERO
+    b = _ZERO
+    if root is not None:
+        written_d = int(root)
         if written_d != d:
             raise ElementParseError(
                 f"element {text!r} uses sqrt({written_d}) but the ambient field is Q(sqrt({d}))"
             )
-        b = _rational(m.group("coef"), text) if m.group("coef") is not None else Fraction(1)
-        if m.group("sign") == "-":
-            b = -b
+        b = _rational(coef, text) if coef is not None else _ONE
+        b = -b if sign == "-" else b
     return QuadElement(a, b, d)
 
 
 def _rational(part: str, text: str) -> Fraction:
-    try:
-        return Fraction(part)
-    except ZeroDivisionError:
-        raise ElementParseError(f"zero denominator in field element {text!r}") from None
+    num, _, den = part.partition("/")
+    numerator, denominator = int(num), int(den or 1)
+    if denominator == 0:
+        raise ElementParseError(f"zero denominator in field element {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def format_element(x: QuadElement) -> str:

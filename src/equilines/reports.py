@@ -18,12 +18,12 @@ import json
 from fractions import Fraction
 
 from .bounds import BoundReport, evaluate_all_bounds
-from .errors import ConfigError
+from .errors import ConfigError, EquilinesError
 from .generators import check_point_count
 from .geometry import COLORS, ColoredConfiguration, ProjPoint
 from .inequalities import InequalityReport, evaluate_all
 from .kernels import resolve_backend
-from .profiles import IdentityReport, LineProfile, compute_profile, verify_identities
+from .profiles import IdentityReport, LineProfile, compute_profile
 from .proofcheck import SignCertificate
 from .quadfield import Discriminant, format_element, parse_element
 from .search import SearchResult
@@ -87,13 +87,10 @@ def _parse_point(entry, idx: int, d: int) -> ProjPoint:
             )
     try:
         parsed = [parse_element(str(c), d) for c in coords]
-    except Exception as exc:
-        raise ConfigError(f"point {idx}: {exc}") from None
-    if len(parsed) == 2:
-        parsed.append(parse_element("1", d))
-    try:
+        if len(parsed) == 2:
+            parsed.append(parse_element("1", d))
         return ProjPoint(*parsed)
-    except ValueError as exc:
+    except (EquilinesError, ValueError) as exc:  # ValueError: int() digit limit, zero triple
         raise ConfigError(f"point {idx}: {exc}") from None
 
 
@@ -237,7 +234,7 @@ def analysis_document(config: ColoredConfiguration) -> tuple[dict, bool]:
     doc = {
         "summary": summary_section(config),
         "profile": profile_section(config, profile),
-        "identities": identities_section(verify_identities(profile)),
+        "identities": identities_section(profile.identities),
         "inequalities": [inequality_section(r) for r in ineqs],
         "bounds": [bound_section(r) for r in bnds],
     }

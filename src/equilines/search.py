@@ -1,6 +1,6 @@
 """Coloring search over a fixed base point set.
 
-``run_search`` is the one entry point.  It checks the coloring cap,
+``run_search`` is the one entry point.  It checks both search caps,
 enumerates the base set's lines once into one ``Incidence`` and takes the
 theorem's verdict from ``bounds.verdict``.  Applicability depends only on
 the base set and (n, k), never on the coloring: if the gate fails, every
@@ -33,6 +33,8 @@ EXHAUSTIVE = "exhaustive"
 LOCAL = "local"
 # Colorings one search may examine; bounds the time and memory of any request.
 MAX_COLORINGS = 10_000_000
+# Moves one local search may propose: seconds at the ~80k moves/s of a plateau.
+MAX_LOCAL_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,10 @@ def run_search(spec: SearchSpec) -> SearchResult:
     if count > MAX_COLORINGS:
         raise SearchCapError(
             f"{spec.mode} search over {count} colorings exceeds the cap {MAX_COLORINGS}", count
+        )
+    if spec.mode == LOCAL and spec.budget > MAX_LOCAL_BUDGET:
+        raise SearchCapError(
+            f"{spec.budget} local moves exceed the budget cap {MAX_LOCAL_BUDGET}", count
         )
     base = Incidence.of(spec.points)
     applicable, detail, bound = verdict(spec.theorem, spec.n_green, spec.k, base)

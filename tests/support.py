@@ -1,4 +1,5 @@
 """Shared test helpers: seeded random configurations, brute-force oracles,
+the Fraction canonicalization the fraction-free one is checked against,
 and the incremental reference algorithms the search kernels are checked
 against."""
 
@@ -7,6 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from equilines.profiles import (
     compute_profile,
     count_equichromatic,
 )
-from equilines.quadfield import one, quad, zero
+from equilines.quadfield import QuadElement, one, quad, zero
 
 ALL_DS = (-3, -1, 2, 5)
 REAL_DS = (2, 5)
@@ -90,6 +92,27 @@ def random_real_config(
             break
     colors = tuple(rng.choice((GREEN, RED)) for _ in pts)
     return configuration(pts, colors, d)
+
+
+def oracle_canonical_triple(
+    c0: QuadElement, c1: QuadElement, c2: QuadElement
+) -> tuple[QuadElement, QuadElement, QuadElement]:
+    """The triple divided by its first nonzero coordinate in QuadElement
+    arithmetic: the oracle for geometry._canonical_triple."""
+    for pivot in (c0, c1, c2):
+        if not pivot.is_zero:
+            inv = pivot.invert()
+            return (c0 * inv, c1 * inv, c2 * inv)
+    raise ValueError("homogeneous triple must not be identically zero")
+
+
+def oracle_integer_coords(triple) -> tuple[int, ...]:
+    """The components (xa, xb, ya, yb, za, zb) of a canonical triple, each
+    coordinate xa + xb*sqrt(d) etc., cleared to one denominator: the oracle
+    for ProjPoint.row."""
+    fracs = [f for c in triple for f in (c.a, c.b)]
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs)
 
 
 def reference_lines(points: tuple[ProjPoint, ...]) -> list[tuple[int, ...]]:

@@ -369,8 +369,12 @@ def test_cli_rejects_infeasible_random_rational_quickly(capsys):
         # C(36, 18) = 9,075,135,300 colorings: rejected before any work.
         (["search", "--generator", "grid(6)", "--k", "0", "--theorem", "equisix"],
          "cap 10000000"),
+        # Within the coloring cap, but about two minutes of plateau moves.
+        (["search", "--generator", "random_rational(18,1,9)", "--k", "0", "--theorem",
+          "equisix", "--mode", "local", "--budget", "9999999"], "budget cap 1000000"),
     ],
-    ids=["local-budget", "generate-points", "search-points", "exhaustive-colorings"],
+    ids=["local-budget", "generate-points", "search-points", "exhaustive-colorings",
+         "local-moves"],
 )
 def test_cli_rejects_oversized_requests_quickly(argv, limit, capsys):
     start = time.perf_counter()
@@ -395,6 +399,23 @@ def test_cli_rejects_coordinates_above_key_limit_quickly(tmp_path, capsys):
         assert run_cli(argv) == 2
         assert time.perf_counter() - start < 5.0
         assert f"the limit is {MAX_KEY_BITS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "coordinate", ["1" * 5000, "1/" + "1" * 5000, "1+" + "1" * 5000 + "*sqrt(5)"],
+    ids=["numerator", "denominator", "sqrt-coefficient"],
+)
+def test_cli_rejects_5000_digit_coordinates_quickly(tmp_path, coordinate, capsys):
+    doc = {
+        "d": 5,
+        "points": [{"coords": [coordinate, "0"], "color": "green"},
+                   {"coords": ["0", "0"], "color": "red"}],
+    }
+    path = write_config(tmp_path, "digits.json", doc)
+    start = time.perf_counter()
+    assert run_cli(["analyze", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: point 0: ")
 
 
 def test_cli_rejects_config_above_point_limit_quickly(tmp_path, capsys):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import ALL_DS, random_config, random_points, reference_lines
+from support import (
+    ALL_DS,
+    oracle_canonical_triple,
+    oracle_integer_coords,
+    random_config,
+    random_points,
+    reference_lines,
+)
 
 from equilines import geometry
 from equilines.errors import (
@@ -22,11 +29,11 @@ from equilines.geometry import (
     GREEN,
     RED,
     ColoredConfiguration,
+    ProjLine,
     ProjPoint,
     affine_point,
     collinear,
     configuration,
-    _integer_coords,
     _key_dtype,
     _pair_keys,
     enumerate_lines,
@@ -58,6 +65,49 @@ def test_point_canonicalization_idempotent():
     for seed in range(5):
         for p in random_points(random.Random(seed), 6, -3):
             assert ProjPoint(p.x, p.y, p.z) == p
+
+
+components = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def triples(draw, d):
+    """A nonzero triple over Q(sqrt(d)) whose first nonzero coordinate (the
+    pivot) is x, y or z; the pivot is rational, has a sqrt(d) part, or,
+    for d > 0, has a negative norm a^2 - b^2 d."""
+    at = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["rational", "quadratic", "negative_norm"]))
+    b = Fraction(0) if kind == "rational" else draw(components.filter(bool))
+    a = draw(components)
+    if kind == "negative_norm" and d > 0:
+        a = draw(st.fractions(min_value=-abs(b), max_value=abs(b), max_denominator=12))
+        assume(a * a < b * b * d)
+    assume(a or b)
+    coords = [zero(d)] * at + [quad(a, b, d=d)]
+    for _ in range(2 - at):
+        coords.append(quad(draw(components), draw(st.just(0) | components), d=d))
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("d", ALL_DS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_canonical_triple_matches_fraction_oracle(d, data):
+    triple = data.draw(triples(d))
+    expected = oracle_canonical_triple(*triple)
+    p = ProjPoint(*triple)
+    assert p.coords == expected
+    assert hash(p) == hash(expected)
+    assert p.row == oracle_integer_coords(expected)
+    line = ProjLine(*triple)
+    assert (line.u, line.v, line.w) == expected
+    # An irrational scalar multiple is the same point.
+    scale = quad(data.draw(components), data.draw(components.filter(bool)), d=d)
+    scaled = ProjPoint(*(scale * c for c in triple))
+    assert scaled == p and hash(scaled) == hash(p) and scaled.row == p.row
+    other = data.draw(triples(d))
+    q = ProjPoint(*other)
+    assert (q == p) == (oracle_canonical_triple(*other) == expected) == (q.row == p.row)
 
 
 def test_point_rejects_zero_triple():
@@ -188,7 +238,7 @@ def test_line_key_invariant_under_irrational_scaling():
     a = ProjPoint(zero(d), one(d), -one(d))
     b = ProjPoint(zero(d), one(d), -omega)
     c = ProjPoint(zero(d), one(d), -(omega * omega))
-    ia, ib, ic = (_integer_coords(p) for p in (a, b, c))
+    ia, ib, ic = (p.row for p in (a, b, c))
     keys = _pair_keys(np.array([ia, ia, ib]).T, np.array([ib, ic, ic]).T, d)
     keys = {tuple(key) for key in keys.T.tolist()}
     assert len(keys) == 1
@@ -203,8 +253,8 @@ def test_line_key_matches_line_through_on_random_pairs():
         pts = random_points(rng, 8, d)
         pairs = list(itertools.combinations(pts, 2))
         keys = _pair_keys(
-            np.array([_integer_coords(p) for p, _ in pairs]).T,
-            np.array([_integer_coords(q) for _, q in pairs]).T,
+            np.array([p.row for p, _ in pairs]).T,
+            np.array([q.row for _, q in pairs]).T,
             d,
         )
         keyed = [(key, line_through(p, q)) for (p, q), key in zip(pairs, keys.T.tolist())]
@@ -228,7 +278,7 @@ def test_enumerate_lines_matches_exact_oracle():
 def test_int64_and_object_keys_agree(monkeypatch):
     points = [random_config(seed, max_total=14).points for seed in ORACLE_SEEDS]
     for pts in points:
-        ints = [_integer_coords(p) for p in pts]
+        ints = [p.row for p in pts]
         assert _key_dtype(ints, pts[0].d) is np.int64
         i, j = np.triu_indices(len(pts), 1)
         keys = {}
@@ -257,7 +307,7 @@ def lines_and_stragglers(d, base, step):
 
 def test_object_path_on_large_coordinates():
     pts = lines_and_stragglers(5, 10**7, 3) + random_points(random.Random(2), 6, 5)
-    assert _key_dtype([_integer_coords(p) for p in pts], 5) is object
+    assert _key_dtype([p.row for p in pts], 5) is object
     lines = enumerate_lines(pts)
     assert [rec.point_indices for rec in lines] == reference_lines(pts)
     assert max(rec.size for rec in lines) == 4
@@ -267,7 +317,7 @@ def test_object_path_on_large_discriminant():
     d = -next(m for m in range(MAX_ABS_DISCRIMINANT, 0, -1) if is_squarefree(m))
     assert -d > MAX_ABS_DISCRIMINANT - 100
     pts = lines_and_stragglers(d, 0, 1) + random_points(random.Random(3), 8, d)
-    assert _key_dtype([_integer_coords(p) for p in pts], d) is object
+    assert _key_dtype([p.row for p in pts], d) is object
     lines = enumerate_lines(pts)
     assert [rec.point_indices for rec in lines] == reference_lines(pts)
 

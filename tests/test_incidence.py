@@ -1,7 +1,8 @@
 """Each point set is enumerated, and its CSR arrays built, once per analyzed
-config and once per search; each analyzed config's profile is tallied
-once; no DeterminedLine is built unless a line is read; and the arrays
-grow with the incidences, not with lines times points."""
+config and once per search; each analyzed config's profile is tallied,
+and its counting identities summed, once; parsing a config does no field
+arithmetic; no DeterminedLine is built unless a line is read; and the
+arrays grow with the incidences, not with lines times points."""
 
 import sys
 
@@ -14,7 +15,8 @@ from equilines import geometry, kernels, profiles
 from equilines.bounds import BoundTheorem
 from equilines.generators import grid, hesse, random_rational
 from equilines.geometry import GREEN, Incidence, configuration
-from equilines.reports import analysis_document
+from equilines.quadfield import QuadElement, parse_element
+from equilines.reports import analysis_document, config_document, dump_json, parse_config
 from equilines.search import EXHAUSTIVE, LOCAL, SearchSpec, run_search
 
 
@@ -98,6 +100,44 @@ def test_analysis_profiles_once_per_config(monkeypatch):
         analysis_document(config)
     assert len(tallied) == len(configs)
     assert all(seen is config for seen, config in zip(tallied, configs))
+
+
+def test_analysis_verifies_identities_once_per_config(monkeypatch):
+    checked = []
+    original = profiles.verify_identities
+
+    def counting(profile):
+        checked.append(profile)
+        return original(profile)
+
+    install(monkeypatch, original, counting)
+    configs = analyzed_configs()
+    for config in configs:
+        analysis_document(config)
+    assert len(checked) == len(configs)
+
+
+def test_parse_config_does_no_field_arithmetic(monkeypatch):
+    # Points with sqrt parts over d < 0 and d > 0, and points at infinity.
+    configs = analyzed_configs() + [random_config(seed) for seed in range(20)]
+    texts = [
+        dump_json(config_document(c.points, c.colors, c.discriminant.d)) for c in configs
+    ]
+    calls = []
+    for name in ("__mul__", "invert"):
+        original = getattr(QuadElement, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(QuadElement, name, counting)
+    for config, text in zip(configs, texts):
+        assert parse_config(text).points == config.points
+    assert calls == []
+    x = parse_element("1+sqrt(5)", 5)
+    assert x * x.invert() == parse_element("1", 5)
+    assert calls == ["invert", "__mul__"]
 
 
 @pytest.mark.parametrize("mode", [EXHAUSTIVE, LOCAL])

@@ -153,6 +153,63 @@ def test_parse_coefficient_without_rational_part():
     assert parse_element("-3/2*sqrt(-3)", -3) == quad(0, Fraction(-3, 2), d=-3)
 
 
+digits = st.text(alphabet="0123456789", min_size=1, max_size=8)
+rational_text = st.tuples(st.sampled_from(["", "-"]), digits, st.none() | digits).map(
+    lambda t: t[0] + t[1] + ("" if t[2] is None else "/" + t[2])
+)
+coefficient_text = st.tuples(digits, st.none() | digits).map(
+    lambda t: t[0] + ("" if t[1] is None else "/" + t[1])
+)
+
+
+def fraction_parse(rat, sign, coef, d):
+    """The element that Fraction(str) makes of the README grammar's parts."""
+    b = Fraction(0)
+    if sign is not None:
+        b = Fraction(coef) if coef is not None else Fraction(1)
+        b = -b if sign == "-" else b
+    return QuadElement(Fraction(rat) if rat is not None else Fraction(0), b, d)
+
+
+@given(discs, st.data())
+@settings(max_examples=300)
+def test_parse_matches_fraction_parse(d, data):
+    # "a/b", "a/b+c/e*sqrt(d)" and their shortened forms, with leading
+    # zeros, "-0", zero denominators and whitespace anywhere.
+    rat = data.draw(st.none() | rational_text)
+    signs = st.sampled_from("+-")
+    sign = data.draw(signs if rat is None else st.none() | signs)
+    coef = data.draw(st.none() | coefficient_text) if sign is not None else None
+    text = (rat or "") + (sign or "")
+    if sign is not None:
+        text += ("" if coef is None else coef + "*") + f"sqrt({d})"
+    if sign == "+" and rat is None:
+        text = text[1:]  # a leading "+" is not in the grammar
+    gaps = st.lists(st.sampled_from(["", " ", "\t"]), min_size=len(text) + 1, max_size=len(text) + 1)
+    spaces = data.draw(gaps)
+    spaced = "".join(w + c for w, c in zip(spaces, text)) + spaces[-1]
+    try:
+        expected = fraction_parse(rat, sign, coef, d)
+    except ZeroDivisionError:
+        with pytest.raises(ElementParseError, match="zero denominator"):
+            parse_element(spaced, d)
+    else:
+        assert parse_element(spaced, d) == expected
+
+
+@pytest.mark.parametrize("text", ["1/0", "1+1/0*sqrt(5)"])
+def test_parse_rejects_zero_denominator(text):
+    with pytest.raises(ElementParseError, match="zero denominator"):
+        parse_element(text, 5)
+
+
+def test_parse_sign_zeros_and_whitespace():
+    assert parse_element("-0", 5) == zero(5)
+    assert parse_element("-0/7", 5) == zero(5)
+    assert parse_element("007/0010", 5) == quad(Fraction(7, 10), d=5)
+    assert parse_element("1 / 2 - 0 3 * sqrt ( 5 )", 5) == quad(Fraction(1, 2), -3, d=5)
+
+
 @given(discs, st.data())
 @settings(max_examples=200)
 def test_format_parse_round_trip(d, data):

@@ -116,6 +116,18 @@ def test_local_cap(monkeypatch):
     assert exc.value.coloring_count == 11
 
 
+def test_local_budget_cap(monkeypatch):
+    # Checked apart from the coloring cap, which the budget fits here.
+    monkeypatch.setattr(search, "MAX_LOCAL_BUDGET", 10)
+    spec = SearchSpec(
+        points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", budget=10
+    )
+    assert run_search(spec).colorings_examined == 11
+    with pytest.raises(SearchCapError, match="budget cap 10$") as exc:
+        run_search(dataclasses.replace(spec, budget=11))
+    assert exc.value.coloring_count == 12
+
+
 @pytest.mark.parametrize("which", KERNEL_PARAMS)
 def test_exhaustive_grid2_all_colorings(monkeypatch, which):
     use_kernels(monkeypatch, which)
