@@ -13,7 +13,6 @@ from .bounds import (
 from .errors import (
     ClaimRefutedError,
     ConfigError,
-    DegeneratePairError,
     DuplicatePointError,
     ElementParseError,
     EquilinesError,
@@ -28,13 +27,10 @@ from .geometry import (
     RED,
     ColoredConfiguration,
     DeterminedLine,
-    ProjLine,
     ProjPoint,
     affine_point,
-    collinear,
     configuration,
     enumerate_lines,
-    line_through,
 )
 from .inequalities import (
     InequalityKind,
@@ -66,7 +62,6 @@ __all__ = [
     "ClaimRefutedError",
     "ColoredConfiguration",
     "ConfigError",
-    "DegeneratePairError",
     "DeterminedLine",
     "Discriminant",
     "DuplicatePointError",
@@ -81,7 +76,6 @@ __all__ = [
     "InsufficientPointsError",
     "InternalInconsistencyError",
     "LineProfile",
-    "ProjLine",
     "ProjPoint",
     "QuadElement",
     "RED",
@@ -92,7 +86,6 @@ __all__ = [
     "affine_point",
     "analysis_document",
     "bound_value",
-    "collinear",
     "compute_profile",
     "configuration",
     "count_equichromatic",
@@ -105,7 +98,6 @@ __all__ = [
     "generate",
     "grid",
     "hesse",
-    "line_through",
     "near_pencil",
     "parse_config",
     "parse_element",

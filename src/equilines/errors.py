@@ -9,10 +9,6 @@ class FieldMismatchError(EquilinesError):
     """Two elements from quadratic fields with different discriminants were mixed."""
 
 
-class DegeneratePairError(EquilinesError):
-    """A line was requested through two equal points."""
-
-
 class InsufficientPointsError(EquilinesError):
     """An operation needs more points than the configuration provides."""
 

@@ -1,23 +1,23 @@
-"""Exact projective points, lines, and line enumeration over Q(sqrt(d)).
+"""Exact projective points and line enumeration over Q(sqrt(d)).
 
-Points and lines are homogeneous triples canonicalized so that the first
-nonzero coordinate is 1, fraction-free, leaving each point the integer
-row that finds duplicates and feeds the pair keys; equality is then
-componentwise.  Collinearity is an exact 3x3 determinant test, so every
-incidence decision is certain.
+A point is its primitive integer row (xa, xb, ya, yb, za, zb), with
+x = xa + xb*sqrt(d) etc., built fraction-free from any triple of field
+elements that spans it: equality, duplicates, realness and the pair
+keys all read the row, and the canonical Fraction triple (first nonzero
+coordinate 1) is rebuilt from it only to render the point.
 A point set's lines are enumerated once, keying every point pair in one
 array pass (int64 where the headroom is proven, Python ints otherwise),
 into an ``Incidence``: every colorless fact the analysis needs, including
 the CSR arrays (``kernels.IncidenceArrays``) that the profile tally and
 the search kernels read, never an array of lines times points.  The keys
-only group the pairs: a line is its points, a ``DeterminedLine`` is built
-only when one is read, and its exact line from its first two points.
+only group the pairs: a line is its points, and a ``DeterminedLine`` is
+built only when one is read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegeneratePairError,
     DuplicatePointError,
     FieldMismatchError,
     InsufficientPointsError,
@@ -37,14 +36,13 @@ from .quadfield import Discriminant, QuadElement, quad
 GREEN = "green"
 RED = "red"
 COLORS = (GREEN, RED)
-_ZERO = Fraction(0)
 
 
-def _canonical_triple(*triple: QuadElement) -> tuple[tuple[QuadElement, ...], tuple[int, ...]]:
-    """The triple scaled to make its first nonzero coordinate 1, and its primitive
-    integer row (xa, xb, ya, yb, za, zb), x = xa + xb*sqrt(d) etc., Q-proportional
-    to it with that entry > 0: cleared to one denominator, times the conjugate
-    of the pivot (a rational pivot then) and divided by the gcd, in ints."""
+def _canonical_row(*triple: QuadElement) -> tuple[int, ...]:
+    """The primitive integer row (xa, xb, ya, yb, za, zb), x = xa + xb*sqrt(d)
+    etc., Q-proportional to the triple over its first nonzero coordinate, that
+    entry > 0: cleared to one denominator, times the conjugate of the pivot
+    (a rational pivot then) and divided by the gcd, in ints."""
     d = triple[0].d
     if triple[1].d != d or triple[2].d != d:
         raise FieldMismatchError("coordinates of one triple must share a discriminant")
@@ -59,87 +57,42 @@ def _canonical_triple(*triple: QuadElement) -> tuple[tuple[QuadElement, ...], tu
         pairs = zip(row[::2], row[1::2])
         row = [v for a, b in pairs for v in (a * pa - b * pb * d, b * pa - a * pb)]
     g = gcd(*row) if row[k] > 0 else -gcd(*row)
-    row = tuple(v // g for v in row)
-    f = [Fraction(v, row[k]) if v else _ZERO for v in row]
-    return (QuadElement(f[0], f[1], d), QuadElement(f[2], f[3], d), QuadElement(f[4], f[5], d)), row
+    return tuple(v // g for v in row)
 
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Projective point (x : y : z), canonical on construction, and its ``row``."""
+    """Projective point (x : y : z) over Q(sqrt(d)), held as ``d`` and its
+    canonical ``row``; equal points have equal rows."""
 
-    x: QuadElement
-    y: QuadElement
-    z: QuadElement
-    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    x: InitVar[QuadElement]
+    y: InitVar[QuadElement]
+    z: InitVar[QuadElement]
+    d: int = field(init=False)
+    row: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        (x, y, z), row = _canonical_triple(self.x, self.y, self.z)
-        vars(self).update(x=x, y=y, z=z, row=row)
-
-    @property
-    def d(self) -> int:
-        return self.x.d
+    def __post_init__(self, x: QuadElement, y: QuadElement, z: QuadElement):
+        vars(self).update(d=x.d, row=_canonical_row(x, y, z))
 
     @property
     def coords(self) -> tuple[QuadElement, QuadElement, QuadElement]:
-        return (self.x, self.y, self.z)
+        """The canonical triple, first nonzero coordinate 1, read off the row."""
+        r = self.row  # the pivot's entry is its first nonzero rational part
+        pivot = r[0] or r[2] or r[4]
+        f = [Fraction(v, pivot) for v in r]
+        return tuple(QuadElement(f[k], f[k + 1], self.d) for k in (0, 2, 4))
 
     @property
     def is_real(self) -> bool:
-        return all(c.is_real for c in self.coords)
+        return self.d > 0 or not any(self.row[1::2])
 
     def __str__(self) -> str:
-        return f"({self.x} : {self.y} : {self.z})"
-
-
-@dataclass(frozen=True)
-class ProjLine:
-    """Projective line with dual triple (u : v : w); ux + vy + wz = 0."""
-
-    u: QuadElement
-    v: QuadElement
-    w: QuadElement
-
-    def __post_init__(self):
-        (u, v, w), _ = _canonical_triple(self.u, self.v, self.w)
-        vars(self).update(u=u, v=v, w=w)
-
-    def contains(self, p: ProjPoint) -> bool:
-        return (self.u * p.x + self.v * p.y + self.w * p.z).is_zero
-
-    def __str__(self) -> str:
-        return f"[{self.u} : {self.v} : {self.w}]"
+        return "({} : {} : {})".format(*self.coords)
 
 
 def affine_point(x, y, *, d: int) -> ProjPoint:
     """Lift an affine point (x, y) to (x : y : 1)."""
     return ProjPoint(quad(x, d=d), quad(y, d=d), quad(1, d=d))
-
-
-def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    """Exact determinant test for three points on one line."""
-    if not (p.d == q.d == r.d):
-        raise FieldMismatchError("collinearity test needs one common field")
-    det = (
-        p.x * (q.y * r.z - q.z * r.y)
-        - p.y * (q.x * r.z - q.z * r.x)
-        + p.z * (q.x * r.y - q.y * r.x)
-    )
-    return det.is_zero
-
-
-def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    """The unique line through two distinct points (cross product of triples)."""
-    if p.d != q.d:
-        raise FieldMismatchError("points must share a discriminant")
-    if p == q:
-        raise DegeneratePairError(f"no unique line through the equal points {p}")
-    return ProjLine(
-        p.y * q.z - p.z * q.y,
-        p.z * q.x - p.x * q.z,
-        p.x * q.y - p.y * q.x,
-    )
 
 
 @dataclass(frozen=True)
@@ -213,16 +166,9 @@ def configuration(
 
 @dataclass(frozen=True, slots=True)
 class DeterminedLine:
-    """A line through >= 2 of the ``base`` points, with their indices; the
-    exact line is built from its first two points only when ``line`` is read."""
+    """A line through >= 2 points of a set, as their indices."""
 
     point_indices: tuple[int, ...]
-    base: tuple[ProjPoint, ...] = field(repr=False)
-
-    @property
-    def line(self) -> ProjLine:
-        a, b = self.point_indices[:2]
-        return line_through(self.base[a], self.base[b])
 
     @property
     def size(self) -> int:
@@ -230,12 +176,12 @@ class DeterminedLine:
 
 
 class DeterminedLines(Sequence[DeterminedLine]):
-    """The lines determined by the ``base`` points, sorted by point-index
-    tuple: each line's points in increasing order as CSR (``indptr``,
-    ``points``).  A ``DeterminedLine`` is built only when read."""
+    """The lines determined by a point set, sorted by point-index tuple:
+    each line's points in increasing order as CSR (``indptr``, ``points``).
+    A ``DeterminedLine`` is built only when read."""
 
-    def __init__(self, base: tuple[ProjPoint, ...], indptr: np.ndarray, points: np.ndarray):
-        self.base, self.indptr, self.points = base, indptr, points
+    def __init__(self, indptr: np.ndarray, points: np.ndarray):
+        self.indptr, self.points = indptr, points
 
     def __len__(self) -> int:
         return self.indptr.shape[0] - 1
@@ -243,12 +189,21 @@ class DeterminedLines(Sequence[DeterminedLine]):
     def __getitem__(self, index: int) -> DeterminedLine:
         i = range(len(self))[index]
         start, stop = self.indptr[i : i + 2].tolist()
-        return DeterminedLine(tuple(self.points[start:stop].tolist()), self.base)
+        return DeterminedLine(tuple(self.points[start:stop].tolist()))
 
 
 # Largest bit length of a denominator-cleared coordinate component; above
 # it, Python-int keying of 1000 points no longer ends within seconds.
 MAX_KEY_BITS = 192
+
+
+def check_key_bits(row: Iterable[int]) -> int:
+    """The largest |component| of a point's row (or of several rows, chained);
+    raises ConfigError when it has more than MAX_KEY_BITS bits."""
+    m = max(map(abs, row), default=0)
+    if m.bit_length() > MAX_KEY_BITS:
+        raise ConfigError(f"a coordinate needs {m.bit_length()} bits; the limit is {MAX_KEY_BITS}")
+    return m
 
 
 def _key_dtype(ints: list[tuple[int, ...]], d: int):
@@ -258,9 +213,7 @@ def _key_dtype(ints: list[tuple[int, ...]], d: int):
     in absolute value and a key entry before the gcd at most C^2 (1 + D),
     which bounds every partial sum too.  Raises ConfigError when M has
     more than MAX_KEY_BITS bits."""
-    m = max((abs(v) for row in ints for v in row), default=0)
-    if m.bit_length() > MAX_KEY_BITS:
-        raise ConfigError(f"a coordinate needs {m.bit_length()} bits; the limit is {MAX_KEY_BITS}")
+    m = check_key_bits(v for row in ints for v in row)
     c = 2 * m * m * (1 + abs(d))
     return np.int64 if c * c * (1 + abs(d)) < 2**63 else object
 
@@ -328,7 +281,7 @@ def enumerate_lines(points: tuple[ProjPoint, ...]) -> DeterminedLines:
     # one pair early here, is a.
     members = j[order[starts[line] + np.arange(indptr[-1]) - indptr[line] - 1]]
     members[indptr[:-1]] = i[first]
-    return DeterminedLines(tuple(points), indptr, members)
+    return DeterminedLines(indptr, members)
 
 
 @dataclass(frozen=True)

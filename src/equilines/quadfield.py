@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -191,7 +192,12 @@ def parse_element(text: str, d: int) -> QuadElement:
 
 def _rational(part: str, text: str) -> Fraction:
     num, _, den = part.partition("/")
-    numerator, denominator = int(num), int(den or 1)
+    try:
+        numerator, denominator = int(num), int(den or 1)
+    except ValueError:  # the pattern admits only digits: past int()'s digit limit
+        digits = max(len(num.lstrip("-")), len(den))
+        limit = sys.get_int_max_str_digits()
+        raise ElementParseError(f"a numeral has {digits} digits; the limit is {limit}") from None
     if denominator == 0:
         raise ElementParseError(f"zero denominator in field element {text!r}")
     return Fraction(numerator, denominator)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .bounds import BoundReport, evaluate_all_bounds
 from .errors import ConfigError, EquilinesError
 from .generators import check_point_count
-from .geometry import COLORS, ColoredConfiguration, ProjPoint
+from .geometry import COLORS, ColoredConfiguration, ProjPoint, check_key_bits
 from .inequalities import InequalityReport, evaluate_all
 from .kernels import resolve_backend
 from .profiles import IdentityReport, LineProfile, compute_profile
@@ -89,8 +89,10 @@ def _parse_point(entry, idx: int, d: int) -> ProjPoint:
         parsed = [parse_element(str(c), d) for c in coords]
         if len(parsed) == 2:
             parsed.append(parse_element("1", d))
-        return ProjPoint(*parsed)
-    except (EquilinesError, ValueError) as exc:  # ValueError: int() digit limit, zero triple
+        point = ProjPoint(*parsed)
+        check_key_bits(point.row)
+        return point
+    except (EquilinesError, ValueError) as exc:  # ValueError: zero triple
         raise ConfigError(f"point {idx}: {exc}") from None
 
 

@@ -21,7 +21,6 @@ from equilines.geometry import (
     ProjPoint,
     configuration,
     enumerate_lines,
-    line_through,
 )
 from equilines.profiles import (
     EquichromaticQuery,
@@ -98,7 +97,7 @@ def oracle_canonical_triple(
     c0: QuadElement, c1: QuadElement, c2: QuadElement
 ) -> tuple[QuadElement, QuadElement, QuadElement]:
     """The triple divided by its first nonzero coordinate in QuadElement
-    arithmetic: the oracle for geometry._canonical_triple."""
+    arithmetic: the oracle for ProjPoint.coords."""
     for pivot in (c0, c1, c2):
         if not pivot.is_zero:
             inv = pivot.invert()
@@ -115,12 +114,19 @@ def oracle_integer_coords(triple) -> tuple[int, ...]:
     return tuple(f.numerator * (den // f.denominator) for f in fracs)
 
 
+def oracle_line_through(p: ProjPoint, q: ProjPoint) -> tuple[QuadElement, ...]:
+    """The canonical dual triple (u : v : w), ux + vy + wz = 0, of the line
+    through two distinct points: the cross product of their coords."""
+    (px, py, pz), (qx, qy, qz) = p.coords, q.coords
+    return oracle_canonical_triple(py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx)
+
+
 def reference_lines(points: tuple[ProjPoint, ...]) -> list[tuple[int, ...]]:
     """Sorted point-index tuples of the determined lines, grouping the pairs
-    by their exact line_through: the oracle for enumerate_lines."""
+    by their exact oracle_line_through: the oracle for enumerate_lines."""
     groups: dict = {}
     for (i, p), (j, q) in itertools.combinations(enumerate(points), 2):
-        groups.setdefault(line_through(p, q), set()).update((i, j))
+        groups.setdefault(oracle_line_through(p, q), set()).update((i, j))
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 

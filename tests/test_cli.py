@@ -401,6 +401,25 @@ def test_cli_rejects_coordinates_above_key_limit_quickly(tmp_path, capsys):
         assert f"the limit is {MAX_KEY_BITS}" in capsys.readouterr().err
 
 
+def test_cli_rejects_oversized_coordinate_at_its_point(tmp_path, capsys):
+    # An 8 MB config of 1000 points with two 4000-digit coordinates each:
+    # the first point already needs more than MAX_KEY_BITS bits.
+    doc = {
+        "d": 5,
+        "points": [
+            {"coords": ["1" + str(i).zfill(3999), "2" + str(i).zfill(3999)], "color": "green"}
+            for i in range(1000)
+        ],
+    }
+    path = write_config(tmp_path, "wide.json", doc)
+    start = time.perf_counter()
+    assert run_cli(["analyze", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: point 0: a coordinate needs ")
+    assert f"the limit is {MAX_KEY_BITS}" in err
+
+
 @pytest.mark.parametrize(
     "coordinate", ["1" * 5000, "1/" + "1" * 5000, "1+" + "1" * 5000 + "*sqrt(5)"],
     ids=["numerator", "denominator", "sqrt-coefficient"],
@@ -415,7 +434,10 @@ def test_cli_rejects_5000_digit_coordinates_quickly(tmp_path, coordinate, capsys
     start = time.perf_counter()
     assert run_cli(["analyze", path]) == 2
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err.startswith("error: point 0: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: point 0: ")
+    assert "4300" in err and "set_int_max_str_digits" not in err
+    assert len(err) < 200
 
 
 def test_cli_rejects_config_above_point_limit_quickly(tmp_path, capsys):

@@ -27,7 +27,10 @@ json_values = st.recursive(
     max_leaves=6,
 )
 element_text = st.sampled_from(
-    ["0", "1", "-3", "1/2", "2/0", "sqrt(5)", "1+sqrt(5)", "-1/3*sqrt(5)", "sqrt(-3)", "x", "", "1e5"]
+    ["0", "1", "-3", "1/2", "2/0", "sqrt(5)", "1+sqrt(5)", "-1/3*sqrt(5)", "sqrt(-3)", "x", "", "1e5",
+     # Past the key-size limit, past int()'s digit limit, and a wide
+     # numeral that cancels to 1.
+     "9" * 59, "1" * 60, "1" * 5000, "1" + "0" * 59 + "/" + "1" + "0" * 59]
 ) | st.text(alphabet="0123456789/+-*sqrt() ", max_size=10)
 rational = st.integers(-6, 6) | st.integers(-6, 6).map(str) | st.sampled_from(["1/2", "-2/3"])
 coordinate = rational | element_text | json_scalars

@@ -40,8 +40,9 @@ def test_random_rational():
     pts = random_rational(8, seed=3, bound=5)
     assert len(pts) == len(set(pts)) == 8
     for p in pts:
-        assert not p.z.is_zero  # affine by construction
-        for c in (p.x / p.z, p.y / p.z):  # original coords, pre-canonicalization
+        x, y, z = p.coords
+        assert not z.is_zero  # affine by construction
+        for c in (x / z, y / z):  # original coords, pre-canonicalization
             assert c.b == 0
             assert abs(c.a.numerator) <= 5 and c.a.denominator <= 5
     assert random_rational(8, seed=3, bound=5) == pts  # deterministic

@@ -12,6 +12,7 @@ from support import (
     ALL_DS,
     oracle_canonical_triple,
     oracle_integer_coords,
+    oracle_line_through,
     random_config,
     random_points,
     reference_lines,
@@ -19,7 +20,6 @@ from support import (
 
 from equilines import geometry
 from equilines.errors import (
-    DegeneratePairError,
     DuplicatePointError,
     FieldMismatchError,
     InsufficientPointsError,
@@ -29,15 +29,12 @@ from equilines.geometry import (
     GREEN,
     RED,
     ColoredConfiguration,
-    ProjLine,
     ProjPoint,
     affine_point,
-    collinear,
     configuration,
     _key_dtype,
     _pair_keys,
     enumerate_lines,
-    line_through,
 )
 from equilines.quadfield import (
     MAX_ABS_DISCRIMINANT,
@@ -57,14 +54,14 @@ def P(x, y, z, d=5):
 def test_point_canonicalization():
     assert P(2, 4, 6) == P(1, 2, 3)
     assert P(0, 3, 6) == P(0, 1, 2)
-    p = ProjPoint(zero(-3), sqrt_d(-3), one(-3))
-    assert p.x.is_zero and p.y == one(-3)  # first nonzero scaled to 1
+    x, y, _ = ProjPoint(zero(-3), sqrt_d(-3), one(-3)).coords
+    assert x.is_zero and y == one(-3)  # first nonzero scaled to 1
 
 
 def test_point_canonicalization_idempotent():
     for seed in range(5):
         for p in random_points(random.Random(seed), 6, -3):
-            assert ProjPoint(p.x, p.y, p.z) == p
+            assert ProjPoint(*p.coords) == p
 
 
 components = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -97,10 +94,14 @@ def test_canonical_triple_matches_fraction_oracle(d, data):
     expected = oracle_canonical_triple(*triple)
     p = ProjPoint(*triple)
     assert p.coords == expected
-    assert hash(p) == hash(expected)
+    assert hash(p) == hash(ProjPoint(*expected))
     assert p.row == oracle_integer_coords(expected)
-    line = ProjLine(*triple)
-    assert (line.u, line.v, line.w) == expected
+    assert ProjPoint(*p.coords) == p
+    assert str(p) == "({} : {} : {})".format(*expected)
+    assert p.is_real == all(c.is_real for c in expected)
+    assert vars(p).keys() == {"d", "row"}
+    elsewhere = as_point(p.row, next(e for e in ALL_DS if e != d))
+    assert elsewhere.row == p.row and elsewhere != p
     # An irrational scalar multiple is the same point.
     scale = quad(data.draw(components), data.draw(components.filter(bool)), d=d)
     scaled = ProjPoint(*(scale * c for c in triple))
@@ -118,6 +119,11 @@ def test_point_rejects_zero_triple():
 def test_point_rejects_mixed_fields():
     with pytest.raises(FieldMismatchError):
         ProjPoint(one(5), one(2), one(5))
+
+
+def collinear(p, q, r):
+    """Three distinct points lie on one line iff they determine one line."""
+    return len(enumerate_lines((p, q, r))) == 1
 
 
 def test_collinear_examples():
@@ -156,23 +162,20 @@ def test_collinear_agrees_with_numeric_determinant():
 
 
 def test_line_through_examples():
-    horizontal = line_through(P(0, 0, 1), P(1, 0, 1))
-    assert (horizontal.u, horizontal.v, horizontal.w) == (zero(5), one(5), zero(5))
-    at_infinity = line_through(P(1, 0, 0), P(0, 1, 0))
-    assert (at_infinity.u, at_infinity.v, at_infinity.w) == (zero(5), zero(5), one(5))
-    diagonal = line_through(P(0, 0, 1), P(1, 1, 1))
-    assert (diagonal.u, diagonal.v, diagonal.w) == (one(5), -one(5), zero(5))
+    # The oracle that reference_lines groups the pairs by.
+    horizontal = oracle_line_through(P(0, 0, 1), P(1, 0, 1))
+    assert horizontal == (zero(5), one(5), zero(5))
+    at_infinity = oracle_line_through(P(1, 0, 0), P(0, 1, 0))
+    assert at_infinity == (zero(5), zero(5), one(5))
+    diagonal = oracle_line_through(P(0, 0, 1), P(1, 1, 1))
+    assert diagonal == (one(5), -one(5), zero(5))
 
 
 def test_line_through_incidence():
     p, q = P(2, 3, 1), P(-1, 7, 2)
-    ln = line_through(p, q)
-    assert ln.contains(p) and ln.contains(q)
-
-
-def test_line_through_equal_points_raises():
-    with pytest.raises(DegeneratePairError):
-        line_through(P(1, 2, 1), P(2, 4, 2))
+    u, v, w = oracle_line_through(p, q)
+    for x, y, z in (p.coords, q.coords):
+        assert (u * x + v * y + w * z).is_zero
 
 
 def test_enumerate_triangle():
@@ -214,8 +217,10 @@ def test_enumeration_is_order_independent():
         config = random_config(seed, max_total=10)
         pts = list(config.points)
         rng.shuffle(pts)
-        original = {rec.line for rec in enumerate_lines(config.points)}
-        shuffled = {rec.line for rec in enumerate_lines(tuple(pts))}
+        original, shuffled = (
+            {frozenset(points[i].row for i in rec.point_indices) for rec in enumerate_lines(points)}
+            for points in (config.points, tuple(pts))
+        )
         assert original == shuffled
         sizes = sorted(rec.size for rec in enumerate_lines(config.points))
         sizes_shuffled = sorted(rec.size for rec in enumerate_lines(tuple(pts)))
@@ -226,8 +231,10 @@ def test_line_through_matches_enumerated_line():
     for seed in (1, 5, 9):
         config = random_config(seed, max_total=9)
         for rec in config.incidence.lines:
+            a, b = (config.points[i] for i in rec.point_indices[:2])
             for i, j in itertools.combinations(rec.point_indices, 2):
-                assert line_through(config.points[i], config.points[j]) == rec.line
+                line = oracle_line_through(config.points[i], config.points[j])
+                assert line == oracle_line_through(a, b)
 
 
 def test_line_key_invariant_under_irrational_scaling():
@@ -244,7 +251,7 @@ def test_line_key_invariant_under_irrational_scaling():
     assert len(keys) == 1
     (line,) = enumerate_lines((a, b, c))
     assert line.point_indices == (0, 1, 2)
-    assert line.line == line_through(a, b)
+    assert oracle_line_through(a, b) == oracle_line_through(b, c)
 
 
 def test_line_key_matches_line_through_on_random_pairs():
@@ -257,7 +264,7 @@ def test_line_key_matches_line_through_on_random_pairs():
             np.array([q.row for _, q in pairs]).T,
             d,
         )
-        keyed = [(key, line_through(p, q)) for (p, q), key in zip(pairs, keys.T.tolist())]
+        keyed = [(key, oracle_line_through(p, q)) for (p, q), key in zip(pairs, keys.T.tolist())]
         for (key1, line1), (key2, line2) in itertools.product(keyed, repeat=2):
             assert (key1 == key2) == (line1 == line2)
 
