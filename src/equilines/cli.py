@@ -93,8 +93,12 @@ def _emit(doc: dict, fmt: str, decimal: bool) -> None:
 def _load_config(path: str):
     p = Path(path)
     if not p.is_file():
-        raise EquilinesError(f"no such file: {path}")
-    return parse_config(p.read_text(encoding="utf-8"))
+        raise EquilinesError(f"not a file: {path}" if p.exists() else f"no such file: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EquilinesError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_config(text)
 
 
 def _cmd_analyze(args) -> int:

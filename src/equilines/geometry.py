@@ -5,13 +5,13 @@ x = xa + xb*sqrt(d) etc., built fraction-free from any triple of field
 elements that spans it: equality, duplicates, realness and the pair
 keys all read the row, and the canonical Fraction triple (first nonzero
 coordinate 1) is rebuilt from it only to render the point.
-A point set's lines are enumerated once, keying every point pair in one
-array pass (int64 where the headroom is proven, Python ints otherwise),
-into an ``Incidence``: every colorless fact the analysis needs, including
-the CSR arrays (``kernels.IncidenceArrays``) that the profile tally and
-the search kernels read, never an array of lines times points.  The keys
-only group the pairs: a line is its points, and a ``DeterminedLine`` is
-built only when one is read.
+A point set's lines are enumerated once, keying the point pairs block by
+block into one key array (int64 where the headroom is proven, Python ints
+otherwise), into an ``Incidence``: every colorless fact the analysis
+needs, including the CSR arrays (``kernels.IncidenceArrays``) that the
+profile tally and the search kernels read, never an array of lines times
+points.  The keys only group the pairs: a line is its points, and a
+``DeterminedLine`` is built only when one is read.
 """
 
 from __future__ import annotations
@@ -186,7 +186,9 @@ class DeterminedLines(Sequence[DeterminedLine]):
     def __len__(self) -> int:
         return self.indptr.shape[0] - 1
 
-    def __getitem__(self, index: int) -> DeterminedLine:
+    def __getitem__(self, index: int | slice) -> DeterminedLine | tuple[DeterminedLine, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
         i = range(len(self))[index]
         start, stop = self.indptr[i : i + 2].tolist()
         return DeterminedLine(tuple(self.points[start:stop].tolist()))
@@ -216,6 +218,11 @@ def _key_dtype(ints: list[tuple[int, ...]], d: int):
     m = check_key_bits(v for row in ints for v in row)
     c = 2 * m * m * (1 + abs(d))
     return np.int64 if c * c * (1 + abs(d)) < 2**63 else object
+
+
+# Pairs keyed per _pair_keys call: its gathers, cross products and key
+# stack scale with the block, not with C(N, 2).
+_PAIR_BLOCK = 1 << 12
 
 
 def _pair_keys(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
@@ -250,28 +257,37 @@ def _pair_keys(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
 def enumerate_lines(points: tuple[ProjPoint, ...]) -> DeterminedLines:
     """All determined lines with their exact incident point index sets.
 
-    Every point pair is keyed in one array pass, in int64 when _key_dtype
-    proves the headroom and in Python ints otherwise.  Each line's pairs
-    share one key, so sum over lines of C(m, 2) = C(N, 2); the keys only
-    group the pairs and are dropped.  Output is sorted by incident index
-    tuple, hence independent of any internal ordering.
+    The point pairs are keyed block by block into one key array, in int64
+    when _key_dtype proves the headroom and in Python ints otherwise, so
+    every temporary but the keys is bounded by the block size.  Each
+    line's pairs share one key, so sum over lines of C(m, 2) = C(N, 2);
+    the keys only group the pairs and are dropped.  Output is sorted by
+    incident index tuple, hence independent of any internal ordering.
     """
     d = points[0].d if points else 0
     ints = [p.row for p in points]
-    # Keys come out one contiguous row per component, for the sort and compare.
-    coords = np.array(ints, dtype=_key_dtype(ints, d)).reshape(-1, 6).T
+    dtype = _key_dtype(ints, d)
+    coords = np.array(ints, dtype=dtype).reshape(-1, 6).T
     i, j = np.triu_indices(len(points), 1)  # pairs in (i, j) order
-    keys = _pair_keys(coords[:, i], coords[:, j], d)
+    # One contiguous row per key component, for the sort and compare.
+    keys = np.empty((6, i.shape[0]), dtype=dtype)
+    for start in range(0, i.shape[0], _PAIR_BLOCK):
+        b = slice(start, start + _PAIR_BLOCK)
+        keys[:, b] = _pair_keys(coords[:, i[b]], coords[:, j[b]], d)
     order = np.lexsort(keys)  # stable: each line's pairs stay in (i, j) order
-    keys = keys[:, order]
-    new = np.ones(order.shape[0], dtype=bool)
-    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[:1] = True
+    for row in keys:  # one sorted key row at a time, never all six
+        row = row[order]
+        new[1:] |= row[1:] != row[:-1]
+    del keys, row
     group = np.cumsum(new) - 1
     starts = np.flatnonzero(new)
     # A line's first pair joins its two smallest points a < b, and its
     # first m - 1 pairs are (a, x) for its other points x, in increasing x.
     first = order[starts]
     sizes = np.bincount(group[i[order] == i[first][group]], minlength=starts.shape[0]) + 1
+    del group, new
     # Lines share at most one point, so by first pair is by point-index tuple.
     by_first = np.argsort(first)
     sizes, starts, first = sizes[by_first], starts[by_first], first[by_first]

@@ -202,6 +202,10 @@ def test_enumerate_hesse():
         for idx in rec.point_indices:
             per_point[idx] += 1
     assert per_point == [4] * 9
+    # A slice gives what the same slice of the tuple of lines gives.
+    for cut in (slice(1, 3), slice(None, None, -1), slice(-2, 3, -3), slice(5, 5), slice(20, 30)):
+        assert lines[cut] == tuple(lines)[cut]
+    assert lines[::-5] == (lines[11], lines[6], lines[1]) and lines[7:2] == ()
 
 
 def test_pair_coverage_identity():
@@ -272,7 +276,10 @@ def test_line_key_matches_line_through_on_random_pairs():
 ORACLE_SEEDS = range(40)
 
 
-def test_enumerate_lines_matches_exact_oracle():
+@pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 1, 7])
+def test_enumerate_lines_matches_exact_oracle(block, monkeypatch):
+    # Small blocks cut through the run of pairs of a line.
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
     seen = set()
     for seed in ORACLE_SEEDS:
         config = random_config(seed, max_total=14)
@@ -296,11 +303,13 @@ def test_int64_and_object_keys_agree(monkeypatch):
         assert keys[np.int64].tolist() == keys[object].tolist()
     fast = [enumerate_lines(pts) for pts in points]
     monkeypatch.setattr(geometry, "_key_dtype", lambda ints, d: object)
-    for pts, lines in zip(points, fast):
-        exact = enumerate_lines(pts)
-        assert lines.indptr.tolist() == exact.indptr.tolist()
-        assert lines.points.tolist() == exact.points.tolist()
-        assert list(lines) == list(exact)
+    for block in (geometry._PAIR_BLOCK, 7):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        for pts, lines in zip(points, fast):
+            exact = enumerate_lines(pts)
+            assert lines.indptr.tolist() == exact.indptr.tolist()
+            assert lines.points.tolist() == exact.points.tolist()
+            assert list(lines) == list(exact)
 
 
 def lines_and_stragglers(d, base, step):
@@ -312,12 +321,14 @@ def lines_and_stragglers(d, base, step):
     return tuple(pts)
 
 
-def test_object_path_on_large_coordinates():
+def test_object_path_on_large_coordinates(monkeypatch):
     pts = lines_and_stragglers(5, 10**7, 3) + random_points(random.Random(2), 6, 5)
     assert _key_dtype([p.row for p in pts], 5) is object
-    lines = enumerate_lines(pts)
-    assert [rec.point_indices for rec in lines] == reference_lines(pts)
-    assert max(rec.size for rec in lines) == 4
+    for block in (geometry._PAIR_BLOCK, 7):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        lines = enumerate_lines(pts)
+        assert [rec.point_indices for rec in lines] == reference_lines(pts)
+        assert max(rec.size for rec in lines) == 4
 
 
 def test_object_path_on_large_discriminant():
