@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bounds import BoundTheorem, evaluate_bound
-from .errors import ClaimRefutedError, EquilinesError, InternalInconsistencyError
+from .errors import ClaimRefutedError, ConfigError, EquilinesError, InternalInconsistencyError
 from .generators import generate
 from .geometry import GREEN
 from .inequalities import InequalityKind, evaluate
@@ -98,7 +98,10 @@ def _load_config(path: str):
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise EquilinesError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except EquilinesError as exc:  # among several files, name the one at fault
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _cmd_analyze(args) -> int:

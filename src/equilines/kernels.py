@@ -8,9 +8,10 @@ makes the per-coloring loop a pure array kernel with no exact-arithmetic
 dependency; exactness is preserved because every quantity is a small
 integer (bounds are compared via scaled integers, never floats).
 
-``build_incidence`` lays a point set's lines out once as CSR arrays in
-both directions (``IncidenceArrays``, held by ``geometry.Incidence``).
-Every kernel reads those arrays; no array of lines times points is built.
+``build_incidence`` lays a point set's lines out once as int32 CSR
+arrays (``IncidenceArrays``, held by ``geometry.Incidence``), line to
+points at once and point to lines on first read.  Every kernel reads
+those arrays; no array of lines times points is built.
 
 One algorithm runs per search mode:
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,30 +54,36 @@ class IncidenceArrays:
 
     Lines are numbered in enumeration order and each line's points, like
     each point's lines, are listed in increasing order.  The arrays grow
-    with the number of incidences, never with lines times points.
+    with the number of incidences, never with lines times points.  The
+    point-to-lines transpose is built on its first read: only the local
+    search reads it.
     """
 
-    line_sizes: np.ndarray  # int64[L]
-    line_indptr: np.ndarray  # int64[L+1], CSR line -> its points
-    line_points: np.ndarray  # int64[total incidences]
-    point_indptr: np.ndarray  # int64[N+1], CSR point -> incident lines
-    point_lines: np.ndarray  # int64[total incidences]
+    line_sizes: np.ndarray  # int32[L]
+    line_indptr: np.ndarray  # int32[L+1], CSR line -> its points
+    line_points: np.ndarray  # int32[total incidences]
+    n_points: int
 
-    @property
-    def n_points(self) -> int:
-        return self.point_indptr.shape[0] - 1
+    @cached_property
+    def point_indptr(self) -> np.ndarray:
+        """int32[N+1], CSR point -> incident lines."""
+        indptr = np.zeros(self.n_points + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.line_points, minlength=self.n_points), out=indptr[1:])
+        return indptr
+
+    @cached_property
+    def point_lines(self) -> np.ndarray:
+        """int32[total incidences], each point's lines in line order."""
+        # A stable sort by point keeps each point's lines in line order.
+        order = np.argsort(self.line_points, kind="stable")
+        lines = np.arange(self.line_sizes.shape[0], dtype=np.int32)
+        return np.repeat(lines, self.line_sizes)[order]
 
 
 def build_incidence(lines: DeterminedLines, n_points: int) -> IncidenceArrays:
     """The CSR arrays of the lines over n_points points: the enumeration's
-    own line-to-points arrays, and their transpose."""
-    sizes = np.diff(lines.indptr)
-    point_indptr = np.zeros(n_points + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lines.points, minlength=n_points), out=point_indptr[1:])
-    # A stable sort by point keeps each point's lines in line order.
-    order = np.argsort(lines.points, kind="stable")
-    point_lines = np.repeat(np.arange(len(lines), dtype=np.int64), sizes)[order]
-    return IncidenceArrays(sizes, lines.indptr, lines.points, point_indptr, point_lines)
+    own line-to-points arrays, and their transpose when first read."""
+    return IncidenceArrays(np.diff(lines.indptr), lines.indptr, lines.points, n_points)
 
 
 def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> np.ndarray:

@@ -119,10 +119,12 @@ def compute_profile(config: ColoredConfiguration) -> LineProfile:
     they are cheap cross-checks of the geometry kernel.
     """
     csr = config.incidence.csr
-    green = np.fromiter((c == GREEN for c in config.colors), np.int64, config.total)
-    greens = np.add.reduceat(green[csr.line_points], csr.line_indptr[:-1])
+    green = np.fromiter((c == GREEN for c in config.colors), np.int8, config.total)
+    cell = np.add.reduceat(green[csr.line_points], csr.line_indptr[:-1], dtype=np.int32)
     width = config.incidence.max_collinear + 1
-    tally = np.bincount(greens * width + csr.line_sizes - greens)
+    cell *= width - 1  # a line's green count g -> its cell (g, m - g) at g * width + m - g
+    cell += csr.line_sizes
+    tally = np.bincount(cell)
     cells = {divmod(cell, width): int(tally[cell]) for cell in np.flatnonzero(tally).tolist()}
     profile = LineProfile.from_dict(cells, config.n, config.k)
     report = verify_identities(profile)

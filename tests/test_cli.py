@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -17,7 +19,7 @@ from equilines.bounds import BoundTheorem
 from equilines import search
 from equilines.cli import _build_parser, run_cli
 from equilines.generators import MAX_POINTS, generate, hesse
-from equilines.geometry import GREEN, MAX_KEY_BITS, configuration
+from equilines.geometry import GREEN, MAX_KEY_BITS, _is_prime, configuration
 from equilines.kernels import resolve_backend
 from equilines.profiles import IDENTITIES, Identity
 from equilines.reports import (
@@ -193,8 +195,20 @@ def test_cli_bad_json(tmp_path, capsys):
     path.write_text("{", encoding="utf-8")
     assert run_cli(["analyze", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
-    # Among several files, the one that cannot be decoded is named.
+    # Among several files, the one that cannot be parsed or decoded is named.
     good = write_config(tmp_path, "square.json", square_doc())
+    assert run_cli(["analyze", good, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid JSON: Expecting property name enclosed in double quotes:"
+        " line 1 column 2 (char 1)\n"
+    )
+    twice = square_doc()
+    twice["points"][1] = twice["points"][0]
+    duplicate = write_config(tmp_path, "duplicate.json", twice)
+    for argv in (["analyze", good, duplicate], ["verify", duplicate, "--inequality", "melchior"],
+                 ["bounds", duplicate, "--theorem", "equisix"]):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {duplicate}: points 0 and 1 coincide at (0 : 0 : 1)\n"
     path.write_bytes(b"\xff{}")
     assert run_cli(["analyze", good, str(path), "--format", "json"]) == 2
     assert capsys.readouterr().err == f"error: {path} is not UTF-8: invalid start byte at byte 0\n"
@@ -424,7 +438,7 @@ def test_cli_rejects_oversized_coordinate_at_its_point(tmp_path, capsys):
     assert run_cli(["analyze", path]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error: point 0: a coordinate needs ")
+    assert err.startswith(f"error: {path}: point 0: a coordinate needs ")
     assert f"the limit is {MAX_KEY_BITS}" in err
 
 
@@ -443,9 +457,9 @@ def test_cli_rejects_5000_digit_coordinates_quickly(tmp_path, coordinate, capsys
     assert run_cli(["analyze", path]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error: point 0: ")
+    assert err.startswith(f"error: {path}: point 0: ")
     assert "4300" in err and "set_int_max_str_digits" not in err
-    assert len(err) < 200
+    assert len(err) - len(path) < 200
 
 
 def test_cli_rejects_config_above_point_limit_quickly(tmp_path, capsys):
@@ -478,21 +492,40 @@ def test_cli_runs_as_module():
     assert parse_config(proc.stdout).points == generate("grid(2)")
 
 
+# Starts the CLI with argv[2:] and writes its exit code, wall time and
+# ru_maxrss to argv[1].  A child's ru_maxrss counts the memory of the
+# process it was forked from (the kernel folds it in at exec), so the CLI
+# is started from this small launcher and not from the test process.
+LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen([sys.executable, "-m", "equilines.cli", *sys.argv[2:]])
+_, status, usage = os.wait4(proc.pid, 0)
+wall = time.perf_counter() - start
+with open(sys.argv[1], "w") as f:
+    f.write(f"{os.waitstatus_to_exitcode(status)} {wall} {usage.ru_maxrss}")
+"""
+
+
+def cli_process(tmp_path, argv):
+    """Run `equilines argv` in its own process: (report, wall time in s,
+    peak RSS in MB); the run must exit 0."""
+    out_path, err_path, usage_path = tmp_path / "out", tmp_path / "err", tmp_path / "usage"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        subprocess.run([sys.executable, "-c", LAUNCHER, str(usage_path), *argv],
+                       stdout=out, stderr=err, env=cli_env(), check=True, timeout=120)
+    code, wall, peak_kb = usage_path.read_text().split()
+    assert code == "0", err_path.read_text()
+    return out_path.read_text(), float(wall), int(peak_kb) / 1024  # kilobytes on Linux
+
+
 def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
     # 400 colorings of a 400-point base set with about 60,000 lines: the scan
     # must not hold a lines-by-points matrix, nor one per coloring chunk.
     argv = ["search", "--generator", "random_rational(400,0,9)", "--k", "398",
             "--theorem", "equisix", "--format", "json"]
-    out_path, err_path = tmp_path / "out", tmp_path / "err"
-    with open(out_path, "wb") as out, open(err_path, "wb") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "equilines.cli", *argv], stdout=out, stderr=err, env=cli_env()
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err_path.read_text()
-    assert json.loads(out_path.read_text())["search"]["colorings_examined"] == "400"
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    report, _, peak_mb = cli_process(tmp_path, argv)
+    assert json.loads(report)["search"]["colorings_examined"] == "400"
     assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
 
 
@@ -518,24 +551,65 @@ def test_cli_analyze_and_local_search_leave_numpy_ma_unimported(tmp_path):
 
 
 def test_cli_analyze_at_the_point_limit_is_fast_and_small(tmp_path):
-    # 1000 points and 381,767 lines: the pairs are keyed in blocks into one
-    # key array, and no per-line Python object is built.
+    # 1000 points and 381,767 lines: one int64 key a point pair, int32
+    # line arrays, and no per-line Python object.
     pts = generate("random_rational(1000,0,9)")
     path = write_config(tmp_path, "n1000.json", config_document(pts, (GREEN,) * 1000, pts[0].d))
-    out_path, err_path = tmp_path / "out", tmp_path / "err"
-    with open(out_path, "wb") as out, open(err_path, "wb") as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "equilines.cli", "analyze", path],
-            stdout=out, stderr=err, env=cli_env(),
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-    assert os.waitstatus_to_exitcode(status) == 0, err_path.read_text()
-    assert "total lines 381767" in out_path.read_text()
+    report, wall, peak_mb = cli_process(tmp_path, ["analyze", path])
+    assert "total lines 381767" in report
     assert wall < 3.0, f"wall time {wall:.2f} s"
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-    assert peak_mb < 120, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 75, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_cli_analyze_wide_coordinates_is_fast(tmp_path):
+    # 1000 points over Q(sqrt(5)) whose coordinates have 5-digit numerators
+    # and denominators: the keys are residues mod a prime whatever the size.
+    rng = random.Random(7)
+    coords = set()
+    while len(coords) < 1000:
+        coords.add(tuple(
+            f"{rng.choice((-1, 1)) * rng.randint(10000, 99999)}/{rng.randint(10000, 99999)}"
+            for _ in range(2)
+        ))
+    doc = {"d": 5, "points": [{"coords": list(c), "color": "green"} for c in sorted(coords)]}
+    report, wall, peak_mb = cli_process(tmp_path, ["analyze", write_config(tmp_path, "wide.json", doc)])
+    assert "N=1000" in report
+    assert wall < 2.0, f"wall time {wall:.2f} s"
+    assert peak_mb < 75, f"peak RSS {peak_mb:.0f} MB"
+
+
+def primes_below(limit, count):
+    """The `count` largest primes below `limit`, descending."""
+    primes = []
+    n = limit - 1
+    while len(primes) < count:
+        if _is_prime(n):
+            primes.append(n)
+        n -= 1
+    return primes
+
+
+def test_cli_analyze_in_bounded_time_when_lines_merge_mod_many_primes(tmp_path):
+    # Vertical lines x = c_k through two points each, where c_k - c_0 is a
+    # product of six of the 500 largest primes below 2^30: modulo each of
+    # those primes some of the lines merge, while the points, whose y are
+    # distinct and small, stay apart, so no cheap check of the points
+    # rejects the prime.  Tried in that fixed order, each prime would cost
+    # a full pass; drawn at random, they are almost never met.
+    primes = primes_below(2**30, 500)
+    offsets = [0] + [math.prod(primes[(7 * k + s) % 500] for s in range(6)) for k in range(1, 500)]
+    assert all(c.bit_length() <= MAX_KEY_BITS for c in offsets)
+    assert {q for q in primes if any(c % q == 0 for c in offsets[1:])} == set(primes)
+    doc = {
+        "d": 5,
+        "points": [
+            {"coords": [str(c), str(2 * k + dy)], "color": "green"}
+            for k, c in enumerate(offsets) for dy in (1, 2)
+        ],
+    }
+    report, wall, _ = cli_process(tmp_path, ["analyze", write_config(tmp_path, "pencil.json", doc)])
+    assert "max collinear 2, total lines 499500" in report
+    assert wall < 3.0, f"wall time {wall:.2f} s"
 
 
 def test_cli_generate_round_trip(capsys):

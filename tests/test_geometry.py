@@ -31,10 +31,13 @@ from equilines.geometry import (
     ColoredConfiguration,
     ProjPoint,
     affine_point,
+    MAX_KEY_BITS,
     configuration,
-    _key_dtype,
+    _det_dtype,
     _pair_keys,
     enumerate_lines,
+    row_cross,
+    row_det,
 )
 from equilines.quadfield import (
     MAX_ABS_DISCRIMINANT,
@@ -241,6 +244,22 @@ def test_line_through_matches_enumerated_line():
                 assert line == oracle_line_through(a, b)
 
 
+def reduced(points):
+    """A prime from the enumeration's own source at which the points reduce,
+    with their residues: the keys of that prime group the pairs."""
+    rows = [p.row for p in points]
+    return next(
+        (p, res) for p in geometry._primes(rows)
+        if (res := geometry._reduce(rows, points[0].d, p)) is not None
+    )
+
+
+def pair_keys(points, pairs):
+    p, res = reduced(points)
+    i, j = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    return _pair_keys(res, i, j, p).tolist()
+
+
 def test_line_key_invariant_under_irrational_scaling():
     # Pairs on one line yield cross products differing by a field scalar
     # that is irrational in general; the dedup key must not depend on it.
@@ -249,10 +268,7 @@ def test_line_key_invariant_under_irrational_scaling():
     a = ProjPoint(zero(d), one(d), -one(d))
     b = ProjPoint(zero(d), one(d), -omega)
     c = ProjPoint(zero(d), one(d), -(omega * omega))
-    ia, ib, ic = (p.row for p in (a, b, c))
-    keys = _pair_keys(np.array([ia, ia, ib]).T, np.array([ib, ic, ic]).T, d)
-    keys = {tuple(key) for key in keys.T.tolist()}
-    assert len(keys) == 1
+    assert len(set(pair_keys((a, b, c), [(0, 1), (0, 2), (1, 2)]))) == 1
     (line,) = enumerate_lines((a, b, c))
     assert line.point_indices == (0, 1, 2)
     assert oracle_line_through(a, b) == oracle_line_through(b, c)
@@ -261,14 +277,12 @@ def test_line_key_invariant_under_irrational_scaling():
 def test_line_key_matches_line_through_on_random_pairs():
     rng = random.Random(21)
     for d in (-3, -1, 2, 5):
-        pts = random_points(rng, 8, d)
-        pairs = list(itertools.combinations(pts, 2))
-        keys = _pair_keys(
-            np.array([p.row for p, _ in pairs]).T,
-            np.array([q.row for _, q in pairs]).T,
-            d,
-        )
-        keyed = [(key, oracle_line_through(p, q)) for (p, q), key in zip(pairs, keys.T.tolist())]
+        pts = random_points(rng, 8, d) + lines_and_stragglers(d, 3, 2)
+        pairs = list(itertools.combinations(range(len(pts)), 2))
+        keyed = [
+            (key, oracle_line_through(pts[i], pts[j]))
+            for (i, j), key in zip(pairs, pair_keys(pts, pairs))
+        ]
         for (key1, line1), (key2, line2) in itertools.product(keyed, repeat=2):
             assert (key1 == key2) == (line1 == line2)
 
@@ -289,23 +303,19 @@ def test_enumerate_lines_matches_exact_oracle(block, monkeypatch):
     assert seen == set(ALL_DS)
 
 
-def test_int64_and_object_keys_agree(monkeypatch):
+def test_lines_agree_across_primes_and_check_dtypes(monkeypatch):
     points = [random_config(seed, max_total=14).points for seed in ORACLE_SEEDS]
     for pts in points:
-        ints = [p.row for p in pts]
-        assert _key_dtype(ints, pts[0].d) is np.int64
-        i, j = np.triu_indices(len(pts), 1)
-        keys = {}
-        for dtype in (np.int64, object):
-            coords = np.array(ints, dtype=dtype).T
-            keys[dtype] = _pair_keys(coords[:, i], coords[:, j], pts[0].d)
-        assert keys[np.int64].dtype == np.int64 and keys[object].dtype == object
-        assert keys[np.int64].tolist() == keys[object].tolist()
+        assert _det_dtype(max(abs(v) for p in pts for v in p.row), pts[0].d) is np.int64
     fast = [enumerate_lines(pts) for pts in points]
-    monkeypatch.setattr(geometry, "_key_dtype", lambda ints, d: object)
+    primes = geometry._primes
+    monkeypatch.setattr(geometry, "_det_dtype", lambda m, d: object)
     for block in (geometry._PAIR_BLOCK, 7):
         monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
-        for pts, lines in zip(points, fast):
+        for skip, (pts, lines) in enumerate(zip(points, fast)):
+            # Other primes than the first: the lines must not depend on it.
+            later = lambda rows, skip=skip: itertools.islice(primes(rows), 1 + skip % 5, None)
+            monkeypatch.setattr(geometry, "_primes", later)
             exact = enumerate_lines(pts)
             assert lines.indptr.tolist() == exact.indptr.tolist()
             assert lines.points.tolist() == exact.points.tolist()
@@ -321,31 +331,39 @@ def lines_and_stragglers(d, base, step):
     return tuple(pts)
 
 
-def test_object_path_on_large_coordinates(monkeypatch):
+def largest_component(pts):
+    return max(abs(v) for p in pts for v in p.row)
+
+
+def test_enumerate_lines_on_large_coordinates(monkeypatch):
     pts = lines_and_stragglers(5, 10**7, 3) + random_points(random.Random(2), 6, 5)
-    assert _key_dtype([p.row for p in pts], 5) is object
+    assert _det_dtype(largest_component(pts), 5) is object
     for block in (geometry._PAIR_BLOCK, 7):
         monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
         lines = enumerate_lines(pts)
         assert [rec.point_indices for rec in lines] == reference_lines(pts)
         assert max(rec.size for rec in lines) == 4
+    # Components near the key-size limit.
+    pts = lines_and_stragglers(5, 2**185, 3**20) + random_points(random.Random(4), 4, 5)
+    assert largest_component(pts).bit_length() > 185
+    assert [rec.point_indices for rec in enumerate_lines(pts)] == reference_lines(pts)
 
 
-def test_object_path_on_large_discriminant():
+def test_enumerate_lines_on_large_discriminant():
     d = -next(m for m in range(MAX_ABS_DISCRIMINANT, 0, -1) if is_squarefree(m))
     assert -d > MAX_ABS_DISCRIMINANT - 100
     pts = lines_and_stragglers(d, 0, 1) + random_points(random.Random(3), 8, d)
-    assert _key_dtype([p.row for p in pts], d) is object
+    assert _det_dtype(largest_component(pts), d) is object
     lines = enumerate_lines(pts)
     assert [rec.point_indices for rec in lines] == reference_lines(pts)
 
 
 def largest_int64_component(d):
-    """The largest M for which _key_dtype still picks int64."""
+    """The largest M for which _det_dtype still picks int64."""
     lo, hi = 1, 2**32
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _key_dtype([(mid,) * 6], d) is np.int64 else (lo, mid)
+        lo, hi = (mid, hi) if _det_dtype(mid, d) is np.int64 else (lo, mid)
     return lo
 
 
@@ -353,20 +371,129 @@ def as_point(row, d):
     return ProjPoint(*(quad(row[k], row[k + 1], d=d) for k in (0, 2, 4)))
 
 
+def oracle_pair_key(p_res, q_res, p):
+    """The modular key of _pair_keys in Python ints."""
+    (x1, y1, z1), (x2, y2, z2) = p_res, q_res
+    cross = ((y1 * z2 - z1 * y2) % p, (z1 * x2 - x1 * z2) % p, (x1 * y2 - y1 * x2) % p)
+    inv = pow(next(c for c in cross if c), -1, p)
+    u, v, w = (c * inv % p for c in cross)
+    return (u * p + v) * p + w
+
+
 @pytest.mark.parametrize("d", ALL_DS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_int64_keys_exact_just_under_headroom_threshold(d, data):
-    # Components at +-M with aligned signs reach every bound the headroom
-    # rule relies on, so an underestimated bound shows up as a mismatch.
+    # The exact check: components at +-M with aligned signs reach every
+    # bound the headroom rule relies on, so an underestimated bound shows
+    # up as a mismatch with Python ints.
     m = largest_int64_component(d)
-    assert _key_dtype([(m + 1,) * 6], d) is object
+    assert _det_dtype(m + 1, d) is object
     component = st.one_of(st.sampled_from([m, -m, m - 1, -m + 1]), st.integers(-m, m))
-    p, q = (data.draw(st.tuples(*[component] * 6)) for _ in range(2))
-    assume(any(p) and any(q) and as_point(p, d) != as_point(q, d))
-    fast = _pair_keys(np.array([p], dtype=np.int64).T, np.array([q], dtype=np.int64).T, d)
-    exact = _pair_keys(np.array([p], dtype=object).T, np.array([q], dtype=object).T, d)
-    assert fast.tolist() == exact.tolist()
+    rows = [data.draw(st.tuples(*[component] * 6)) for _ in range(3)]
+    fast = row_det(*np.array(rows, dtype=np.int64)[:, :, None], d)
+    assert [int(part[0]) for part in fast] == list(row_det(*rows, d))
+    # The keys: residues just under p keep every product below 2^60.
+    p = data.draw(st.sampled_from([1_073_741_789, 2**29 + 11, 1_000_000_007]))
+    residue = st.one_of(st.sampled_from([p - 1, p - 2, 1]), st.integers(0, p - 1))
+    p_res, q_res = (data.draw(st.tuples(*[residue] * 3)) for _ in range(2))
+    res = np.array([p_res, q_res], dtype=np.int64).T
+    cross = [(p_res[(k + 1) % 3] * q_res[(k + 2) % 3] - p_res[(k + 2) % 3] * q_res[(k + 1) % 3]) % p
+             for k in range(3)]
+    assume(any(cross))
+    key = _pair_keys(res, np.array([0]), np.array([1]), p)
+    assert key.dtype == np.int64 and key.tolist() == [oracle_pair_key(p_res, q_res, p)]
+
+
+@pytest.mark.parametrize("d", ALL_DS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_row_cross_and_row_det_match_fraction_oracle(d, data):
+    # Rows up to the key-size limit, and a third point on the line or not.
+    big = st.integers(-(2**MAX_KEY_BITS) + 1, 2**MAX_KEY_BITS - 1)
+    component = st.one_of(st.integers(-3, 3), big)
+    p, q = (as_point(data.draw(st.tuples(*[component] * 6).filter(any)), d) for _ in range(2))
+    assume(p != q)
+    line = oracle_line_through(p, q)
+    cross = row_cross(p.row, q.row, d)
+    assert oracle_canonical_triple(*(quad(cross[k], cross[k + 1], d=d) for k in (0, 2, 4))) == line
+    lam, mu = (quad(data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5)), d=d) for _ in range(2))
+    on_line = [lam * a + mu * b for a, b in zip(p.coords, q.coords)]
+    assume(any(not c.is_zero for c in on_line))
+    third = data.draw(st.sampled_from([ProjPoint(*on_line), as_point(data.draw(
+        st.tuples(*[component] * 6).filter(any)), d)]))
+    u, v, w = line
+    x, y, z = third.coords
+    assert (row_det(p.row, q.row, third.row, d) == (0, 0)) == (u * x + v * y + w * z).is_zero
+
+
+def test_prime_source_and_square_roots():
+    def trial(n):
+        return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if geometry._is_prime(n)] == [n for n in range(3000) if trial(n)]
+    rows = [p.row for p in random_points(random.Random(1), 5, 5)]
+    drawn = list(itertools.islice(geometry._primes(rows), 20))
+    assert drawn == list(itertools.islice(geometry._primes(rows), 20))
+    assert all(2**29 <= p < 2**30 and trial(p) for p in drawn[:3])
+    for p in (3, 7, 13, 17, 97, 1_000_000_007, *drawn):
+        for a in (-3, -1, 2, 5, 0, p - 1, 10**12 - 11):
+            r = geometry._sqrt_mod(a, p)
+            if r is None:
+                assert pow(a % p, (p - 1) // 2, p) == p - 1
+            else:
+                assert r * r % p == a % p
+
+
+def merged_pencil():
+    """x = 0 and x = 7 with two points each: distinct points mod 7, where
+    the two lines and all four pairs across them merge into one."""
+    return tuple(affine_point(x, y, d=2) for x, y in ((0, 1), (0, 2), (7, 3), (7, 4)))
+
+
+@pytest.mark.parametrize(
+    "points, tiny, points_coincide",
+    [(random_config(5, max_total=14).points, 3, True), (merged_pencil(), 7, False)],
+    ids=["points-coincide", "lines-merge"],
+)
+def test_tiny_prime_is_rejected(monkeypatch, points, tiny, points_coincide):
+    rows = [p.row for p in points]
+    res = geometry._reduce(rows, points[0].d, tiny)
+    assert (res is None) == points_coincide
+    if res is not None:  # only the exact check of the merged group catches it
+        assert geometry._lines_mod(rows, points[0].d, np.int64, res, tiny) is None
+    drawn, primes = [], geometry._primes
+
+    def tiny_first(rows):
+        for p in itertools.chain([tiny], primes(rows)):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(geometry, "_primes", tiny_first)
+    assert [rec.point_indices for rec in enumerate_lines(points)] == reference_lines(points)
+    assert drawn[0] == tiny and len(drawn) >= 2
+
+
+def test_merged_group_must_start_at_its_first_point(monkeypatch):
+    # A 3-point line {0, 1, 2} and three 2-point lines have C(4, 2) pairs
+    # between them.  Merged, they would pass as the line (0, 1, 2, 2) if
+    # only the count and the collinearity with the first two were checked.
+    xy = [(0, 0), (1, 0), (2, 0), (1, 5), (3, 8), (7, 2), (4, 11), (-3, 6), (-6, -7)]
+    points = tuple(affine_point(x, y, d=5) for x, y in xy)
+    merged = {(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (7, 8)}
+    assert [line for line in reference_lines(points) if len(line) > 2] == [(0, 1, 2)]
+    primes, pair_keys_mod = [], geometry._pair_keys
+
+    def merging(res, i, j, p):
+        keys = pair_keys_mod(res, i, j, p)
+        primes.append(p)
+        if len(set(primes)) == 1:  # the first prime only
+            keys[[pair in merged for pair in zip(i.tolist(), j.tolist())]] = 0
+        return keys
+
+    monkeypatch.setattr(geometry, "_pair_keys", merging)
+    assert [rec.point_indices for rec in enumerate_lines(points)] == reference_lines(points)
+    assert len(set(primes)) == 2
 
 
 def test_max_collinear():

@@ -1,8 +1,9 @@
 """Each point set is enumerated, and its CSR arrays built, once per analyzed
 config and once per search; each analyzed config's profile is tallied,
 and its counting identities summed, once; parsing a config does no field
-arithmetic; no DeterminedLine is built unless a line is read; and the
-arrays grow with the incidences, not with lines times points."""
+arithmetic; no DeterminedLine is built unless a line is read; only the
+local search builds the point-to-lines transpose; and the arrays grow
+with the incidences, not with lines times points."""
 
 import sys
 
@@ -186,6 +187,31 @@ def test_search_builds_arrays_once_per_spec(builds, monkeypatch, mode, which):
     result = run_search(spec)
     assert result.best_report is not None
     assert builds == [9]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The arrays kernels.build_incidence returns, in call order."""
+    arrays = []
+    original = kernels.build_incidence
+
+    def recording(lines, n_points):
+        arrays.append(original(lines, n_points))
+        return arrays[-1]
+
+    install(monkeypatch, original, recording)
+    return arrays
+
+
+def test_only_the_local_search_builds_the_transpose(built):
+    configs = analyzed_configs()
+    for config in configs:
+        analysis_document(config)
+    for mode in (EXHAUSTIVE, LOCAL):
+        spec = SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode, budget=200)
+        assert run_search(spec).best_report is not None
+    transpose = {"point_indptr", "point_lines"}
+    assert [transpose & vars(csr).keys() for csr in built] == [set()] * (len(configs) + 1) + [transpose]
 
 
 def test_incidence_arrays_grow_with_incidences():
