@@ -80,6 +80,9 @@ def random_rational(
     check_point_count(total)
     if bound < 1:
         raise ValueError("coordinate bound must be >= 1")
+    # random.Random folds a negative seed to its absolute value.
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     # The integers -bound..bound alone give (2*bound+1)**2 points, so the
     # exact count runs only when total is above that, i.e. for small bounds.
     if total > (2 * bound + 1) ** 2:

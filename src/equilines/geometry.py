@@ -488,7 +488,7 @@ class Incidence:
     Everything here is independent of the coloring, so one enumeration
     serves the profile, the inequalities, the bound preconditions and the
     search kernels.  ``csr`` holds the lines' point-index tuples as CSR
-    arrays in both directions, built once; the line sizes, t_m and the
+    arrays, line to points, built once; the line sizes, t_m and the
     largest collinear subset are read off it.
     """
 

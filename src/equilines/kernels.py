@@ -9,9 +9,9 @@ dependency; exactness is preserved because every quantity is a small
 integer (bounds are compared via scaled integers, never floats).
 
 ``build_incidence`` lays a point set's lines out once as int32 CSR
-arrays (``IncidenceArrays``, held by ``geometry.Incidence``), line to
-points at once and point to lines on first read.  Every kernel reads
-those arrays; no array of lines times points is built.
+arrays, line to points (``IncidenceArrays``, held by
+``geometry.Incidence``).  Every kernel reads those arrays; no array of
+lines times points, and no point-to-lines transpose, is built.
 
 One algorithm runs per search mode:
 
@@ -19,7 +19,9 @@ One algorithm runs per search mode:
     sum over each chunk of colorings in lexicographic order,
   * local: a gain-table move replay in plain Python that scores each
     proposal in O(1) from per-point gains and updates them only on
-    accepted swaps.
+    accepted swaps.  It reads the seeded moves in fixed-size blocks, so
+    its memory does not grow with the budget, and builds its Python
+    state once from the line CSR, one int object per point and per line.
 
 Both take the selection table by line size, sel[m, g], and break ties on
 the best count toward the lexicographically smallest green index tuple.
@@ -32,8 +34,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -50,13 +51,13 @@ def resolve_backend() -> str:
 
 @dataclass(frozen=True)
 class IncidenceArrays:
-    """CSR incidence of a point set's lines, in both directions.
+    """CSR incidence of a point set's lines, line to points.
 
-    Lines are numbered in enumeration order and each line's points, like
-    each point's lines, are listed in increasing order.  The arrays grow
-    with the number of incidences, never with lines times points.  The
-    point-to-lines transpose is built on its first read: only the local
-    search reads it.
+    Lines are numbered in enumeration order and each line's points are
+    listed in increasing order.  The arrays grow with the number of
+    incidences, never with lines times points.  No point-to-lines
+    transpose is kept: the local search builds its per-point line lists
+    from these arrays, and nothing else reads one.
     """
 
     line_sizes: np.ndarray  # int32[L]
@@ -64,25 +65,10 @@ class IncidenceArrays:
     line_points: np.ndarray  # int32[total incidences]
     n_points: int
 
-    @cached_property
-    def point_indptr(self) -> np.ndarray:
-        """int32[N+1], CSR point -> incident lines."""
-        indptr = np.zeros(self.n_points + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.line_points, minlength=self.n_points), out=indptr[1:])
-        return indptr
-
-    @cached_property
-    def point_lines(self) -> np.ndarray:
-        """int32[total incidences], each point's lines in line order."""
-        # A stable sort by point keeps each point's lines in line order.
-        order = np.argsort(self.line_points, kind="stable")
-        lines = np.arange(self.line_sizes.shape[0], dtype=np.int32)
-        return np.repeat(lines, self.line_sizes)[order]
-
 
 def build_incidence(lines: DeterminedLines, n_points: int) -> IncidenceArrays:
     """The CSR arrays of the lines over n_points points: the enumeration's
-    own line-to-points arrays, and their transpose when first read."""
+    own line-to-points arrays."""
     return IncidenceArrays(np.diff(lines.indptr), lines.indptr, lines.points, n_points)
 
 
@@ -179,22 +165,55 @@ def _gain_tables(sel_row: list[int], m: int):
     return dm, dp, fix, down, up
 
 
+# Lines per block when the replay reads the line CSR.
+_LINE_BLOCK = 1 << 14
+
+
+def _replay_state(incidence: IncidenceArrays):
+    """The replay's view of the line CSR, built in one pass over the lines:
+    members[l], the tuple of line l's points; lines_of[p], point p's lines
+    in line order; and pair_line[p][q], the line through p and q.  Each
+    point and each line is one int object, shared by all three; the CSR
+    is read in blocks of lines, so no list of the whole CSR is built."""
+    n_points = incidence.n_points
+    points = list(range(n_points))
+    point = points.__getitem__
+    members = []
+    lines_of = [[] for _ in points]
+    pair_line = [[0] * n_points for _ in points]
+    indptr, n_lines = incidence.line_indptr, incidence.line_sizes.shape[0]
+    for start in range(0, n_lines, _LINE_BLOCK):
+        stop = min(start + _LINE_BLOCK, n_lines)
+        bounds = (indptr[start : stop + 1] - indptr[start]).tolist()
+        flat = list(map(point, incidence.line_points[indptr[start] : indptr[stop]].tolist()))
+        for li, a, b in zip(range(start, stop), bounds, bounds[1:]):
+            pts = tuple(flat[a:b])
+            members.append(pts)
+            for p in pts:
+                lines_of[p].append(li)
+                row = pair_line[p]
+                for q in pts:
+                    row[q] = li
+    return members, lines_of, pair_line
+
+
 def descent_replay(
     incidence: IncidenceArrays,
     sel: np.ndarray,
     initial_green: np.ndarray,
-    moves_green: np.ndarray,
-    moves_red: np.ndarray,
+    move_blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     bound_num: int,
     bound_den: int,
 ) -> tuple[int, np.ndarray, int, int]:
     """Replay a seeded swap-move sequence from an initial coloring.
 
-    A proposal swaps the green and red points at the move arrays' positions
-    in the sorted green and red index lists; it is accepted when it does
-    not raise the selected-line count.  Returns (best_actual, best green
-    index tuple, violations, examined); ties on the best count go to the
-    lexicographically smaller green tuple.
+    The moves come as blocks of (green slots, red slots) int64 arrays.  A
+    proposal swaps the green and red points at those positions in the
+    sorted green and red index lists; it is accepted when it does not
+    raise the selected-line count.  Returns (best_actual, best green
+    index tuple, violations, examined), examined being 1 + the number of
+    moves; ties on the best count go to the lexicographically smaller
+    green tuple.
 
     Each proposal is scored in O(1) from per-point gains.  With the
     per-line gains dm and dp of _gain_tables at the current green counts,
@@ -212,26 +231,12 @@ def descent_replay(
     mask[initial_green] = False
     greens = initial_green.tolist()
     reds = np.flatnonzero(mask).tolist()
-    moves_green = np.ascontiguousarray(moves_green, dtype=np.int64)
-    moves_red = np.ascontiguousarray(moves_red, dtype=np.int64)
-    sizes = incidence.line_sizes.tolist()
-    indptr = incidence.point_indptr.tolist()
-    point_lines = incidence.point_lines.tolist()
-    lines_of = [point_lines[indptr[p] : indptr[p + 1]] for p in range(n_points)]
-    line_indptr = incidence.line_indptr.tolist()
-    line_points = incidence.line_points.tolist()
-    members = [line_points[a:b] for a, b in zip(line_indptr, line_indptr[1:])]
-    pair_line = [[0] * n_points for _ in range(n_points)]
-    for li, pts in enumerate(members):
-        for a in pts:
-            row = pair_line[a]
-            for b in pts:
-                row[b] = li
+    members, lines_of, pair_line = _replay_state(incidence)
     # Lines of one size share their selection row and tables.
+    sizes = incidence.line_sizes.tolist()
     rows = sel.tolist()
     by_size = {m: _gain_tables(rows[m], m) for m in set(sizes)}
-    tables = [by_size[m] for m in sizes]
-    fix, down, up = ([t[i] for t in tables] for i in (2, 3, 4))
+    fix, down, up = ([by_size[m][i] for m in sizes] for i in (2, 3, 4))
 
     counts = [0] * len(sizes)
     for p in greens:
@@ -240,39 +245,42 @@ def descent_replay(
     actual = sum(rows[m][c] for m, c in zip(sizes, counts))
     rem = [0] * n_points
     add = [0] * n_points
-    for li, c in enumerate(counts):
-        dm, dp = tables[li][:2]
-        for q in members[li]:
+    for pts, m, c in zip(members, sizes, counts):
+        dm, dp = by_size[m][:2]
+        for q in pts:
             rem[q] += dm[c]
             add[q] += dp[c]
     best = list(greens)
     best_actual = actual
     violations = int(actual * bound_den < bound_num)
-    for i, j in zip(memoryview(moves_green), memoryview(moves_red)):
-        gp = greens[i]
-        rp = reds[j]
-        shared = pair_line[gp][rp]
-        candidate = actual + rem[gp] + add[rp] - fix[shared][counts[shared]]
-        if candidate * bound_den < bound_num:
-            violations += 1
-        if candidate > actual:
-            continue
-        actual = candidate
-        for p, step, changes in ((gp, -1, down), (rp, 1, up)):
-            for li in lines_of[p]:
-                c = counts[li]
-                counts[li] = c + step
-                delta = changes[li][c]
-                if delta is not None:
-                    ddm, ddp = delta
-                    for q in members[li]:
-                        rem[q] += ddm
-                        add[q] += ddp
-        del greens[i]
-        insort(greens, rp)
-        del reds[j]
-        insort(reds, gp)
-        if actual < best_actual or (actual == best_actual and greens < best):
-            best_actual = actual
-            best = list(greens)
-    return best_actual, np.asarray(best, dtype=np.int64), violations, 1 + len(moves_green)
+    moves = 0
+    for block_green, block_red in move_blocks:
+        moves += len(block_green)
+        for i, j in zip(memoryview(block_green), memoryview(block_red)):
+            gp = greens[i]
+            rp = reds[j]
+            shared = pair_line[gp][rp]
+            candidate = actual + rem[gp] + add[rp] - fix[shared][counts[shared]]
+            if candidate * bound_den < bound_num:
+                violations += 1
+            if candidate > actual:
+                continue
+            actual = candidate
+            for p, step, changes in ((gp, -1, down), (rp, 1, up)):
+                for li in lines_of[p]:
+                    c = counts[li]
+                    counts[li] = c + step
+                    delta = changes[li][c]
+                    if delta is not None:
+                        ddm, ddp = delta
+                        for q in members[li]:
+                            rem[q] += ddm
+                            add[q] += ddp
+            del greens[i]
+            insort(greens, rp)
+            del reds[j]
+            insort(reds, gp)
+            if actual < best_actual or (actual == best_actual and greens < best):
+                best_actual = actual
+                best = list(greens)
+    return best_actual, np.asarray(best, dtype=np.int64), violations, 1 + moves

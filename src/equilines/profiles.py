@@ -110,22 +110,39 @@ class IdentityReport:
         return all(c.passed for c in self.checks)
 
 
+# Lines per block of the profile tally: bounds the index copies that
+# numpy's gathers and bincount make of the int32 line CSR.
+_TALLY_BLOCK = 1 << 12
+
+
 def compute_profile(config: ColoredConfiguration) -> LineProfile:
     """Tally (green, red) cell counts over the configuration's determined
     lines; each line's green count is a segment sum over the CSR arrays
-    of its (once-enumerated) incidence structure.
+    of its (once-enumerated) incidence structure, taken in blocks of lines.
 
     The counting identities are verified before the profile is returned;
     they are cheap cross-checks of the geometry kernel.
     """
     csr = config.incidence.csr
     green = np.fromiter((c == GREEN for c in config.colors), np.int8, config.total)
-    cell = np.add.reduceat(green[csr.line_points], csr.line_indptr[:-1], dtype=np.int32)
-    width = config.incidence.max_collinear + 1
-    cell *= width - 1  # a line's green count g -> its cell (g, m - g) at g * width + m - g
-    cell += csr.line_sizes
-    tally = np.bincount(cell)
-    cells = {divmod(cell, width): int(tally[cell]) for cell in np.flatnonzero(tally).tolist()}
+    # An m-point line with g green points falls in cell g * len(sizes) + rank[m].
+    sizes = sorted(config.incidence.size_counts)
+    rank = np.zeros(sizes[-1] + 1, dtype=np.int32)
+    rank[sizes] = np.arange(len(sizes))
+    tally = np.zeros((sizes[-1] + 1) * len(sizes), dtype=np.int64)
+    indptr, n_lines = csr.line_indptr, csr.line_sizes.shape[0]
+    for start in range(0, n_lines, _TALLY_BLOCK):
+        stop = min(start + _TALLY_BLOCK, n_lines)
+        first = indptr[start]
+        block = green[csr.line_points[first : indptr[stop]]]
+        cell = np.add.reduceat(block, indptr[start:stop] - first, dtype=np.int32)
+        cell *= len(sizes)
+        cell += rank[csr.line_sizes[start:stop]]
+        tally += np.bincount(cell, minlength=tally.shape[0])
+    cells = {}
+    for cell in np.flatnonzero(tally).tolist():
+        g, r = divmod(cell, len(sizes))
+        cells[g, sizes[r] - g] = int(tally[cell])
     profile = LineProfile.from_dict(cells, config.n, config.k)
     report = verify_identities(profile)
     if not report.all_passed:

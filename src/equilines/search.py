@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -114,17 +115,40 @@ def colors_from_green_indices(total: int, green: np.ndarray) -> tuple[str, ...]:
     return tuple(GREEN if i in green_set else RED for i in range(total))
 
 
-def _seeded_moves(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# Moves per block of the seeded move stream: bounds its arrays whatever the budget.
+_MOVE_BLOCK = 4096
+
+
+def _seeded_moves(
+    spec: SearchSpec,
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """The initial green indices and the (green slot, red slot) swap
-    proposals, all drawn from the seed, so a fixed spec replays exactly."""
+    proposals in blocks of _MOVE_BLOCK, all drawn from the seed, so a
+    fixed spec replays exactly."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n, n_red = spec.n_green, spec.total - spec.n_green
     initial_green = np.sort(rng.permutation(spec.total)[:n]).astype(np.int64)
-    if n_red == 0 or spec.budget == 0:
-        return initial_green, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    moves_g = rng.integers(0, n, size=spec.budget, dtype=np.int64)
-    moves_r = rng.integers(0, n_red, size=spec.budget, dtype=np.int64)
-    return initial_green, moves_g, moves_r
+    budget = spec.budget if n_red else 0
+    return initial_green, _move_blocks(rng, spec.seed, n, n_red, budget)
+
+
+def _move_blocks(
+    rng: np.random.Generator, seed: int, n: int, n_red: int, budget: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of budget draws below n (green slots) and of budget draws
+    below n_red (red slots) that rng would give in one call each, in that
+    order.  A bounded draw takes a variable number of outputs, so the red
+    stream's start is found by drawing the green slots once and dropping
+    them; the green slots are then drawn again from the saved state."""
+    sizes = [min(_MOVE_BLOCK, budget - start) for start in range(0, budget, _MOVE_BLOCK)]
+    # Seeded, so it reads no OS entropy, and then set to rng's state.
+    green_rng = np.random.Generator(np.random.PCG64(seed))
+    green_rng.bit_generator.state = rng.bit_generator.state
+    for size in sizes:
+        rng.integers(0, n, size=size, dtype=np.int64)
+    for size in sizes:
+        yield (green_rng.integers(0, n, size=size, dtype=np.int64),
+               rng.integers(0, n_red, size=size, dtype=np.int64))
 
 
 def run_search(spec: SearchSpec) -> SearchResult:
@@ -136,11 +160,13 @@ def run_search(spec: SearchSpec) -> SearchResult:
     construction, and the budget counts proposed moves beyond the initial
     coloring, rejected proposals included.
     """
-    # Before any work, and before local search allocates its budget-long moves.
+    # Before any work: the caps bound the time of any request.
     count = spec.coloring_count()
     if count > MAX_COLORINGS:
+        # C(N, n) can run to hundreds of digits; the message names it instead.
+        what = f"C({spec.total}, {spec.n_green})" if spec.mode == EXHAUSTIVE else count
         raise SearchCapError(
-            f"{spec.mode} search over {count} colorings exceeds the cap {MAX_COLORINGS}", count
+            f"{spec.mode} search over {what} colorings exceeds the cap {MAX_COLORINGS}", count
         )
     if spec.mode == LOCAL and spec.budget > MAX_LOCAL_BUDGET:
         raise SearchCapError(

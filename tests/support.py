@@ -328,30 +328,42 @@ def _descent_replay(
     return best_actual, best, violations, examined
 
 
+def point_transpose(incidence):
+    """(point_indptr, point_lines): the CSR of each point's lines, in line
+    order, transposed from the incidence's line-to-points arrays."""
+    indptr = np.zeros(incidence.n_points + 1, dtype=np.int64)
+    np.cumsum(np.bincount(incidence.line_points, minlength=incidence.n_points), out=indptr[1:])
+    # A stable sort by point keeps each point's lines in line order.
+    order = np.argsort(incidence.line_points, kind="stable")
+    lines = np.arange(incidence.line_sizes.shape[0], dtype=np.int64)
+    return indptr, np.repeat(lines, incidence.line_sizes)[order]
+
+
 def oracle_exhaustive_scan(incidence, sel, n_green, bound_num, bound_den):
     """kernels.exhaustive_scan computed by the depth-first reference scan."""
     best_actual, best, violations, examined = _exhaustive_scan(
-        incidence.point_indptr, incidence.point_lines, sel[incidence.line_sizes],
+        *point_transpose(incidence), sel[incidence.line_sizes],
         np.int64(n_green), np.int64(bound_num), np.int64(bound_den),
     )
     return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
 
 
-def oracle_descent_replay(
-    incidence, sel, initial_green, moves_green, moves_red, bound_num, bound_den
-):
+def oracle_descent_replay(incidence, sel, initial_green, move_blocks, bound_num, bound_den):
     """kernels.descent_replay computed by the reference replay, which
     updates the per-line green counts of every proposal and reverts the
-    rejected ones."""
+    rejected ones; it reads the move blocks joined into two arrays."""
     initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
     mask = np.ones(incidence.n_points, dtype=bool)
     mask[initial_green] = False
     initial_red = np.flatnonzero(mask).astype(np.int64)
+    blocks = list(move_blocks)
+    moves_green, moves_red = (
+        np.fromiter((slot for block in blocks for slot in block[side]), np.int64)
+        for side in (0, 1)
+    )
     best_actual, best, violations, examined = _descent_replay(
-        incidence.point_indptr, incidence.point_lines, sel[incidence.line_sizes],
-        initial_green, initial_red,
-        np.ascontiguousarray(moves_green, dtype=np.int64),
-        np.ascontiguousarray(moves_red, dtype=np.int64),
+        *point_transpose(incidence), sel[incidence.line_sizes],
+        initial_green, initial_red, moves_green, moves_red,
         np.int64(bound_num), np.int64(bound_den),
     )
     return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)

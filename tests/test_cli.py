@@ -529,6 +529,27 @@ def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
     assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
 
 
+@pytest.mark.parametrize(
+    "generator, k, budget, limit_mb",
+    [
+        # The moves are drawn in blocks, never as budget-long arrays (51.6 MB
+        # when they were).
+        ("grid(5)", "1", 1_000_000, 42),
+        # 381,767 lines: the replay's Python state is built once from the
+        # line CSR, with no transpose and no list of the whole CSR (192 MB
+        # when it kept them).
+        ("random_rational(1000,0,9)", "0", 10, 140),
+    ],
+    ids=["grid5-budget-1000000", "n1000-budget-10"],
+)
+def test_cli_local_search_stays_small(tmp_path, generator, k, budget, limit_mb):
+    argv = ["search", "--generator", generator, "--k", k, "--theorem", "equisix",
+            "--mode", "local", "--budget", str(budget), "--format", "json"]
+    report, _, peak_mb = cli_process(tmp_path, argv)
+    assert json.loads(report)["search"]["colorings_examined"] == str(budget + 1)
+    assert peak_mb < limit_mb, f"peak RSS {peak_mb:.1f} MB"
+
+
 def test_cli_analyze_and_local_search_leave_numpy_ma_unimported(tmp_path):
     # Plain np.unique imports numpy.ma, which costs each process memory and time.
     pts = generate("grid(4)")

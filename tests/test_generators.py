@@ -1,5 +1,6 @@
 import pytest
 
+from equilines.cli import run_cli
 from equilines.errors import ConfigError
 from equilines.generators import (
     MAX_POINTS,
@@ -82,3 +83,11 @@ def test_random_rational_rejects_more_points_than_exist():
         assert len(set(pts)) == values**2
         with pytest.raises(ValueError, match="distinct points"):
             random_rational(values**2 + 1, seed=0, bound=bound)
+
+
+def test_random_rational_rejects_a_negative_seed(capsys):
+    # random.Random would fold the seed -1 to 1 and repeat its points.
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_rational(5, seed=-1, bound=9)
+    assert run_cli(["generate", "--name", "random_rational(5,-1,9)"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from support import ALL_DS, random_config, reference_profile
 
+import equilines.profiles as profiles_mod
 from equilines.errors import InternalInconsistencyError
 from equilines.generators import hesse
 from equilines.geometry import GREEN, RED, affine_point, configuration
@@ -83,8 +84,6 @@ def test_identities_random_configs():
 
 
 def test_checked_mode_raises_on_tampered_kernel(monkeypatch):
-    import equilines.profiles as profiles_mod
-
     fake_checks = (profiles_mod.IdentityCheck("mixed_pairs", 0, 1),)
     monkeypatch.setattr(
         profiles_mod,
@@ -95,12 +94,16 @@ def test_checked_mode_raises_on_tampered_kernel(monkeypatch):
         profiles_mod.compute_profile(square_config())
 
 
-def test_array_profile_matches_per_line_tally():
+def test_array_profile_matches_per_line_tally(monkeypatch):
     seen = set()
     for seed in range(40):
         config = random_config(seed)
         seen.add(config.discriminant.d)
-        assert compute_profile(config) == reference_profile(config)
+        expected = reference_profile(config)
+        # Small blocks of lines: the tally must not depend on where they split.
+        for block in (profiles_mod._TALLY_BLOCK, 1, 7):
+            monkeypatch.setattr(profiles_mod, "_TALLY_BLOCK", block)
+            assert compute_profile(config) == expected
     assert seen == set(ALL_DS)
 
 

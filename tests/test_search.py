@@ -67,14 +67,16 @@ def test_incidence_arrays_match_lines():
         base = Incidence.of(points)
         csr = base.csr
         assert csr.n_points == base.total_points
-        assert csr.line_indptr[-1] == csr.line_points.shape[0] == csr.point_lines.shape[0]
+        point_indptr, point_lines = support.point_transpose(csr)
+        assert csr.line_indptr[-1] == csr.line_points.shape[0] == point_lines.shape[0]
         for li, rec in enumerate(base.lines):
             start, stop = csr.line_indptr[li], csr.line_indptr[li + 1]
             assert csr.line_points[start:stop].tolist() == list(rec.point_indices)
+        # The reference algorithms' transpose: each point's lines in line order.
         for p in range(base.total_points):
             expected = [li for li, rec in enumerate(base.lines) if p in rec.point_indices]
-            start, stop = csr.point_indptr[p], csr.point_indptr[p + 1]
-            assert csr.point_lines[start:stop].tolist() == expected
+            start, stop = point_indptr[p], point_indptr[p + 1]
+            assert point_lines[start:stop].tolist() == expected
         sizes = [rec.size for rec in base.lines]
         assert csr.line_sizes.tolist() == sizes
         assert list(base.size_counts.items()) == [(m, sizes.count(m)) for m in sorted(set(sizes))]
@@ -102,6 +104,18 @@ def test_exhaustive_cap(monkeypatch):
     with pytest.raises(SearchCapError) as exc:
         run_search(spec)
     assert exc.value.coloring_count == math.comb(16, 8)
+
+
+def test_exhaustive_cap_names_the_binomial_not_its_digits():
+    # C(1000, 500) has 300 digits: the message names it, the error keeps it exact.
+    spec = SearchSpec(points=random_rational(1000, seed=0, bound=9), k=0,
+                      theorem=BoundTheorem.EQUI_SIX)
+    with pytest.raises(SearchCapError) as exc:
+        run_search(spec)
+    message = str(exc.value)
+    assert message == "exhaustive search over C(1000, 500) colorings exceeds the cap 10000000"
+    assert len(message) < 100
+    assert exc.value.coloring_count == math.comb(1000, 500)
 
 
 def test_local_cap(monkeypatch):
@@ -230,6 +244,55 @@ def test_local_two_seeds_both_satisfy():
         result = run_search(spec)
         assert result.best_report.satisfied
         assert result.violations == 0
+
+
+@pytest.mark.parametrize("total, k", [(9, 1), (25, 1), (18, 0), (12, 10), (9, 9)],
+                         ids=["9-points", "25-points", "balanced", "one-red", "all-green"])
+def test_move_blocks_join_to_the_one_shot_draws(total, k):
+    # The draws of one integers(size=budget) call for the green slots, then
+    # one for the red slots, as the moves were drawn before the blocks; with
+    # no red point there is no move to propose.
+    points = grid(5)[:total]
+    for seed in (0, 1, 7, 2**32 - 1):
+        for budget in (0, 1, 4095, 4096, 4097, 9000):
+            spec = SearchSpec(points=points, k=k, theorem=BoundTheorem.EQUI_SIX,
+                              mode="local", seed=seed, budget=budget)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            expected_initial = np.sort(rng.permutation(total)[: spec.n_green])
+            n_red = total - spec.n_green
+            moves = budget if n_red else 0
+            expected = (
+                rng.integers(0, spec.n_green, size=moves, dtype=np.int64),
+                rng.integers(0, n_red, size=moves, dtype=np.int64) if n_red else np.empty(0),
+            )
+            initial, blocks = search._seeded_moves(spec)
+            blocks = list(blocks)
+            assert initial.tolist() == expected_initial.tolist()
+            assert [len(g) for g, _ in blocks] == [
+                min(search._MOVE_BLOCK, moves - s) for s in range(0, moves, search._MOVE_BLOCK)
+            ]
+            assert all(len(g) == len(r) for g, r in blocks)
+            for side in (0, 1):
+                joined = [int(v) for block in blocks for v in block[side]]
+                assert joined == expected[side].tolist()
+            if n_red == 1:
+                assert all(not r.any() for _, r in blocks)
+
+
+@pytest.mark.parametrize("block", [4096, 1, 7])
+def test_local_search_does_not_depend_on_the_move_block(block, monkeypatch):
+    cases = [
+        (grid(5), 1, BoundTheorem.EQUI_SIX, 0, 4100),
+        (random_rational(18, seed=1, bound=9), 0, BoundTheorem.EQUI_SIX, 3, 3000),
+        (grid(4), 2, BoundTheorem.EQUI_FOUR, 11, 4097),
+    ]
+    specs = [SearchSpec(points=base, k=k, theorem=theorem, mode="local", seed=seed,
+                        budget=budget) for base, k, theorem, seed, budget in cases]
+    # One block holds all the moves: the reference replay of the one-shot arrays.
+    monkeypatch.setattr(search, "_MOVE_BLOCK", search.MAX_LOCAL_BUDGET)
+    expected = [local_outcome(run_with_kernels("oracle", spec)) for spec in specs]
+    monkeypatch.setattr(search, "_MOVE_BLOCK", block)
+    assert [local_outcome(run_search(spec)) for spec in specs] == expected
 
 
 def local_outcome(result):
