@@ -9,17 +9,12 @@ or an internal cross-check failed), 2 = input or usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import shlex
 import sys
 from pathlib import Path
 
-from .bounds import BoundTheorem, evaluate_bound
 from .errors import ClaimRefutedError, ConfigError, EquilinesError, InternalInconsistencyError
-from .generators import generate
-from .geometry import GREEN
-from .inequalities import InequalityKind, evaluate
-from .profiles import compute_profile
-from .proofcheck import TEMPLATES, verify_sign_claim
 from .reports import (
     analysis_document,
     bound_section,
@@ -32,7 +27,7 @@ from .reports import (
     search_section,
     summary_section,
 )
-from .search import SearchSpec, run_search
+from .tables import TEMPLATES, BoundTheorem, InequalityKind
 
 _INEQUALITY_NAMES = {kind.value: kind for kind in InequalityKind}
 _THEOREM_NAMES = {th.value: th for th in BoundTheorem}
@@ -73,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, choices=sorted(_THEOREM_NAMES))
     p.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=SearchSpec.budget)
+    p.add_argument("--budget", type=int)
 
     p = sub.add_parser("proofcheck", parents=[common], help="certify coefficient claims")
     p.add_argument("--theorem", required=True, choices=[th.value for th in TEMPLATES])
@@ -90,7 +85,8 @@ def _emit(doc: dict, fmt: str, decimal: bool) -> None:
         sys.stdout.write(render_text(doc, decimal))
 
 
-def _load_config(path: str):
+def _load_config(args, path: str):
+    """Parse the config at path; args keeps it for the reproducer."""
     p = Path(path)
     if not p.is_file():
         raise EquilinesError(f"not a file: {path}" if p.exists() else f"no such file: {path}")
@@ -99,16 +95,17 @@ def _load_config(path: str):
     except UnicodeDecodeError as exc:
         raise EquilinesError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
-        return parse_config(text)
+        args.in_flight = parse_config(text)
     except EquilinesError as exc:  # among several files, name the one at fault
         raise ConfigError(f"{path}: {exc}") from None
+    return args.in_flight
 
 
 def _cmd_analyze(args) -> int:
     worst = 0
     multi = len(args.files) > 1
     for path in args.files:
-        config = _load_config(path)
+        config = _load_config(args, path)
         doc, ok = analysis_document(config)
         if multi:
             doc = {"file": path, **doc}
@@ -119,7 +116,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args.file)
+    from .inequalities import evaluate
+    from .profiles import compute_profile
+
+    config = _load_config(args, args.file)
     compute_profile(config)  # its counting identities cross-check the lines
     report = evaluate(_INEQUALITY_NAMES[args.inequality], config)
     doc = {
@@ -131,7 +131,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    config = _load_config(args.file)
+    from .bounds import evaluate_bound
+    from .profiles import compute_profile
+
+    config = _load_config(args, args.file)
     profile = compute_profile(config)
     report = evaluate_bound(_THEOREM_NAMES[args.theorem], config, profile)
     doc = {
@@ -143,14 +146,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    points = generate(args.generator)
+    from .search import SearchSpec, run_search  # numpy first: else 0.3 MB more peak RSS
+    from .generators import generate
+
+    budget = SearchSpec.budget if args.budget is None else args.budget
     spec = SearchSpec(
-        points=points,
+        points=generate(args.generator),
         k=args.k,
         theorem=_THEOREM_NAMES[args.theorem],
         mode=args.mode,
         seed=args.seed,
-        budget=args.budget,
+        budget=budget,
     )
     result = run_search(spec)
     _emit({"search": search_section(result)}, args.format, args.decimal)
@@ -158,6 +164,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_proofcheck(args) -> int:
+    from .proofcheck import verify_sign_claim
+
     try:
         cert = verify_sign_claim(_THEOREM_NAMES[args.theorem])
     except ClaimRefutedError as exc:
@@ -168,11 +176,22 @@ def _cmd_proofcheck(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import generate
+    from .points import GREEN
+
     points = generate(args.name)
     colors = tuple(GREEN for _ in points)
     doc = config_document(points, colors, points[0].d)
     sys.stdout.write(dump_json(doc))
     return 0
+
+
+def _reproducer(args, argv: list[str]) -> str:
+    """The config in flight as one JSON line, else (search) the command."""
+    config = getattr(args, "in_flight", None)
+    if config is None:
+        return shlex.join(["equilines", *argv])
+    return json.dumps(config_document(config.points, config.colors, config.discriminant.d))
 
 
 _COMMANDS = {
@@ -192,7 +211,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except InternalInconsistencyError as exc:
         sys.stderr.write(f"error: internal inconsistency: {exc}\n")
-        sys.stderr.write(f"reproduce: {shlex.join(['equilines', *argv])}\n")
+        sys.stderr.write(f"reproduce: {_reproducer(args, argv)}\n")
         return 1
     except EquilinesError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -15,20 +15,11 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ConfigError
-from .geometry import ProjPoint, affine_point
+from .points import ProjPoint, affine_point, check_point_count
 from .quadfield import quad
 
 DEFAULT_RATIONAL_D = 5
 HESSE_D = -3
-# Analysis and search key every pair of points exactly, so generator
-# specs and config files are untrusted input whose size must be bounded
-# before any point is built.
-MAX_POINTS = 1000
-
-
-def check_point_count(total: int) -> None:
-    if total > MAX_POINTS:
-        raise ConfigError(f"{total} points exceed the limit of {MAX_POINTS}")
 
 
 def grid(m: int, d: int = DEFAULT_RATIONAL_D) -> tuple[ProjPoint, ...]:

@@ -3,10 +3,11 @@
 The line set of a base configuration and each line's points are
 color-independent, so evaluating one coloring reduces to small-integer
 work: per-line green counts plus a lookup table saying whether a line of
-size m with g green points is selected by the equichromatic query.  That
-makes the per-coloring loop a pure array kernel with no exact-arithmetic
-dependency; exactness is preserved because every quantity is a small
-integer (bounds are compared via scaled integers, never floats).
+size m with g green points is selected by the theorem's equichromatic
+query (``tables.EquichromaticQuery``).  That makes the per-coloring loop
+a pure array kernel with no exact-arithmetic dependency; exactness is
+preserved because every quantity is a small integer (bounds are compared
+via scaled integers, never floats).
 
 ``build_incidence`` lays a point set's lines out once as int32 CSR
 arrays, line to points (``IncidenceArrays``, held by
@@ -40,7 +41,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .geometry import DeterminedLines
-    from .profiles import EquichromaticQuery
+    from .tables import EquichromaticQuery
 
 
 def resolve_backend() -> str:

@@ -1,93 +1,22 @@
-"""Bichromatic line profiles t_{i,j} and their exact counting identities.
+"""Bichromatic line profiles t_{i,j} and the check of their counting identities.
 
 t_{i,j} counts the determined lines with exactly i green and j red
-points.  ``IDENTITIES`` is the one table of the counting identities
-sum w(i, j) t_{i,j} = rhs(n, k) that tie a profile to (n, k) alone, each
-w stored as its polynomial coefficients; the proofcheck templates combine
-its rows and sum those coefficients into their tails.  They hold for
-every configuration, so a failure is always a kernel bug; every profile
-computation checks them and raises on any mismatch.
+points (``tables.LineProfile``).  ``compute_profile`` tallies them over
+the line CSR of a configuration's incidence, in numpy, and checks every
+counting identity of ``tables.IDENTITIES`` exactly before it returns.
+The identities hold for every configuration, so a failure is always a
+kernel bug, and it raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from math import comb
-from typing import Callable, Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .geometry import GREEN, ColoredConfiguration
-
-
-@dataclass(frozen=True)
-class LineProfile:
-    """Counts t_{i,j} for one configuration, its n and k, and its checked identities."""
-
-    counts: tuple[tuple[tuple[int, int], int], ...]
-    n: int
-    k: int
-    identities: IdentityReport | None = field(default=None, compare=False, repr=False)
-
-    @classmethod
-    def from_dict(cls, cells: dict[tuple[int, int], int], n: int, k: int) -> LineProfile:
-        items = tuple(sorted((cell, c) for cell, c in cells.items() if c))
-        return cls(items, n, k)
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.counts)
-
-    def cell(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
-
-@dataclass(frozen=True)
-class EquichromaticQuery:
-    """Select cells with i + j >= 2, |i - j| <= r, and i + j <= max_points.
-
-    max_points=None leaves the line size unbounded.
-    """
-
-    r: int
-    max_points: int | None = None
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("color-balance tolerance r must be >= 0")
-        if self.max_points is not None and self.max_points < 1:
-            raise ValueError("max_points must be positive")
-
-    def selects(self, i: int, j: int) -> bool:
-        if i + j < 2 or abs(i - j) > self.r:
-            return False
-        return self.max_points is None or i + j <= self.max_points
-
-
-@dataclass(frozen=True)
-class Identity:
-    """sum weight(i, j) * t_{i,j} = rhs(n, k) over every profile, the weight
-    held as its coefficients of (i - j)^a (i + j)^b, keyed by (a, b)."""
-
-    terms: Mapping[tuple[int, int], Fraction]
-    rhs: Callable[[int, int], int]
-
-    def weight(self, i: int, j: int) -> Fraction:
-        return sum(c * (i - j) ** a * (i + j) ** b for (a, b), c in self.terms.items())
-
-
-_QUARTER = Fraction(1, 4)
-# With s = i + j and u = i - j: i*j = (s^2 - u^2) / 4 and
-# C(i, 2) + C(j, 2) = (s^2 + u^2) / 4 - s / 2.
-IDENTITIES: dict[str, Identity] = {
-    "mixed_pairs": Identity({(0, 2): _QUARTER, (2, 0): -_QUARTER}, lambda n, k: n * (n - k)),
-    "same_color_pairs": Identity(
-        {(0, 2): _QUARTER, (2, 0): _QUARTER, (0, 1): Fraction(-1, 2)},
-        lambda n, k: comb(n, 2) + comb(n - k, 2),
-    ),
-    "incidence_balance": Identity({(0, 1): 1, (2, 0): -1}, lambda n, k: 2 * n - (k * k + k)),
-}
+from .points import GREEN, ColoredConfiguration
+from .tables import IDENTITIES, LineProfile
 
 
 @dataclass(frozen=True)
@@ -165,8 +94,3 @@ def verify_identities(profile: LineProfile) -> IdentityReport:
         )
         for name, row in IDENTITIES.items()
     ))
-
-
-def count_equichromatic(profile: LineProfile, query: EquichromaticQuery) -> int:
-    """Number of determined lines in the cells selected by the query."""
-    return sum(c for (i, j), c in profile.counts if query.selects(i, j))

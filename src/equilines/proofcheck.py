@@ -1,12 +1,12 @@
 """Mechanical certification of the coefficient combinations behind the bounds.
 
 Each of EQUI_SIX and EQUI_FOUR rests on a signed sum of counting
-identities (``profiles.IDENTITIES``) and one incidence inequality
-(``inequalities.INEQUALITIES``); an ``InequalityTemplate`` names those
-rows, and its per-cell coefficient alpha(i, j) and right-hand side
-RHS(n, k) are derived from them.  The claim is a finite exceptional set:
-finitely many cells on the inequality's side of zero, everything else on
-the other.  Above the inequality row's last exception alpha is the sum
+identities and one incidence inequality; an ``InequalityTemplate`` of
+``tables.TEMPLATES`` names those rows of ``tables.IDENTITIES`` and
+``tables.INEQUALITIES``, and its per-cell coefficient alpha(i, j) and
+right-hand side RHS(n, k) are derived from them.  The claim is a finite
+exceptional set: finitely many cells on the inequality's side of zero,
+everything else on the other.  Above the inequality row's last exception alpha is the sum
 of the rows' polynomial data: the identity rows' terms in (i - j) and
 i + j, and the inequality row's sides in i + j.  That sum must have
 degree at most 2 and no odd power of i - j; a tail threshold T is derived
@@ -14,7 +14,7 @@ from it, and only the cells with i + j < T are enumerated.  The rhs step
 takes the identities' right-hand sides to be polynomials of degree at
 most 2 in n and k.  The count bound RHS / extreme holds under the template
 inequality's gate, for the lines in cells the theorem's query selects,
-and must equal ``bounds.bound_value``; ``verify_sign_claim`` checks all
+and must equal ``tables.bound_value``; ``verify_sign_claim`` checks all
 three.
 """
 
@@ -24,66 +24,18 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
 
-from .bounds import BoundTheorem, bound_value, theorem_info
 from .errors import ClaimRefutedError
-from .inequalities import INEQUALITIES, InequalityKind
-from .profiles import IDENTITIES
-
-Cell = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class InequalityTemplate:
-    """sum_r sign_r * identity_r + sign * inequality, with a claimed
-    exceptional sign pattern.
-
-    The combination reads sum alpha(i, j) t_{i,j} >= RHS(n, k) when the
-    inequality's sign is +1, claiming finitely many positive cells, and
-    <= RHS(n, k) when it is -1, claiming finitely many negative cells.
-    """
-
-    name: str
-    identities: tuple[tuple[int, str], ...]
-    inequality: tuple[int, InequalityKind]
-    claimed_cells: Mapping[Cell, Fraction]
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        sign, kind = self.inequality
-        ids = sum(s * IDENTITIES[name].weight(i, j) for s, name in self.identities)
-        return Fraction(ids + sign * INEQUALITIES[kind].weight(i + j))
-
-    def rhs(self, n: int, k: int) -> Fraction:
-        sign, kind = self.inequality
-        ids = sum(s * IDENTITIES[name].rhs(n, k) for s, name in self.identities)
-        return Fraction(ids + sign * INEQUALITIES[kind].constant(2 * n - k))
-
-
-EQUI_SIX_TEMPLATE = InequalityTemplate(
-    name="equisix",
-    identities=((+1, "same_color_pairs"), (-1, "mixed_pairs")),
-    inequality=(-1, InequalityKind.HIRZEBRUCH_LINEAR),
-    claimed_cells={
-        (1, 1): Fraction(-2), (1, 2): Fraction(-2), (2, 1): Fraction(-2), (2, 2): Fraction(-2),
-        (2, 3): Fraction(-1), (3, 2): Fraction(-1), (3, 3): Fraction(-1),
-    },
+from .tables import (
+    IDENTITIES,
+    INEQUALITIES,
+    TEMPLATES,
+    BoundTheorem,
+    Cell,
+    InequalityTemplate,
+    bound_value,
+    theorem_info,
 )
-
-EQUI_FOUR_TEMPLATE = InequalityTemplate(
-    name="equifour",
-    identities=((+1, "incidence_balance"),),
-    inequality=(+1, InequalityKind.BOJANOWSKI_POKORA),
-    claimed_cells={
-        (0, 2): Fraction(2), (2, 0): Fraction(2), (1, 1): Fraction(6),
-        (1, 2): Fraction(5), (2, 1): Fraction(5), (2, 2): Fraction(4),
-    },
-)
-
-TEMPLATES: dict[BoundTheorem, InequalityTemplate] = {
-    BoundTheorem.EQUI_SIX: EQUI_SIX_TEMPLATE,
-    BoundTheorem.EQUI_FOUR: EQUI_FOUR_TEMPLATE,
-}
 
 
 def template_for(theorem: BoundTheorem) -> InequalityTemplate:
@@ -188,8 +140,8 @@ def verify_template_sign_claim(tpl: InequalityTemplate) -> SignCertificate:
 def verify_sign_claim(theorem: BoundTheorem) -> SignCertificate:
     """Certify the theorem's count bound from its template.
 
-    Beyond the template's sign claim and derived tail, three links to the bounds
-    module are checked: the theorem's gate is the template inequality's,
+    Beyond the template's sign claim and derived tail, three links to the
+    theorem's row are checked: the theorem's gate is the template inequality's,
     its query selects every exceptional cell (so the lines those cells
     count are lines the bound counts), and RHS / extreme equals
     ``bound_value``.  Both sides of the last are polynomials of degree at

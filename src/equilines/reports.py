@@ -16,17 +16,20 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .bounds import BoundReport, evaluate_all_bounds
 from .errors import ConfigError, EquilinesError
-from .generators import check_point_count
-from .geometry import COLORS, ColoredConfiguration, ProjPoint, check_key_bits
-from .inequalities import InequalityReport, evaluate_all
-from .kernels import resolve_backend
-from .profiles import IdentityReport, LineProfile, compute_profile
-from .proofcheck import SignCertificate
-from .quadfield import Discriminant, format_element, parse_element
-from .search import SearchResult
+
+# Each function imports the modules it runs, so rendering a certificate
+# loads neither the points nor numpy.
+if TYPE_CHECKING:
+    from .bounds import BoundReport
+    from .inequalities import InequalityReport
+    from .points import ColoredConfiguration, ProjPoint
+    from .profiles import IdentityReport
+    from .proofcheck import SignCertificate
+    from .search import SearchResult
+    from .tables import LineProfile
 
 
 def num(value: int | Fraction) -> str:
@@ -44,6 +47,9 @@ def _approx(value: int | Fraction) -> str:
 
 def parse_config(text: str) -> ColoredConfiguration:
     """Parse and validate a configuration document."""
+    from .points import COLORS, ColoredConfiguration, ProjPoint, check_key_bits, check_point_count
+    from .quadfield import Discriminant, parse_element
+
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too-deep nesting, huge ints
@@ -65,15 +71,26 @@ def parse_config(text: str) -> ColoredConfiguration:
     points: list[ProjPoint] = []
     colors: list[str] = []
     for idx, entry in enumerate(pts_raw):
-        points.append(_parse_point(entry, idx, disc.d))
-        colors.append(_parse_color(entry, idx))
+        coords = _coords(entry, idx)
+        try:
+            parsed = [parse_element(str(c), disc.d) for c in coords]
+            if len(parsed) == 2:
+                parsed.append(parse_element("1", disc.d))
+            points.append(ProjPoint(*parsed))
+            check_key_bits(points[-1].row)
+        except (EquilinesError, ValueError) as exc:  # ValueError: zero triple
+            raise ConfigError(f"point {idx}: {exc}") from None
+        colors.append(entry.get("color"))
+        if colors[-1] not in COLORS:
+            raise ConfigError(f"point {idx}: 'color' must be 'green' or 'red'")
     return ColoredConfiguration(disc, tuple(points), tuple(colors))
 
 
 _JSON_TYPES = {bool: "boolean", float: "number", list: "array", dict: "object", type(None): "null"}
 
 
-def _parse_point(entry, idx: int, d: int) -> ProjPoint:
+def _coords(entry, idx: int) -> list[str | int]:
+    """The coordinates of one point entry, checked to be 2 or 3 strings or integers."""
     if not isinstance(entry, dict) or "coords" not in entry:
         raise ConfigError(f"point {idx}: expected an object with 'coords'")
     coords = entry["coords"]
@@ -85,28 +102,15 @@ def _parse_point(entry, idx: int, d: int) -> ProjPoint:
             raise ConfigError(
                 f"point {idx}: a coordinate is a JSON {kind}, not a string or an integer"
             )
-    try:
-        parsed = [parse_element(str(c), d) for c in coords]
-        if len(parsed) == 2:
-            parsed.append(parse_element("1", d))
-        point = ProjPoint(*parsed)
-        check_key_bits(point.row)
-        return point
-    except (EquilinesError, ValueError) as exc:  # ValueError: zero triple
-        raise ConfigError(f"point {idx}: {exc}") from None
-
-
-def _parse_color(entry, idx: int) -> str:
-    color = entry.get("color")
-    if color not in COLORS:
-        raise ConfigError(f"point {idx}: 'color' must be 'green' or 'red'")
-    return color
+    return coords
 
 
 def config_document(
     points: tuple[ProjPoint, ...], colors: tuple[str, ...], d: int
 ) -> dict:
     """Emit a configuration document with canonical homogeneous coords."""
+    from .quadfield import format_element
+
     return {
         "d": d,
         "points": [
@@ -205,6 +209,8 @@ def certificate_section(cert: SignCertificate) -> dict:
 
 
 def search_section(result: SearchResult) -> dict:
+    from .kernels import resolve_backend
+
     doc = {
         "mode": result.spec.mode,
         "theorem": result.spec.theorem.value,
@@ -230,6 +236,10 @@ def search_section(result: SearchResult) -> dict:
 
 def analysis_document(config: ColoredConfiguration) -> tuple[dict, bool]:
     """Full report for one configuration plus an all-checks-passed flag."""
+    from .bounds import evaluate_all_bounds
+    from .inequalities import evaluate_all
+    from .profiles import compute_profile
+
     profile = compute_profile(config)
     ineqs = evaluate_all(config)
     bnds = evaluate_all_bounds(config, profile)

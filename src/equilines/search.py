@@ -24,11 +24,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .bounds import BoundReport, BoundTheorem, evaluate_bound, theorem_info, verdict
+from .bounds import BoundReport, evaluate_bound, verdict
 from .errors import InternalInconsistencyError, SearchCapError
-from .geometry import GREEN, RED, ColoredConfiguration, Incidence, ProjPoint
+from .geometry import Incidence
 from .kernels import descent_replay, exhaustive_scan, selection_table
+from .points import GREEN, RED, ColoredConfiguration, ProjPoint
 from .quadfield import Discriminant
+from .tables import BoundTheorem, theorem_info
 
 EXHAUSTIVE = "exhaustive"
 LOCAL = "local"
@@ -163,8 +165,10 @@ def run_search(spec: SearchSpec) -> SearchResult:
     # Before any work: the caps bound the time of any request.
     count = spec.coloring_count()
     if count > MAX_COLORINGS:
-        # C(N, n) can run to hundreds of digits; the message names it instead.
-        what = f"C({spec.total}, {spec.n_green})" if spec.mode == EXHAUSTIVE else count
+        # C(N, n) and a local budget can run to hundreds of digits; the
+        # message names the count, or its power of ten, instead.
+        what = (f"C({spec.total}, {spec.n_green})" if spec.mode == EXHAUSTIVE
+                else count if count < 10**40 else f"about 10^{round(math.log10(count))}")
         raise SearchCapError(
             f"{spec.mode} search over {what} colorings exceeds the cap {MAX_COLORINGS}", count
         )

@@ -14,21 +14,11 @@ import numpy as np
 import pytest
 
 from equilines import kernels, search
-from equilines.geometry import (
-    GREEN,
-    RED,
-    ColoredConfiguration,
-    ProjPoint,
-    configuration,
-    enumerate_lines,
-)
-from equilines.profiles import (
-    EquichromaticQuery,
-    LineProfile,
-    compute_profile,
-    count_equichromatic,
-)
+from equilines.geometry import enumerate_lines
+from equilines.points import GREEN, RED, ColoredConfiguration, ProjPoint, configuration
+from equilines.profiles import compute_profile
 from equilines.quadfield import QuadElement, one, quad, zero
+from equilines.tables import EquichromaticQuery, LineProfile, count_equichromatic
 
 ALL_DS = (-3, -1, 2, 5)
 REAL_DS = (2, 5)

@@ -11,7 +11,7 @@ from support import KERNELS, random_config, random_real_config, run_with_kernels
 
 from equilines.bounds import BoundTheorem, evaluate_all_bounds
 from equilines.generators import generate, grid, hesse, random_rational
-from equilines.geometry import GREEN, RED, affine_point, configuration
+from equilines.points import GREEN, RED, affine_point, configuration
 from equilines.inequalities import InequalityKind, evaluate_all
 from equilines.profiles import compute_profile, verify_identities
 from equilines.proofcheck import verify_sign_claim

@@ -15,9 +15,10 @@ from equilines.bounds import (
     verdict,
 )
 from equilines.generators import grid, hesse
-from equilines.geometry import GREEN, RED, Incidence, affine_point, configuration
+from equilines.geometry import Incidence
+from equilines.points import GREEN, RED, affine_point, configuration
 from equilines.profiles import compute_profile
-from equilines.proofcheck import EQUI_FOUR_TEMPLATE, EQUI_SIX_TEMPLATE
+from equilines.tables import EQUI_FOUR_TEMPLATE, EQUI_SIX_TEMPLATE
 
 
 def square_config():

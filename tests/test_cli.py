@@ -1,10 +1,10 @@
 import argparse
+import importlib
 import json
 import math
 import os
 import random
 import re
-import shlex
 import subprocess
 import sys
 import time
@@ -16,12 +16,13 @@ from support import KERNELS, run_with_kernels
 
 import equilines
 from equilines.bounds import BoundTheorem
-from equilines import search
+from equilines import profiles, search
 from equilines.cli import _build_parser, run_cli
-from equilines.generators import MAX_POINTS, generate, hesse
-from equilines.geometry import GREEN, MAX_KEY_BITS, _is_prime, configuration
+from equilines.generators import generate, hesse
+from equilines.geometry import _is_prime
 from equilines.kernels import resolve_backend
-from equilines.profiles import IDENTITIES, Identity
+from equilines.points import GREEN, MAX_KEY_BITS, MAX_POINTS, configuration
+from equilines.tables import IDENTITIES, Identity
 from equilines.reports import (
     analysis_document,
     config_document,
@@ -357,7 +358,34 @@ def test_cli_analyze_failed_identity_exits_one(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: internal inconsistency: ")
-    assert err.endswith(f"\nreproduce: equilines analyze {shlex.quote(path)}\n")
+    # The reproducer is the config in flight, not a file that may be gone.
+    reproducer = err.splitlines()[-1].removeprefix("reproduce: ")
+    assert parse_config(reproducer) == parse_config(dump_json(square_doc()))
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("analyze", []), ("verify", ["--inequality", "langer"]),
+     ("bounds", ["--theorem", "equifour"])],
+    ids=["analyze", "verify", "bounds"],
+)
+def test_cli_internal_inconsistency_prints_the_config_in_flight(
+    tmp_path, monkeypatch, capsys, command, options
+):
+    # A tampered identity check, as in test_profiles, that fails only the
+    # Hesse configuration (n = 5): analyze reads the square first.
+    real, fake = profiles.verify_identities, profiles.IdentityReport(
+        (profiles.IdentityCheck("mixed_pairs", 0, 1),)
+    )
+    monkeypatch.setattr(profiles, "verify_identities", lambda p: fake if p.n == 5 else real(p))
+    doc = config_document(hesse(), ("green", "red") * 4 + ("green",), -3)
+    path = write_config(tmp_path, "hesse.json", doc)
+    files = [write_config(tmp_path, "square.json", square_doc())] if command == "analyze" else []
+    assert run_cli([command, *files, path, *options]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("error: internal inconsistency: ")
+    assert err[1].startswith("reproduce: {")
+    assert parse_config(err[1].removeprefix("reproduce: ")) == parse_config(dump_json(doc))
 
 
 def test_cli_search_parity_error(capsys):
@@ -403,6 +431,16 @@ def test_cli_rejects_oversized_requests_quickly(argv, limit, capsys):
     assert run_cli(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert limit in capsys.readouterr().err
+
+
+def test_cli_local_cap_names_a_huge_count_briefly(capsys):
+    # budget + 1 = 10^300 colorings: named by its power of ten, not its 301 digits.
+    argv = ["search", "--generator", "grid(3)", "--k", "1", "--theorem", "equisix",
+            "--mode", "local", "--budget", "9" * 300]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200, err
+    assert "local search over about 10^300 colorings exceeds the cap 10000000" in err
 
 
 def test_cli_rejects_coordinates_above_key_limit_quickly(tmp_path, capsys):
@@ -478,8 +516,14 @@ def test_cli_rejects_config_above_point_limit_quickly(tmp_path, capsys):
 
 
 def test_every_exported_name_resolves():
+    assert set(equilines.__all__) <= set(dir(equilines))
     for name in equilines.__all__:
         assert hasattr(equilines, name), name
+        module = importlib.import_module(f"equilines.{equilines._MODULE_OF[name]}")
+        value = getattr(equilines, name)
+        assert value is getattr(module, name), name
+        # The table names the module that defines the name, not one that imports it.
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
 
 
 def test_cli_runs_as_module():
@@ -548,6 +592,68 @@ def test_cli_local_search_stays_small(tmp_path, generator, k, budget, limit_mb):
     report, _, peak_mb = cli_process(tmp_path, argv)
     assert json.loads(report)["search"]["colorings_examined"] == str(budget + 1)
     assert peak_mb < limit_mb, f"peak RSS {peak_mb:.1f} MB"
+
+
+def run_cli_loading(argv, code):
+    """Lines that run the CLI on argv in-process and check its exit code."""
+    return [
+        "from equilines.cli import run_cli",
+        "try:",
+        f"    code = run_cli({argv!r})",
+        "except SystemExit as exc:",
+        "    code = exc.code",
+        f"assert code == {code}, code",
+    ]
+
+
+SQUARE = "square.json"  # written into the subprocess's working directory
+# The modules that run in ints and Fractions only: none may load numpy.
+EXACT_MODULES = "errors quadfield points tables bounds inequalities proofcheck generators reports"
+
+
+@pytest.mark.parametrize(
+    "lines, unloaded",
+    [
+        (["import equilines"], {"numpy"}),
+        (["import equilines.cli"], {"numpy"}),
+        (["import equilines." + m for m in EXACT_MODULES.split()], {"numpy"}),
+        (run_cli_loading(["--help"], 0), {"numpy"}),
+        (run_cli_loading(["bounds", "x.json", "--theorem", "nonsense"], 2), {"numpy"}),
+        (run_cli_loading(["proofcheck", "--theorem", "equisix"], 0), {"numpy"}),
+        (run_cli_loading(["proofcheck", "--theorem", "equifour"], 0), {"numpy"}),
+        (run_cli_loading(["generate", "--name", "grid(3)"], 0), {"numpy"}),
+        (run_cli_loading(["analyze", SQUARE], 0), {"equilines.search", "equilines.proofcheck"}),
+        (run_cli_loading(["verify", SQUARE, "--inequality", "langer"], 0),
+         {"equilines.search", "equilines.proofcheck"}),
+        (run_cli_loading(["bounds", SQUARE, "--theorem", "equisix"], 0),
+         {"equilines.search", "equilines.proofcheck"}),
+        (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
+                          "equisix"], 0), {"equilines.proofcheck"}),
+    ],
+    ids=["import-package", "import-cli", "import-exact-modules", "help", "usage-error",
+         "proofcheck-equisix", "proofcheck-equifour", "generate", "analyze", "verify", "bounds",
+         "search"],
+)
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, lines, unloaded):
+    write_config(tmp_path, SQUARE, square_doc())
+    code = "\n".join(["import sys", *lines, "print(*sorted(sys.modules))"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "equilines" in loaded
+    assert not unloaded & loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["proofcheck", "--theorem", "equisix"], ["generate", "--name", "grid(5)"]],
+    ids=["proofcheck", "generate"],
+)
+def test_cli_exact_subcommands_start_small(tmp_path, argv):
+    # Without numpy these processes peak near 15 MB; with it, about 29 MB.
+    _, _, peak_mb = cli_process(tmp_path, argv)
+    assert peak_mb < 22, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_cli_analyze_and_local_search_leave_numpy_ma_unimported(tmp_path):

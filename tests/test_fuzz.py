@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from equilines.cli import run_cli
 from equilines.errors import EquilinesError
-from equilines.geometry import ColoredConfiguration
+from equilines.points import ColoredConfiguration
 from equilines.reports import parse_config
 
 SECONDS = 5.0

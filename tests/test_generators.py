@@ -2,15 +2,9 @@ import pytest
 
 from equilines.cli import run_cli
 from equilines.errors import ConfigError
-from equilines.generators import (
-    MAX_POINTS,
-    generate,
-    grid,
-    hesse,
-    near_pencil,
-    random_rational,
-)
-from equilines.geometry import GREEN, configuration, enumerate_lines
+from equilines.generators import generate, grid, hesse, near_pencil, random_rational
+from equilines.geometry import enumerate_lines
+from equilines.points import GREEN, MAX_POINTS, configuration
 
 
 def test_grid():

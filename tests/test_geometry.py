@@ -25,19 +25,15 @@ from equilines.errors import (
     InsufficientPointsError,
 )
 from equilines.generators import hesse
-from equilines.geometry import (
+from equilines.geometry import _det_dtype, _pair_keys, enumerate_lines, row_cross, row_det
+from equilines.points import (
     GREEN,
     RED,
+    MAX_KEY_BITS,
     ColoredConfiguration,
     ProjPoint,
     affine_point,
-    MAX_KEY_BITS,
     configuration,
-    _det_dtype,
-    _pair_keys,
-    enumerate_lines,
-    row_cross,
-    row_det,
 )
 from equilines.quadfield import (
     MAX_ABS_DISCRIMINANT,

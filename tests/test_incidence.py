@@ -14,12 +14,13 @@ import pytest
 from support import KERNEL_PARAMS, random_config, use_kernels
 
 from equilines import geometry, kernels, profiles
-from equilines.bounds import BoundTheorem
 from equilines.generators import grid, hesse, random_rational
-from equilines.geometry import GREEN, Incidence, configuration
+from equilines.geometry import Incidence
+from equilines.points import GREEN, configuration
 from equilines.quadfield import QuadElement, parse_element
 from equilines.reports import analysis_document, config_document, dump_json, parse_config
 from equilines.search import EXHAUSTIVE, LOCAL, SearchSpec, run_search
+from equilines.tables import BoundTheorem
 
 
 def install(monkeypatch, original, replacement):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from support import random_real_config
 
 from equilines.generators import grid, hesse, near_pencil
-from equilines.geometry import GREEN, RED, affine_point, configuration
+from equilines.points import GREEN, RED, affine_point, configuration
 from equilines.inequalities import InequalityKind, evaluate, evaluate_all
 
 ALL_GREEN = lambda pts: (GREEN,) * len(pts)  # noqa: E731

@@ -7,14 +7,9 @@ from support import ALL_DS, random_config, reference_profile
 import equilines.profiles as profiles_mod
 from equilines.errors import InternalInconsistencyError
 from equilines.generators import hesse
-from equilines.geometry import GREEN, RED, affine_point, configuration
-from equilines.profiles import (
-    EquichromaticQuery,
-    LineProfile,
-    compute_profile,
-    count_equichromatic,
-    verify_identities,
-)
+from equilines.points import GREEN, RED, affine_point, configuration
+from equilines.profiles import compute_profile, verify_identities
+from equilines.tables import EquichromaticQuery, LineProfile, count_equichromatic
 
 
 def square_config():

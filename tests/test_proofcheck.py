@@ -4,18 +4,21 @@ from math import comb
 
 import pytest
 
-from equilines import bounds, proofcheck
-from equilines.bounds import BoundTheorem, bound_value
+from equilines import proofcheck, tables
 from equilines.cli import run_cli
 from equilines.errors import ClaimRefutedError
-from equilines.inequalities import INEQUALITIES, InequalityKind, Side
-from equilines.profiles import IDENTITIES, EquichromaticQuery, Identity
-from equilines.proofcheck import (
+from equilines.proofcheck import template_for, verify_sign_claim, verify_template_sign_claim
+from equilines.tables import (
     EQUI_FOUR_TEMPLATE,
     EQUI_SIX_TEMPLATE,
-    template_for,
-    verify_sign_claim,
-    verify_template_sign_claim,
+    IDENTITIES,
+    INEQUALITIES,
+    BoundTheorem,
+    EquichromaticQuery,
+    Identity,
+    InequalityKind,
+    Side,
+    bound_value,
 )
 
 HIRZEBRUCH_LINEAR = InequalityKind.HIRZEBRUCH_LINEAR
@@ -214,15 +217,15 @@ def _corrupt_inequality(monkeypatch):
 
 
 def _corrupt_query(monkeypatch):
-    info = bounds.theorem_info(BoundTheorem.EQUI_SIX)
+    info = tables.theorem_info(BoundTheorem.EQUI_SIX)
     corrupted = dataclasses.replace(info, query=EquichromaticQuery(1, 5))
-    monkeypatch.setitem(bounds._INFO, BoundTheorem.EQUI_SIX, corrupted)
+    monkeypatch.setitem(tables._INFO, BoundTheorem.EQUI_SIX, corrupted)
 
 
 def _corrupt_gate(monkeypatch):
-    info = bounds.theorem_info(BoundTheorem.EQUI_SIX)
+    info = tables.theorem_info(BoundTheorem.EQUI_SIX)
     corrupted = dataclasses.replace(info, gate=InequalityKind.HIRZEBRUCH_QUADRATIC)
-    monkeypatch.setitem(bounds._INFO, BoundTheorem.EQUI_SIX, corrupted)
+    monkeypatch.setitem(tables._INFO, BoundTheorem.EQUI_SIX, corrupted)
 
 
 def _corrupt_bound(monkeypatch):

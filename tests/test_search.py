@@ -12,14 +12,16 @@ from support import KERNEL_PARAMS, KERNELS, brute_force_scan, run_with_kernels, 
 
 import equilines
 from equilines import search
-from equilines.bounds import BoundTheorem, theorem_info, verdict
+from equilines.bounds import verdict
 from equilines.errors import SearchCapError
 from equilines.generators import grid, hesse, near_pencil, random_rational
-from equilines.geometry import GREEN, Incidence, configuration
+from equilines.geometry import Incidence
 from equilines.kernels import resolve_backend, selection_table
-from equilines.profiles import EquichromaticQuery, compute_profile, count_equichromatic
+from equilines.points import GREEN, configuration
+from equilines.profiles import compute_profile
 from equilines.reports import search_section
 from equilines.search import SearchSpec, run_search
+from equilines.tables import BoundTheorem, EquichromaticQuery, count_equichromatic, theorem_info
 
 
 def test_backend_resolution():
