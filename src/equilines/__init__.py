@@ -4,7 +4,9 @@ identities, incidence inequalities, equichromatic lower bounds,
 coefficient certificates, and coloring search.
 
 The public names below resolve on first access (PEP 562), so importing
-the package loads none of its modules, and numpy only with the array ones.
+the package loads none of its modules.  numpy loads only with the array
+code (``sort``, ``kernels`` and ``search``), which an analysis of at most
+``geometry.PENCIL_MAX_PAIRS`` point pairs never reaches.
 """
 
 import importlib

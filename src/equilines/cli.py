@@ -146,7 +146,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .search import SearchSpec, run_search  # numpy first: else 0.3 MB more peak RSS
+    from .search import SearchSpec, run_search  # numpy first: about 0.1 MB less peak RSS
     from .generators import generate
 
     budget = SearchSpec.budget if args.budget is None else args.budget

@@ -9,10 +9,13 @@ a pure array kernel with no exact-arithmetic dependency; exactness is
 preserved because every quantity is a small integer (bounds are compared
 via scaled integers, never floats).
 
-``build_incidence`` lays a point set's lines out once as int32 CSR
-arrays, line to points (``IncidenceArrays``, held by
-``geometry.Incidence``).  Every kernel reads those arrays; no array of
-lines times points, and no point-to-lines transpose, is built.
+``build_incidence`` views a point set's line CSR (the int32 buffers of
+``geometry.DeterminedLines``) as arrays, line to points
+(``IncidenceArrays``), without a copy; the search builds them once, and
+so does the block tally of ``profiles`` above the pencil path.  An
+analysis on the pencil path never imports this module, nor numpy.
+Every kernel reads those arrays; no array of lines times points, and no
+point-to-lines transpose, is built.
 
 One algorithm runs per search mode:
 
@@ -68,9 +71,11 @@ class IncidenceArrays:
 
 
 def build_incidence(lines: DeterminedLines, n_points: int) -> IncidenceArrays:
-    """The CSR arrays of the lines over n_points points: the enumeration's
-    own line-to-points arrays."""
-    return IncidenceArrays(np.diff(lines.indptr), lines.indptr, lines.points, n_points)
+    """The CSR arrays of the lines over n_points points: views of the
+    enumeration's own line-to-points buffers, no copy."""
+    indptr = np.frombuffer(lines.indptr, dtype=np.int32)
+    return IncidenceArrays(np.diff(indptr), indptr, np.frombuffer(lines.points, dtype=np.int32),
+                           n_points)
 
 
 def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> np.ndarray:

@@ -13,7 +13,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from equilines import kernels, search
+from equilines import geometry, kernels, search
 from equilines.geometry import enumerate_lines
 from equilines.points import GREEN, RED, ColoredConfiguration, ProjPoint, configuration
 from equilines.profiles import compute_profile
@@ -22,6 +22,17 @@ from equilines.tables import EquichromaticQuery, LineProfile, count_equichromati
 
 ALL_DS = (-3, -1, 2, 5)
 REAL_DS = (2, 5)
+
+
+# The two line enumerations (and profile tallies) of geometry.enumerate_lines.
+PATHS = ("pencil", "sort")
+
+
+def use_path(monkeypatch, path: str) -> None:
+    """Send every point set down the pencil or the sort path, whatever its
+    size, for the rest of the monkeypatch."""
+    pairs = {"pencil": 2**62, "sort": 0}[path]
+    monkeypatch.setattr(geometry, "PENCIL_MAX_PAIRS", pairs)
 
 
 def _coord(rng: random.Random, d: int, allow_quad_part: bool) -> tuple[Fraction, Fraction]:

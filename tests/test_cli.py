@@ -21,7 +21,7 @@ from equilines.cli import _build_parser, run_cli
 from equilines.generators import generate, hesse
 from equilines.geometry import _is_prime
 from equilines.kernels import resolve_backend
-from equilines.points import GREEN, MAX_KEY_BITS, MAX_POINTS, configuration
+from equilines.points import GREEN, MAX_KEY_BITS, MAX_POINTS, RED, configuration
 from equilines.tables import IDENTITIES, Identity
 from equilines.reports import (
     analysis_document,
@@ -607,8 +607,9 @@ def run_cli_loading(argv, code):
 
 
 SQUARE = "square.json"  # written into the subprocess's working directory
-# The modules that run in ints and Fractions only: none may load numpy.
-EXACT_MODULES = "errors quadfield points tables bounds inequalities proofcheck generators reports"
+# The modules that import no numpy: none may load it.
+EXACT_MODULES = ("errors quadfield points tables bounds inequalities proofcheck generators reports "
+                 "geometry pencil profiles")
 
 
 @pytest.mark.parametrize(
@@ -622,13 +623,20 @@ EXACT_MODULES = "errors quadfield points tables bounds inequalities proofcheck g
         (run_cli_loading(["proofcheck", "--theorem", "equisix"], 0), {"numpy"}),
         (run_cli_loading(["proofcheck", "--theorem", "equifour"], 0), {"numpy"}),
         (run_cli_loading(["generate", "--name", "grid(3)"], 0), {"numpy"}),
-        (run_cli_loading(["analyze", SQUARE], 0), {"equilines.search", "equilines.proofcheck"}),
+        # At or below the crossover the lines are enumerated by pencils and
+        # tallied in Python ints.
+        (run_cli_loading(["analyze", SQUARE], 0),
+         {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
+          "equilines.proofcheck"}),
         (run_cli_loading(["verify", SQUARE, "--inequality", "langer"], 0),
-         {"equilines.search", "equilines.proofcheck"}),
+         {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
+          "equilines.proofcheck"}),
         (run_cli_loading(["bounds", SQUARE, "--theorem", "equisix"], 0),
-         {"equilines.search", "equilines.proofcheck"}),
+         {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
+          "equilines.proofcheck"}),
+        # A search loads numpy anyway, so it enumerates by sorting.
         (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
-                          "equisix"], 0), {"equilines.proofcheck"}),
+                          "equisix"], 0), {"equilines.proofcheck", "equilines.pencil"}),
     ],
     ids=["import-package", "import-cli", "import-exact-modules", "help", "usage-error",
          "proofcheck-equisix", "proofcheck-equifour", "generate", "analyze", "verify", "bounds",
@@ -654,6 +662,17 @@ def test_cli_exact_subcommands_start_small(tmp_path, argv):
     # Without numpy these processes peak near 15 MB; with it, about 29 MB.
     _, _, peak_mb = cli_process(tmp_path, argv)
     assert peak_mb < 22, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_cli_analyze_below_the_crossover_starts_small(tmp_path):
+    # 200 points take the pencil path and load no numpy: about 18 MB here,
+    # against 31 MB when the sort path and its arrays ran.
+    pts = generate("random_rational(200,0,9)")
+    colors = tuple(GREEN if i % 3 else RED for i in range(200))
+    path = write_config(tmp_path, "n200.json", config_document(pts, colors, pts[0].d))
+    report, _, peak_mb = cli_process(tmp_path, ["analyze", path, "--format", "json"])
+    assert json.loads(report)["summary"]["total_points"] == "200"
+    assert peak_mb < 24, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_cli_analyze_and_local_search_leave_numpy_ma_unimported(tmp_path):

@@ -10,22 +10,25 @@ from hypothesis import strategies as st
 
 from support import (
     ALL_DS,
+    PATHS,
     oracle_canonical_triple,
     oracle_integer_coords,
     oracle_line_through,
     random_config,
     random_points,
     reference_lines,
+    use_path,
 )
 
-from equilines import geometry
+from equilines import geometry, pencil, sort
 from equilines.errors import (
     DuplicatePointError,
     FieldMismatchError,
     InsufficientPointsError,
 )
-from equilines.generators import hesse
-from equilines.geometry import _det_dtype, _pair_keys, enumerate_lines, row_cross, row_det
+from equilines.generators import grid, hesse, near_pencil
+from equilines.geometry import enumerate_lines, row_cross, row_det
+from equilines.sort import _det_dtype, _pair_keys
 from equilines.points import (
     GREEN,
     RED,
@@ -35,6 +38,7 @@ from equilines.points import (
     affine_point,
     configuration,
 )
+from equilines.profiles import compute_profile
 from equilines.quadfield import (
     MAX_ABS_DISCRIMINANT,
     Discriminant,
@@ -242,11 +246,11 @@ def test_line_through_matches_enumerated_line():
 
 def reduced(points):
     """A prime from the enumeration's own source at which the points reduce,
-    with their residues: the keys of that prime group the pairs."""
+    with their residues: the keys of that prime group the pairs (sort path)."""
     rows = [p.row for p in points]
     return next(
         (p, res) for p in geometry._primes(rows)
-        if (res := geometry._reduce(rows, points[0].d, p)) is not None
+        if (res := sort._reduce(rows, points[0].d, p)) is not None
     )
 
 
@@ -286,10 +290,11 @@ def test_line_key_matches_line_through_on_random_pairs():
 ORACLE_SEEDS = range(40)
 
 
-@pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 1, 7])
+@pytest.mark.parametrize("block", [sort._PAIR_BLOCK, 1, 7])
 def test_enumerate_lines_matches_exact_oracle(block, monkeypatch):
     # Small blocks cut through the run of pairs of a line.
-    monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    use_path(monkeypatch, "sort")
+    monkeypatch.setattr(sort, "_PAIR_BLOCK", block)
     seen = set()
     for seed in ORACLE_SEEDS:
         config = random_config(seed, max_total=14)
@@ -300,14 +305,15 @@ def test_enumerate_lines_matches_exact_oracle(block, monkeypatch):
 
 
 def test_lines_agree_across_primes_and_check_dtypes(monkeypatch):
+    use_path(monkeypatch, "sort")
     points = [random_config(seed, max_total=14).points for seed in ORACLE_SEEDS]
     for pts in points:
         assert _det_dtype(max(abs(v) for p in pts for v in p.row), pts[0].d) is np.int64
     fast = [enumerate_lines(pts) for pts in points]
     primes = geometry._primes
-    monkeypatch.setattr(geometry, "_det_dtype", lambda m, d: object)
-    for block in (geometry._PAIR_BLOCK, 7):
-        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(sort, "_det_dtype", lambda m, d: object)
+    for block in (sort._PAIR_BLOCK, 7):
+        monkeypatch.setattr(sort, "_PAIR_BLOCK", block)
         for skip, (pts, lines) in enumerate(zip(points, fast)):
             # Other primes than the first: the lines must not depend on it.
             later = lambda rows, skip=skip: itertools.islice(primes(rows), 1 + skip % 5, None)
@@ -316,6 +322,42 @@ def test_lines_agree_across_primes_and_check_dtypes(monkeypatch):
             assert lines.indptr.tolist() == exact.indptr.tolist()
             assert lines.points.tolist() == exact.points.tolist()
             assert list(lines) == list(exact)
+
+
+def path_cases():
+    """Seeded point sets for both paths: random ones over every d, with
+    points at infinity, on each side of the crossover, and the families."""
+    rng = random.Random(17)
+    cases = [(f"random-{seed}", random_config(seed, max_total=40).points) for seed in range(16)]
+    cases += [(f"random-{d}-{total}", random_points(rng, total, d))
+              for d in ALL_DS for total in (60, 400)]
+    cases += [("grid-4", grid(4)), ("grid-20", grid(20)), ("hesse", hesse()),
+              ("near-pencil-10", near_pencil(10)), ("near-pencil-400", near_pencil(400))]
+    return cases
+
+
+PATH_CASES = path_cases()
+
+
+@pytest.mark.parametrize("points", [c[1] for c in PATH_CASES], ids=[c[0] for c in PATH_CASES])
+def test_pencil_and_sort_paths_agree(monkeypatch, points):
+    rng = random.Random(len(points))
+    colors = tuple(rng.choice((GREEN, RED)) for _ in points)
+    seen = []
+    for path in PATHS:
+        use_path(monkeypatch, path)
+        config = configuration(points, colors, points[0].d)
+        lines = config.incidence.lines
+        seen.append((lines.indptr.tolist(), lines.points.tolist(), config.incidence.size_counts,
+                     compute_profile(config).counts))
+    assert seen[0] == seen[1]
+
+
+def test_path_cases_lie_on_both_sides_of_the_crossover():
+    sides = {geometry.pencil_path(len(points)) for _, points in PATH_CASES}
+    assert sides == {True, False}
+    assert {p.d for _, points in PATH_CASES for p in points} == set(ALL_DS)
+    assert any(p.row[4:] == (0, 0) for _, points in PATH_CASES for p in points)  # at infinity
 
 
 def lines_and_stragglers(d, base, step):
@@ -334,24 +376,28 @@ def largest_component(pts):
 def test_enumerate_lines_on_large_coordinates(monkeypatch):
     pts = lines_and_stragglers(5, 10**7, 3) + random_points(random.Random(2), 6, 5)
     assert _det_dtype(largest_component(pts), 5) is object
-    for block in (geometry._PAIR_BLOCK, 7):
-        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    huge = lines_and_stragglers(5, 2**185, 3**20) + random_points(random.Random(4), 4, 5)
+    assert largest_component(huge).bit_length() > 185
+    block = sort._PAIR_BLOCK
+    for path, block in (("pencil", block), ("sort", block), ("sort", 7)):
+        use_path(monkeypatch, path)
+        monkeypatch.setattr(sort, "_PAIR_BLOCK", block)
         lines = enumerate_lines(pts)
         assert [rec.point_indices for rec in lines] == reference_lines(pts)
         assert max(rec.size for rec in lines) == 4
-    # Components near the key-size limit.
-    pts = lines_and_stragglers(5, 2**185, 3**20) + random_points(random.Random(4), 4, 5)
-    assert largest_component(pts).bit_length() > 185
-    assert [rec.point_indices for rec in enumerate_lines(pts)] == reference_lines(pts)
+        # Components near the key-size limit.
+        assert [rec.point_indices for rec in enumerate_lines(huge)] == reference_lines(huge)
 
 
-def test_enumerate_lines_on_large_discriminant():
+def test_enumerate_lines_on_large_discriminant(monkeypatch):
     d = -next(m for m in range(MAX_ABS_DISCRIMINANT, 0, -1) if is_squarefree(m))
     assert -d > MAX_ABS_DISCRIMINANT - 100
     pts = lines_and_stragglers(d, 0, 1) + random_points(random.Random(3), 8, d)
     assert _det_dtype(largest_component(pts), d) is object
-    lines = enumerate_lines(pts)
-    assert [rec.point_indices for rec in lines] == reference_lines(pts)
+    for path in PATHS:
+        use_path(monkeypatch, path)
+        lines = enumerate_lines(pts)
+        assert [rec.point_indices for rec in lines] == reference_lines(pts)
 
 
 def largest_int64_component(d):
@@ -447,17 +493,35 @@ def merged_pencil():
     return tuple(affine_point(x, y, d=2) for x, y in ((0, 1), (0, 2), (7, 3), (7, 4)))
 
 
-@pytest.mark.parametrize(
-    "points, tiny, points_coincide",
-    [(random_config(5, max_total=14).points, 3, True), (merged_pencil(), 7, False)],
-    ids=["points-coincide", "lines-merge"],
-)
+TINY_PRIMES = [(random_config(5, max_total=14).points, 3, True), (merged_pencil(), 7, False)]
+
+
+@pytest.mark.parametrize("points, tiny, points_coincide", TINY_PRIMES,
+                         ids=["points-coincide", "lines-merge"])
 def test_tiny_prime_is_rejected(monkeypatch, points, tiny, points_coincide):
+    use_path(monkeypatch, "sort")
     rows = [p.row for p in points]
-    res = geometry._reduce(rows, points[0].d, tiny)
+    res = sort._reduce(rows, points[0].d, tiny)
     assert (res is None) == points_coincide
     if res is not None:  # only the exact check of the merged group catches it
-        assert geometry._lines_mod(rows, points[0].d, np.int64, res, tiny) is None
+        assert sort._lines_mod(rows, points[0].d, np.int64, res, tiny) is None
+    assert_next_prime_gives_the_lines(monkeypatch, points, tiny)
+
+
+@pytest.mark.parametrize("points, tiny, points_coincide", TINY_PRIMES,
+                         ids=["points-coincide", "lines-merge"])
+def test_pencil_path_rejects_a_tiny_prime(monkeypatch, points, tiny, points_coincide):
+    # Mod 3 two points coincide; mod 7 the pencil of (0, 1) sees the
+    # other three points at one slope.
+    use_path(monkeypatch, "pencil")
+    rows = [p.row for p in points]
+    assert (pencil._projective_residues(rows, points[0].d, tiny) is None) == points_coincide
+    assert pencil.pencil_lines(rows, points[0].d, tiny) is None
+    assert_next_prime_gives_the_lines(monkeypatch, points, tiny)
+
+
+def assert_next_prime_gives_the_lines(monkeypatch, points, tiny):
+    """Draw tiny first: enumeration must reject it and take the next prime."""
     drawn, primes = [], geometry._primes
 
     def tiny_first(rows):
@@ -470,15 +534,18 @@ def test_tiny_prime_is_rejected(monkeypatch, points, tiny, points_coincide):
     assert drawn[0] == tiny and len(drawn) >= 2
 
 
+MERGE_XY = [(0, 0), (1, 0), (2, 0), (1, 5), (3, 8), (7, 2), (4, 11), (-3, 6), (-6, -7)]
+
+
 def test_merged_group_must_start_at_its_first_point(monkeypatch):
     # A 3-point line {0, 1, 2} and three 2-point lines have C(4, 2) pairs
     # between them.  Merged, they would pass as the line (0, 1, 2, 2) if
     # only the count and the collinearity with the first two were checked.
-    xy = [(0, 0), (1, 0), (2, 0), (1, 5), (3, 8), (7, 2), (4, 11), (-3, 6), (-6, -7)]
-    points = tuple(affine_point(x, y, d=5) for x, y in xy)
+    use_path(monkeypatch, "sort")
+    points = tuple(affine_point(x, y, d=5) for x, y in MERGE_XY)
     merged = {(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (7, 8)}
     assert [line for line in reference_lines(points) if len(line) > 2] == [(0, 1, 2)]
-    primes, pair_keys_mod = [], geometry._pair_keys
+    primes, pair_keys_mod = [], sort._pair_keys
 
     def merging(res, i, j, p):
         keys = pair_keys_mod(res, i, j, p)
@@ -487,7 +554,31 @@ def test_merged_group_must_start_at_its_first_point(monkeypatch):
             keys[[pair in merged for pair in zip(i.tolist(), j.tolist())]] = 0
         return keys
 
-    monkeypatch.setattr(geometry, "_pair_keys", merging)
+    monkeypatch.setattr(sort, "_pair_keys", merging)
+    assert [rec.point_indices for rec in enumerate_lines(points)] == reference_lines(points)
+    assert len(set(primes)) == 2
+
+
+@pytest.mark.parametrize("merged", [(1, 3), (3, 1), (1, 3, 5)],
+                         ids=["line-first", "pair-first", "three"])
+def test_pencil_merged_slopes_fail_the_exact_check(monkeypatch, merged):
+    # Through point 0 run the line {0, 1, 2} and the 2-point lines {0, j}.
+    # Under the first prime the pencil of 0 gives the lines through the
+    # merged points one slope, so they group as one line; the exact check
+    # must reject it, and the next prime give the lines.
+    use_path(monkeypatch, "pencil")
+    points = tuple(affine_point(x, y, d=5) for x, y in MERGE_XY)
+    primes, pencil_keys = [], pencil._pencil_keys
+
+    def merging(point, xs, ys, zs, p):
+        keys = pencil_keys(point, xs, ys, zs, p)
+        primes.append(p)
+        if len(set(primes)) == 1 and len(xs) == len(points) - 1:  # point 0, first prime
+            for j in merged[1:]:
+                keys[j - 1] = keys[merged[0] - 1]
+        return keys
+
+    monkeypatch.setattr(pencil, "_pencil_keys", merging)
     assert [rec.point_indices for rec in enumerate_lines(points)] == reference_lines(points)
     assert len(set(primes)) == 2
 

@@ -1,5 +1,6 @@
-"""Each point set is enumerated, and its CSR arrays built, once per analyzed
-config and once per search; each analyzed config's profile is tallied,
+"""Each point set is enumerated once per analyzed config and once per
+search, and its CSR arrays built once per search and once per config
+analyzed on the sort path; each analyzed config's profile is tallied,
 and its counting identities summed, once; parsing a config does no field
 arithmetic; no DeterminedLine is built unless a line is read; no run
 adds an attribute (a point-to-lines transpose, say) to the CSR arrays;
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from support import KERNEL_PARAMS, random_config, use_kernels
+from support import KERNEL_PARAMS, PATHS, random_config, use_kernels, use_path
 
 from equilines import geometry, kernels, profiles
 from equilines.generators import grid, hesse, random_rational
@@ -38,9 +39,9 @@ def enumerations(monkeypatch):
     calls = []
     original = geometry.enumerate_lines
 
-    def counting(points):
+    def counting(points, **kwargs):
         calls.append(len(points))
-        return original(points)
+        return original(points, **kwargs)
 
     install(monkeypatch, original, counting)
     return calls
@@ -172,7 +173,8 @@ def test_search_builds_no_line_objects(line_objects, mode):
     assert line_objects == []
 
 
-def test_analysis_builds_arrays_once_per_config(builds):
+def test_analysis_builds_arrays_once_per_config(builds, monkeypatch):
+    use_path(monkeypatch, "sort")  # the pencil path's tally reads no arrays
     configs = analyzed_configs()
     for config in configs:
         analysis_document(config)
@@ -205,9 +207,10 @@ def built(monkeypatch):
     return arrays
 
 
-def test_no_analyze_or_search_run_adds_an_attribute_to_incidence_arrays(built):
+def test_no_analyze_or_search_run_adds_an_attribute_to_incidence_arrays(built, monkeypatch):
     # Nothing is cached on the arrays: in particular no run builds a
     # point-to-lines transpose.
+    use_path(monkeypatch, "sort")
     configs = analyzed_configs()
     for config in configs:
         analysis_document(config)
@@ -219,19 +222,19 @@ def test_no_analyze_or_search_run_adds_an_attribute_to_incidence_arrays(built):
     assert [vars(csr).keys() for csr in built] == [fields] * len(built)
 
 
-def test_incidence_arrays_grow_with_incidences():
+def test_incidence_arrays_grow_with_incidences(monkeypatch):
     # Two int64 words per incidence, point and line at most; a dense
     # lines-by-points matrix (L * N bytes even as uint8) cannot fit.
-    base = Incidence.of(random_rational(60, seed=0, bound=9))
-    csr = base.csr
-    # Each distinct array once: the lines and csr share their CSR arrays.
-    arrays = {
-        id(v): v
-        for obj in (base, csr, base.lines)
-        for v in vars(obj).values()
-        if isinstance(v, np.ndarray)
-    }
-    incidences = csr.line_points.shape[0]
-    n_lines, n_points = len(base.lines), base.total_points
-    assert n_lines * n_points > 16 * (incidences + n_points + n_lines)
-    assert sum(a.nbytes for a in arrays.values()) <= 16 * (incidences + n_points + n_lines)
+    for path in PATHS:
+        use_path(monkeypatch, path)
+        base = Incidence.of(random_rational(60, seed=0, bound=9))
+        csr = kernels.build_incidence(base.lines, base.total_points)
+        # The arrays view the lines' CSR buffers; only the sizes are new.
+        buffers = (base.lines.indptr, base.lines.points)
+        assert all(map(np.shares_memory, (csr.line_indptr, csr.line_points), buffers))
+        assert csr.line_sizes.base is None
+        incidences = csr.line_points.shape[0]
+        n_lines, n_points = len(base.lines), base.total_points
+        assert n_lines * n_points > 16 * (incidences + n_points + n_lines)
+        held = sum(len(b) * b.itemsize for b in buffers) + csr.line_sizes.nbytes
+        assert held <= 16 * (incidences + n_points + n_lines)

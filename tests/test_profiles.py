@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import ALL_DS, random_config, reference_profile
+from support import ALL_DS, random_config, reference_profile, use_path
 
 import equilines.profiles as profiles_mod
 from equilines.errors import InternalInconsistencyError
@@ -95,8 +95,11 @@ def test_array_profile_matches_per_line_tally(monkeypatch):
         config = random_config(seed)
         seen.add(config.discriminant.d)
         expected = reference_profile(config)
-        # Small blocks of lines: the tally must not depend on where they split.
-        for block in (profiles_mod._TALLY_BLOCK, 1, 7):
+        # The prefix tally, and the block tally in small blocks of lines:
+        # it must not depend on where they split.
+        for path, block in (("pencil", 1), ("sort", profiles_mod._TALLY_BLOCK), ("sort", 1),
+                            ("sort", 7)):
+            use_path(monkeypatch, path)
             monkeypatch.setattr(profiles_mod, "_TALLY_BLOCK", block)
             assert compute_profile(config) == expected
     assert seen == set(ALL_DS)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from support import KERNEL_PARAMS, KERNELS, brute_force_scan, run_with_kernels, use_kernels
+from support import (
+    KERNEL_PARAMS,
+    KERNELS,
+    PATHS,
+    brute_force_scan,
+    run_with_kernels,
+    use_kernels,
+    use_path,
+)
 
 import equilines
 from equilines import search
@@ -16,7 +26,7 @@ from equilines.bounds import verdict
 from equilines.errors import SearchCapError
 from equilines.generators import grid, hesse, near_pencil, random_rational
 from equilines.geometry import Incidence
-from equilines.kernels import resolve_backend, selection_table
+from equilines.kernels import build_incidence, resolve_backend, selection_table
 from equilines.points import GREEN, configuration
 from equilines.profiles import compute_profile
 from equilines.reports import search_section
@@ -33,7 +43,8 @@ def test_backend_resolution():
 def test_selection_table_matches_query():
     for points in (grid(3), hesse(), near_pencil(6)):
         base = Incidence.of(points)
-        sizes = base.csr.line_sizes.tolist()
+        line_sizes = build_incidence(base.lines, base.total_points).line_sizes
+        sizes = line_sizes.tolist()
         width = max(sizes) + 1
         for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
             query = EquichromaticQuery(r, max_points)
@@ -46,7 +57,7 @@ def test_selection_table_matches_query():
             # The per-line view the reference algorithms read.
             per_line = [[int(g <= m and query.selects(g, m - g)) for g in range(width)]
                         for m in sizes]
-            assert sel[base.csr.line_sizes].tolist() == per_line
+            assert sel[line_sizes].tolist() == per_line
 
 
 def test_backends_agree_when_a_present_size_selects_nothing():
@@ -64,10 +75,12 @@ def test_backends_agree_when_a_present_size_selects_nothing():
         assert local_outcome(results[0]) == local_outcome(results[1])
 
 
-def test_incidence_arrays_match_lines():
-    for points in (grid(3), hesse(), near_pencil(6), random_rational(12, seed=4, bound=5)):
+def test_incidence_arrays_match_lines(monkeypatch):
+    cases = (grid(3), hesse(), near_pencil(6), random_rational(12, seed=4, bound=5))
+    for path, points in itertools.product(PATHS, cases):
+        use_path(monkeypatch, path)
         base = Incidence.of(points)
-        csr = base.csr
+        csr = build_incidence(base.lines, base.total_points)
         assert csr.n_points == base.total_points
         point_indptr, point_lines = support.point_transpose(csr)
         assert csr.line_indptr[-1] == csr.line_points.shape[0] == point_lines.shape[0]
@@ -463,7 +476,9 @@ def test_runs_without_numba(tmp_path):
         "print('numpy fallback ok')\n",
         encoding="utf-8",
     )
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(equilines.__file__).parents[1])}
+    # The environment as given (PYTHONDONTWRITEBYTECODE included), so the
+    # child writes no bytecode into the source tree unless it is allowed to.
+    env = {**os.environ, "PYTHONPATH": str(Path(equilines.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, env=env
     )
