@@ -62,7 +62,7 @@ def verdict(
     """
     info = theorem_info(theorem)
     applicable, detail = gate(info.gate, incidence, 2 * n - k, "limit")
-    t = len(incidence.lines) if info.needs_total_lines else None
+    t = len(incidence) if info.needs_total_lines else None
     return applicable, detail, bound_value(theorem, n, k, t)
 
 
@@ -73,7 +73,7 @@ def evaluate_bound(
 ) -> BoundReport:
     """Compare the actual equichromatic count against the theorem's bound."""
     if profile is None:
-        from .profiles import compute_profile  # the array tally, only when none is given
+        from .profiles import compute_profile  # only when none is given
 
         profile = compute_profile(config)
     applicable, detail, bound = verdict(theorem, config.n, config.k, config.incidence)

@@ -1,22 +1,24 @@
 """Line enumeration over Q(sqrt(d)) on the integer rows of the points.
 
-The lines of a set of ``points.ProjPoint`` are enumerated once into an
+The lines of a set of ``points.ProjPoint`` are enumerated once into one
 ``Incidence``: every colorless fact the analysis needs, and the line CSR
-(int32 buffers, sorted by point-index tuple) that the profile tally and
-the search kernels read, never an array of lines times points.  The line
-through each point pair is keyed modulo a random prime, and each group of
-pairs that share a key is checked to be one exact line on the integer rows
-(``row_det``).  The keys only group the pairs: a line is its points, and a
-``DeterminedLine`` is built only when one is read.
+(int32 buffers, sorted by point-index tuple) that the profile tally and,
+through ``kernels.build_incidence``, the search kernels read; never an
+array of lines times points.  The line through each point pair is keyed
+modulo a random prime, and each group of pairs that share a key is
+checked to be one exact line on the integer rows (``row_det``).  The keys
+only group the pairs: a line is its points, and a ``DeterminedLine`` is
+built only when one is read.
 
 Two algorithms key and group the pairs, chosen by their number C(N, 2),
 each in its own module and imported only when it runs:
 
   * ``pencil``, up to PENCIL_MAX_PAIRS pairs: for each point in turn, the
     slope mod p of the line to each later point not yet on a found line,
-    in Python ints.  Neither it nor this module imports numpy.
+    in Python ints, into ``array('i')`` buffers.  Neither it nor this
+    module imports numpy.
   * ``sort``, above it and for the search, which loads numpy anyway: one
-    int64 key per pair, sorted and grouped in numpy.
+    int64 key per pair, sorted and grouped in numpy, into numpy buffers.
 """
 
 from __future__ import annotations
@@ -24,18 +26,18 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import InsufficientPointsError, InternalInconsistencyError
 from .points import ProjPoint, check_key_bits
 
-# The most pairs C(N, 2) that enumerate_lines keys by pencils, and that
-# profiles.compute_profile tallies in Python ints: 2^16 is N <= 362.  Up to
-# here a whole `analyze` process is as fast or faster without numpy than
-# with it, its import included; from about 400 points the sort path wins.
+# The most pairs C(N, 2) that enumerate_lines keys by pencils: 2^16 is
+# N <= 362.  Up to here a whole `analyze` process is as fast or faster
+# without numpy than with it, its import included; from about 400 points
+# the sort path wins.
 PENCIL_MAX_PAIRS = 1 << 16
 
 
@@ -55,15 +57,28 @@ class DeterminedLine:
         return len(self.point_indices)
 
 
-class DeterminedLines(Sequence[DeterminedLine]):
-    """The lines determined by a point set, sorted by point-index tuple:
-    each line's points in increasing order as CSR (``indptr``, ``points``:
-    int32 buffers, an ``array('i')`` from the pencil enumeration and a
-    numpy array from the sort), and ``size_counts``, t_m by m ascending.
-    A ``DeterminedLine`` is built only when read."""
+@dataclass(frozen=True, eq=False)
+class Incidence(Sequence[DeterminedLine]):
+    """Colorless incidence structure of one point set: its lines, sorted by
+    point-index tuple.
 
-    def __init__(self, indptr, points, size_counts: dict[int, int]):
-        self.indptr, self.points, self.size_counts = indptr, points, size_counts
+    Everything here is independent of the coloring, so one enumeration
+    serves the profile, the inequalities, the bound preconditions and the
+    search kernels.  Each line's points, in increasing order, are CSR
+    buffers (``indptr``, ``points``: int32, an ``array('i')`` from the
+    pencil enumeration and a numpy array from the sort); ``size_counts`` is
+    t_m by m ascending.  A ``DeterminedLine`` is built only when read.
+    """
+
+    total_points: int
+    indptr: Any  # int32[L+1], CSR line -> its points
+    points: Any  # int32[total incidences]
+    size_counts: dict[int, int]  # t_m: lines through exactly m points
+    all_real: bool
+
+    @property
+    def max_collinear(self) -> int:
+        return max(self.size_counts)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -193,8 +208,9 @@ def residues(rows: list[tuple[int, ...]], d: int, p: int) -> list[list[int]] | N
     return [[(a + b * r) % p for a, b in zip(row[0::2], row[1::2])] for row in rows]
 
 
-def enumerate_lines(points: tuple[ProjPoint, ...], sort: bool = False) -> DeterminedLines:
-    """All determined lines with their exact incident point index sets.
+def enumerate_lines(points: tuple[ProjPoint, ...], sort: bool = False) -> Incidence:
+    """The incidence of the points: all determined lines with their exact
+    incident point index sets.
 
     The line through each point pair is keyed mod a prime p in which d is
     a square, by the pencil algorithm on the pencil path (``pencil_path``)
@@ -207,9 +223,9 @@ def enumerate_lines(points: tuple[ProjPoint, ...], sort: bool = False) -> Determ
     output, sorted by incident index tuple, does not depend on the prime
     or the path.
     """
+    if len(points) < 2:
+        raise InsufficientPointsError("line enumeration needs at least 2 points")
     rows = [p.row for p in points]
-    if len(rows) < 2:
-        return DeterminedLines(array("i", [0]), array("i"), {})
     d = points[0].d
     m = check_key_bits(itertools.chain.from_iterable(rows))
     if pencil_path(len(rows)) and not sort:
@@ -221,42 +237,7 @@ def enumerate_lines(points: tuple[ProjPoint, ...], sort: bool = False) -> Determ
 
         lines_mod = functools.partial(sort_lines, rows, d, m)
     for p in itertools.islice(_primes(rows), _MAX_PRIMES):
-        lines = lines_mod(p)
-        if lines is not None:
-            return lines
+        csr = lines_mod(p)
+        if csr is not None:
+            return Incidence(len(points), *csr, all(point.is_real for point in points))
     raise InternalInconsistencyError(f"no prime of {_MAX_PRIMES} separated the lines")
-
-
-@dataclass(frozen=True)
-class Incidence:
-    """Colorless incidence structure of one point set.
-
-    Everything here is independent of the coloring, so one enumeration
-    serves the profile, the inequalities, the bound preconditions and the
-    search kernels.  ``lines`` holds the lines' point-index tuples as CSR
-    buffers, line to points, built once; the line sizes, t_m and the
-    largest collinear subset come with them.
-    """
-
-    total_points: int
-    lines: DeterminedLines
-    size_counts: dict[int, int]  # t_m: lines through exactly m points
-    max_collinear: int
-    all_real: bool
-
-    @classmethod
-    def of(cls, points: tuple[ProjPoint, ...], sort: bool = False) -> Incidence:
-        """The incidence of the points; sort as in enumerate_lines."""
-        if len(points) < 2:
-            raise InsufficientPointsError("line enumeration needs at least 2 points")
-        lines = enumerate_lines(points, sort=sort)
-        return cls(
-            total_points=len(points),
-            lines=lines,
-            size_counts=lines.size_counts,
-            max_collinear=max(lines.size_counts),
-            all_real=all(p.is_real for p in points),
-        )
-
-    def t(self, m: int) -> int:
-        return self.size_counts.get(m, 0)

@@ -9,13 +9,13 @@ a pure array kernel with no exact-arithmetic dependency; exactness is
 preserved because every quantity is a small integer (bounds are compared
 via scaled integers, never floats).
 
-``build_incidence`` views a point set's line CSR (the int32 buffers of
-``geometry.DeterminedLines``) as arrays, line to points
-(``IncidenceArrays``), without a copy; the search builds them once, and
-so does the block tally of ``profiles`` above the pencil path.  An
-analysis on the pencil path never imports this module, nor numpy.
-Every kernel reads those arrays; no array of lines times points, and no
-point-to-lines transpose, is built.
+``build_incidence`` is the kernels' one adapter: it gives a point set's
+``geometry.Incidence`` numpy views of its int32 line CSR buffers,
+without a copy, and the search calls it once.  Every kernel reads
+``total_points``, ``indptr`` and ``points`` of that incidence, and the
+line sizes as ``np.diff(indptr)``; no array of lines times points, and
+no point-to-lines transpose, is built.  An analysis never imports this
+module.
 
 One algorithm runs per search mode:
 
@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .geometry import DeterminedLines
+    from .geometry import Incidence
     from .tables import EquichromaticQuery
 
 
@@ -53,29 +53,11 @@ def resolve_backend() -> str:
     return "numpy"
 
 
-@dataclass(frozen=True)
-class IncidenceArrays:
-    """CSR incidence of a point set's lines, line to points.
-
-    Lines are numbered in enumeration order and each line's points are
-    listed in increasing order.  The arrays grow with the number of
-    incidences, never with lines times points.  No point-to-lines
-    transpose is kept: the local search builds its per-point line lists
-    from these arrays, and nothing else reads one.
-    """
-
-    line_sizes: np.ndarray  # int32[L]
-    line_indptr: np.ndarray  # int32[L+1], CSR line -> its points
-    line_points: np.ndarray  # int32[total incidences]
-    n_points: int
-
-
-def build_incidence(lines: DeterminedLines, n_points: int) -> IncidenceArrays:
-    """The CSR arrays of the lines over n_points points: views of the
-    enumeration's own line-to-points buffers, no copy."""
-    indptr = np.frombuffer(lines.indptr, dtype=np.int32)
-    return IncidenceArrays(np.diff(indptr), indptr, np.frombuffer(lines.points, dtype=np.int32),
-                           n_points)
+def build_incidence(incidence: Incidence) -> Incidence:
+    """The incidence with numpy views of its line CSR buffers, which may be
+    ``array('i')``s of the pencil enumeration: no copy."""
+    return replace(incidence, indptr=np.frombuffer(incidence.indptr, dtype=np.int32),
+                   points=np.frombuffer(incidence.points, dtype=np.int32))
 
 
 def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> np.ndarray:
@@ -95,7 +77,7 @@ _CHUNK_ELEMENTS = 1 << 22
 
 
 def exhaustive_scan(
-    incidence: IncidenceArrays,
+    incidence: Incidence,
     sel: np.ndarray,
     n_green: int,
     bound_num: int,
@@ -110,16 +92,17 @@ def exhaustive_scan(
     the m-point lines, m column gathers of the chunk's green flags sum to
     their green counts, which index sel[m].
     """
-    n_points = incidence.n_points
+    n_points = incidence.total_points
     if not 1 <= n_green <= n_points:
         raise ValueError(f"n_green must be in [1, {n_points}]")
-    sizes = incidence.line_sizes
+    indptr, points = incidence.indptr, incidence.points
+    sizes = np.diff(indptr)
     groups = []  # (points of the m-point lines, L_m x m; their selection row)
     for m in np.flatnonzero(sel.any(axis=1)).tolist():
         lines = np.flatnonzero(sizes == m)
-        members = incidence.line_points[incidence.line_indptr[lines][:, None] + np.arange(m)]
+        members = points[indptr[lines][:, None] + np.arange(m)]
         groups.append((members, sel[m]))
-    chunk_len = max(1, _CHUNK_ELEMENTS // incidence.line_points.shape[0])
+    chunk_len = max(1, _CHUNK_ELEMENTS // points.shape[0])
     best_actual = -1
     best_combo = np.empty(0, dtype=np.int64)
     violations = 0
@@ -175,23 +158,23 @@ def _gain_tables(sel_row: list[int], m: int):
 _LINE_BLOCK = 1 << 14
 
 
-def _replay_state(incidence: IncidenceArrays):
+def _replay_state(incidence: Incidence):
     """The replay's view of the line CSR, built in one pass over the lines:
     members[l], the tuple of line l's points; lines_of[p], point p's lines
     in line order; and pair_line[p][q], the line through p and q.  Each
     point and each line is one int object, shared by all three; the CSR
     is read in blocks of lines, so no list of the whole CSR is built."""
-    n_points = incidence.n_points
+    n_points = incidence.total_points
     points = list(range(n_points))
     point = points.__getitem__
     members = []
     lines_of = [[] for _ in points]
     pair_line = [[0] * n_points for _ in points]
-    indptr, n_lines = incidence.line_indptr, incidence.line_sizes.shape[0]
+    indptr, n_lines = incidence.indptr, len(incidence)
     for start in range(0, n_lines, _LINE_BLOCK):
         stop = min(start + _LINE_BLOCK, n_lines)
         bounds = (indptr[start : stop + 1] - indptr[start]).tolist()
-        flat = list(map(point, incidence.line_points[indptr[start] : indptr[stop]].tolist()))
+        flat = list(map(point, incidence.points[indptr[start] : indptr[stop]].tolist()))
         for li, a, b in zip(range(start, stop), bounds, bounds[1:]):
             pts = tuple(flat[a:b])
             members.append(pts)
@@ -204,7 +187,7 @@ def _replay_state(incidence: IncidenceArrays):
 
 
 def descent_replay(
-    incidence: IncidenceArrays,
+    incidence: Incidence,
     sel: np.ndarray,
     initial_green: np.ndarray,
     move_blocks: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -231,7 +214,7 @@ def descent_replay(
     its member points.  Python ints and lists throughout, since scalar
     numpy access is slower.
     """
-    n_points = incidence.n_points
+    n_points = incidence.total_points
     initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
     mask = np.ones(n_points, dtype=bool)
     mask[initial_green] = False
@@ -239,7 +222,7 @@ def descent_replay(
     reds = np.flatnonzero(mask).tolist()
     members, lines_of, pair_line = _replay_state(incidence)
     # Lines of one size share their selection row and tables.
-    sizes = incidence.line_sizes.tolist()
+    sizes = np.diff(incidence.indptr).tolist()
     rows = sel.tolist()
     by_size = {m: _gain_tables(rows[m], m) for m in set(sizes)}
     fix, down, up = ([by_size[m][i] for m in sizes] for i in (2, 3, 4))

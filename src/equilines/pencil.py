@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from array import array
 
-from .geometry import DeterminedLines, residues, row_cross, row_dot, size_counts_of
+from .geometry import residues, row_cross, row_dot, size_counts_of
 
 
 def _projective_residues(rows, d: int, p: int) -> list[tuple[int, int, int]] | None:
@@ -70,8 +70,9 @@ def _pencil_keys(point, xs, ys, zs, p: int) -> list[int]:
     return keys
 
 
-def pencil_lines(rows, d: int, p: int) -> DeterminedLines | None:
-    """The lines of the points by pencils mod p: for each point i, the pairs
+def pencil_lines(rows, d: int, p: int) -> tuple[array, array, dict[int, int]] | None:
+    """The lines of the points by pencils mod p, as (indptr, points,
+    size_counts) of ``geometry.Incidence``: for each point i, the pairs
     (i, j > i) not on a line found before are grouped by the key of the
     line through them, so each line is found once, from its first point.
     None when a group is not one exact line (the prime merged lines)."""
@@ -112,8 +113,7 @@ def pencil_lines(rows, d: int, p: int) -> DeterminedLines | None:
                 long_sizes.append(len(line))
         flat.extend(itertools.chain.from_iterable(lines.values()))
         ends.extend(itertools.accumulate(map(len, lines.values()), initial=ends.pop()))
-    counts = size_counts_of(len(ends) - 1, long_sizes)
-    return DeterminedLines(array("i", ends), array("i", flat), counts)
+    return array("i", ends), array("i", flat), size_counts_of(len(ends) - 1, long_sizes)
 
 
 def _on_one_line(rows, line: list[int], d: int) -> bool:

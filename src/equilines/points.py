@@ -143,9 +143,9 @@ class ColoredConfiguration:
     @cached_property
     def incidence(self) -> Incidence:
         """Colorless line structure of the points, enumerated on first use."""
-        from .geometry import Incidence  # the array code, only once lines are read
+        from .geometry import enumerate_lines  # only once lines are read
 
-        return Incidence.of(self.points)
+        return enumerate_lines(self.points)
 
 
 def configuration(

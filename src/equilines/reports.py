@@ -139,7 +139,7 @@ def summary_section(config: ColoredConfiguration) -> dict:
         "red_points": num(config.total - config.n),
         "k": num(config.k),
         "max_collinear": num(config.incidence.max_collinear),
-        "total_lines": num(len(config.incidence.lines)),
+        "total_lines": num(len(config.incidence)),
         "all_real": config.incidence.all_real,
         "colors_swapped": config.colors_swapped,
     }

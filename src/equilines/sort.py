@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import DeterminedLines, residues, row_det, size_counts_of
+from .geometry import residues, row_det, size_counts_of
 
 
 def _det_dtype(m: int, d: int):
@@ -95,8 +95,9 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lengths) + (np.arange(total) - offsets)
 
 
-def _lines_mod(rows, d: int, dtype, res: np.ndarray, p: int) -> DeterminedLines | None:
-    """The lines of the points, grouping their pairs by the keys mod p; None
+def _lines_mod(rows, d: int, dtype, res: np.ndarray, p: int):
+    """The lines of the points as (indptr, points, size_counts) of
+    ``geometry.Incidence``, grouping their pairs by the keys mod p; None
     when a group is not one exact line (the prime merged lines).  The exact
     check runs on the rows in dtype."""
     n = len(rows)
@@ -159,11 +160,12 @@ def _lines_mod(rows, d: int, dtype, res: np.ndarray, p: int) -> DeterminedLines 
         members[starts[b]], members[starts[b] + 1] = _pair_points(t[b], row_start)
     # The other points of each checked line follow its first pair.
     members[_ragged(indptr[at] + 2, m - 2)] = x[rest]
-    return DeterminedLines(indptr, members, size_counts_of(t.shape[0], m.tolist()))
+    return indptr, members, size_counts_of(t.shape[0], m.tolist())
 
 
-def sort_lines(rows, d: int, m: int, p: int) -> DeterminedLines | None:
+def sort_lines(rows, d: int, m: int, p: int):
     """The sort enumeration of ``geometry.enumerate_lines`` at the prime p,
-    on rows whose largest |component| is m; None when p fails."""
+    on rows whose largest |component| is m, as (indptr, points,
+    size_counts); None when p fails."""
     res = _reduce(rows, d, p)
     return None if res is None else _lines_mod(rows, d, _det_dtype(m, d), res, p)

@@ -332,18 +332,18 @@ def _descent_replay(
 def point_transpose(incidence):
     """(point_indptr, point_lines): the CSR of each point's lines, in line
     order, transposed from the incidence's line-to-points arrays."""
-    indptr = np.zeros(incidence.n_points + 1, dtype=np.int64)
-    np.cumsum(np.bincount(incidence.line_points, minlength=incidence.n_points), out=indptr[1:])
+    indptr = np.zeros(incidence.total_points + 1, dtype=np.int64)
+    np.cumsum(np.bincount(incidence.points, minlength=incidence.total_points), out=indptr[1:])
     # A stable sort by point keeps each point's lines in line order.
-    order = np.argsort(incidence.line_points, kind="stable")
-    lines = np.arange(incidence.line_sizes.shape[0], dtype=np.int64)
-    return indptr, np.repeat(lines, incidence.line_sizes)[order]
+    order = np.argsort(incidence.points, kind="stable")
+    sizes = np.diff(incidence.indptr)
+    return indptr, np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)[order]
 
 
 def oracle_exhaustive_scan(incidence, sel, n_green, bound_num, bound_den):
     """kernels.exhaustive_scan computed by the depth-first reference scan."""
     best_actual, best, violations, examined = _exhaustive_scan(
-        *point_transpose(incidence), sel[incidence.line_sizes],
+        *point_transpose(incidence), sel[np.diff(incidence.indptr)],
         np.int64(n_green), np.int64(bound_num), np.int64(bound_den),
     )
     return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
@@ -354,7 +354,7 @@ def oracle_descent_replay(incidence, sel, initial_green, move_blocks, bound_num,
     updates the per-line green counts of every proposal and reverts the
     rejected ones; it reads the move blocks joined into two arrays."""
     initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
-    mask = np.ones(incidence.n_points, dtype=bool)
+    mask = np.ones(incidence.total_points, dtype=bool)
     mask[initial_green] = False
     initial_red = np.flatnonzero(mask).astype(np.int64)
     blocks = list(move_blocks)
@@ -363,7 +363,7 @@ def oracle_descent_replay(incidence, sel, initial_green, move_blocks, bound_num,
         for side in (0, 1)
     )
     best_actual, best, violations, examined = _descent_replay(
-        *point_transpose(incidence), sel[incidence.line_sizes],
+        *point_transpose(incidence), sel[np.diff(incidence.indptr)],
         initial_green, initial_red, moves_green, moves_red,
         np.int64(bound_num), np.int64(bound_den),
     )

@@ -15,7 +15,7 @@ from equilines.bounds import (
     verdict,
 )
 from equilines.generators import grid, hesse
-from equilines.geometry import Incidence
+from equilines.geometry import enumerate_lines
 from equilines.points import GREEN, RED, affine_point, configuration
 from equilines.profiles import compute_profile
 from equilines.tables import EQUI_FOUR_TEMPLATE, EQUI_SIX_TEMPLATE
@@ -178,7 +178,7 @@ def test_random_configs_never_violate_complex_valid_bounds():
 def test_collinearity_limits():
     # The gate's limit at N = 2n - k = 9, read from the verdict's detail
     # (equifour's limit is 2N/3 = 18/3).
-    base = Incidence.of(grid(3))
+    base = enumerate_lines(grid(3))
     details = {th: verdict(th, 5, 1, base)[1] for th in BoundTheorem}
     assert details[BoundTheorem.PS3] == "max_collinear=3 <= limit=6"
     assert details[BoundTheorem.EQUI_SIX] == "max_collinear=3 <= limit=7"

@@ -317,7 +317,7 @@ def test_cli_search_local(capsys):
     assert "best coloring" in capsys.readouterr().out
 
 
-def test_cli_search_backend_env():
+def test_cli_search_kernel_matches_reference():
     # The kernel and the reference algorithm give the same search report.
     spec = SearchSpec(points=generate("grid(2)"), k=0, theorem=BoundTheorem.EQUI_SIX)
     docs = {}

@@ -214,7 +214,7 @@ def test_enumerate_hesse():
 def test_pair_coverage_identity():
     for seed in range(40):
         config = random_config(seed, max_total=12)
-        total = sum(math.comb(rec.size, 2) for rec in config.incidence.lines)
+        total = sum(math.comb(rec.size, 2) for rec in config.incidence)
         assert total == math.comb(config.total, 2)
 
 
@@ -237,7 +237,7 @@ def test_enumeration_is_order_independent():
 def test_line_through_matches_enumerated_line():
     for seed in (1, 5, 9):
         config = random_config(seed, max_total=9)
-        for rec in config.incidence.lines:
+        for rec in config.incidence:
             a, b = (config.points[i] for i in rec.point_indices[:2])
             for i, j in itertools.combinations(rec.point_indices, 2):
                 line = oracle_line_through(config.points[i], config.points[j])
@@ -347,9 +347,9 @@ def test_pencil_and_sort_paths_agree(monkeypatch, points):
     for path in PATHS:
         use_path(monkeypatch, path)
         config = configuration(points, colors, points[0].d)
-        lines = config.incidence.lines
-        seen.append((lines.indptr.tolist(), lines.points.tolist(), config.incidence.size_counts,
-                     compute_profile(config).counts))
+        incidence = config.incidence
+        seen.append((incidence.indptr.tolist(), incidence.points.tolist(),
+                     incidence.size_counts, compute_profile(config).counts))
     assert seen[0] == seen[1]
 
 
@@ -601,6 +601,10 @@ def test_max_collinear_needs_two_points():
     lonely = configuration((P(0, 0, 1),), (GREEN,), 5)
     with pytest.raises(InsufficientPointsError):
         lonely.incidence
+    for points in ((), (P(0, 0, 1),)):
+        for sort in (False, True):
+            with pytest.raises(InsufficientPointsError):
+                enumerate_lines(points, sort=sort)
 
 
 def test_configuration_rejects_duplicates():

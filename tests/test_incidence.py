@@ -1,13 +1,18 @@
 """Each point set is enumerated once per analyzed config and once per
-search, and its CSR arrays built once per search and once per config
-analyzed on the sort path; each analyzed config's profile is tallied,
-and its counting identities summed, once; parsing a config does no field
-arithmetic; no DeterminedLine is built unless a line is read; no run
-adds an attribute (a point-to-lines transpose, say) to the CSR arrays;
-and the arrays grow with the incidences, not with lines times points."""
+search, into one ``geometry.Incidence``, and ``kernels.build_incidence``
+adapts it once per search and never in an analysis; each analyzed
+config's profile is tallied, and its counting identities summed, once;
+parsing a config does no field arithmetic; no DeterminedLine is built
+unless a line is read; no run adds an attribute (a point-to-lines
+transpose, say) to an incidence; the kernels' arrays view the
+enumeration's buffers and grow with the incidences, not with lines times
+points; and the names that perfbench pins in the package still resolve."""
 
 import dataclasses
+import importlib.util
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from support import KERNEL_PARAMS, PATHS, random_config, use_kernels, use_path
 
 from equilines import geometry, kernels, profiles
 from equilines.generators import grid, hesse, random_rational
-from equilines.geometry import Incidence
+from equilines.geometry import Incidence, enumerate_lines
 from equilines.points import GREEN, configuration
 from equilines.quadfield import QuadElement, parse_element
 from equilines.reports import analysis_document, config_document, dump_json, parse_config
@@ -49,13 +54,13 @@ def enumerations(monkeypatch):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Point counts passed to kernels.build_incidence."""
+    """Point counts of the incidences passed to kernels.build_incidence."""
     calls = []
     original = kernels.build_incidence
 
-    def counting(lines, n_points):
-        calls.append(n_points)
-        return original(lines, n_points)
+    def counting(incidence):
+        calls.append(incidence.total_points)
+        return original(incidence)
 
     install(monkeypatch, original, counting)
     return calls
@@ -160,7 +165,7 @@ def test_analysis_builds_no_line_objects(line_objects):
         analysis_document(config)
     assert line_objects == []
     # Reading a line is what builds one.
-    assert configs[0].incidence.lines[0].size == 3
+    assert configs[0].incidence[0].size == 3
     assert len(line_objects) == 1
 
 
@@ -174,11 +179,13 @@ def test_search_builds_no_line_objects(line_objects, mode):
 
 
 def test_analysis_builds_arrays_once_per_config(builds, monkeypatch):
-    use_path(monkeypatch, "sort")  # the pencil path's tally reads no arrays
-    configs = analyzed_configs()
-    for config in configs:
-        analysis_document(config)
-    assert builds == [config.total for config in configs]
+    # Neither tally needs the kernels' adapter: the block tally reads the
+    # sort path's numpy buffers as they are.
+    for path in PATHS:
+        use_path(monkeypatch, path)
+        for config in analyzed_configs():
+            analysis_document(config)
+    assert builds == []
 
 
 @pytest.mark.parametrize("mode", [EXHAUSTIVE, LOCAL])
@@ -195,12 +202,12 @@ def test_search_builds_arrays_once_per_spec(builds, monkeypatch, mode, which):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The arrays kernels.build_incidence returns, in call order."""
+    """The incidences kernels.build_incidence returns, in call order."""
     arrays = []
     original = kernels.build_incidence
 
-    def recording(lines, n_points):
-        arrays.append(original(lines, n_points))
+    def recording(incidence):
+        arrays.append(original(incidence))
         return arrays[-1]
 
     install(monkeypatch, original, recording)
@@ -208,18 +215,21 @@ def built(monkeypatch):
 
 
 def test_no_analyze_or_search_run_adds_an_attribute_to_incidence_arrays(built, monkeypatch):
-    # Nothing is cached on the arrays: in particular no run builds a
+    # Nothing is cached on an incidence: in particular no run builds a
     # point-to-lines transpose.
-    use_path(monkeypatch, "sort")
-    configs = analyzed_configs()
-    for config in configs:
-        analysis_document(config)
+    incidences = []
+    for path in PATHS:
+        use_path(monkeypatch, path)
+        for config in analyzed_configs():
+            analysis_document(config)
+            incidences.append(config.incidence)
     for mode in (EXHAUSTIVE, LOCAL):
         spec = SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode, budget=200)
         assert run_search(spec).best_report is not None
-    fields = {field.name for field in dataclasses.fields(kernels.IncidenceArrays)}
-    assert len(built) == len(configs) + 2
-    assert [vars(csr).keys() for csr in built] == [fields] * len(built)
+    assert len(built) == 2
+    fields = {field.name for field in dataclasses.fields(Incidence)}
+    incidences += built
+    assert [vars(incidence).keys() for incidence in incidences] == [fields] * len(incidences)
 
 
 def test_incidence_arrays_grow_with_incidences(monkeypatch):
@@ -227,14 +237,34 @@ def test_incidence_arrays_grow_with_incidences(monkeypatch):
     # lines-by-points matrix (L * N bytes even as uint8) cannot fit.
     for path in PATHS:
         use_path(monkeypatch, path)
-        base = Incidence.of(random_rational(60, seed=0, bound=9))
-        csr = kernels.build_incidence(base.lines, base.total_points)
-        # The arrays view the lines' CSR buffers; only the sizes are new.
-        buffers = (base.lines.indptr, base.lines.points)
-        assert all(map(np.shares_memory, (csr.line_indptr, csr.line_points), buffers))
-        assert csr.line_sizes.base is None
-        incidences = csr.line_points.shape[0]
-        n_lines, n_points = len(base.lines), base.total_points
+        base = enumerate_lines(random_rational(60, seed=0, bound=9))
+        csr = kernels.build_incidence(base)
+        # The arrays view the enumeration's CSR buffers: nothing is new.
+        buffers = (base.indptr, base.points)
+        assert all(map(np.shares_memory, (csr.indptr, csr.points), buffers))
+        incidences = csr.points.shape[0]
+        n_lines, n_points = len(base), base.total_points
         assert n_lines * n_points > 16 * (incidences + n_points + n_lines)
-        held = sum(len(b) * b.itemsize for b in buffers) + csr.line_sizes.nbytes
+        held = sum(len(b) * b.itemsize for b in buffers)
         assert held <= 16 * (incidences + n_points + n_lines)
+
+
+def test_perfbench_pins_resolve():
+    # perfbench/traced.py wraps package functions by name and reads the
+    # results of two of them; a rename in the package breaks it silently.
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", root / "traced.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for layer, names in traced.TRACED.items():
+        module = importlib.import_module(f"equilines.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    assert kernels.resolve_backend() in json.loads((root / "digests.json").read_text())
+    incidence = enumerate_lines(grid(3))
+    assert len(incidence) == sum(incidence.size_counts.values())  # "lines" reads it
+    arrays = kernels.build_incidence(incidence)
+    assert all(hasattr(vars(arrays).get(name), "nbytes") for name in ("indptr", "points"))
+    assert traced.ATTRIBUTES["kernels.build_incidence"]((incidence,), arrays) == {
+        "bytes": 4 * (len(incidence) + 1 + len(incidence.points))
+    }

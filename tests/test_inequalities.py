@@ -94,7 +94,8 @@ def test_grid_reports_satisfied():
 def bojanowski_pokora_fractional_slack(config):
     """Slack of the equivalent form t_2 + (3/4)t_3 - N - sum_{m>=5} (m^2/4 - m) t_m."""
     incidence = config.incidence
-    lhs = incidence.t(2) + Fraction(3, 4) * incidence.t(3)
+    t = incidence.size_counts.get
+    lhs = t(2, 0) + Fraction(3, 4) * t(3, 0)
     rhs = incidence.total_points + sum(
         (Fraction(m * m, 4) - m) * c for m, c in incidence.size_counts.items() if m >= 5
     )

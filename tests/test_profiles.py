@@ -28,7 +28,7 @@ def test_profile_two_green_two_red():
     profile = compute_profile(config)
     assert profile.as_dict() == {(2, 0): 1, (0, 2): 1, (1, 1): 4}
     assert profile.n == 2 and profile.k == 0
-    assert len(config.incidence.lines) == 6
+    assert len(config.incidence) == 6
 
 
 def test_profile_three_collinear():
@@ -155,7 +155,7 @@ def test_count_unbounded_query_gives_total_lines():
         profile = compute_profile(config)
         big_r = 2 * (profile.n + 1)
         assert count_equichromatic(profile, EquichromaticQuery(big_r, None)) == (
-            len(config.incidence.lines)
+            len(config.incidence)
         )
 
 

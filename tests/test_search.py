@@ -1,7 +1,7 @@
 import dataclasses
-import itertools
 import math
 import os
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from equilines import search
 from equilines.bounds import verdict
 from equilines.errors import SearchCapError
 from equilines.generators import grid, hesse, near_pencil, random_rational
-from equilines.geometry import Incidence
-from equilines.kernels import build_incidence, resolve_backend, selection_table
+from equilines.geometry import enumerate_lines
+from equilines.kernels import build_incidence, exhaustive_scan, resolve_backend, selection_table
 from equilines.points import GREEN, configuration
 from equilines.profiles import compute_profile
 from equilines.reports import search_section
@@ -42,10 +42,9 @@ def test_backend_resolution():
 
 def test_selection_table_matches_query():
     for points in (grid(3), hesse(), near_pencil(6)):
-        base = Incidence.of(points)
-        line_sizes = build_incidence(base.lines, base.total_points).line_sizes
-        sizes = line_sizes.tolist()
-        width = max(sizes) + 1
+        base = enumerate_lines(points)
+        sizes = np.diff(build_incidence(base).indptr)
+        width = int(sizes.max()) + 1
         for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
             query = EquichromaticQuery(r, max_points)
             sel = selection_table(base.size_counts, query)
@@ -56,16 +55,16 @@ def test_selection_table_matches_query():
                     assert sel[m, g] == int(selected)
             # The per-line view the reference algorithms read.
             per_line = [[int(g <= m and query.selects(g, m - g)) for g in range(width)]
-                        for m in sizes]
-            assert sel[line_sizes].tolist() == per_line
+                        for m in sizes.tolist()]
+            assert sel[sizes].tolist() == per_line
 
 
 def test_backends_agree_when_a_present_size_selects_nothing():
     # equifour counts lines of at most 4 points: grid(5)'s 5-point lines
     # have an all-zero row, though lines of that size exist.
-    base = Incidence.of(grid(5))
+    base = enumerate_lines(grid(5))
     sel = selection_table(base.size_counts, theorem_info(BoundTheorem.EQUI_FOUR).query)
-    assert base.t(5) > 0 and not sel[5].any()
+    assert base.size_counts.get(5, 0) > 0 and not sel[5].any()
     for mode in ("exhaustive", "local"):
         spec = SearchSpec(points=grid(5), k=21, theorem=BoundTheorem.EQUI_FOUR, mode=mode,
                           seed=3, budget=300)
@@ -77,25 +76,38 @@ def test_backends_agree_when_a_present_size_selects_nothing():
 
 def test_incidence_arrays_match_lines(monkeypatch):
     cases = (grid(3), hesse(), near_pencil(6), random_rational(12, seed=4, bound=5))
-    for path, points in itertools.product(PATHS, cases):
-        use_path(monkeypatch, path)
-        base = Incidence.of(points)
-        csr = build_incidence(base.lines, base.total_points)
-        assert csr.n_points == base.total_points
-        point_indptr, point_lines = support.point_transpose(csr)
-        assert csr.line_indptr[-1] == csr.line_points.shape[0] == point_lines.shape[0]
-        for li, rec in enumerate(base.lines):
-            start, stop = csr.line_indptr[li], csr.line_indptr[li + 1]
-            assert csr.line_points[start:stop].tolist() == list(rec.point_indices)
-        # The reference algorithms' transpose: each point's lines in line order.
-        for p in range(base.total_points):
-            expected = [li for li, rec in enumerate(base.lines) if p in rec.point_indices]
-            start, stop = point_indptr[p], point_indptr[p + 1]
-            assert point_lines[start:stop].tolist() == expected
-        sizes = [rec.size for rec in base.lines]
-        assert csr.line_sizes.tolist() == sizes
-        assert list(base.size_counts.items()) == [(m, sizes.count(m)) for m in sorted(set(sizes))]
-        assert base.max_collinear == max(sizes)
+    query = theorem_info(BoundTheorem.EQUI_SIX).query
+    for points in cases:
+        scans = []
+        for path in PATHS:
+            use_path(monkeypatch, path)
+            base = enumerate_lines(points)
+            # The pencil path's buffers are array('i')s, the sort path's numpy.
+            assert isinstance(base.points, array) == (path == "pencil")
+            csr = build_incidence(base)
+            assert csr.total_points == base.total_points
+            point_indptr, point_lines = support.point_transpose(csr)
+            assert csr.indptr[-1] == csr.points.shape[0] == point_lines.shape[0]
+            for li, rec in enumerate(base):
+                start, stop = csr.indptr[li], csr.indptr[li + 1]
+                assert csr.points[start:stop].tolist() == list(rec.point_indices)
+            # The reference algorithms' transpose: each point's lines in line order.
+            for p in range(base.total_points):
+                expected = [li for li, rec in enumerate(base) if p in rec.point_indices]
+                start, stop = point_indptr[p], point_indptr[p + 1]
+                assert point_lines[start:stop].tolist() == expected
+            sizes = [rec.size for rec in base]
+            assert np.diff(csr.indptr).tolist() == sizes
+            assert list(base.size_counts.items()) == [
+                (m, sizes.count(m)) for m in sorted(set(sizes))
+            ]
+            assert base.max_collinear == max(sizes)
+            best, combo, violations, examined = exhaustive_scan(
+                csr, selection_table(base.size_counts, query), len(points) // 2, len(sizes), 1
+            )
+            scans.append((best, combo.tolist(), violations, examined))
+        # The kernels read views of either path's buffers alike.
+        assert scans[0] == scans[1]
 
 
 def test_spec_validation():
@@ -207,7 +219,7 @@ def test_kernels_match_brute_force_oracle(base, k, theorem):
     # Exact per-coloring recount through the profile path is the oracle.
     total = len(base)
     n_green = (total + k) // 2
-    _, _, bound = verdict(theorem, n_green, k, Incidence.of(base))
+    _, _, bound = verdict(theorem, n_green, k, enumerate_lines(base))
     oracle_best, oracle_combo, oracle_viol, oracle_count = brute_force_scan(
         base, n_green, theorem_info(theorem).query, bound
     )
