@@ -67,15 +67,9 @@ def verdict(
 
 
 def evaluate_bound(
-    theorem: BoundTheorem,
-    config: ColoredConfiguration,
-    profile: LineProfile | None = None,
+    theorem: BoundTheorem, config: ColoredConfiguration, profile: LineProfile
 ) -> BoundReport:
     """Compare the actual equichromatic count against the theorem's bound."""
-    if profile is None:
-        from .profiles import compute_profile  # only when none is given
-
-        profile = compute_profile(config)
     applicable, detail, bound = verdict(theorem, config.n, config.k, config.incidence)
     actual = count_equichromatic(profile, theorem_info(theorem).query)
     support = None

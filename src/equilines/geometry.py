@@ -10,8 +10,11 @@ checked to be one exact line on the integer rows (``row_det``).  The keys
 only group the pairs: a line is its points, and a ``DeterminedLine`` is
 built only when one is read.
 
-Two algorithms key and group the pairs, chosen by their number C(N, 2),
-each in its own module and imported only when it runs:
+One reduction, ``residues``, maps the points mod p for both algorithms,
+each scaled to (x, y, 1), (1, y, 0) or (0, 1, 0), and is the one place
+that rejects a prime for the points.  Two algorithms then key and group
+the pairs, chosen by their number C(N, 2), each in its own module with
+the signature (rows, d, residues, p), imported only when it runs:
 
   * ``pencil``, up to PENCIL_MAX_PAIRS pairs: for each point in turn, the
     slope mod p of the line to each later point not yet on a found line,
@@ -23,7 +26,6 @@ each in its own module and imported only when it runs:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -198,14 +200,29 @@ def _primes(rows: list[tuple[int, ...]]):
 _MAX_PRIMES = 100
 
 
-def residues(rows: list[tuple[int, ...]], d: int, p: int) -> list[list[int]] | None:
-    """The points' residue triples [x, y, z] mod p under the ring map
-    Z[sqrt(d)] -> F_p that sends sqrt(d) to a root of d, or None when d
-    has no root mod p.  All the pairs of a line then key alike."""
+def residues(rows: list[tuple[int, ...]], d: int, p: int) -> list[tuple[int, int, int]] | None:
+    """The points mod p, each as its residue triple under the ring map
+    Z[sqrt(d)] -> F_p that sends sqrt(d) to a root of d, scaled to
+    (x, y, 1), or else (1, y, 0) or (0, 1, 0).  None when d has no root mod
+    p, or when a triple vanishes or two points coincide mod p: exactly when
+    some pair's cross product vanishes, so that a line could split.  Else
+    the cross products of a line's pairs are proportional, and key alike."""
     r = _sqrt_mod(d, p)
     if r is None:
         return None
-    return [[(a + b * r) % p for a, b in zip(row[0::2], row[1::2])] for row in rows]
+    scaled = []
+    for xa, xb, ya, yb, za, zb in rows:
+        x, y, z = (xa + xb * r) % p, (ya + yb * r) % p, (za + zb * r) % p
+        if z:
+            v = pow(z, -1, p)
+            scaled.append((x * v % p, y * v % p, 1))
+        elif x:
+            scaled.append((1, y * pow(x, -1, p) % p, 0))
+        elif y:
+            scaled.append((0, 1, 0))
+        else:
+            return None
+    return scaled if len(set(scaled)) == len(scaled) else None
 
 
 def enumerate_lines(points: tuple[ProjPoint, ...], sort: bool = False) -> Incidence:
@@ -227,17 +244,14 @@ def enumerate_lines(points: tuple[ProjPoint, ...], sort: bool = False) -> Incide
         raise InsufficientPointsError("line enumeration needs at least 2 points")
     rows = [p.row for p in points]
     d = points[0].d
-    m = check_key_bits(itertools.chain.from_iterable(rows))
+    check_key_bits(itertools.chain.from_iterable(rows))
     if pencil_path(len(rows)) and not sort:
-        from .pencil import pencil_lines
-
-        lines_mod = functools.partial(pencil_lines, rows, d)
+        from .pencil import pencil_lines as lines_mod
     else:
-        from .sort import sort_lines
-
-        lines_mod = functools.partial(sort_lines, rows, d, m)
+        from .sort import sort_lines as lines_mod
     for p in itertools.islice(_primes(rows), _MAX_PRIMES):
-        csr = lines_mod(p)
+        res = residues(rows, d, p)
+        csr = None if res is None else lines_mod(rows, d, res, p)
         if csr is not None:
             return Incidence(len(points), *csr, all(point.is_real for point in points))
     raise InternalInconsistencyError(f"no prime of {_MAX_PRIMES} separated the lines")

@@ -2,7 +2,8 @@
 
 ``geometry.enumerate_lines`` runs it on the pencil path, at most
 ``geometry.PENCIL_MAX_PAIRS`` point pairs, where a whole process is as
-fast or faster without numpy as with it.  For each point i in turn, the
+fast or faster without numpy as with it, on the points as
+``geometry.residues`` reduces them mod p.  For each point i in turn, the
 pairs (i, j > i) not on a line found before are keyed by the slope mod p
 of the line through them, one pow() per pencil (Montgomery's batch
 inversion); the pairs of each key are one line through i, checked
@@ -14,37 +15,17 @@ from __future__ import annotations
 import itertools
 from array import array
 
-from .geometry import residues, row_cross, row_dot, size_counts_of
-
-
-def _projective_residues(rows, d: int, p: int) -> list[tuple[int, int, int]] | None:
-    """Each point's residue triple scaled to (x, y, 1), or else (1, y, 0)
-    or (0, 1, 0); None when d has no root mod p, or when a triple vanishes
-    or two points coincide mod p: a pencil's slopes would be undefined."""
-    triples = residues(rows, d, p)
-    if triples is None:
-        return None
-    scaled = []
-    for x, y, z in triples:
-        if z:
-            v = pow(z, -1, p)
-            scaled.append((x * v % p, y * v % p, 1))
-        elif x:
-            scaled.append((1, y * pow(x, -1, p) % p, 0))
-        elif y:
-            scaled.append((0, 1, 0))
-        else:
-            return None
-    return scaled if len(set(scaled)) == len(scaled) else None
+from .geometry import row_cross, row_dot, size_counts_of
 
 
 def _pencil_keys(point, xs, ys, zs, p: int) -> list[int]:
-    """The key mod p of the line from point, scaled as above, to each point
-    (xs[k] : ys[k] : zs[k]), all distinct from it: keys are equal iff the
-    lines are.  From (x0, y0, 1) it is the slope dy / dx, or p when dx = 0;
-    all the slopes take one pow() (Montgomery's batch inversion).  From a
-    point at infinity it is the intercept of the line, or p for the line at
-    infinity.  zs is None when every point has z = 1."""
+    """The key mod p of the line from point, scaled as ``geometry.residues``
+    scales it, to each point (xs[k] : ys[k] : zs[k]), all distinct from it:
+    keys are equal iff the lines are.  From (x0, y0, 1) it is the slope
+    dy / dx, or p when dx = 0; all the slopes take one pow() (Montgomery's
+    batch inversion).  From a point at infinity it is the intercept of the
+    line, or p for the line at infinity.  zs is None when every point has
+    z = 1."""
     x0, y0, z0 = point
     if not z0:  # lines parallel to (x0, y0): x0 y - y0 x is constant on each
         return [(x0 * y - y0 * x) % p if z else p for x, y, z in zip(xs, ys, zs)]
@@ -70,17 +51,15 @@ def _pencil_keys(point, xs, ys, zs, p: int) -> list[int]:
     return keys
 
 
-def pencil_lines(rows, d: int, p: int) -> tuple[array, array, dict[int, int]] | None:
-    """The lines of the points by pencils mod p, as (indptr, points,
-    size_counts) of ``geometry.Incidence``: for each point i, the pairs
+def pencil_lines(rows, d: int, residues, p: int) -> tuple[array, array, dict[int, int]] | None:
+    """The pencil enumeration of ``geometry.enumerate_lines`` at the prime p,
+    from the points' ``geometry.residues``: the lines as (indptr, points,
+    size_counts) of ``geometry.Incidence``.  For each point i, the pairs
     (i, j > i) not on a line found before are grouped by the key of the
     line through them, so each line is found once, from its first point.
     None when a group is not one exact line (the prime merged lines)."""
-    points = _projective_residues(rows, d, p)
-    if points is None:
-        return None
-    n = len(points)
-    xs, ys, zs = (list(c) for c in zip(*points))
+    n = len(residues)
+    xs, ys, zs = (list(c) for c in zip(*residues))
     if all(zs):
         zs = None
     # uncovered[i][j] = 0 once the pair (i, j) lies on a line found before i.
@@ -98,7 +77,7 @@ def pencil_lines(rows, d: int, p: int) -> tuple[array, array, dict[int, int]] | 
             pxs, pys = list(itertools.compress(xs, mask)), list(itertools.compress(ys, mask))
             pzs = zs and list(itertools.compress(zs, mask))
         lines = {}  # each line's points by key, in the order of their first j
-        for key, j in zip(_pencil_keys(points[i], pxs, pys, pzs, p), js):
+        for key, j in zip(_pencil_keys(residues[i], pxs, pys, pzs, p), js):
             lines.setdefault(key, [i]).append(j)
         if len(lines) < len(js):  # some line has 3 or more points
             for line in [group for group in lines.values() if len(group) > 2]:

@@ -1,18 +1,22 @@
 """The sort enumeration of lines, in numpy.
 
 ``geometry.enumerate_lines`` runs it above the pencil path and for every
-search.  Each point pair is keyed by one int64, the line through it
-modulo a prime, in blocks of pairs; the keys are sorted; and each group
-of equal keys is checked to be one exact line on the integer rows, in
-int64 where ``_det_dtype`` proves the headroom and in Python ints
-otherwise.
+search, on the points as ``geometry.residues`` reduces them mod p.  Each
+point pair is keyed by one int64, the projective class of the cross
+product of its two residue triples (the line through it mod p), in
+blocks of pairs; the keys are sorted; and each group of equal keys is
+checked to be one exact line on the integer rows, in int64 where
+``_det_dtype`` proves the headroom and in Python ints otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .geometry import residues, row_det, size_counts_of
+from .geometry import row_det, size_counts_of
+from .points import check_key_bits
 
 
 def _det_dtype(m: int, d: int):
@@ -56,22 +60,6 @@ def _projective_keys(u: np.ndarray, v: np.ndarray, w: np.ndarray, p: int) -> np.
     return (u * inv % p * p + v * inv % p) * p + w * inv % p
 
 
-def _reduce(rows: list[tuple[int, ...]], d: int, p: int) -> np.ndarray | None:
-    """The points' residue triples mod p as int64 rows (x, y, z), under the
-    ring map Z[sqrt(d)] -> F_p that sends sqrt(d) to a root of d; all the
-    pairs of a line then have proportional cross products.  None when d has
-    no root mod p, or when a triple vanishes or two points coincide mod p:
-    exactly when some pair's cross product vanishes, and a line could split."""
-    triples = residues(rows, d, p)
-    if triples is None:
-        return None
-    res = np.array(triples, dtype=np.int64).T
-    if not res.any(axis=0).all():
-        return None
-    keys = np.sort(_projective_keys(*res, p))
-    return None if (keys[1:] == keys[:-1]).any() else res
-
-
 def _pair_points(t: np.ndarray, row_start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The points (i, j) of pairs given by index t in np.triu_indices order,
     where row i's pairs start at row_start[i]."""
@@ -95,14 +83,15 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lengths) + (np.arange(total) - offsets)
 
 
-def _lines_mod(rows, d: int, dtype, res: np.ndarray, p: int):
-    """The lines of the points as (indptr, points, size_counts) of
-    ``geometry.Incidence``, grouping their pairs by the keys mod p; None
-    when a group is not one exact line (the prime merged lines).  The exact
-    check runs on the rows in dtype."""
+def sort_lines(rows, d: int, residues, p: int):
+    """The sort enumeration of ``geometry.enumerate_lines`` at the prime p,
+    from the points' ``geometry.residues``: the lines as (indptr, points,
+    size_counts) of ``geometry.Incidence``, grouping their pairs by the keys
+    mod p; None when a group is not one exact line (the prime merged lines)."""
     n = len(rows)
     n_pairs = n * (n - 1) // 2
     row_start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+    res = np.array(residues, dtype=np.int64).T
     keys = np.empty(n_pairs, dtype=np.int64)
     for start in range(0, n_pairs, _PAIR_BLOCK):
         t = np.arange(start, min(start + _PAIR_BLOCK, n_pairs))
@@ -133,6 +122,7 @@ def _lines_mod(rows, d: int, dtype, res: np.ndarray, p: int):
     rest = np.ones(x.shape[0], dtype=bool)
     rest[head] = False
     if rest.any():
+        dtype = _det_dtype(check_key_bits(itertools.chain.from_iterable(rows)), d)
         exact = np.array(rows, dtype=dtype).T
         line = np.repeat(np.arange(m.shape[0]), m - 1)[rest]
         triples = a[head][line], x[head][line], x[rest]
@@ -161,11 +151,3 @@ def _lines_mod(rows, d: int, dtype, res: np.ndarray, p: int):
     # The other points of each checked line follow its first pair.
     members[_ragged(indptr[at] + 2, m - 2)] = x[rest]
     return indptr, members, size_counts_of(t.shape[0], m.tolist())
-
-
-def sort_lines(rows, d: int, m: int, p: int):
-    """The sort enumeration of ``geometry.enumerate_lines`` at the prime p,
-    on rows whose largest |component| is m, as (indptr, points,
-    size_counts); None when p fails."""
-    res = _reduce(rows, d, p)
-    return None if res is None else _lines_mod(rows, d, _det_dtype(m, d), res, p)

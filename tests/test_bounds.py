@@ -85,7 +85,7 @@ def test_square_worked_example():
 def test_all_collinear_equi_six_inapplicable():
     pts = tuple(affine_point(i, 0, d=5) for i in range(4))
     config = configuration(pts, (GREEN, GREEN, RED, RED), 5)
-    report = evaluate_bound(BoundTheorem.EQUI_SIX, config)
+    report = evaluate_bound(BoundTheorem.EQUI_SIX, config, compute_profile(config))
     assert not report.applicable
     assert report.satisfied is None
 
@@ -188,7 +188,7 @@ def test_collinearity_limits():
 
 def test_bound_ceiling():
     config = square_config()
-    report = evaluate_bound(BoundTheorem.EQUI_FOUR, config)
+    report = evaluate_bound(BoundTheorem.EQUI_FOUR, config, compute_profile(config))
     assert report.bound == Fraction(10, 3) and report.bound_ceiling == 4
     assert report.actual >= report.bound_ceiling
 
@@ -199,6 +199,6 @@ def test_grid_all_colorings_satisfy_equisix():
     for greens in itertools.combinations(range(4), 2):
         colors = tuple(GREEN if i in greens else RED for i in range(4))
         config = configuration(pts, colors, 5)
-        report = evaluate_bound(BoundTheorem.EQUI_SIX, config)
+        report = evaluate_bound(BoundTheorem.EQUI_SIX, config, compute_profile(config))
         assert report.applicable and report.actual == 4 and report.bound == 3
         assert report.satisfied

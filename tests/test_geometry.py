@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -249,8 +250,8 @@ def reduced(points):
     with their residues: the keys of that prime group the pairs (sort path)."""
     rows = [p.row for p in points]
     return next(
-        (p, res) for p in geometry._primes(rows)
-        if (res := sort._reduce(rows, points[0].d, p)) is not None
+        (p, np.array(res, dtype=np.int64).T) for p in geometry._primes(rows)
+        if (res := geometry.residues(rows, points[0].d, p)) is not None
     )
 
 
@@ -487,6 +488,48 @@ def test_prime_source_and_square_roots():
                 assert r * r % p == a % p
 
 
+def cross_mod(s, t, p):
+    return ((s[1] * t[2] - s[2] * t[1]) % p, (s[2] * t[0] - s[0] * t[2]) % p,
+            (s[0] * t[1] - s[1] * t[0]) % p)
+
+
+def test_residues_reject_exactly_the_primes_that_can_split_a_line():
+    # Small primes, where every rejection is common, checked by brute force
+    # on the raw triples under the root of d that the reduction takes.
+    rng, seen = random.Random(24), Counter()
+    small_primes = [p for p in range(3, 98) if geometry._is_prime(p)]
+    for _ in range(60):
+        d = rng.choice(ALL_DS)
+        points = random_points(rng, rng.randint(2, 10), d) + (ProjPoint(one(d), zero(d), zero(d)),)
+        rows = [pt.row for pt in points]
+        for p in small_primes:
+            res = geometry.residues(rows, d, p)
+            if not any(r * r % p == d % p for r in range(p)):
+                reason = "no root"
+            else:
+                r = geometry._sqrt_mod(d, p)
+                assert r * r % p == d % p
+                raw = [tuple((a + b * r) % p for a, b in zip(row[0::2], row[1::2])) for row in rows]
+                if not all(map(any, raw)):
+                    reason = "triple vanishes"
+                elif any(not any(cross_mod(s, t, p)) for s, t in itertools.combinations(raw, 2)):
+                    reason = "points coincide"
+                else:
+                    reason = None
+            seen[reason] += 1
+            assert (res is None) == (reason is not None), (rows, d, p, reason)
+            if res is None:
+                continue
+            assert len(res) == len(rows)
+            for s, t in zip(res, raw):
+                assert all(0 <= c < p for c in s)
+                assert s[2] == 1 or s[::2] == (1, 0) or s == (0, 1, 0)
+                assert not any(cross_mod(s, t, p))  # proportional, both nonzero
+                seen["(x, y, 1)" if s[2] else "(1, y, 0)" if s[0] else "(0, 1, 0)"] += 1
+    assert set(seen) == {"no root", "triple vanishes", "points coincide", None,
+                         "(x, y, 1)", "(1, y, 0)", "(0, 1, 0)"}, seen
+
+
 def merged_pencil():
     """x = 0 and x = 7 with two points each: distinct points mod 7, where
     the two lines and all four pairs across them merge into one."""
@@ -496,27 +539,19 @@ def merged_pencil():
 TINY_PRIMES = [(random_config(5, max_total=14).points, 3, True), (merged_pencil(), 7, False)]
 
 
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("points, tiny, points_coincide", TINY_PRIMES,
                          ids=["points-coincide", "lines-merge"])
-def test_tiny_prime_is_rejected(monkeypatch, points, tiny, points_coincide):
-    use_path(monkeypatch, "sort")
+def test_tiny_prime_is_rejected(monkeypatch, points, tiny, points_coincide, path):
+    # Mod 3 two points coincide; mod 7 the pencil of (0, 1) sees the other
+    # three points at one slope, and the sort keys all six pairs alike.
+    use_path(monkeypatch, path)
     rows = [p.row for p in points]
-    res = sort._reduce(rows, points[0].d, tiny)
+    res = geometry.residues(rows, points[0].d, tiny)
     assert (res is None) == points_coincide
     if res is not None:  # only the exact check of the merged group catches it
-        assert sort._lines_mod(rows, points[0].d, np.int64, res, tiny) is None
-    assert_next_prime_gives_the_lines(monkeypatch, points, tiny)
-
-
-@pytest.mark.parametrize("points, tiny, points_coincide", TINY_PRIMES,
-                         ids=["points-coincide", "lines-merge"])
-def test_pencil_path_rejects_a_tiny_prime(monkeypatch, points, tiny, points_coincide):
-    # Mod 3 two points coincide; mod 7 the pencil of (0, 1) sees the
-    # other three points at one slope.
-    use_path(monkeypatch, "pencil")
-    rows = [p.row for p in points]
-    assert (pencil._projective_residues(rows, points[0].d, tiny) is None) == points_coincide
-    assert pencil.pencil_lines(rows, points[0].d, tiny) is None
+        lines_mod = {"pencil": pencil.pencil_lines, "sort": sort.sort_lines}[path]
+        assert lines_mod(rows, points[0].d, res, tiny) is None
     assert_next_prime_gives_the_lines(monkeypatch, points, tiny)
 
 
