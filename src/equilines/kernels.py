@@ -23,9 +23,9 @@ One algorithm runs per search mode:
     sum over each chunk of colorings in lexicographic order,
   * local: a gain-table move replay in plain Python that scores each
     proposal in O(1) from per-point gains and updates them only on
-    accepted swaps.  It reads the seeded moves in fixed-size blocks, so
-    its memory does not grow with the budget, and builds its Python
-    state once from the line CSR, one int object per point and per line.
+    accepted swaps.  It reads the seeded moves in blocks of uint16
+    green slots and uint64 red slots, and builds its Python state once
+    from the line CSR, one int object per point and per line.
 
 Both take the selection table by line size, sel[m, g], and break ties on
 the best count toward the lexicographically smallest green index tuple.
@@ -49,7 +49,9 @@ if TYPE_CHECKING:
 
 def resolve_backend() -> str:
     """The name of the search algorithms a report's backend field records:
-    "numpy" on every host."""
+    "numpy" on every host.  The moves come from equilines.pcg64, not
+    from numpy's random package; the name stays because the benchmark's
+    recorded report digests are keyed by it."""
     return "numpy"
 
 
@@ -196,10 +198,11 @@ def descent_replay(
 ) -> tuple[int, np.ndarray, int, int]:
     """Replay a seeded swap-move sequence from an initial coloring.
 
-    The moves come as blocks of (green slots, red slots) int64 arrays.  A
-    proposal swaps the green and red points at those positions in the
-    sorted green and red index lists; it is accepted when it does not
-    raise the selected-line count.  Returns (best_actual, best green
+    The moves come as blocks of (green slots, red slots) unsigned arrays,
+    uint16 and uint64 from the search's move stream.  A proposal swaps
+    the green and red points at those positions in the sorted green and
+    red index lists; it is accepted when it does not raise the
+    selected-line count.  Returns (best_actual, best green
     index tuple, violations, examined), examined being 1 + the number of
     moves; ties on the best count go to the lexicographically smaller
     green tuple.

@@ -9,9 +9,11 @@ Otherwise the kernels read that incidence's line CSR as numpy arrays,
 adapted once by ``kernels.build_incidence`` (no array of lines times
 points is built).  Exhaustive mode evaluates every coloring with the
 requested (n, k); local mode runs a seeded hill-descent with green/red
-swap moves.  Both minimize the bound slack, which for a fixed base set
-and fixed (n, k) is equivalent to minimizing the selected-line count, so
-the hot loop runs in the array kernels.  The winning coloring is
+swap moves drawn from the package's own PCG64 stream (``pcg64``), which
+gives numpy's PCG64 Generator draws without importing them.  Both
+minimize the bound slack, which for a fixed base set and fixed (n, k) is
+equivalent to minimizing the selected-line count, so the hot loop runs
+in the array kernels.  The winning coloring is
 re-evaluated through ``bounds.evaluate_bound`` on the same incidence,
 and the two counts must agree; a mismatch raises, so the fast kernels
 never stand unchecked.
@@ -29,7 +31,8 @@ from .bounds import BoundReport, evaluate_bound, verdict
 from .errors import InternalInconsistencyError, SearchCapError
 from .geometry import enumerate_lines
 from .kernels import build_incidence, descent_replay, exhaustive_scan, selection_table
-from .points import GREEN, RED, ColoredConfiguration, ProjPoint
+from .pcg64 import PCG64
+from .points import GREEN, RED, ColoredConfiguration, ProjPoint, check_point_count
 from .profiles import compute_profile
 from .quadfield import Discriminant
 from .tables import BoundTheorem, theorem_info
@@ -119,7 +122,8 @@ def colors_from_green_indices(total: int, green: np.ndarray) -> tuple[str, ...]:
     return tuple(GREEN if i in green_set else RED for i in range(total))
 
 
-# Moves per block of the seeded move stream: bounds its arrays whatever the budget.
+# Moves per block of the seeded move stream: bounds the red-slot arrays and the
+# draws' temporaries whatever the budget; the green slots take 2 bytes a move.
 _MOVE_BLOCK = 4096
 
 
@@ -127,32 +131,32 @@ def _seeded_moves(
     spec: SearchSpec,
 ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """The initial green indices and the (green slot, red slot) swap
-    proposals in blocks of _MOVE_BLOCK, all drawn from the seed, so a
-    fixed spec replays exactly."""
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    proposals in blocks of _MOVE_BLOCK, all drawn from the seed's PCG64
+    stream, so a fixed spec replays exactly."""
+    rng = PCG64(spec.seed)
     n, n_red = spec.n_green, spec.total - spec.n_green
-    initial_green = np.sort(rng.permutation(spec.total)[:n]).astype(np.int64)
+    initial_green = np.array(sorted(rng.permutation(spec.total)[:n]), dtype=np.int64)
     budget = spec.budget if n_red else 0
-    return initial_green, _move_blocks(rng, spec.seed, n, n_red, budget)
+    return initial_green, _move_blocks(rng, n, n_red, budget)
 
 
 def _move_blocks(
-    rng: np.random.Generator, seed: int, n: int, n_red: int, budget: int
+    rng: PCG64, n: int, n_red: int, budget: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The blocks of budget draws below n (green slots) and of budget draws
-    below n_red (red slots) that rng would give in one call each, in that
-    order.  A bounded draw takes a variable number of outputs, so the red
-    stream's start is found by drawing the green slots once and dropping
-    them; the green slots are then drawn again from the saved state."""
-    sizes = [min(_MOVE_BLOCK, budget - start) for start in range(0, budget, _MOVE_BLOCK)]
-    # Seeded, so it reads no OS entropy, and then set to rng's state.
-    green_rng = np.random.Generator(np.random.PCG64(seed))
-    green_rng.bit_generator.state = rng.bit_generator.state
-    for size in sizes:
-        rng.integers(0, n, size=size, dtype=np.int64)
-    for size in sizes:
-        yield (green_rng.integers(0, n, size=size, dtype=np.int64),
-               rng.integers(0, n_red, size=size, dtype=np.int64))
+    below n_red (red slots) that one integers(size=budget) call each would
+    give, in that order.  A bounded draw takes a variable number of words,
+    so the red stream starts where the green slots end: those are drawn
+    first, once, into a uint16 buffer of 2 bytes a move (run_search has
+    checked n <= MAX_POINTS)."""
+    starts = range(0, budget, _MOVE_BLOCK)
+    green = np.empty(budget, dtype=np.uint16)
+    for start in starts:
+        block = green[start : start + _MOVE_BLOCK]
+        block[:] = rng.integers(n, len(block))
+    for start in starts:
+        block = green[start : start + _MOVE_BLOCK]
+        yield block, rng.integers(n_red, len(block))
 
 
 def run_search(spec: SearchSpec) -> SearchResult:
@@ -165,6 +169,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
     coloring, rejected proposals included.
     """
     # Before any work: the caps bound the time of any request.
+    check_point_count(spec.total)
     count = spec.coloring_count()
     if count > MAX_COLORINGS:
         # C(N, n) and a local budget can run to hundreds of digits; the

@@ -577,8 +577,9 @@ def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
     "generator, k, budget, limit_mb",
     [
         # The moves are drawn in blocks, never as budget-long arrays (51.6 MB
-        # when they were).
-        ("grid(5)", "1", 1_000_000, 42),
+        # when they were), save the green slots' 2 bytes a move; with
+        # numpy.random loaded it peaked at 36.4 MB, without it at 33.1 MB.
+        ("grid(5)", "1", 1_000_000, 35),
         # 381,767 lines: the replay's Python state is built once from the
         # line CSR, with no transpose and no list of the whole CSR (192 MB
         # when it kept them).
@@ -627,20 +628,25 @@ EXACT_MODULES = ("errors quadfield points tables bounds inequalities proofcheck 
         # tallied in Python ints.
         (run_cli_loading(["analyze", SQUARE], 0),
          {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
-          "equilines.proofcheck"}),
+          "equilines.pcg64", "equilines.proofcheck"}),
         (run_cli_loading(["verify", SQUARE, "--inequality", "langer"], 0),
          {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
-          "equilines.proofcheck"}),
+          "equilines.pcg64", "equilines.proofcheck"}),
         (run_cli_loading(["bounds", SQUARE, "--theorem", "equisix"], 0),
          {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
-          "equilines.proofcheck"}),
-        # A search loads numpy anyway, so it enumerates by sorting.
+          "equilines.pcg64", "equilines.proofcheck"}),
+        # A search loads numpy anyway, so it enumerates by sorting; the local
+        # search's moves come from equilines.pcg64, not numpy.random.
         (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
-                          "equisix"], 0), {"equilines.proofcheck", "equilines.pencil"}),
+                          "equisix"], 0),
+         {"equilines.proofcheck", "equilines.pencil", "numpy.random"}),
+        (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
+                          "equisix", "--mode", "local", "--budget", "5000"], 0),
+         {"equilines.proofcheck", "equilines.pencil", "numpy.random"}),
     ],
     ids=["import-package", "import-cli", "import-exact-modules", "help", "usage-error",
          "proofcheck-equisix", "proofcheck-equifour", "generate", "analyze", "verify", "bounds",
-         "search"],
+         "search", "search-local"],
 )
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, lines, unloaded):
     write_config(tmp_path, SQUARE, square_doc())

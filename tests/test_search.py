@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import os
 from array import array
@@ -23,11 +25,12 @@ from support import (
 import equilines
 from equilines import search
 from equilines.bounds import verdict
-from equilines.errors import SearchCapError
+from equilines.cli import run_cli
+from equilines.errors import ConfigError, SearchCapError
 from equilines.generators import grid, hesse, near_pencil, random_rational
 from equilines.geometry import enumerate_lines
 from equilines.kernels import build_incidence, exhaustive_scan, resolve_backend, selection_table
-from equilines.points import GREEN, configuration
+from equilines.points import GREEN, MAX_POINTS, affine_point, configuration
 from equilines.profiles import compute_profile
 from equilines.reports import search_section
 from equilines.search import SearchSpec, run_search
@@ -169,6 +172,16 @@ def test_local_budget_cap(monkeypatch):
     assert exc.value.coloring_count == 12
 
 
+def test_search_checks_the_point_limit():
+    # A spec built through the API meets the limit the CLI's inputs meet; the
+    # local search holds its green slots as uint16 under it.
+    pts = tuple(affine_point(i, i * i, d=-1) for i in range(MAX_POINTS + 1))
+    spec = SearchSpec(points=pts, k=MAX_POINTS - 1, theorem=BoundTheorem.EQUI_SIX,
+                      mode="local", budget=1)
+    with pytest.raises(ConfigError, match=f"{MAX_POINTS + 1} points exceed"):
+        run_search(spec)
+
+
 @pytest.mark.parametrize("which", KERNEL_PARAMS)
 def test_exhaustive_grid2_all_colorings(monkeypatch, which):
     use_kernels(monkeypatch, which)
@@ -304,6 +317,18 @@ def test_move_blocks_join_to_the_one_shot_draws(total, k):
                 assert joined == expected[side].tolist()
             if n_red == 1:
                 assert all(not r.any() for _, r in blocks)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_search_reports_match_the_benchmark_digests(seed, capsys):
+    # The benchmark's search_local workload fails any report that is not
+    # byte-identical to its recorded digest; a drifted move stream shows here.
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    recorded = json.loads(digests.read_text())[resolve_backend()]["search_local"][str(seed)]
+    argv = ["search", "--generator", "grid(5)", "--k", "1", "--theorem", "equisix",
+            "--mode", "local", "--budget", "100000", "--seed", str(seed), "--format", "json"]
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
 
 
 @pytest.mark.parametrize("block", [4096, 1, 7])
