@@ -7,8 +7,7 @@ through ``kernels.build_incidence``, the search kernels read; never an
 array of lines times points.  The line through each point pair is keyed
 modulo a random prime, and each group of pairs that share a key is
 checked to be one exact line on the integer rows (``row_det``).  The keys
-only group the pairs: a line is its points, and a ``DeterminedLine`` is
-built only when one is read.
+only group the pairs: a line is its points.
 
 One reduction, ``residues``, maps the points mod p for both algorithms,
 each scaled to (x, y, 1), (1, y, 0) or (0, 1, 0), and is the one place
@@ -29,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -48,19 +47,8 @@ def pencil_path(n_points: int) -> bool:
     return n_points * (n_points - 1) // 2 <= PENCIL_MAX_PAIRS
 
 
-@dataclass(frozen=True, slots=True)
-class DeterminedLine:
-    """A line through >= 2 points of a set, as their indices."""
-
-    point_indices: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.point_indices)
-
-
 @dataclass(frozen=True, eq=False)
-class Incidence(Sequence[DeterminedLine]):
+class Incidence:
     """Colorless incidence structure of one point set: its lines, sorted by
     point-index tuple.
 
@@ -69,7 +57,7 @@ class Incidence(Sequence[DeterminedLine]):
     search kernels.  Each line's points, in increasing order, are CSR
     buffers (``indptr``, ``points``: int32, an ``array('i')`` from the
     pencil enumeration and a numpy array from the sort); ``size_counts`` is
-    t_m by m ascending.  A ``DeterminedLine`` is built only when read.
+    t_m by m ascending, and ``len()`` is the number of lines.
     """
 
     total_points: int
@@ -84,13 +72,6 @@ class Incidence(Sequence[DeterminedLine]):
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
-
-    def __getitem__(self, index: int | slice) -> DeterminedLine | tuple[DeterminedLine, ...]:
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        i = range(len(self))[index]
-        start, stop = self.indptr[i : i + 2].tolist()
-        return DeterminedLine(tuple(self.points[start:stop].tolist()))
 
 
 def size_counts_of(n_lines: int, long_sizes: Iterable[int]) -> dict[int, int]:

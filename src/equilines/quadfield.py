@@ -140,19 +140,6 @@ def quad(a: Rational | int | str, b: Rational | int | str = 0, *, d: int) -> Qua
     return QuadElement(Fraction(a), Fraction(b), d)
 
 
-def zero(d: int) -> QuadElement:
-    return QuadElement(Fraction(0), Fraction(0), d)
-
-
-def one(d: int) -> QuadElement:
-    return QuadElement(Fraction(1), Fraction(0), d)
-
-
-def sqrt_d(d: int) -> QuadElement:
-    """The element sqrt(d) itself."""
-    return QuadElement(Fraction(0), Fraction(1), d)
-
-
 # The rational part must be followed by a sign or the end, so that a bare
 # coefficient like "10*sqrt(-3)" binds to the sqrt term.
 _ELEMENT_RE = re.compile(

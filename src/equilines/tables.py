@@ -125,12 +125,6 @@ class LineProfile:
         items = tuple(sorted((cell, c) for cell, c in cells.items() if c))
         return cls(items, n, k)
 
-    def as_dict(self) -> dict[Cell, int]:
-        return dict(self.counts)
-
-    def cell(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
 
 @dataclass(frozen=True)
 class EquichromaticQuery:

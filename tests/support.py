@@ -17,7 +17,7 @@ from equilines import geometry, kernels, search
 from equilines.geometry import enumerate_lines
 from equilines.points import GREEN, RED, ColoredConfiguration, ProjPoint, configuration
 from equilines.profiles import compute_profile
-from equilines.quadfield import QuadElement, one, quad, zero
+from equilines.quadfield import QuadElement, quad
 from equilines.tables import EquichromaticQuery, LineProfile, count_equichromatic
 
 ALL_DS = (-3, -1, 2, 5)
@@ -55,11 +55,11 @@ def random_points(
     while len(pts) < total:
         if allow_infinite and rng.random() < 0.1:
             xa, xb = _coord(rng, d, allow_quad_part)
-            p = ProjPoint(quad(xa, xb, d=d), one(d), zero(d))
+            p = ProjPoint(quad(xa, xb, d=d), quad(1, d=d), quad(0, d=d))
         else:
             xa, xb = _coord(rng, d, allow_quad_part)
             ya, yb = _coord(rng, d, allow_quad_part)
-            p = ProjPoint(quad(xa, xb, d=d), quad(ya, yb, d=d), one(d))
+            p = ProjPoint(quad(xa, xb, d=d), quad(ya, yb, d=d), quad(1, d=d))
         if p not in seen:
             seen.add(p)
             pts.append(p)
@@ -88,10 +88,16 @@ def random_real_config(
         pts = random_points(rng, total, d)
         if not require_noncollinear:
             break
-        if max(rec.size for rec in enumerate_lines(pts)) < total:
+        if max(map(len, line_tuples(enumerate_lines(pts)))) < total:
             break
     colors = tuple(rng.choice((GREEN, RED)) for _ in pts)
     return configuration(pts, colors, d)
+
+
+def line_tuples(incidence) -> list[tuple[int, ...]]:
+    """Each line's point indices, read from the incidence's CSR buffers."""
+    indptr, points = incidence.indptr.tolist(), incidence.points.tolist()
+    return [tuple(points[start:stop]) for start, stop in zip(indptr, indptr[1:])]
 
 
 def oracle_canonical_triple(
@@ -135,9 +141,9 @@ def reference_profile(config: ColoredConfiguration) -> LineProfile:
     """Per-line tally of the (green, red) cells over freshly enumerated
     exact lines: the reference for the array-based compute_profile."""
     cells: dict[tuple[int, int], int] = {}
-    for rec in enumerate_lines(config.points):
-        greens = sum(1 for idx in rec.point_indices if config.colors[idx] == GREEN)
-        cell = (greens, rec.size - greens)
+    for line in line_tuples(enumerate_lines(config.points)):
+        greens = sum(1 for idx in line if config.colors[idx] == GREEN)
+        cell = (greens, len(line) - greens)
         cells[cell] = cells.get(cell, 0) + 1
     return LineProfile.from_dict(cells, config.n, config.k)
 

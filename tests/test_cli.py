@@ -1,5 +1,4 @@
 import argparse
-import importlib
 import json
 import math
 import os
@@ -18,10 +17,11 @@ import equilines
 from equilines.bounds import BoundTheorem
 from equilines import profiles, search
 from equilines.cli import _build_parser, run_cli
+from equilines.errors import ConfigError
 from equilines.generators import generate, hesse
 from equilines.geometry import _is_prime
 from equilines.kernels import resolve_backend
-from equilines.points import GREEN, MAX_KEY_BITS, MAX_POINTS, RED, configuration
+from equilines.points import GREEN, MAX_KEY_BITS, MAX_POINTS, RED, check_key_bits, configuration
 from equilines.tables import IDENTITIES, Identity
 from equilines.reports import (
     analysis_document,
@@ -87,8 +87,6 @@ def test_parse_config_rejects_duplicates():
 
 
 def test_parse_config_errors():
-    from equilines.errors import ConfigError
-
     cases = [
         "not json",
         "[1, 2]",
@@ -104,8 +102,6 @@ def test_parse_config_errors():
 
 
 def test_parse_config_coordinate_types():
-    from equilines.errors import ConfigError
-
     def doc(coord):
         points = [{"coords": ["0", "0"], "color": "green"}, {"coords": ["1", coord], "color": "red"}]
         return json.dumps({"d": 5, "points": points})
@@ -480,6 +476,25 @@ def test_cli_rejects_oversized_coordinate_at_its_point(tmp_path, capsys):
     assert f"the limit is {MAX_KEY_BITS}" in err
 
 
+def test_key_bits_limit_is_exact():
+    # A component of MAX_KEY_BITS bits is accepted and one of a bit more
+    # rejected, both directly and as a coordinate of a parsed config.
+    edge = 2**MAX_KEY_BITS
+    assert check_key_bits([3, -(edge - 1)]) == edge - 1
+    message = f"needs {MAX_KEY_BITS + 1} bits; the limit is {MAX_KEY_BITS}"
+    for row in ([edge], [1, -edge]):
+        with pytest.raises(ConfigError, match=message):
+            check_key_bits(row)
+
+    def doc(x):
+        return dump_json({"d": 5, "points": [{"coords": [str(x), "0"], "color": "green"},
+                                             {"coords": ["0", "0"], "color": "red"}]})
+
+    assert parse_config(doc(edge - 1)).points[0].row == (edge - 1, 0, 0, 0, 1, 0)
+    with pytest.raises(ConfigError, match=f"^point 0: a coordinate {message}$"):
+        parse_config(doc(edge))
+
+
 @pytest.mark.parametrize(
     "coordinate", ["1" * 5000, "1/" + "1" * 5000, "1+" + "1" * 5000 + "*sqrt(5)"],
     ids=["numerator", "denominator", "sqrt-coefficient"],
@@ -513,17 +528,6 @@ def test_cli_rejects_config_above_point_limit_quickly(tmp_path, capsys):
     assert run_cli(["analyze", path]) == 2
     assert time.perf_counter() - start < 1.0
     assert f"limit of {MAX_POINTS}" in capsys.readouterr().err
-
-
-def test_every_exported_name_resolves():
-    assert set(equilines.__all__) <= set(dir(equilines))
-    for name in equilines.__all__:
-        assert hasattr(equilines, name), name
-        module = importlib.import_module(f"equilines.{equilines._MODULE_OF[name]}")
-        value = getattr(equilines, name)
-        assert value is getattr(module, name), name
-        # The table names the module that defines the name, not one that imports it.
-        assert getattr(value, "__module__", module.__name__) == module.__name__, name
 
 
 def test_cli_runs_as_module():

@@ -1,5 +1,7 @@
 import pytest
 
+from support import line_tuples
+
 from equilines.cli import run_cli
 from equilines.errors import ConfigError
 from equilines.generators import generate, grid, hesse, near_pencil, random_rational
@@ -27,7 +29,7 @@ def test_hesse():
     assert len(pts) == 9
     lines = enumerate_lines(pts)
     assert len(lines) == 12
-    assert all(rec.size == 3 for rec in lines)
+    assert all(len(line) == 3 for line in line_tuples(lines))
     assert pts[0].d == -3
 
 

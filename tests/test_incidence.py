@@ -2,11 +2,11 @@
 search, into one ``geometry.Incidence``, and ``kernels.build_incidence``
 adapts it once per search and never in an analysis; each analyzed
 config's profile is tallied, and its counting identities summed, once;
-parsing a config does no field arithmetic; no DeterminedLine is built
-unless a line is read; no run adds an attribute (a point-to-lines
-transpose, say) to an incidence; the kernels' arrays view the
-enumeration's buffers and grow with the incidences, not with lines times
-points; and the names that perfbench pins in the package still resolve."""
+parsing a config does no field arithmetic; no run adds an attribute (a
+point-to-lines transpose, say) to an incidence; the kernels' arrays view
+the enumeration's buffers and grow with the incidences, not with lines
+times points; and the names that perfbench pins in the package still
+resolve."""
 
 import dataclasses
 import importlib.util
@@ -64,20 +64,6 @@ def builds(monkeypatch):
 
     install(monkeypatch, original, counting)
     return calls
-
-
-@pytest.fixture
-def line_objects(monkeypatch):
-    """Arguments of every geometry.DeterminedLine construction."""
-    built = []
-    original = geometry.DeterminedLine
-
-    def counting(*args):
-        built.append(args)
-        return original(*args)
-
-    install(monkeypatch, original, counting)
-    return built
 
 
 def analyzed_configs():
@@ -157,25 +143,6 @@ def test_search_enumerates_once_per_spec(enumerations, mode):
     result = run_search(spec)
     assert result.best_report is not None
     assert enumerations == [9]
-
-
-def test_analysis_builds_no_line_objects(line_objects):
-    configs = analyzed_configs()
-    for config in configs:
-        analysis_document(config)
-    assert line_objects == []
-    # Reading a line is what builds one.
-    assert configs[0].incidence[0].size == 3
-    assert len(line_objects) == 1
-
-
-@pytest.mark.parametrize("mode", [EXHAUSTIVE, LOCAL])
-def test_search_builds_no_line_objects(line_objects, mode):
-    spec = SearchSpec(
-        points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode, budget=200
-    )
-    assert run_search(spec).best_report is not None
-    assert line_objects == []
 
 
 def test_analysis_builds_arrays_once_per_config(builds, monkeypatch):

@@ -26,7 +26,7 @@ def square_config():
 def test_profile_two_green_two_red():
     config = square_config()
     profile = compute_profile(config)
-    assert profile.as_dict() == {(2, 0): 1, (0, 2): 1, (1, 1): 4}
+    assert dict(profile.counts) == {(2, 0): 1, (0, 2): 1, (1, 1): 4}
     assert profile.n == 2 and profile.k == 0
     assert len(config.incidence) == 6
 
@@ -35,13 +35,13 @@ def test_profile_three_collinear():
     pts = tuple(affine_point(i, i, d=5) for i in range(3))
     config = configuration(pts, (GREEN, GREEN, RED), 5)
     profile = compute_profile(config)
-    assert profile.as_dict() == {(2, 1): 1}
+    assert dict(profile.counts) == {(2, 1): 1}
 
 
 def test_profile_hesse_all_green():
     config = configuration(hesse(), (GREEN,) * 9, -3)
     profile = compute_profile(config)
-    assert profile.as_dict() == {(3, 0): 12}
+    assert dict(profile.counts) == {(3, 0): 12}
     assert profile.n == 9 and profile.k == 9
 
 
@@ -59,7 +59,7 @@ def test_identities_single_line():
     pts = tuple(affine_point(i, 0, d=5) for i in range(2 * n - k))
     colors = (GREEN,) * n + (RED,) * (n - k)
     profile = compute_profile(configuration(pts, colors, 5))
-    assert profile.as_dict() == {(n, n - k): 1}
+    assert dict(profile.counts) == {(n, n - k): 1}
     report = verify_identities(profile)
     assert report.checks[0].lhs == n * (n - k)
     assert report.all_passed

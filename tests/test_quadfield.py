@@ -10,11 +10,8 @@ from equilines.quadfield import (
     QuadElement,
     format_element,
     is_squarefree,
-    one,
     parse_element,
     quad,
-    sqrt_d,
-    zero,
 )
 
 rationals = st.fractions(
@@ -41,42 +38,42 @@ def test_is_squarefree():
 
 
 def test_add_examples():
-    assert quad(Fraction(1, 2), d=5) + quad(Fraction(1, 2), d=5) == one(5)
-    assert sqrt_d(5) + (-sqrt_d(5)) == zero(5)
+    assert quad(Fraction(1, 2), d=5) + quad(Fraction(1, 2), d=5) == quad(1, d=5)
+    assert quad(0, 1, d=5) + (-quad(0, 1, d=5)) == quad(0, d=5)
     lhs = quad(Fraction(1, 3), Fraction(1, 6), d=5) + quad(Fraction(1, 6), Fraction(1, 3), d=5)
     assert lhs == quad(Fraction(1, 2), Fraction(1, 2), d=5)
 
 
 def test_mul_examples():
-    assert sqrt_d(-3) * sqrt_d(-3) == quad(-3, d=-3)
+    assert quad(0, 1, d=-3) * quad(0, 1, d=-3) == quad(-3, d=-3)
     x = quad(Fraction(2, 7), Fraction(-5, 3), d=2)
-    assert x * one(2) == x
+    assert x * quad(1, d=2) == x
     omega = quad(Fraction(-1, 2), Fraction(1, 2), d=-3)
-    assert omega * omega * omega == one(-3)
+    assert omega * omega * omega == quad(1, d=-3)
 
 
 def test_invert_examples():
     assert quad(2, d=5).invert() == quad(Fraction(1, 2), d=5)
-    assert sqrt_d(5).invert() == quad(0, Fraction(1, 5), d=5)
-    assert sqrt_d(-3).invert() == quad(0, Fraction(1, -3), d=-3)
+    assert quad(0, 1, d=5).invert() == quad(0, Fraction(1, 5), d=5)
+    assert quad(0, 1, d=-3).invert() == quad(0, Fraction(1, -3), d=-3)
     assert quad(1, 1, d=2).invert() == quad(-1, 1, d=2)
 
 
 def test_invert_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        zero(5).invert()
+        quad(0, d=5).invert()
 
 
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
-        one(5) + one(2)
+        quad(1, d=5) + quad(1, d=2)
     with pytest.raises(FieldMismatchError):
-        one(5) * one(-1)
+        quad(1, d=5) * quad(1, d=-1)
 
 
 def test_is_real():
     assert quad(Fraction(3, 4), 0, d=-1).is_real
-    assert not sqrt_d(-1).is_real
+    assert not quad(0, 1, d=-1).is_real
     assert quad(1, 1, d=5).is_real
 
 
@@ -98,11 +95,11 @@ def test_field_axioms(d, data):
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    assert x + zero(d) == x
-    assert x * one(d) == x
-    assert x + (-x) == zero(d)
+    assert x + quad(0, d=d) == x
+    assert x * quad(1, d=d) == x
+    assert x + (-x) == quad(0, d=d)
     if not x.is_zero:
-        assert x * x.invert() == one(d)
+        assert x * x.invert() == quad(1, d=d)
 
 
 @given(discs, st.data())
@@ -116,13 +113,13 @@ def test_invert_is_multiplicative(d, data):
 def test_parse_basic_forms():
     assert parse_element("3", 5) == quad(3, d=5)
     assert parse_element("-2/5", 5) == quad(Fraction(-2, 5), d=5)
-    assert parse_element("sqrt(-3)", -3) == sqrt_d(-3)
-    assert parse_element("-sqrt(2)", 2) == -sqrt_d(2)
+    assert parse_element("sqrt(-3)", -3) == quad(0, 1, d=-3)
+    assert parse_element("-sqrt(2)", 2) == -quad(0, 1, d=2)
     assert parse_element("1/2+1/2*sqrt(-3)", -3) == quad(
         Fraction(1, 2), Fraction(1, 2), d=-3
     )
     assert parse_element("1/2-sqrt(2)", 2) == quad(Fraction(1, 2), -1, d=2)
-    assert parse_element("0-1*sqrt(5)", 5) == -sqrt_d(5)
+    assert parse_element("0-1*sqrt(5)", 5) == -quad(0, 1, d=5)
     assert parse_element(" 1 + 2*sqrt(5) ", 5) == quad(1, 2, d=5)
 
 
@@ -204,8 +201,8 @@ def test_parse_rejects_zero_denominator(text):
 
 
 def test_parse_sign_zeros_and_whitespace():
-    assert parse_element("-0", 5) == zero(5)
-    assert parse_element("-0/7", 5) == zero(5)
+    assert parse_element("-0", 5) == quad(0, d=5)
+    assert parse_element("-0/7", 5) == quad(0, d=5)
     assert parse_element("007/0010", 5) == quad(Fraction(7, 10), d=5)
     assert parse_element("1 / 2 - 0 3 * sqrt ( 5 )", 5) == quad(Fraction(1, 2), -3, d=5)
 
@@ -219,7 +216,7 @@ def test_format_parse_round_trip(d, data):
 
 def test_format_examples():
     assert format_element(quad(3, d=5)) == "3"
-    assert format_element(sqrt_d(-3)) == "sqrt(-3)"
-    assert format_element(-sqrt_d(2)) == "-sqrt(2)"
+    assert format_element(quad(0, 1, d=-3)) == "sqrt(-3)"
+    assert format_element(-quad(0, 1, d=2)) == "-sqrt(2)"
     assert format_element(quad(Fraction(1, 2), Fraction(-1, 3), d=2)) == "1/2-1/3*sqrt(2)"
     assert format_element(QuadElement(Fraction(0), Fraction(-2), 5)) == "-2*sqrt(5)"

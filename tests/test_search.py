@@ -23,7 +23,7 @@ from support import (
 )
 
 import equilines
-from equilines import search
+from equilines import kernels, search
 from equilines.bounds import verdict
 from equilines.cli import run_cli
 from equilines.errors import ConfigError, SearchCapError
@@ -91,15 +91,16 @@ def test_incidence_arrays_match_lines(monkeypatch):
             assert csr.total_points == base.total_points
             point_indptr, point_lines = support.point_transpose(csr)
             assert csr.indptr[-1] == csr.points.shape[0] == point_lines.shape[0]
-            for li, rec in enumerate(base):
+            lines = support.line_tuples(base)
+            for li, line in enumerate(lines):
                 start, stop = csr.indptr[li], csr.indptr[li + 1]
-                assert csr.points[start:stop].tolist() == list(rec.point_indices)
+                assert csr.points[start:stop].tolist() == list(line)
             # The reference algorithms' transpose: each point's lines in line order.
             for p in range(base.total_points):
-                expected = [li for li, rec in enumerate(base) if p in rec.point_indices]
+                expected = [li for li, line in enumerate(lines) if p in line]
                 start, stop = point_indptr[p], point_indptr[p + 1]
                 assert point_lines[start:stop].tolist() == expected
-            sizes = [rec.size for rec in base]
+            sizes = [len(line) for line in lines]
             assert np.diff(csr.indptr).tolist() == sizes
             assert list(base.size_counts.items()) == [
                 (m, sizes.count(m)) for m in sorted(set(sizes))
@@ -411,6 +412,24 @@ def test_exhaustive_backend_equivalence():
         assert (a.colorings_examined, a.violations) == (b.colorings_examined, b.violations)
 
 
+@pytest.mark.parametrize("points,k", [(grid(3), 1), (hesse(), 1)], ids=["grid3", "hesse"])
+def test_exhaustive_scan_keeps_the_first_minimum_across_chunks(monkeypatch, points, k):
+    # Chunks of one coloring each: a later chunk whose minimum only ties the
+    # best so far must not take its place.
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 64)
+    base = enumerate_lines(points)
+    csr = build_incidence(base)
+    assert kernels._CHUNK_ELEMENTS // len(csr.points) <= 1
+    n_green = (len(points) + k) // 2
+    _, _, bound = verdict(BoundTheorem.EQUI_SIX, n_green, k, base)
+    sel = selection_table(base.size_counts, theorem_info(BoundTheorem.EQUI_SIX).query)
+    args = (csr, sel, n_green, bound.numerator, bound.denominator)
+    best, combo, violations, examined = exhaustive_scan(*args)
+    oracle_best, oracle_combo, oracle_violations, oracle_examined = support.oracle_exhaustive_scan(*args)
+    assert (best, violations, examined) == (oracle_best, oracle_violations, oracle_examined)
+    assert combo.tolist() == oracle_combo.tolist()
+
+
 def test_use_kernels_reaches_the_oracles(monkeypatch):
     # Under "oracle" each search runs its oracle exactly once, and under
     # "kernel" never; otherwise a kernel-versus-oracle test would compare
@@ -455,7 +474,7 @@ def test_color_swap_symmetry_for_balanced_colorings():
     flipped = tuple("red" if c == GREEN else GREEN for c in colors)
     p1 = compute_profile(configuration(base, colors, 5))
     p2 = compute_profile(configuration(base, flipped, 5))
-    assert p1.as_dict() == {(j, i): c for (i, j), c in p2.as_dict().items()}
+    assert dict(p1.counts) == {(j, i): c for (i, j), c in p2.counts}
     for r, mp in ((1, 6), (2, 4), (1, None)):
         query = EquichromaticQuery(r, mp)
         assert count_equichromatic(p1, query) == count_equichromatic(p2, query)
