@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .tables import (
-    EQUI_FOUR_SUPPORT_CELLS,
-    BoundTheorem,
-    LineProfile,
-    bound_value,
-    count_equichromatic,
-    gate,
-    theorem_info,
-)
+from .tables import THEOREMS, BoundTheorem, LineProfile, bound_value, count_equichromatic, gate
 
 if TYPE_CHECKING:
     from .geometry import Incidence
@@ -37,7 +29,7 @@ class BoundReport:
     bound: Fraction
     actual: int
     satisfied: bool | None
-    # Count over EQUI_FOUR_SUPPORT_CELLS only; None for other theorems.
+    # Count over the theorem row's support_cells; None where it has none.
     support_actual: int | None = None
 
     @property
@@ -60,9 +52,9 @@ def verdict(
     all independent of which points carry which color, so one verdict
     covers every coloring of a point set with the same (n, k).
     """
-    info = theorem_info(theorem)
-    applicable, detail = gate(info.gate, incidence, 2 * n - k, "limit")
-    t = len(incidence) if info.needs_total_lines else None
+    row = THEOREMS[theorem]
+    applicable, detail = gate(row.gate, incidence, 2 * n - k, "limit")
+    t = len(incidence) if row.needs_total_lines else None
     return applicable, detail, bound_value(theorem, n, k, t)
 
 
@@ -71,12 +63,10 @@ def evaluate_bound(
 ) -> BoundReport:
     """Compare the actual equichromatic count against the theorem's bound."""
     applicable, detail, bound = verdict(theorem, config.n, config.k, config.incidence)
-    actual = count_equichromatic(profile, theorem_info(theorem).query)
-    support = None
-    if theorem is BoundTheorem.EQUI_FOUR:
-        support = sum(
-            c for (i, j), c in profile.counts if (i, j) in EQUI_FOUR_SUPPORT_CELLS
-        )
+    row = THEOREMS[theorem]
+    actual = count_equichromatic(profile, row.query)
+    cells = row.support_cells
+    support = None if cells is None else sum(c for cell, c in profile.counts if cell in cells)
     return BoundReport(
         theorem=theorem,
         applicable=applicable,

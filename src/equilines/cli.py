@@ -29,9 +29,6 @@ from .reports import (
 )
 from .tables import TEMPLATES, BoundTheorem, InequalityKind
 
-_INEQUALITY_NAMES = {kind.value: kind for kind in InequalityKind}
-_THEOREM_NAMES = {th.value: th for th in BoundTheorem}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -54,18 +51,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="evaluate one inequality")
     p.add_argument("file", metavar="FILE")
-    p.add_argument(
-        "--inequality", required=True, choices=sorted(_INEQUALITY_NAMES)
-    )
+    p.add_argument("--inequality", required=True, choices=sorted(k.value for k in InequalityKind))
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate one bound theorem")
     p.add_argument("file", metavar="FILE")
-    p.add_argument("--theorem", required=True, choices=sorted(_THEOREM_NAMES))
+    p.add_argument("--theorem", required=True, choices=sorted(th.value for th in BoundTheorem))
 
     p = sub.add_parser("search", parents=[common], help="search colorings of a base set")
     p.add_argument("--generator", required=True, metavar="SPEC")
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--theorem", required=True, choices=sorted(_THEOREM_NAMES))
+    p.add_argument("--theorem", required=True, choices=sorted(th.value for th in BoundTheorem))
     p.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
@@ -88,10 +83,13 @@ def _emit(doc: dict, fmt: str, decimal: bool) -> None:
 def _load_config(args, path: str):
     """Parse the config at path; args keeps it for the reproducer."""
     p = Path(path)
-    if not p.is_file():
-        raise EquilinesError(f"not a file: {path}" if p.exists() else f"no such file: {path}")
     try:
+        # Checked first: reading a FIFO would block.
+        if not p.is_file():
+            raise EquilinesError(f"not a file: {path}" if p.exists() else f"no such file: {path}")
         text = p.read_text(encoding="utf-8")
+    except OSError as exc:  # a name too long, a file we may not read
+        raise EquilinesError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise EquilinesError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
@@ -121,7 +119,7 @@ def _cmd_verify(args) -> int:
 
     config = _load_config(args, args.file)
     compute_profile(config)  # its counting identities cross-check the lines
-    report = evaluate(_INEQUALITY_NAMES[args.inequality], config)
+    report = evaluate(InequalityKind(args.inequality), config)
     doc = {
         "summary": summary_section(config),
         "inequalities": [inequality_section(report)],
@@ -136,7 +134,7 @@ def _cmd_bounds(args) -> int:
 
     config = _load_config(args, args.file)
     profile = compute_profile(config)
-    report = evaluate_bound(_THEOREM_NAMES[args.theorem], config, profile)
+    report = evaluate_bound(BoundTheorem(args.theorem), config, profile)
     doc = {
         "summary": summary_section(config),
         "bounds": [bound_section(report)],
@@ -153,7 +151,7 @@ def _cmd_search(args) -> int:
     spec = SearchSpec(
         points=generate(args.generator),
         k=args.k,
-        theorem=_THEOREM_NAMES[args.theorem],
+        theorem=BoundTheorem(args.theorem),
         mode=args.mode,
         seed=args.seed,
         budget=budget,
@@ -167,7 +165,7 @@ def _cmd_proofcheck(args) -> int:
     from .proofcheck import verify_sign_claim
 
     try:
-        cert = verify_sign_claim(_THEOREM_NAMES[args.theorem])
+        cert = verify_sign_claim(BoundTheorem(args.theorem))
     except ClaimRefutedError as exc:
         sys.stdout.write(f"claim refuted: {exc}\n")
         return 1

@@ -13,32 +13,33 @@ import random
 import re
 from fractions import Fraction
 from math import gcd
+from typing import Callable
 
 from .errors import ConfigError
 from .points import ProjPoint, affine_point, check_point_count
 from .quadfield import quad
 
-DEFAULT_RATIONAL_D = 5
+RATIONAL_D = 5
 HESSE_D = -3
 
 
-def grid(m: int, d: int = DEFAULT_RATIONAL_D) -> tuple[ProjPoint, ...]:
+def grid(m: int) -> tuple[ProjPoint, ...]:
     """The m x m affine integer grid."""
     if m < 1:
         raise ValueError("grid size must be >= 1")
     check_point_count(m * m)
     return tuple(
-        affine_point(x, y, d=d) for x in range(m) for y in range(m)
+        affine_point(x, y, d=RATIONAL_D) for x in range(m) for y in range(m)
     )
 
 
-def near_pencil(total: int, d: int = DEFAULT_RATIONAL_D) -> tuple[ProjPoint, ...]:
+def near_pencil(total: int) -> tuple[ProjPoint, ...]:
     """total - 1 collinear points on y = 0 plus the single point (0, 1)."""
     if total < 3:
         raise ValueError("a near-pencil needs at least 3 points")
     check_point_count(total)
-    pts = [affine_point(x, 0, d=d) for x in range(total - 1)]
-    pts.append(affine_point(0, 1, d=d))
+    pts = [affine_point(x, 0, d=RATIONAL_D) for x in range(total - 1)]
+    pts.append(affine_point(0, 1, d=RATIONAL_D))
     return tuple(pts)
 
 
@@ -61,9 +62,7 @@ def hesse() -> tuple[ProjPoint, ...]:
     return tuple(pts)
 
 
-def random_rational(
-    total: int, seed: int, bound: int, d: int = DEFAULT_RATIONAL_D
-) -> tuple[ProjPoint, ...]:
+def random_rational(total: int, seed: int, bound: int) -> tuple[ProjPoint, ...]:
     """total distinct affine points with rational coordinates whose
     numerators and denominators are bounded by the given bound; seeded."""
     if total < 1:
@@ -93,7 +92,7 @@ def random_rational(
     pts: list[ProjPoint] = []
     seen: set[ProjPoint] = set()
     while len(pts) < total:
-        p = affine_point(coord(), coord(), d=d)
+        p = affine_point(coord(), coord(), d=RATIONAL_D)
         if p not in seen:
             seen.add(p)
             pts.append(p)
@@ -101,37 +100,29 @@ def random_rational(
 
 
 _SPEC_RE = re.compile(r"^(?P<name>[a-z_]+)(?:\((?P<args>[^)]*)\))?$")
+GENERATORS: dict[str, Callable[..., tuple[ProjPoint, ...]]] = {
+    "grid": grid,
+    "near_pencil": near_pencil,
+    "hesse": hesse,
+    "random_rational": random_rational,
+}
 
 
 def generate(spec: str) -> tuple[ProjPoint, ...]:
-    """Build a point set from a spec string.
-
-    Accepted forms: "grid(m)", "near_pencil(N)", "hesse",
-    "random_rational(N,seed,B)".
-    """
+    """Build a point set from a spec string: a name of ``GENERATORS``, with
+    its integer arguments in parentheses ("grid(m)", "near_pencil(N)",
+    "hesse", "random_rational(N,seed,B)")."""
     m = _SPEC_RE.match(spec.strip().replace(" ", ""))
     if not m:
         raise ConfigError(f"cannot parse generator spec {spec!r}")
-    name = m.group("name")
-    raw_args = m.group("args")
+    name, raw_args = m.group("name", "args")
     try:
         args = [int(a) for a in raw_args.split(",")] if raw_args else []
     except ValueError:
         raise ConfigError(f"generator arguments must be integers: {spec!r}") from None
+    if name not in GENERATORS:
+        raise ConfigError(f"unknown generator {name!r}")
     try:
-        if name == "grid":
-            (size,) = args
-            return grid(size)
-        if name == "near_pencil":
-            (total,) = args
-            return near_pencil(total)
-        if name == "hesse":
-            if args:
-                raise ConfigError("hesse takes no arguments")
-            return hesse()
-        if name == "random_rational":
-            total, seed, bound = args
-            return random_rational(total, seed, bound)
-    except (ValueError, TypeError) as exc:
+        return GENERATORS[name](*args)
+    except (ValueError, TypeError) as exc:  # a TypeError is a wrong number of arguments
         raise ConfigError(f"bad arguments in generator spec {spec!r}: {exc}") from None
-    raise ConfigError(f"unknown generator {name!r}")

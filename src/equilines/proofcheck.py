@@ -30,18 +30,12 @@ from .tables import (
     IDENTITIES,
     INEQUALITIES,
     TEMPLATES,
+    THEOREMS,
     BoundTheorem,
     Cell,
     InequalityTemplate,
     bound_value,
-    theorem_info,
 )
-
-
-def template_for(theorem: BoundTheorem) -> InequalityTemplate:
-    if theorem not in TEMPLATES:
-        raise ValueError(f"no coefficient template for {theorem.value}")
-    return TEMPLATES[theorem]
 
 
 @dataclass(frozen=True)
@@ -148,18 +142,18 @@ def verify_sign_claim(theorem: BoundTheorem) -> SignCertificate:
     most 2 in each of n and k, so agreement on a 3 x 3 grid proves it.
     Raises ClaimRefutedError naming the step that failed.
     """
-    tpl = template_for(theorem)
+    tpl = TEMPLATES[theorem]
     cert = verify_template_sign_claim(tpl)
-    info = theorem_info(theorem)
-    if info.gate is not tpl.inequality[1]:
+    row = THEOREMS[theorem]
+    if row.gate is not tpl.inequality[1]:
         raise ClaimRefutedError(
-            f"{tpl.name} gate: the theorem is gated by {info.gate.value}, "
+            f"{tpl.name} gate: the theorem is gated by {row.gate.value}, "
             f"the template combines {tpl.inequality[1].value}"
         )
     for cell, _ in cert.exceptional_cells:
-        if not info.query.selects(*cell):
+        if not row.query.selects(*cell):
             raise ClaimRefutedError(
-                f"{tpl.name} query: exceptional cell {cell} is not selected by {info.query}",
+                f"{tpl.name} query: exceptional cell {cell} is not selected by {row.query}",
                 cell,
             )
     for n, k in product((2, 3, 4), (0, 1, 2)):

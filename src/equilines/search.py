@@ -1,22 +1,22 @@
 """Coloring search over a fixed base point set.
 
-``run_search`` is the one entry point.  It checks both search caps,
-enumerates the base set's lines once into one ``Incidence`` and takes the
-theorem's verdict from ``bounds.verdict``.  Applicability depends only on
-the base set and (n, k), never on the coloring: if the gate fails, every
-coloring is inapplicable, the result says so, and no kernel runs.
-Otherwise the kernels read that incidence's line CSR as numpy arrays,
-adapted once by ``kernels.build_incidence`` (no array of lines times
-points is built).  Exhaustive mode evaluates every coloring with the
-requested (n, k); local mode runs a seeded hill-descent with green/red
-swap moves drawn from the package's own PCG64 stream (``pcg64``), which
-gives numpy's PCG64 Generator draws without importing them.  Both
-minimize the bound slack, which for a fixed base set and fixed (n, k) is
-equivalent to minimizing the selected-line count, so the hot loop runs
-in the array kernels.  The winning coloring is
-re-evaluated through ``bounds.evaluate_bound`` on the same incidence,
-and the two counts must agree; a mismatch raises, so the fast kernels
-never stand unchecked.
+``run_search`` is the one entry point.  It runs a ``SearchSpec``, which
+checks every search limit when it is made.  It enumerates the base set's
+lines once into one ``Incidence`` and takes the theorem's verdict from
+``bounds.verdict``.  Applicability depends only on the base set and
+(n, k), never on the coloring: if the gate fails, every coloring is
+inapplicable, the result says so, and no kernel runs.  Otherwise the
+kernels read that incidence's line CSR as numpy arrays, adapted once by
+``kernels.build_incidence`` (no array of lines times points is built).
+Exhaustive mode evaluates every coloring with the requested (n, k);
+local mode runs a seeded hill-descent with green/red swap moves drawn
+from the package's own PCG64 stream (``pcg64``), which gives numpy's
+PCG64 Generator draws without importing them.  Both minimize the bound
+slack, which for a fixed base set and fixed (n, k) is equivalent to
+minimizing the selected-line count, so the hot loop runs in the array
+kernels.  The winning coloring is re-evaluated through
+``bounds.evaluate_bound`` on the same incidence, and the two counts must
+agree; a mismatch raises, so the fast kernels never stand unchecked.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .pcg64 import PCG64
 from .points import GREEN, RED, ColoredConfiguration, ProjPoint, check_point_count
 from .profiles import compute_profile
 from .quadfield import Discriminant
-from .tables import BoundTheorem, theorem_info
+from .tables import THEOREMS, BoundTheorem
 
 EXHAUSTIVE = "exhaustive"
 LOCAL = "local"
@@ -47,7 +47,8 @@ MAX_LOCAL_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """A base point set, a color balance k, a theorem, and a search mode."""
+    """A base point set, a color balance k, a theorem, and a search mode,
+    checked against every search limit when it is made."""
 
     points: tuple[ProjPoint, ...]
     k: int
@@ -74,6 +75,20 @@ class SearchSpec:
             raise ValueError("budget must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # A budget or C(N, n) can run to hundreds of digits: the messages
+        # name the cap and the binomial.  MAX_LOCAL_BUDGET < MAX_COLORINGS,
+        # so a local budget bounds its colorings too.
+        check_point_count(self.total)
+        count = self.coloring_count()
+        if self.mode == LOCAL and self.budget > MAX_LOCAL_BUDGET:
+            raise SearchCapError(
+                f"local search budget exceeds the cap of {MAX_LOCAL_BUDGET} moves", count
+            )
+        if self.mode == EXHAUSTIVE and count > MAX_COLORINGS:
+            raise SearchCapError(
+                f"exhaustive search over C({self.total}, {self.n_green}) colorings "
+                f"exceeds the cap {MAX_COLORINGS}", count,
+            )
 
     @property
     def total(self) -> int:
@@ -147,7 +162,7 @@ def _move_blocks(
     below n_red (red slots) that one integers(size=budget) call each would
     give, in that order.  A bounded draw takes a variable number of words,
     so the red stream starts where the green slots end: those are drawn
-    first, once, into a uint16 buffer of 2 bytes a move (run_search has
+    first, once, into a uint16 buffer of 2 bytes a move (the spec has
     checked n <= MAX_POINTS)."""
     starts = range(0, budget, _MOVE_BLOCK)
     green = np.empty(budget, dtype=np.uint16)
@@ -168,25 +183,10 @@ def run_search(spec: SearchSpec) -> SearchResult:
     construction, and the budget counts proposed moves beyond the initial
     coloring, rejected proposals included.
     """
-    # Before any work: the caps bound the time of any request.
-    check_point_count(spec.total)
-    count = spec.coloring_count()
-    if count > MAX_COLORINGS:
-        # C(N, n) and a local budget can run to hundreds of digits; the
-        # message names the count, or its power of ten, instead.
-        what = (f"C({spec.total}, {spec.n_green})" if spec.mode == EXHAUSTIVE
-                else count if count < 10**40 else f"about 10^{round(math.log10(count))}")
-        raise SearchCapError(
-            f"{spec.mode} search over {what} colorings exceeds the cap {MAX_COLORINGS}", count
-        )
-    if spec.mode == LOCAL and spec.budget > MAX_LOCAL_BUDGET:
-        raise SearchCapError(
-            f"{spec.budget} local moves exceed the budget cap {MAX_LOCAL_BUDGET}", count
-        )
-    # numpy is loaded anyway, and with it the sort path costs little more on
-    # small sets and far less on large ones: 0.9 against 0.5 ms for the
-    # pencils on grid(5), 14 against 54 ms on random_rational(300, 0, 9)
-    # (best of 30, 2-core x86_64).
+    # numpy is loaded anyway, and with it the sort path is as fast on small
+    # sets and far faster on large ones: 0.6 against 0.7 ms for the pencils
+    # on grid(5), 12 against 44 ms on random_rational(300, 0, 9) (best of
+    # 30 in one process, 2-core x86_64).
     base = enumerate_lines(spec.points, sort=True)
     applicable, detail, bound = verdict(spec.theorem, spec.n_green, spec.k, base)
     if not applicable:
@@ -194,7 +194,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
             spec, best_colors=None, best_report=None, colorings_examined=0,
             violations=0, all_inapplicable=True, precondition_detail=detail,
         )
-    sel = selection_table(base.size_counts, theorem_info(spec.theorem).query)
+    sel = selection_table(base.size_counts, THEOREMS[spec.theorem].query)
     arrays = build_incidence(base)
     if spec.mode == EXHAUSTIVE:
         best_actual, best_green, violations, examined = exhaustive_scan(

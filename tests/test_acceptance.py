@@ -92,7 +92,8 @@ def test_criterion_3_hesse_oracle():
 def test_criterion_4_exhaustive_bound_verification():
     from support import brute_force_scan
 
-    from equilines.bounds import bound_value, theorem_info
+    from equilines.bounds import bound_value
+    from equilines.tables import THEOREMS
 
     start = time.perf_counter()
     bases = [("grid(3)", grid(3))]
@@ -120,7 +121,7 @@ def test_criterion_4_exhaustive_bound_verification():
     # exact profile path and compare with the kernel scan
     spec = SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX)
     result = run_search(spec)
-    info = theorem_info(spec.theorem)
+    info = THEOREMS[spec.theorem]
     best, combo, violations, examined = brute_force_scan(
         spec.points, spec.n_green, info.query, bound_value(spec.theorem, spec.n_green, 1)
     )

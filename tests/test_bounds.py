@@ -5,20 +5,15 @@ import pytest
 
 from support import random_config
 
-from equilines.bounds import (
-    EQUI_FOUR_SUPPORT_CELLS,
-    BoundTheorem,
-    bound_value,
-    evaluate_all_bounds,
-    evaluate_bound,
-    theorem_info,
-    verdict,
-)
+from equilines.bounds import BoundTheorem, bound_value, evaluate_all_bounds, evaluate_bound, verdict
 from equilines.generators import grid, hesse
 from equilines.geometry import enumerate_lines
 from equilines.points import GREEN, RED, affine_point, configuration
 from equilines.profiles import compute_profile
-from equilines.tables import EQUI_FOUR_TEMPLATE, EQUI_SIX_TEMPLATE
+from equilines.tables import TEMPLATES, THEOREMS
+
+EQUI_SIX_TEMPLATE = TEMPLATES[BoundTheorem.EQUI_SIX]
+EQUI_FOUR_TEMPLATE = TEMPLATES[BoundTheorem.EQUI_FOUR]
 
 
 def square_config():
@@ -104,7 +99,7 @@ def test_hesse_all_green_bounds():
 
 
 def test_equi_six_query_cells_match_certificate_cells():
-    query = theorem_info(BoundTheorem.EQUI_SIX).query
+    query = THEOREMS[BoundTheorem.EQUI_SIX].query
     selected = {
         (i, j)
         for i in range(0, 12)
@@ -115,15 +110,16 @@ def test_equi_six_query_cells_match_certificate_cells():
 
 
 def test_equi_four_query_cells_are_support_plus_zero_cells():
-    query = theorem_info(BoundTheorem.EQUI_FOUR).query
+    row = THEOREMS[BoundTheorem.EQUI_FOUR]
+    query = row.query
     selected = {
         (i, j)
         for i in range(0, 12)
         for j in range(0, 12)
         if i + j <= 10 and query.selects(i, j)
     }
-    assert selected == EQUI_FOUR_SUPPORT_CELLS | {(1, 3), (3, 1)}
-    assert set(EQUI_FOUR_TEMPLATE.claimed_cells) == EQUI_FOUR_SUPPORT_CELLS
+    assert selected == row.support_cells | {(1, 3), (3, 1)}
+    assert set(EQUI_FOUR_TEMPLATE.claimed_cells) == row.support_cells
 
 
 def test_equi_four_support_count_excludes_zero_weight_cells():

@@ -15,7 +15,7 @@ from support import KERNELS, run_with_kernels
 
 import equilines
 from equilines.bounds import BoundTheorem
-from equilines import profiles, search
+from equilines import geometry, profiles, search
 from equilines.cli import _build_parser, run_cli
 from equilines.errors import ConfigError
 from equilines.generators import generate, hesse
@@ -185,6 +185,25 @@ def test_cli_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no such file: missing.json\n"
     assert run_cli(["analyze", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: not a file: {tmp_path}\n"
+
+
+def test_cli_path_too_long_exits_two(capsys):
+    # is_file() itself raises on a name the file system refuses.
+    name = "a" * 5000
+    assert run_cli(["analyze", name]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {name}: File name too long\n"
+
+
+def test_cli_unreadable_file_exits_two(tmp_path, monkeypatch, capsys):
+    # File modes do not stop root, so the refused read is simulated.
+    path = write_config(tmp_path, "square.json", square_doc())
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert run_cli(["bounds", path, "--theorem", "equisix"]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: Permission denied\n"
 
 
 def test_cli_bad_json(tmp_path, capsys):
@@ -359,6 +378,19 @@ def test_cli_analyze_failed_identity_exits_one(tmp_path, monkeypatch, capsys):
     assert parse_config(reproducer) == parse_config(dump_json(square_doc()))
 
 
+def test_cli_analyze_without_a_separating_prime_prints_a_reproducer(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(geometry, "_MAX_PRIMES", 0)
+    path = write_config(tmp_path, "square.json", square_doc())
+    assert run_cli(["analyze", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert err[0] == "error: internal inconsistency: no prime of 0 separated the lines"
+    assert parse_config(err[1].removeprefix("reproduce: ")) == parse_config(dump_json(square_doc()))
+
+
 @pytest.mark.parametrize(
     "command, options",
     [("analyze", []), ("verify", ["--inequality", "langer"]),
@@ -408,7 +440,7 @@ def test_cli_rejects_infeasible_random_rational_quickly(capsys):
     "argv, limit",
     [
         (["search", "--generator", "grid(3)", "--k", "1", "--theorem", "equisix",
-          "--mode", "local", "--budget", "1000000000"], "cap 10000000"),
+          "--mode", "local", "--budget", "1000000000"], "cap of 1000000 moves"),
         (["generate", "--name", "grid(400)"], f"limit of {MAX_POINTS}"),
         (["search", "--generator", "random_rational(5000,0,9)", "--k", "0",
           "--theorem", "equisix"], f"limit of {MAX_POINTS}"),
@@ -417,7 +449,7 @@ def test_cli_rejects_infeasible_random_rational_quickly(capsys):
          "cap 10000000"),
         # Within the coloring cap, but about two minutes of plateau moves.
         (["search", "--generator", "random_rational(18,1,9)", "--k", "0", "--theorem",
-          "equisix", "--mode", "local", "--budget", "9999999"], "budget cap 1000000"),
+          "equisix", "--mode", "local", "--budget", "9999999"], "cap of 1000000 moves"),
     ],
     ids=["local-budget", "generate-points", "search-points", "exhaustive-colorings",
          "local-moves"],
@@ -430,13 +462,13 @@ def test_cli_rejects_oversized_requests_quickly(argv, limit, capsys):
 
 
 def test_cli_local_cap_names_a_huge_count_briefly(capsys):
-    # budget + 1 = 10^300 colorings: named by its power of ten, not its 301 digits.
+    # A 300-digit budget: the message names the cap, not the budget's digits.
     argv = ["search", "--generator", "grid(3)", "--k", "1", "--theorem", "equisix",
             "--mode", "local", "--budget", "9" * 300]
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert len(err.encode()) < 200, err
-    assert "local search over about 10^300 colorings exceeds the cap 10000000" in err
+    assert err == "error: local search budget exceeds the cap of 1000000 moves\n"
 
 
 def test_cli_rejects_coordinates_above_key_limit_quickly(tmp_path, capsys):

@@ -59,6 +59,21 @@ def test_generate_rejects_bad_specs():
             generate(bad)
 
 
+def test_generate_rejects_a_wrong_number_of_arguments(capsys):
+    # The builders take only the spec's arguments: no spec chooses the field.
+    for spec, message in (
+        ("grid(4,4)", "grid() takes 1 positional argument but 2 were given"),
+        ("random_rational(8,3,5,7)", "random_rational() takes 3 positional arguments but 4 were given"),
+        ("hesse(1)", "hesse() takes 0 positional arguments but 1 was given"),
+        ("near_pencil", "near_pencil() missing 1 required positional argument: 'total'"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            generate(spec)
+        assert str(exc.value) == f"bad arguments in generator spec {spec!r}: {message}"
+    assert run_cli(["generate", "--name", "grid(4,4)"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad arguments in generator spec 'grid(4,4)'")
+
+
 def test_generators_reject_more_points_than_the_limit():
     assert len(near_pencil(MAX_POINTS)) == MAX_POINTS
     limit = f"limit of {MAX_POINTS}"

@@ -27,6 +27,7 @@ from equilines.errors import (
     DuplicatePointError,
     FieldMismatchError,
     InsufficientPointsError,
+    InternalInconsistencyError,
 )
 from equilines.generators import grid, hesse, near_pencil
 from equilines.geometry import enumerate_lines, row_cross, row_det
@@ -346,6 +347,20 @@ def test_pencil_and_sort_paths_agree(monkeypatch, points):
         seen.append((incidence.indptr.tolist(), incidence.points.tolist(),
                      incidence.size_counts, compute_profile(config).counts))
     assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_enumeration_gives_up_when_no_prime_separates_the_lines(monkeypatch, path):
+    # Every prime the path tries merges lines: after _MAX_PRIMES primes the
+    # enumeration stops with an internal error that names the count.
+    use_path(monkeypatch, path)
+    module, name = {"pencil": (pencil, "pencil_lines"), "sort": (sort, "sort_lines")}[path]
+    tried = []
+    monkeypatch.setattr(module, name, lambda rows, d, res, p: tried.append(p))
+    monkeypatch.setattr(geometry, "_MAX_PRIMES", 5)
+    with pytest.raises(InternalInconsistencyError, match="^no prime of 5 separated the lines$"):
+        enumerate_lines(grid(3))
+    assert 0 < len(tried) <= 5
 
 
 def test_path_cases_lie_on_both_sides_of_the_crossover():

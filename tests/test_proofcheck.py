@@ -4,15 +4,15 @@ from math import comb
 
 import pytest
 
-from equilines import proofcheck, tables
+from equilines import proofcheck
 from equilines.cli import run_cli
 from equilines.errors import ClaimRefutedError
-from equilines.proofcheck import template_for, verify_sign_claim, verify_template_sign_claim
+from equilines.proofcheck import verify_sign_claim, verify_template_sign_claim
 from equilines.tables import (
-    EQUI_FOUR_TEMPLATE,
-    EQUI_SIX_TEMPLATE,
     IDENTITIES,
     INEQUALITIES,
+    TEMPLATES,
+    THEOREMS,
     BoundTheorem,
     EquichromaticQuery,
     Identity,
@@ -22,6 +22,8 @@ from equilines.tables import (
 )
 
 HIRZEBRUCH_LINEAR = InequalityKind.HIRZEBRUCH_LINEAR
+EQUI_SIX_TEMPLATE = TEMPLATES[BoundTheorem.EQUI_SIX]
+EQUI_FOUR_TEMPLATE = TEMPLATES[BoundTheorem.EQUI_FOUR]
 
 
 def _set_side(monkeypatch, kind, side, **fields):
@@ -57,13 +59,13 @@ def verify_identity_simplification(window: int) -> bool:
 
 def rhs_check(theorem: BoundTheorem, n: int, k: int) -> tuple[Fraction, Fraction]:
     """The template's combined RHS and the count bound RHS / extreme."""
-    tpl = template_for(theorem)
+    tpl = TEMPLATES[theorem]
     combined = tpl.rhs(n, k)
     return combined, combined / max(tpl.claimed_cells.values(), key=abs)
 
 
 def test_equi_six_table_reference_values():
-    alpha = template_for(BoundTheorem.EQUI_SIX).coefficient
+    alpha = TEMPLATES[BoundTheorem.EQUI_SIX].coefficient
     assert alpha(1, 1) == -2
     assert alpha(1, 2) == -2 and alpha(2, 1) == -2
     assert alpha(2, 2) == -2
@@ -77,7 +79,7 @@ def test_equi_six_table_reference_values():
 
 
 def test_equi_four_table_reference_values():
-    alpha = template_for(BoundTheorem.EQUI_FOUR).coefficient
+    alpha = TEMPLATES[BoundTheorem.EQUI_FOUR].coefficient
     assert alpha(1, 1) == 6
     assert alpha(2, 2) == 4
     assert alpha(0, 2) == 2 and alpha(2, 0) == 2
@@ -202,9 +204,13 @@ def test_pair_imbalance_matches_binomials():
             assert pair_imbalance_coefficient(i, j) == comb(i, 2) + comb(j, 2) - i * j
 
 
-def test_templates_not_available_for_other_theorems():
-    with pytest.raises(ValueError):
-        template_for(BoundTheorem.PS1)
+def test_templates_not_available_for_other_theorems(capsys):
+    # Only EQUI_SIX and EQUI_FOUR have a template, and the CLI offers no other.
+    assert set(TEMPLATES) == {BoundTheorem.EQUI_SIX, BoundTheorem.EQUI_FOUR}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["proofcheck", "--theorem", "ps1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ps1'" in capsys.readouterr().err
 
 
 def _corrupt_identity(monkeypatch):
@@ -217,15 +223,15 @@ def _corrupt_inequality(monkeypatch):
 
 
 def _corrupt_query(monkeypatch):
-    info = tables.theorem_info(BoundTheorem.EQUI_SIX)
-    corrupted = dataclasses.replace(info, query=EquichromaticQuery(1, 5))
-    monkeypatch.setitem(tables._INFO, BoundTheorem.EQUI_SIX, corrupted)
+    row = THEOREMS[BoundTheorem.EQUI_SIX]
+    corrupted = dataclasses.replace(row, query=EquichromaticQuery(1, 5))
+    monkeypatch.setitem(THEOREMS, BoundTheorem.EQUI_SIX, corrupted)
 
 
 def _corrupt_gate(monkeypatch):
-    info = tables.theorem_info(BoundTheorem.EQUI_SIX)
-    corrupted = dataclasses.replace(info, gate=InequalityKind.HIRZEBRUCH_QUADRATIC)
-    monkeypatch.setitem(tables._INFO, BoundTheorem.EQUI_SIX, corrupted)
+    row = THEOREMS[BoundTheorem.EQUI_SIX]
+    corrupted = dataclasses.replace(row, gate=InequalityKind.HIRZEBRUCH_QUADRATIC)
+    monkeypatch.setitem(THEOREMS, BoundTheorem.EQUI_SIX, corrupted)
 
 
 def _corrupt_bound(monkeypatch):

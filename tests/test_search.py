@@ -34,7 +34,7 @@ from equilines.points import GREEN, MAX_POINTS, affine_point, configuration
 from equilines.profiles import compute_profile
 from equilines.reports import search_section
 from equilines.search import SearchSpec, run_search
-from equilines.tables import BoundTheorem, EquichromaticQuery, count_equichromatic, theorem_info
+from equilines.tables import THEOREMS, BoundTheorem, EquichromaticQuery, count_equichromatic
 
 
 def test_backend_resolution():
@@ -66,7 +66,7 @@ def test_backends_agree_when_a_present_size_selects_nothing():
     # equifour counts lines of at most 4 points: grid(5)'s 5-point lines
     # have an all-zero row, though lines of that size exist.
     base = enumerate_lines(grid(5))
-    sel = selection_table(base.size_counts, theorem_info(BoundTheorem.EQUI_FOUR).query)
+    sel = selection_table(base.size_counts, THEOREMS[BoundTheorem.EQUI_FOUR].query)
     assert base.size_counts.get(5, 0) > 0 and not sel[5].any()
     for mode in ("exhaustive", "local"):
         spec = SearchSpec(points=grid(5), k=21, theorem=BoundTheorem.EQUI_FOUR, mode=mode,
@@ -79,7 +79,7 @@ def test_backends_agree_when_a_present_size_selects_nothing():
 
 def test_incidence_arrays_match_lines(monkeypatch):
     cases = (grid(3), hesse(), near_pencil(6), random_rational(12, seed=4, bound=5))
-    query = theorem_info(BoundTheorem.EQUI_SIX).query
+    query = THEOREMS[BoundTheorem.EQUI_SIX].query
     for points in cases:
         scans = []
         for path in PATHS:
@@ -131,45 +131,40 @@ def test_spec_validation():
 
 def test_exhaustive_cap(monkeypatch):
     monkeypatch.setattr(search, "MAX_COLORINGS", 100)
-    spec = SearchSpec(points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX)
     with pytest.raises(SearchCapError) as exc:
-        run_search(spec)
+        SearchSpec(points=grid(4), k=0, theorem=BoundTheorem.EQUI_SIX)
     assert exc.value.coloring_count == math.comb(16, 8)
 
 
 def test_exhaustive_cap_names_the_binomial_not_its_digits():
     # C(1000, 500) has 300 digits: the message names it, the error keeps it exact.
-    spec = SearchSpec(points=random_rational(1000, seed=0, bound=9), k=0,
-                      theorem=BoundTheorem.EQUI_SIX)
     with pytest.raises(SearchCapError) as exc:
-        run_search(spec)
+        SearchSpec(points=random_rational(1000, seed=0, bound=9), k=0,
+                   theorem=BoundTheorem.EQUI_SIX)
     message = str(exc.value)
     assert message == "exhaustive search over C(1000, 500) colorings exceeds the cap 10000000"
     assert len(message) < 100
     assert exc.value.coloring_count == math.comb(1000, 500)
 
 
-def test_local_cap(monkeypatch):
-    # The initial coloring plus one per proposed move must fit the cap.
-    monkeypatch.setattr(search, "MAX_COLORINGS", 10)
-    spec = SearchSpec(
-        points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", budget=9
-    )
-    assert run_search(spec).colorings_examined == 10
-    with pytest.raises(SearchCapError) as exc:
-        run_search(dataclasses.replace(spec, budget=10))
-    assert exc.value.coloring_count == 11
+def test_local_budget_cap_bounds_the_colorings():
+    # A local search examines budget + 1 colorings, so the budget cap alone
+    # keeps it within the coloring cap, which only exhaustive specs check.
+    assert search.MAX_LOCAL_BUDGET < search.MAX_COLORINGS
+    spec = SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local",
+                      budget=search.MAX_LOCAL_BUDGET)
+    assert spec.coloring_count() <= search.MAX_COLORINGS
 
 
 def test_local_budget_cap(monkeypatch):
-    # Checked apart from the coloring cap, which the budget fits here.
     monkeypatch.setattr(search, "MAX_LOCAL_BUDGET", 10)
     spec = SearchSpec(
         points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local", budget=10
     )
     assert run_search(spec).colorings_examined == 11
-    with pytest.raises(SearchCapError, match="budget cap 10$") as exc:
-        run_search(dataclasses.replace(spec, budget=11))
+    with pytest.raises(SearchCapError) as exc:
+        dataclasses.replace(spec, budget=11)
+    assert str(exc.value) == "local search budget exceeds the cap of 10 moves"
     assert exc.value.coloring_count == 12
 
 
@@ -177,10 +172,9 @@ def test_search_checks_the_point_limit():
     # A spec built through the API meets the limit the CLI's inputs meet; the
     # local search holds its green slots as uint16 under it.
     pts = tuple(affine_point(i, i * i, d=-1) for i in range(MAX_POINTS + 1))
-    spec = SearchSpec(points=pts, k=MAX_POINTS - 1, theorem=BoundTheorem.EQUI_SIX,
-                      mode="local", budget=1)
     with pytest.raises(ConfigError, match=f"{MAX_POINTS + 1} points exceed"):
-        run_search(spec)
+        SearchSpec(points=pts, k=MAX_POINTS - 1, theorem=BoundTheorem.EQUI_SIX,
+                   mode="local", budget=1)
 
 
 @pytest.mark.parametrize("which", KERNEL_PARAMS)
@@ -235,7 +229,7 @@ def test_kernels_match_brute_force_oracle(base, k, theorem):
     n_green = (total + k) // 2
     _, _, bound = verdict(theorem, n_green, k, enumerate_lines(base))
     oracle_best, oracle_combo, oracle_viol, oracle_count = brute_force_scan(
-        base, n_green, theorem_info(theorem).query, bound
+        base, n_green, THEOREMS[theorem].query, bound
     )
     spec = SearchSpec(points=base, k=k, theorem=theorem)
     for which in KERNELS:
@@ -422,7 +416,7 @@ def test_exhaustive_scan_keeps_the_first_minimum_across_chunks(monkeypatch, poin
     assert kernels._CHUNK_ELEMENTS // len(csr.points) <= 1
     n_green = (len(points) + k) // 2
     _, _, bound = verdict(BoundTheorem.EQUI_SIX, n_green, k, base)
-    sel = selection_table(base.size_counts, theorem_info(BoundTheorem.EQUI_SIX).query)
+    sel = selection_table(base.size_counts, THEOREMS[BoundTheorem.EQUI_SIX].query)
     args = (csr, sel, n_green, bound.numerator, bound.denominator)
     best, combo, violations, examined = exhaustive_scan(*args)
     oracle_best, oracle_combo, oracle_violations, oracle_examined = support.oracle_exhaustive_scan(*args)
