@@ -10,9 +10,8 @@ take it from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .tables import THEOREMS, BoundTheorem, LineProfile, bound_value, count_equichromatic, gate
 
@@ -21,8 +20,7 @@ if TYPE_CHECKING:
     from .points import ColoredConfiguration
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     theorem: BoundTheorem
     applicable: bool
     precondition_detail: str

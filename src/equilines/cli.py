@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import sys
 from pathlib import Path
 
@@ -62,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--theorem", required=True, choices=sorted(th.value for th in BoundTheorem))
     p.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--seed", type=int, help="seed of the moves (local mode only)")
+    p.add_argument("--budget", type=int, help="moves to propose (local mode only)")
 
     p = sub.add_parser("proofcheck", parents=[common], help="certify coefficient claims")
     p.add_argument("--theorem", required=True, choices=[th.value for th in TEMPLATES])
@@ -80,22 +79,27 @@ def _emit(doc: dict, fmt: str, decimal: bool) -> None:
         sys.stdout.write(render_text(doc, decimal))
 
 
+def _shown(path: str) -> str:
+    """The path as error lines name it: its first and last 60 characters if long."""
+    return path if len(path) <= 160 else f"{path[:60]}...{path[-60:]}"
+
+
 def _load_config(args, path: str):
     """Parse the config at path; args keeps it for the reproducer."""
-    p = Path(path)
+    p, shown = Path(path), _shown(path)
     try:
         # Checked first: reading a FIFO would block.
         if not p.is_file():
-            raise EquilinesError(f"not a file: {path}" if p.exists() else f"no such file: {path}")
+            raise EquilinesError(f"not a file: {shown}" if p.exists() else f"no such file: {shown}")
         text = p.read_text(encoding="utf-8")
     except OSError as exc:  # a name too long, a file we may not read
-        raise EquilinesError(f"cannot read {path}: {exc.strerror}") from None
+        raise EquilinesError(f"cannot read {shown}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise EquilinesError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        raise EquilinesError(f"{shown} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         args.in_flight = parse_config(text)
     except EquilinesError as exc:  # among several files, name the one at fault
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{shown}: {exc}") from None
     return args.in_flight
 
 
@@ -144,17 +148,19 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # The options given, else SearchSpec's defaults: they steer only the moves.
+    local = {k: v for k, v in (("seed", args.seed), ("budget", args.budget)) if v is not None}
+    if local and args.mode != "local":
+        raise EquilinesError(f"--{next(iter(local))} applies only to --mode local")
     from .search import SearchSpec, run_search  # numpy first: about 0.1 MB less peak RSS
     from .generators import generate
 
-    budget = SearchSpec.budget if args.budget is None else args.budget
     spec = SearchSpec(
         points=generate(args.generator),
         k=args.k,
         theorem=BoundTheorem(args.theorem),
         mode=args.mode,
-        seed=args.seed,
-        budget=budget,
+        **local,
     )
     result = run_search(spec)
     _emit({"search": search_section(result)}, args.format, args.decimal)
@@ -188,6 +194,8 @@ def _reproducer(args, argv: list[str]) -> str:
     """The config in flight as one JSON line, else (search) the command."""
     config = getattr(args, "in_flight", None)
     if config is None:
+        import shlex
+
         return shlex.join(["equilines", *argv])
     return json.dumps(config_document(config.points, config.colors, config.discriminant.d))
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its immutable types."""
 
 
 class EquilinesError(Exception):
@@ -58,3 +58,22 @@ class SearchCapError(EquilinesError):
     def __init__(self, message: str, coloring_count: int):
         super().__init__(message)
         self.coloring_count = coloring_count
+
+
+class Frozen:
+    """Base of the immutable types: ``__init__`` sets each field once, through
+    ``object.__setattr__`` or the instance ``__dict__``, and equality and
+    hashing read ``_key()``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())

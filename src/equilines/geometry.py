@@ -29,10 +29,9 @@ import itertools
 import random
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import Any
 
-from .errors import InsufficientPointsError, InternalInconsistencyError
+from .errors import Frozen, InsufficientPointsError, InternalInconsistencyError
 from .points import ProjPoint, check_key_bits
 
 # The most pairs C(N, 2) that enumerate_lines keys by pencils: 2^16 is
@@ -47,8 +46,7 @@ def pencil_path(n_points: int) -> bool:
     return n_points * (n_points - 1) // 2 <= PENCIL_MAX_PAIRS
 
 
-@dataclass(frozen=True, eq=False)
-class Incidence:
+class Incidence(Frozen):
     """Colorless incidence structure of one point set: its lines, sorted by
     point-index tuple.
 
@@ -60,11 +58,12 @@ class Incidence:
     t_m by m ascending, and ``len()`` is the number of lines.
     """
 
-    total_points: int
-    indptr: Any  # int32[L+1], CSR line -> its points
-    points: Any  # int32[total incidences]
-    size_counts: dict[int, int]  # t_m: lines through exactly m points
-    all_real: bool
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equality is identity
+
+    def __init__(self, total_points: int, indptr: Any, points: Any,
+                 size_counts: dict[int, int], all_real: bool):
+        vars(self).update(total_points=total_points, indptr=indptr, points=points,
+                          size_counts=size_counts, all_real=all_real)
 
     @property
     def max_collinear(self) -> int:

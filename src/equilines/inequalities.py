@@ -8,9 +8,8 @@ instructive diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .tables import INEQUALITIES, InequalityKind, gate
 
@@ -19,8 +18,7 @@ if TYPE_CHECKING:
     from .points import ColoredConfiguration
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     kind: InequalityKind
     applicable: bool
     precondition_detail: str

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .geometry import Incidence
+
 if TYPE_CHECKING:
-    from .geometry import Incidence
     from .tables import EquichromaticQuery
 
 
@@ -58,8 +58,9 @@ def resolve_backend() -> str:
 def build_incidence(incidence: Incidence) -> Incidence:
     """The incidence with numpy views of its line CSR buffers, which may be
     ``array('i')``s of the pencil enumeration: no copy."""
-    return replace(incidence, indptr=np.frombuffer(incidence.indptr, dtype=np.int32),
-                   points=np.frombuffer(incidence.points, dtype=np.int32))
+    return Incidence(incidence.total_points, np.frombuffer(incidence.indptr, dtype=np.int32),
+                     np.frombuffer(incidence.points, dtype=np.int32), incidence.size_counts,
+                     incidence.all_real)
 
 
 def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> np.ndarray:

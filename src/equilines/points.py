@@ -11,13 +11,12 @@ is imported here: ``geometry`` enumerates a configuration's lines on use.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, DuplicatePointError, FieldMismatchError
+from .errors import ConfigError, DuplicatePointError, FieldMismatchError, Frozen
 from .quadfield import Discriminant, QuadElement, quad
 
 if TYPE_CHECKING:
@@ -50,19 +49,18 @@ def _canonical_row(*triple: QuadElement) -> tuple[int, ...]:
     return tuple(v // g for v in row)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Frozen):
     """Projective point (x : y : z) over Q(sqrt(d)), held as ``d`` and its
     canonical ``row``; equal points have equal rows."""
 
-    x: InitVar[QuadElement]
-    y: InitVar[QuadElement]
-    z: InitVar[QuadElement]
-    d: int = field(init=False)
-    row: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self, x: QuadElement, y: QuadElement, z: QuadElement):
+    def __init__(self, x: QuadElement, y: QuadElement, z: QuadElement):
         vars(self).update(d=x.d, row=_canonical_row(x, y, z))
+
+    def _key(self) -> tuple:
+        return self.d, self.row
+
+    def __repr__(self) -> str:
+        return f"ProjPoint(d={self.d}, row={self.row})"
 
     @property
     def coords(self) -> tuple[QuadElement, QuadElement, QuadElement]:
@@ -85,46 +83,41 @@ def affine_point(x, y, *, d: int) -> ProjPoint:
     return ProjPoint(quad(x, d=d), quad(y, d=d), quad(1, d=d))
 
 
-@dataclass(frozen=True)
-class ColoredConfiguration:
+class ColoredConfiguration(Frozen):
     """Distinct projective points, each green or red, over one field.
 
     Green is the majority color by convention: inputs with more red than
     green points are ingested with the colors swapped (``colors_swapped``
-    records that) so that k = green - red is always >= 0.
+    records that, and equality ignores it) so that k = green - red is
+    always >= 0.
     """
 
-    discriminant: Discriminant
-    points: tuple[ProjPoint, ...]
-    colors: tuple[str, ...]
-    colors_swapped: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.points) != len(self.colors):
+    def __init__(self, discriminant: Discriminant, points: tuple[ProjPoint, ...],
+                 colors: tuple[str, ...]):
+        if len(points) != len(colors):
             raise ValueError("points and colors must have equal length")
-        if not self.points:
+        if not points:
             raise ValueError("a configuration needs at least one point")
-        for c in self.colors:
+        for c in colors:
             if c not in COLORS:
                 raise ValueError(f"unknown color {c!r}")
-        for p in self.points:
-            if p.d != self.discriminant.d:
-                raise FieldMismatchError(
-                    f"point {p} does not live in Q(sqrt({self.discriminant.d}))"
-                )
+        for p in points:
+            if p.d != discriminant.d:
+                raise FieldMismatchError(f"point {p} does not live in Q(sqrt({discriminant.d}))")
         seen: dict[tuple[int, ...], int] = {}
-        for i, p in enumerate(self.points):
+        for i, p in enumerate(points):
             first = seen.setdefault(p.row, i)
             if first != i:
                 raise DuplicatePointError(f"points {first} and {i} coincide at {p}", (first, i))
-        greens = self.colors.count(GREEN)
-        if greens < len(self.points) - greens:
-            object.__setattr__(
-                self,
-                "colors",
-                tuple(GREEN if c == RED else RED for c in self.colors),
-            )
-            object.__setattr__(self, "colors_swapped", True)
+        greens = colors.count(GREEN)
+        swapped = greens < len(points) - greens
+        if swapped:
+            colors = tuple(GREEN if c == RED else RED for c in colors)
+        vars(self).update(discriminant=discriminant, points=points, colors=colors,
+                          colors_swapped=swapped)
+
+    def _key(self) -> tuple:
+        return self.discriminant, self.points, self.colors
 
     @property
     def total(self) -> int:

@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
 from operator import sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InternalInconsistencyError
 from .points import GREEN, ColoredConfiguration
@@ -28,8 +27,7 @@ if TYPE_CHECKING:
     from .geometry import Incidence
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     lhs: int
     rhs: int
@@ -39,8 +37,7 @@ class IdentityCheck:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checks: tuple[IdentityCheck, ...]
 
     @property
@@ -72,7 +69,7 @@ def compute_profile(config: ColoredConfiguration) -> LineProfile:
             f"counting identities failed ({', '.join(failed)}): "
             "the enumeration or profile code is buggy"
         )
-    return replace(profile, identities=report)
+    return profile._replace(identities=report)
 
 
 def _prefix_tally(incidence: Incidence, green: list[bool]) -> dict[Cell, int]:

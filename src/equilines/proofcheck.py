@@ -21,9 +21,9 @@ three.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .errors import ClaimRefutedError
 from .tables import (
@@ -38,8 +38,7 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(NamedTuple):
     """Record of a verified exceptional-cell claim: enumeration confirmed it
     on the cells with i + j < tail_threshold, the tail certificate beyond."""
 

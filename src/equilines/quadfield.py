@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import ElementParseError, FieldMismatchError
+from .errors import ElementParseError, FieldMismatchError, Frozen
 
 # Squarefreeness is checked by trial division up to sqrt(|d|), so |d| is
 # capped to keep that check (and every config parse) fast.
@@ -37,34 +36,40 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Discriminant:
+class Discriminant(Frozen):
     """The squarefree integer d fixing the ambient field Q(sqrt(d))."""
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d in (0, 1):
-            raise ValueError(f"discriminant must not be 0 or 1, got {self.d}")
-        if abs(self.d) > MAX_ABS_DISCRIMINANT:
-            raise ValueError(
-                f"discriminant must satisfy |d| <= {MAX_ABS_DISCRIMINANT}, got {self.d}"
-            )
-        if not is_squarefree(self.d):
-            raise ValueError(f"discriminant must be squarefree, got {self.d}")
+    def __init__(self, d: int):
+        if d in (0, 1):
+            raise ValueError(f"discriminant must not be 0 or 1, got {d}")
+        if abs(d) > MAX_ABS_DISCRIMINANT:
+            raise ValueError(f"discriminant must satisfy |d| <= {MAX_ABS_DISCRIMINANT}, got {d}")
+        if not is_squarefree(d):
+            raise ValueError(f"discriminant must be squarefree, got {d}")
+        object.__setattr__(self, "d", d)
+
+    def _key(self) -> tuple:
+        return (self.d,)
 
 
-@dataclass(frozen=True)
-class QuadElement:
+class QuadElement(Frozen):
     """a + b*sqrt(d) with exact rational a, b.
 
     Fractions keep themselves in lowest terms with positive denominator,
     so equality and hashing are componentwise on canonical forms.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+
+    def _key(self) -> tuple:
+        return self.a, self.b, self.d
 
     def _check_same_field(self, other: QuadElement):
         if self.d != other.d:

@@ -22,13 +22,12 @@ agree; a mismatch raises, so the fast kernels never stand unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .bounds import BoundReport, evaluate_bound, verdict
-from .errors import InternalInconsistencyError, SearchCapError
+from .errors import Frozen, InternalInconsistencyError, SearchCapError
 from .geometry import enumerate_lines
 from .kernels import build_incidence, descent_replay, exhaustive_scan, selection_table
 from .pcg64 import PCG64
@@ -45,19 +44,16 @@ MAX_COLORINGS = 10_000_000
 MAX_LOCAL_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Frozen):
     """A base point set, a color balance k, a theorem, and a search mode,
     checked against every search limit when it is made."""
 
-    points: tuple[ProjPoint, ...]
-    k: int
-    theorem: BoundTheorem
-    mode: str = EXHAUSTIVE
-    seed: int = 0
-    budget: int = 10_000
+    __slots__ = ("points", "k", "theorem", "mode", "seed", "budget")
 
-    def __post_init__(self):
+    def __init__(self, points: tuple[ProjPoint, ...], k: int, theorem: BoundTheorem,
+                 mode: str = EXHAUSTIVE, seed: int = 0, budget: int = 10_000):
+        for name, value in zip(self.__slots__, (points, k, theorem, mode, seed, budget)):
+            object.__setattr__(self, name, value)
         if len(self.points) < 2:
             raise ValueError("search needs a base set of at least 2 points")
         if self.mode not in (EXHAUSTIVE, LOCAL):
@@ -90,6 +86,9 @@ class SearchSpec:
                 f"exceeds the cap {MAX_COLORINGS}", count,
             )
 
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     @property
     def total(self) -> int:
         return len(self.points)
@@ -106,8 +105,7 @@ class SearchSpec:
         return math.comb(self.total, self.n_green)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a search; deterministic given the spec (and seed)."""
 
     spec: SearchSpec

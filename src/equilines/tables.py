@@ -18,11 +18,12 @@ certifies for EQUI_SIX and EQUI_FOUR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+
+from .errors import Frozen
 
 if TYPE_CHECKING:
     from .geometry import Incidence
@@ -39,13 +40,12 @@ class InequalityKind(Enum):
     BOJANOWSKI_POKORA = "bojanowski-pokora"
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One side's weight of t_m: the polynomial sum coeffs[d] * m^d, except
     at the small sizes listed in ``exceptions``."""
 
     coeffs: tuple[int, ...] = ()
-    exceptions: Mapping[int, int | Fraction] = field(default_factory=dict)
+    exceptions: Mapping[int, int | Fraction] = {}  # shared, never mutated
 
     def __call__(self, m: int) -> int | Fraction:
         if m in self.exceptions:
@@ -53,8 +53,7 @@ class Side:
         return sum(c * m**d for d, c in enumerate(self.coeffs))
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     """sum left(m) t_m >= constant(N) + sum right(m) t_m, applicable when at
     most limit(N) points are collinear (``label`` names that limit), or in
     the real plane when ``limit`` is None.  The report keeps each term on
@@ -112,36 +111,51 @@ def gate(
     return ok, f"max_collinear={incidence.max_collinear} {rel} {label}={limit(n_points)}"
 
 
-@dataclass(frozen=True)
-class LineProfile:
-    """Counts t_{i,j} for one configuration, its n and k, and its checked identities."""
+class LineProfile(NamedTuple):
+    """Counts t_{i,j} for one configuration, its n and k, and its checked
+    identities, which equality and hashing ignore."""
 
     counts: tuple[tuple[Cell, int], ...]
     n: int
     k: int
-    identities: IdentityReport | None = field(default=None, compare=False, repr=False)
+    identities: IdentityReport | None = None
 
     @classmethod
     def from_dict(cls, cells: dict[Cell, int], n: int, k: int) -> LineProfile:
         items = tuple(sorted((cell, c) for cell, c in cells.items() if c))
         return cls(items, n, k)
 
+    def __eq__(self, other):
+        return self[:3] == other[:3] if other.__class__ is LineProfile else NotImplemented
 
-@dataclass(frozen=True)
-class EquichromaticQuery:
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+
+class EquichromaticQuery(Frozen):
     """Select cells with i + j >= 2, |i - j| <= r, and i + j <= max_points.
 
     max_points=None leaves the line size unbounded.
     """
 
-    r: int
-    max_points: int | None = None
+    __slots__ = ("r", "max_points")
 
-    def __post_init__(self):
-        if self.r < 0:
+    def __init__(self, r: int, max_points: int | None = None):
+        if r < 0:
             raise ValueError("color-balance tolerance r must be >= 0")
-        if self.max_points is not None and self.max_points < 1:
+        if max_points is not None and max_points < 1:
             raise ValueError("max_points must be positive")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "max_points", max_points)
+
+    def _key(self) -> tuple:
+        return self.r, self.max_points
+
+    def __repr__(self) -> str:
+        return f"EquichromaticQuery(r={self.r}, max_points={self.max_points})"
 
     def selects(self, i: int, j: int) -> bool:
         if i + j < 2 or abs(i - j) > self.r:
@@ -154,8 +168,7 @@ def count_equichromatic(profile: LineProfile, query: EquichromaticQuery) -> int:
     return sum(c for (i, j), c in profile.counts if query.selects(i, j))
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """sum weight(i, j) * t_{i,j} = rhs(n, k) over every profile, the weight
     held as its coefficients of (i - j)^a (i + j)^b, keyed by (a, b)."""
 
@@ -194,8 +207,7 @@ class BoundTheorem(Enum):
     EQUI_FOUR = "equifour"
 
 
-@dataclass(frozen=True)
-class InequalityTemplate:
+class InequalityTemplate(NamedTuple):
     """sum_r sign_r * identity_r + sign * inequality, with a claimed
     exceptional sign pattern.
 
@@ -242,8 +254,7 @@ TEMPLATES: dict[BoundTheorem, InequalityTemplate] = {
 }
 
 
-@dataclass(frozen=True)
-class TheoremRow:
+class TheoremRow(NamedTuple):
     """A bound theorem: where the gate holds at N = 2n - k, the lines in the
     query's cells number at least bound(n, k, t), with t (the line count)
     None unless needs_total_lines; support_cells, if set, are counted apart."""

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -189,9 +190,12 @@ def test_cli_missing_file(tmp_path, capsys):
 
 def test_cli_path_too_long_exits_two(capsys):
     # is_file() itself raises on a name the file system refuses.
+    # The error line names the path by its first and last 60 characters.
     name = "a" * 5000
     assert run_cli(["analyze", name]) == 2
-    assert capsys.readouterr().err == f"error: cannot read {name}: File name too long\n"
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {'a' * 60}...{'a' * 60}: File name too long\n"
+    assert len(err.encode()) < 200
 
 
 def test_cli_unreadable_file_exits_two(tmp_path, monkeypatch, capsys):
@@ -423,6 +427,29 @@ def test_cli_search_parity_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "exhaustive"]], ids=["default", "explicit"])
+@pytest.mark.parametrize("option, field, value", [("--seed", "seed", "7"),
+                                                  ("--budget", "colorings_examined", "8")])
+def test_cli_exhaustive_search_refuses_local_options(mode, option, field, value, capsys):
+    # Only the local search draws moves: an exhaustive one would ignore them.
+    argv = ["search", "--generator", "grid(3)", "--k", "1", "--theorem", "equisix",
+            "--format", "json", option, "7"]
+    assert run_cli([*argv, *mode]) == 2
+    assert capsys.readouterr().err == f"error: {option} applies only to --mode local\n"
+    assert run_cli([*argv, "--mode", "local"]) == 0
+    assert json.loads(capsys.readouterr().out)["search"][field] == value
+
+
+def test_cli_local_search_defaults_come_from_the_spec(capsys):
+    argv = ["search", "--generator", "grid(3)", "--k", "1", "--theorem", "equisix",
+            "--format", "json", "--mode", "local"]
+    assert run_cli(argv) == 0
+    doc = json.loads(capsys.readouterr().out)["search"]
+    defaults = inspect.signature(SearchSpec).parameters
+    assert doc["seed"] == str(defaults["seed"].default)
+    assert doc["colorings_examined"] == str(defaults["budget"].default + 1)
+
+
 def test_cli_rejects_infeasible_random_rational_quickly(capsys):
     # Bound 1 allows only 9 distinct points; asking for 10 used to loop forever.
     spec = "random_rational(10,0,1)"
@@ -647,38 +674,37 @@ SQUARE = "square.json"  # written into the subprocess's working directory
 # The modules that import no numpy: none may load it.
 EXACT_MODULES = ("errors quadfield points tables bounds inequalities proofcheck generators reports "
                  "geometry pencil profiles")
+# No module imports dataclasses, which loads inspect, ast, dis and tokenize;
+# numpy loads inspect itself, so only a process without numpy is free of it.
+WITHOUT_NUMPY = {"numpy", "dataclasses", "inspect"}
+PENCIL_ANALYSIS = WITHOUT_NUMPY | {"equilines.sort", "equilines.kernels", "equilines.search",
+                                   "equilines.pcg64", "equilines.proofcheck"}
 
 
 @pytest.mark.parametrize(
     "lines, unloaded",
     [
-        (["import equilines"], {"numpy"}),
-        (["import equilines.cli"], {"numpy"}),
-        (["import equilines." + m for m in EXACT_MODULES.split()], {"numpy"}),
-        (run_cli_loading(["--help"], 0), {"numpy"}),
-        (run_cli_loading(["bounds", "x.json", "--theorem", "nonsense"], 2), {"numpy"}),
-        (run_cli_loading(["proofcheck", "--theorem", "equisix"], 0), {"numpy"}),
-        (run_cli_loading(["proofcheck", "--theorem", "equifour"], 0), {"numpy"}),
-        (run_cli_loading(["generate", "--name", "grid(3)"], 0), {"numpy"}),
+        (["import equilines"], WITHOUT_NUMPY),
+        (["import equilines.cli"], WITHOUT_NUMPY),
+        (["import equilines." + m for m in EXACT_MODULES.split()], WITHOUT_NUMPY),
+        (run_cli_loading(["--help"], 0), WITHOUT_NUMPY),
+        (run_cli_loading(["bounds", "x.json", "--theorem", "nonsense"], 2), WITHOUT_NUMPY),
+        (run_cli_loading(["proofcheck", "--theorem", "equisix"], 0), WITHOUT_NUMPY),
+        (run_cli_loading(["proofcheck", "--theorem", "equifour"], 0), WITHOUT_NUMPY),
+        (run_cli_loading(["generate", "--name", "grid(3)"], 0), WITHOUT_NUMPY),
         # At or below the crossover the lines are enumerated by pencils and
         # tallied in Python ints.
-        (run_cli_loading(["analyze", SQUARE], 0),
-         {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
-          "equilines.pcg64", "equilines.proofcheck"}),
-        (run_cli_loading(["verify", SQUARE, "--inequality", "langer"], 0),
-         {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
-          "equilines.pcg64", "equilines.proofcheck"}),
-        (run_cli_loading(["bounds", SQUARE, "--theorem", "equisix"], 0),
-         {"numpy", "equilines.sort", "equilines.kernels", "equilines.search",
-          "equilines.pcg64", "equilines.proofcheck"}),
+        (run_cli_loading(["analyze", SQUARE], 0), PENCIL_ANALYSIS),
+        (run_cli_loading(["verify", SQUARE, "--inequality", "langer"], 0), PENCIL_ANALYSIS),
+        (run_cli_loading(["bounds", SQUARE, "--theorem", "equisix"], 0), PENCIL_ANALYSIS),
         # A search loads numpy anyway, so it enumerates by sorting; the local
         # search's moves come from equilines.pcg64, not numpy.random.
         (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
                           "equisix"], 0),
-         {"equilines.proofcheck", "equilines.pencil", "numpy.random"}),
+         {"equilines.proofcheck", "equilines.pencil", "numpy.random", "dataclasses"}),
         (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
                           "equisix", "--mode", "local", "--budget", "5000"], 0),
-         {"equilines.proofcheck", "equilines.pencil", "numpy.random"}),
+         {"equilines.proofcheck", "equilines.pencil", "numpy.random", "dataclasses"}),
     ],
     ids=["import-package", "import-cli", "import-exact-modules", "help", "usage-error",
          "proofcheck-equisix", "proofcheck-equifour", "generate", "analyze", "verify", "bounds",

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -29,8 +28,8 @@ EQUI_FOUR_TEMPLATE = TEMPLATES[BoundTheorem.EQUI_FOUR]
 def _set_side(monkeypatch, kind, side, **fields):
     """Replace fields of one side of an inequality row for this test."""
     row = INEQUALITIES[kind]
-    new = dataclasses.replace(getattr(row, side), **fields)
-    monkeypatch.setitem(INEQUALITIES, kind, dataclasses.replace(row, **{side: new}))
+    new = getattr(row, side)._replace(**fields)
+    monkeypatch.setitem(INEQUALITIES, kind, row._replace(**{side: new}))
 
 
 def pair_imbalance_coefficient(i: int, j: int) -> Fraction:
@@ -150,8 +149,7 @@ def test_corrupted_template_is_refuted_at_2_2(monkeypatch):
 
 
 def test_unclaimed_exceptional_cell_is_refuted():
-    missing_claim = dataclasses.replace(
-        EQUI_FOUR_TEMPLATE,
+    missing_claim = EQUI_FOUR_TEMPLATE._replace(
         name="equifour-missing",
         claimed_cells={c: v for c, v in EQUI_FOUR_TEMPLATE.claimed_cells.items() if c != (1, 1)},
     )
@@ -224,13 +222,13 @@ def _corrupt_inequality(monkeypatch):
 
 def _corrupt_query(monkeypatch):
     row = THEOREMS[BoundTheorem.EQUI_SIX]
-    corrupted = dataclasses.replace(row, query=EquichromaticQuery(1, 5))
+    corrupted = row._replace(query=EquichromaticQuery(1, 5))
     monkeypatch.setitem(THEOREMS, BoundTheorem.EQUI_SIX, corrupted)
 
 
 def _corrupt_gate(monkeypatch):
     row = THEOREMS[BoundTheorem.EQUI_SIX]
-    corrupted = dataclasses.replace(row, gate=InequalityKind.HIRZEBRUCH_QUADRATIC)
+    corrupted = row._replace(gate=InequalityKind.HIRZEBRUCH_QUADRATIC)
     monkeypatch.setitem(THEOREMS, BoundTheorem.EQUI_SIX, corrupted)
 
 

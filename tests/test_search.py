@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -163,7 +162,7 @@ def test_local_budget_cap(monkeypatch):
     )
     assert run_search(spec).colorings_examined == 11
     with pytest.raises(SearchCapError) as exc:
-        dataclasses.replace(spec, budget=11)
+        SearchSpec(points=spec.points, k=spec.k, theorem=spec.theorem, mode=spec.mode, budget=11)
     assert str(exc.value) == "local search budget exceeds the cap of 10 moves"
     assert exc.value.coloring_count == 12
 
