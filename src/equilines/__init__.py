@@ -5,9 +5,9 @@ coefficient certificates, and coloring search.
 
 The interface is the ``equilines`` command (``cli``); the modules are
 internal.  Importing the package loads none of them.  numpy loads only
-with the array code (``sort``, ``kernels`` and ``search``), which an
-analysis of at most ``geometry.PENCIL_MAX_PAIRS`` point pairs never
-reaches.
+with the array code (``sort`` and the exhaustive scan), which an
+analysis or local search of at most ``geometry.PENCIL_MAX_PAIRS`` point
+pairs never reaches.
 """
 
 __version__ = "0.1.0"

@@ -152,7 +152,7 @@ def _cmd_search(args) -> int:
     local = {k: v for k, v in (("seed", args.seed), ("budget", args.budget)) if v is not None}
     if local and args.mode != "local":
         raise EquilinesError(f"--{next(iter(local))} applies only to --mode local")
-    from .search import SearchSpec, run_search  # numpy first: about 0.1 MB less peak RSS
+    from .search import SearchSpec, run_search
     from .generators import generate
 
     spec = SearchSpec(

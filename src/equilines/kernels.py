@@ -5,29 +5,29 @@ color-independent, so evaluating one coloring reduces to small-integer
 work: per-line green counts plus a lookup table saying whether a line of
 size m with g green points is selected by the theorem's equichromatic
 query (``tables.EquichromaticQuery``).  That makes the per-coloring loop
-a pure array kernel with no exact-arithmetic dependency; exactness is
+a pure counting kernel with no exact-arithmetic dependency; exactness is
 preserved because every quantity is a small integer (bounds are compared
 via scaled integers, never floats).
 
-``build_incidence`` is the kernels' one adapter: it gives a point set's
-``geometry.Incidence`` numpy views of its int32 line CSR buffers,
-without a copy, and the search calls it once.  Every kernel reads
-``total_points``, ``indptr`` and ``points`` of that incidence, and the
-line sizes as ``np.diff(indptr)``; no array of lines times points, and
-no point-to-lines transpose, is built.  An analysis never imports this
-module.
+Every kernel reads ``total_points``, ``indptr`` and ``points`` of a point
+set's ``geometry.Incidence``; no array of lines times points, and no
+point-to-lines transpose, is built.  An analysis never imports this
+module, and only the exhaustive scan and its adapter import numpy.
 
 One algorithm runs per search mode:
 
-  * exhaustive: chunked vectorized evaluation, a CSR gather and per-line
-    sum over each chunk of colorings in lexicographic order,
+  * exhaustive: chunked vectorized evaluation in numpy, a CSR gather and
+    per-line sum over each chunk of colorings in lexicographic order.  It
+    reads the numpy views of the CSR that ``build_incidence`` adapts,
+    without a copy, from either enumeration's buffers.
   * local: a gain-table move replay in plain Python that scores each
     proposal in O(1) from per-point gains and updates them only on
-    accepted swaps.  It reads the seeded moves in blocks of uint16
-    green slots and uint64 red slots, and builds its Python state once
-    from the line CSR, one int object per point and per line.
+    accepted swaps.  It reads the CSR buffers as they are, ``array('i')``
+    or numpy, and the seeded moves in blocks of green and red slots, and
+    builds its Python state once from the line CSR, one int object per
+    point and per line.
 
-Both take the selection table by line size, sel[m, g], and break ties on
+Both take the selection table by line size, sel[m][g], and break ties on
 the best count toward the lexicographically smallest green index tuple.
 The test suite holds incremental reference algorithms for both modes and
 checks these kernels against them.
@@ -37,9 +37,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from typing import TYPE_CHECKING, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geometry import Incidence
 
@@ -58,21 +56,20 @@ def resolve_backend() -> str:
 def build_incidence(incidence: Incidence) -> Incidence:
     """The incidence with numpy views of its line CSR buffers, which may be
     ``array('i')``s of the pencil enumeration: no copy."""
+    import numpy as np
+
     return Incidence(incidence.total_points, np.frombuffer(incidence.indptr, dtype=np.int32),
                      np.frombuffer(incidence.points, dtype=np.int32), incidence.size_counts,
                      incidence.all_real)
 
 
-def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> np.ndarray:
-    """sel[m, g] = 1 iff the query selects an m-point line with g green
-    points, i.e. the cell (g, m - g), for each size m in size_counts; rows
-    of other sizes stay 0.  int8, since the kernels form their signed
-    deltas and sums in int64 or Python ints."""
+def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> list[list[int]]:
+    """The rows sel[m][g] = 1 iff the query selects an m-point line with g
+    green points, i.e. the cell (g, m - g), for each size m in size_counts,
+    and 0 elsewhere: width rows of width ints, width the largest m + 1."""
     width = max(size_counts) + 1
-    sel = np.zeros((width, width), dtype=np.int8)
-    for m in size_counts:
-        sel[m, : m + 1] = [query.selects(g, m - g) for g in range(m + 1)]
-    return sel
+    return [[int(m in size_counts and g <= m and query.selects(g, m - g)) for g in range(width)]
+            for m in range(width)]
 
 
 # Colorings per chunk times incidences: bounds every per-chunk array.
@@ -81,11 +78,11 @@ _CHUNK_ELEMENTS = 1 << 22
 
 def exhaustive_scan(
     incidence: Incidence,
-    sel: np.ndarray,
+    sel: Sequence[Sequence[int]],
     n_green: int,
     bound_num: int,
     bound_den: int,
-) -> tuple[int, np.ndarray, int, int]:
+) -> tuple[int, list[int], int, int]:
     """Evaluate every coloring with n_green green points (1 <= n_green <= N).
 
     Returns (best_actual, best green index tuple, violations, examined);
@@ -95,19 +92,21 @@ def exhaustive_scan(
     the m-point lines, m column gathers of the chunk's green flags sum to
     their green counts, which index sel[m].
     """
+    import numpy as np
+
     n_points = incidence.total_points
     if not 1 <= n_green <= n_points:
         raise ValueError(f"n_green must be in [1, {n_points}]")
     indptr, points = incidence.indptr, incidence.points
     sizes = np.diff(indptr)
     groups = []  # (points of the m-point lines, L_m x m; their selection row)
-    for m in np.flatnonzero(sel.any(axis=1)).tolist():
+    for m in [m for m, row in enumerate(sel) if any(row)]:
         lines = np.flatnonzero(sizes == m)
         members = points[indptr[lines][:, None] + np.arange(m)]
-        groups.append((members, sel[m]))
+        groups.append((members, np.array(sel[m], dtype=np.int8)))
     chunk_len = max(1, _CHUNK_ELEMENTS // points.shape[0])
     best_actual = -1
-    best_combo = np.empty(0, dtype=np.int64)
+    best_combo = []
     violations = 0
     examined = 0
     combos = itertools.combinations(range(n_points), n_green)
@@ -130,7 +129,7 @@ def exhaustive_scan(
         pos = int(actual.argmin())
         if best_actual < 0 or actual[pos] < best_actual:
             best_actual = int(actual[pos])
-            best_combo = idx[pos].copy()
+            best_combo = idx[pos].tolist()
     return best_actual, best_combo, violations, examined
 
 
@@ -166,7 +165,8 @@ def _replay_state(incidence: Incidence):
     members[l], the tuple of line l's points; lines_of[p], point p's lines
     in line order; and pair_line[p][q], the line through p and q.  Each
     point and each line is one int object, shared by all three; the CSR
-    is read in blocks of lines, so no list of the whole CSR is built."""
+    is read in blocks of lines, ``array('i')`` or numpy, so no list of the
+    whole CSR is built."""
     n_points = incidence.total_points
     points = list(range(n_points))
     point = points.__getitem__
@@ -176,8 +176,9 @@ def _replay_state(incidence: Incidence):
     indptr, n_lines = incidence.indptr, len(incidence)
     for start in range(0, n_lines, _LINE_BLOCK):
         stop = min(start + _LINE_BLOCK, n_lines)
-        bounds = (indptr[start : stop + 1] - indptr[start]).tolist()
-        flat = list(map(point, incidence.points[indptr[start] : indptr[stop]].tolist()))
+        first, last = int(indptr[start]), int(indptr[stop])
+        bounds = [b - first for b in indptr[start : stop + 1].tolist()]
+        flat = list(map(point, incidence.points[first:last].tolist()))
         for li, a, b in zip(range(start, stop), bounds, bounds[1:]):
             pts = tuple(flat[a:b])
             members.append(pts)
@@ -191,22 +192,21 @@ def _replay_state(incidence: Incidence):
 
 def descent_replay(
     incidence: Incidence,
-    sel: np.ndarray,
-    initial_green: np.ndarray,
-    move_blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    sel: Sequence[Sequence[int]],
+    initial_green: Sequence[int],
+    move_blocks: Iterable[tuple[Sequence[int], Sequence[int]]],
     bound_num: int,
     bound_den: int,
-) -> tuple[int, np.ndarray, int, int]:
+) -> tuple[int, list[int], int, int]:
     """Replay a seeded swap-move sequence from an initial coloring.
 
-    The moves come as blocks of (green slots, red slots) unsigned arrays,
-    uint16 and uint64 from the search's move stream.  A proposal swaps
-    the green and red points at those positions in the sorted green and
-    red index lists; it is accepted when it does not raise the
-    selected-line count.  Returns (best_actual, best green
-    index tuple, violations, examined), examined being 1 + the number of
-    moves; ties on the best count go to the lexicographically smaller
-    green tuple.
+    The moves come as blocks of (green slots, red slots), sequences of
+    ints such as the ``array``s of the search's move stream.  A proposal
+    swaps the green and red points at those positions in the sorted green
+    and red index lists; it is accepted when it does not raise the
+    selected-line count.  Returns (best_actual, best green index list,
+    violations, examined), examined being 1 + the number of moves; ties on
+    the best count go to the lexicographically smaller green list.
 
     Each proposal is scored in O(1) from per-point gains.  With the
     per-line gains dm and dp of _gain_tables at the current green counts,
@@ -215,27 +215,22 @@ def descent_replay(
     unchanged, so it changes the selected count by rem[gp] + add[rp] -
     dm_l - dp_l.  Only accepted swaps touch the tables: gp turns red and
     rp turns green, and each line whose gains change passes the change to
-    its member points.  Python ints and lists throughout, since scalar
-    numpy access is slower.
+    its member points.  Python ints and lists throughout.
     """
     n_points = incidence.total_points
-    initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
-    mask = np.ones(n_points, dtype=bool)
-    mask[initial_green] = False
-    greens = initial_green.tolist()
-    reds = np.flatnonzero(mask).tolist()
+    greens = sorted(initial_green)
+    reds = sorted(set(range(n_points)).difference(greens))
     members, lines_of, pair_line = _replay_state(incidence)
     # Lines of one size share their selection row and tables.
-    sizes = np.diff(incidence.indptr).tolist()
-    rows = sel.tolist()
-    by_size = {m: _gain_tables(rows[m], m) for m in set(sizes)}
+    sizes = list(map(len, members))
+    by_size = {m: _gain_tables(sel[m], m) for m in set(sizes)}
     fix, down, up = ([by_size[m][i] for m in sizes] for i in (2, 3, 4))
 
     counts = [0] * len(sizes)
     for p in greens:
         for li in lines_of[p]:
             counts[li] += 1
-    actual = sum(rows[m][c] for m, c in zip(sizes, counts))
+    actual = sum(sel[m][c] for m, c in zip(sizes, counts))
     rem = [0] * n_points
     add = [0] * n_points
     for pts, m, c in zip(members, sizes, counts):
@@ -249,7 +244,7 @@ def descent_replay(
     moves = 0
     for block_green, block_red in move_blocks:
         moves += len(block_green)
-        for i, j in zip(memoryview(block_green), memoryview(block_red)):
+        for i, j in zip(block_green, block_red):
             gp = greens[i]
             rp = reds[j]
             shared = pair_line[gp][rp]
@@ -276,4 +271,4 @@ def descent_replay(
             if actual < best_actual or (actual == best_actual and greens < best):
                 best_actual = actual
                 best = list(greens)
-    return best_actual, np.asarray(best, dtype=np.int64), violations, 1 + moves
+    return best_actual, best, violations, 1 + moves

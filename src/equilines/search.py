@@ -6,12 +6,13 @@ lines once into one ``Incidence`` and takes the theorem's verdict from
 ``bounds.verdict``.  Applicability depends only on the base set and
 (n, k), never on the coloring: if the gate fails, every coloring is
 inapplicable, the result says so, and no kernel runs.  Otherwise the
-kernels read that incidence's line CSR as numpy arrays, adapted once by
-``kernels.build_incidence`` (no array of lines times points is built).
-Exhaustive mode evaluates every coloring with the requested (n, k);
-local mode runs a seeded hill-descent with green/red swap moves drawn
-from the package's own PCG64 stream (``pcg64``), which gives numpy's
-PCG64 Generator draws without importing them.  Both minimize the bound
+kernels read that incidence's line CSR (no array of lines times points
+is built).  Exhaustive mode evaluates every coloring with the requested
+(n, k), in numpy, on the CSR as numpy arrays, adapted once by
+``kernels.build_incidence``; local mode runs a seeded hill-descent with
+green/red swap moves drawn from the package's own PCG64 stream
+(``pcg64``), which gives numpy's PCG64 Generator draws, and loads no
+numpy for a base set on the pencil path.  Both minimize the bound
 slack, which for a fixed base set and fixed (n, k) is equivalent to
 minimizing the selected-line count, so the hot loop runs in the array
 kernels.  The winning coloring is re-evaluated through
@@ -22,9 +23,9 @@ agree; a mismatch raises, so the fast kernels never stand unchecked.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from typing import Iterator, NamedTuple
-
-import numpy as np
 
 from .bounds import BoundReport, evaluate_bound, verdict
 from .errors import Frozen, InternalInconsistencyError, SearchCapError
@@ -130,43 +131,36 @@ class SearchResult(NamedTuple):
         return "".join("1" if c == GREEN else "0" for c in self.best_colors)
 
 
-def colors_from_green_indices(total: int, green: np.ndarray) -> tuple[str, ...]:
-    green_set = set(int(g) for g in green)
-    return tuple(GREEN if i in green_set else RED for i in range(total))
-
-
 # Moves per block of the seeded move stream: bounds the red-slot arrays and the
 # draws' temporaries whatever the budget; the green slots take 2 bytes a move.
 _MOVE_BLOCK = 4096
+# The index of a uint32's low 16 bits among its two native uint16 halves.
+_LOW_HALF = int(sys.byteorder == "big")
 
 
-def _seeded_moves(
-    spec: SearchSpec,
-) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+def _seeded_moves(spec: SearchSpec) -> tuple[list[int], Iterator[tuple[array, array]]]:
     """The initial green indices and the (green slot, red slot) swap
     proposals in blocks of _MOVE_BLOCK, all drawn from the seed's PCG64
     stream, so a fixed spec replays exactly."""
     rng = PCG64(spec.seed)
     n, n_red = spec.n_green, spec.total - spec.n_green
-    initial_green = np.array(sorted(rng.permutation(spec.total)[:n]), dtype=np.int64)
+    initial_green = sorted(rng.permutation(spec.total)[:n])
     budget = spec.budget if n_red else 0
     return initial_green, _move_blocks(rng, n, n_red, budget)
 
 
-def _move_blocks(
-    rng: PCG64, n: int, n_red: int, budget: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _move_blocks(rng: PCG64, n: int, n_red: int, budget: int) -> Iterator[tuple[array, array]]:
     """The blocks of budget draws below n (green slots) and of budget draws
     below n_red (red slots) that one integers(size=budget) call each would
     give, in that order.  A bounded draw takes a variable number of words,
     so the red stream starts where the green slots end: those are drawn
-    first, once, into a uint16 buffer of 2 bytes a move (the spec has
+    first, once, into an array('H') of 2 bytes a move (the spec has
     checked n <= MAX_POINTS)."""
     starts = range(0, budget, _MOVE_BLOCK)
-    green = np.empty(budget, dtype=np.uint16)
+    green = array("H")
     for start in starts:
-        block = green[start : start + _MOVE_BLOCK]
-        block[:] = rng.integers(n, len(block))
+        drawn = rng.integers(n, min(_MOVE_BLOCK, budget - start))
+        green.frombytes(memoryview(drawn).cast("B").cast("H")[_LOW_HALF::2].tobytes())
     for start in starts:
         block = green[start : start + _MOVE_BLOCK]
         yield block, rng.integers(n_red, len(block))
@@ -181,11 +175,12 @@ def run_search(spec: SearchSpec) -> SearchResult:
     construction, and the budget counts proposed moves beyond the initial
     coloring, rejected proposals included.
     """
-    # numpy is loaded anyway, and with it the sort path is as fast on small
-    # sets and far faster on large ones: 0.6 against 0.7 ms for the pencils
-    # on grid(5), 12 against 44 ms on random_rational(300, 0, 9) (best of
-    # 30 in one process, 2-core x86_64).
-    base = enumerate_lines(spec.points, sort=True)
+    # The exhaustive scan loads numpy anyway, and with it the sort path is as
+    # fast on small sets and far faster on large ones: 0.6 against 0.7 ms
+    # for the pencils on grid(5), 12 against 44 ms on random_rational(300,
+    # 0, 9) (best of 30 in one process, 2-core x86_64).  A local search on
+    # the pencil path loads no numpy.
+    base = enumerate_lines(spec.points, sort=spec.mode == EXHAUSTIVE)
     applicable, detail, bound = verdict(spec.theorem, spec.n_green, spec.k, base)
     if not applicable:
         return SearchResult(
@@ -193,16 +188,16 @@ def run_search(spec: SearchSpec) -> SearchResult:
             violations=0, all_inapplicable=True, precondition_detail=detail,
         )
     sel = selection_table(base.size_counts, THEOREMS[spec.theorem].query)
-    arrays = build_incidence(base)
     if spec.mode == EXHAUSTIVE:
         best_actual, best_green, violations, examined = exhaustive_scan(
-            arrays, sel, spec.n_green, bound.numerator, bound.denominator
+            build_incidence(base), sel, spec.n_green, bound.numerator, bound.denominator
         )
     else:
         best_actual, best_green, violations, examined = descent_replay(
-            arrays, sel, *_seeded_moves(spec), bound.numerator, bound.denominator
+            base, sel, *_seeded_moves(spec), bound.numerator, bound.denominator
         )
-    colors = colors_from_green_indices(spec.total, best_green)
+    chosen = set(best_green)
+    colors = tuple(GREEN if i in chosen else RED for i in range(spec.total))
     config = ColoredConfiguration(Discriminant(spec.points[0].d), spec.points, colors)
     # Same points as the base set: the recount reuses its lines rather than
     # repeating the deterministic enumeration.  The profile is still
@@ -212,7 +207,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
     if report.actual != best_actual:
         raise InternalInconsistencyError(
             f"kernel count {best_actual} != exact recount {report.actual} "
-            f"for the best coloring, green points {best_green.tolist()}"
+            f"for the best coloring, green points {best_green}"
         )
     return SearchResult(
         spec, best_colors=colors, best_report=report, colorings_examined=examined,

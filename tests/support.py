@@ -338,21 +338,28 @@ def _descent_replay(
 def point_transpose(incidence):
     """(point_indptr, point_lines): the CSR of each point's lines, in line
     order, transposed from the incidence's line-to-points arrays."""
+    points = np.asarray(incidence.points)
     indptr = np.zeros(incidence.total_points + 1, dtype=np.int64)
-    np.cumsum(np.bincount(incidence.points, minlength=incidence.total_points), out=indptr[1:])
+    np.cumsum(np.bincount(points, minlength=incidence.total_points), out=indptr[1:])
     # A stable sort by point keeps each point's lines in line order.
-    order = np.argsort(incidence.points, kind="stable")
-    sizes = np.diff(incidence.indptr)
+    order = np.argsort(points, kind="stable")
+    sizes = np.diff(np.asarray(incidence.indptr))
     return indptr, np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)[order]
+
+
+def per_line_selection(incidence, sel) -> np.ndarray:
+    """The selection row of each line, from the kernels' rows sel[m] by
+    line size m."""
+    return np.array(sel, dtype=np.int64)[np.diff(np.asarray(incidence.indptr))]
 
 
 def oracle_exhaustive_scan(incidence, sel, n_green, bound_num, bound_den):
     """kernels.exhaustive_scan computed by the depth-first reference scan."""
     best_actual, best, violations, examined = _exhaustive_scan(
-        *point_transpose(incidence), sel[np.diff(incidence.indptr)],
+        *point_transpose(incidence), per_line_selection(incidence, sel),
         np.int64(n_green), np.int64(bound_num), np.int64(bound_den),
     )
-    return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
+    return int(best_actual), best.tolist(), int(violations), int(examined)
 
 
 def oracle_descent_replay(incidence, sel, initial_green, move_blocks, bound_num, bound_den):
@@ -369,11 +376,11 @@ def oracle_descent_replay(incidence, sel, initial_green, move_blocks, bound_num,
         for side in (0, 1)
     )
     best_actual, best, violations, examined = _descent_replay(
-        *point_transpose(incidence), sel[np.diff(incidence.indptr)],
+        *point_transpose(incidence), per_line_selection(incidence, sel),
         initial_green, initial_red, moves_green, moves_red,
         np.int64(bound_num), np.int64(bound_den),
     )
-    return int(best_actual), np.asarray(best, dtype=np.int64), int(violations), int(examined)
+    return int(best_actual), best.tolist(), int(violations), int(examined)
 
 
 KERNELS = ("oracle", "kernel")

@@ -641,8 +641,9 @@ def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
     [
         # The moves are drawn in blocks, never as budget-long arrays (51.6 MB
         # when they were), save the green slots' 2 bytes a move; with
-        # numpy.random loaded it peaked at 36.4 MB, without it at 33.1 MB.
-        ("grid(5)", "1", 1_000_000, 35),
+        # numpy.random loaded it peaked at 36.4 MB, with numpy core at 33.1
+        # MB, and without numpy at 17.6-18.2 MB.
+        ("grid(5)", "1", 1_000_000, 25),
         # 381,767 lines: the replay's Python state is built once from the
         # line CSR, with no transpose and no list of the whole CSR (192 MB
         # when it kept them).
@@ -656,6 +657,18 @@ def test_cli_local_search_stays_small(tmp_path, generator, k, budget, limit_mb):
     report, _, peak_mb = cli_process(tmp_path, argv)
     assert json.loads(report)["search"]["colorings_examined"] == str(budget + 1)
     assert peak_mb < limit_mb, f"peak RSS {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0),
+                                        (["bounds", "x.json", "--theorem", "nonsense"], 2)],
+                         ids=["help", "usage-error"])
+def test_python_m_equilines_runs_the_cli(tmp_path, argv, code):
+    # The route that needs no install: `python -m equilines`, with src/ on
+    # the path, runs cli.main and exits with its code.
+    proc = subprocess.run([sys.executable, "-m", "equilines", *argv], capture_output=True,
+                          text=True, env=cli_env(), cwd=tmp_path, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout + proc.stderr).startswith("usage: equilines ")
 
 
 def run_cli_loading(argv, code):
@@ -697,14 +710,15 @@ PENCIL_ANALYSIS = WITHOUT_NUMPY | {"equilines.sort", "equilines.kernels", "equil
         (run_cli_loading(["analyze", SQUARE], 0), PENCIL_ANALYSIS),
         (run_cli_loading(["verify", SQUARE, "--inequality", "langer"], 0), PENCIL_ANALYSIS),
         (run_cli_loading(["bounds", SQUARE, "--theorem", "equisix"], 0), PENCIL_ANALYSIS),
-        # A search loads numpy anyway, so it enumerates by sorting; the local
-        # search's moves come from equilines.pcg64, not numpy.random.
+        # The exhaustive scan loads numpy anyway, so it enumerates by sorting.
         (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
                           "equisix"], 0),
          {"equilines.proofcheck", "equilines.pencil", "numpy.random", "dataclasses"}),
+        # A local search enumerates by pencils and draws its moves from
+        # equilines.pcg64: no numpy at all.
         (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
                           "equisix", "--mode", "local", "--budget", "5000"], 0),
-         {"equilines.proofcheck", "equilines.pencil", "numpy.random", "dataclasses"}),
+         WITHOUT_NUMPY | {"equilines.proofcheck", "equilines.sort"}),
     ],
     ids=["import-package", "import-cli", "import-exact-modules", "help", "usage-error",
          "proofcheck-equisix", "proofcheck-equifour", "generate", "analyze", "verify", "bounds",

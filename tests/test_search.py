@@ -50,15 +50,15 @@ def test_selection_table_matches_query():
         for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
             query = EquichromaticQuery(r, max_points)
             sel = selection_table(base.size_counts, query)
-            assert sel.shape == (width, width)
+            assert len(sel) == width and all(len(row) == width for row in sel)
             for m in range(width):
                 for g in range(width):
                     selected = m in base.size_counts and g <= m and query.selects(g, m - g)
-                    assert sel[m, g] == int(selected)
+                    assert type(sel[m][g]) is int and sel[m][g] == int(selected)
             # The per-line view the reference algorithms read.
             per_line = [[int(g <= m and query.selects(g, m - g)) for g in range(width)]
                         for m in sizes.tolist()]
-            assert sel[sizes].tolist() == per_line
+            assert [sel[m] for m in sizes.tolist()] == per_line
 
 
 def test_backends_agree_when_a_present_size_selects_nothing():
@@ -66,7 +66,7 @@ def test_backends_agree_when_a_present_size_selects_nothing():
     # have an all-zero row, though lines of that size exist.
     base = enumerate_lines(grid(5))
     sel = selection_table(base.size_counts, THEOREMS[BoundTheorem.EQUI_FOUR].query)
-    assert base.size_counts.get(5, 0) > 0 and not sel[5].any()
+    assert base.size_counts.get(5, 0) > 0 and not any(sel[5])
     for mode in ("exhaustive", "local"):
         spec = SearchSpec(points=grid(5), k=21, theorem=BoundTheorem.EQUI_FOUR, mode=mode,
                           seed=3, budget=300)
@@ -108,7 +108,7 @@ def test_incidence_arrays_match_lines(monkeypatch):
             best, combo, violations, examined = exhaustive_scan(
                 csr, selection_table(base.size_counts, query), len(points) // 2, len(sizes), 1
             )
-            scans.append((best, combo.tolist(), violations, examined))
+            scans.append((best, combo, violations, examined))
         # The kernels read views of either path's buffers alike.
         assert scans[0] == scans[1]
 
@@ -301,7 +301,8 @@ def test_move_blocks_join_to_the_one_shot_draws(total, k):
             )
             initial, blocks = search._seeded_moves(spec)
             blocks = list(blocks)
-            assert initial.tolist() == expected_initial.tolist()
+            assert initial == expected_initial.tolist()
+            assert all(g.typecode == "H" and r.typecode == "I" for g, r in blocks)
             assert [len(g) for g, _ in blocks] == [
                 min(search._MOVE_BLOCK, moves - s) for s in range(0, moves, search._MOVE_BLOCK)
             ]
@@ -310,7 +311,7 @@ def test_move_blocks_join_to_the_one_shot_draws(total, k):
                 joined = [int(v) for block in blocks for v in block[side]]
                 assert joined == expected[side].tolist()
             if n_red == 1:
-                assert all(not r.any() for _, r in blocks)
+                assert all(not any(r) for _, r in blocks)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -420,7 +421,7 @@ def test_exhaustive_scan_keeps_the_first_minimum_across_chunks(monkeypatch, poin
     best, combo, violations, examined = exhaustive_scan(*args)
     oracle_best, oracle_combo, oracle_violations, oracle_examined = support.oracle_exhaustive_scan(*args)
     assert (best, violations, examined) == (oracle_best, oracle_violations, oracle_examined)
-    assert combo.tolist() == oracle_combo.tolist()
+    assert combo == oracle_combo
 
 
 def test_use_kernels_reaches_the_oracles(monkeypatch):
@@ -491,45 +492,58 @@ def test_exhaustive_all_green_single_coloring():
     assert result.best_report.actual == 0  # no bichromatic lines
 
 
-def test_runs_without_numba(tmp_path):
-    # Block and record every numba import in a fresh interpreter: both
-    # search modes must run, reproduce the known grid(2) answer, and never
-    # try to import numba.
+def test_local_search_runs_without_numpy(tmp_path):
+    # Block and record every numpy import in a fresh interpreter: an
+    # analysis and a local search of a base set on the pencil path must run,
+    # reproduce the known answers, and never try to import numpy.  An
+    # exhaustive search in a process that does not block numpy imports it.
     import subprocess
     import sys
 
-    script = tmp_path / "no_numba.py"
-    script.write_text(
+    block = (
         "import sys\n"
         "from importlib.abc import MetaPathFinder\n"
         "attempts = []\n"
         "class Block(MetaPathFinder):\n"
         "    def find_spec(self, fullname, path, target=None):\n"
-        "        if fullname == 'numba' or fullname.startswith('numba.'):\n"
+        "        if fullname == 'numpy' or fullname.startswith('numpy.'):\n"
         "            attempts.append(fullname)\n"
-        "            raise ImportError('numba blocked')\n"
+        "            raise ImportError('numpy blocked')\n"
         "sys.meta_path.insert(0, Block())\n"
+    )
+    local = (
+        "from equilines.bounds import BoundTheorem\n"
+        "from equilines.generators import grid\n"
+        "from equilines.points import GREEN, configuration\n"
+        "from equilines.reports import analysis_document\n"
+        "from equilines.search import SearchSpec, run_search\n"
+        "points = grid(5)\n"
+        "doc, ok = analysis_document(configuration(points, (GREEN,) * 25, points[0].d))\n"
+        "assert ok and doc['summary']['total_lines'] == '140', doc['summary']\n"
+        "spec = SearchSpec(points=grid(5), k=1, theorem=BoundTheorem.EQUI_SIX, mode='local',\n"
+        "                  seed=3, budget=5000)\n"
+        "result = run_search(spec)\n"
+        "assert result.colorings_examined == 5001 and result.violations == 0\n"
+        "assert result.best_report.satisfied\n"
+    )
+    exhaustive = (
         "from equilines.bounds import BoundTheorem\n"
         "from equilines.generators import grid\n"
         "from equilines.search import SearchSpec, run_search\n"
         "spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX)\n"
         "result = run_search(spec)\n"
-        "assert result.colorings_examined == 6 and result.violations == 0\n"
-        "assert result.best_report.actual == 4\n"
-        "spec = SearchSpec(points=grid(2), k=0, theorem=BoundTheorem.EQUI_SIX, mode='local',\n"
-        "                  budget=50)\n"
-        "result = run_search(spec)\n"
-        "assert result.colorings_examined == 51 and result.violations == 0\n"
-        "assert result.best_report.actual == 4\n"
-        "assert attempts == [], attempts\n"
-        "print('numpy fallback ok')\n",
-        encoding="utf-8",
+        "assert result.colorings_examined == 6 and result.best_report.actual == 4\n"
+        "assert 'numpy' in sys.modules\n"
     )
     # The environment as given (PYTHONDONTWRITEBYTECODE included), so the
     # child writes no bytecode into the source tree unless it is allowed to.
     env = {**os.environ, "PYTHONPATH": str(Path(equilines.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy fallback ok" in proc.stdout
+    for name, code in (("blocked", block + local + "assert attempts == [], attempts\n"),
+                       ("exhaustive", "import sys\n" + exhaustive)):
+        script = tmp_path / f"{name}.py"
+        script.write_text(code + "print('ok')\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout == "ok\n", name
