@@ -19,8 +19,11 @@ the signature (rows, d, residues, p), imported only when it runs:
     slope mod p of the line to each later point not yet on a found line,
     in Python ints, into ``array('i')`` buffers.  Neither it nor this
     module imports numpy.
-  * ``sort``, above it and for the search, which loads numpy anyway: one
-    int64 key per pair, sorted and grouped in numpy, into numpy buffers.
+  * ``sort``, above it: one int64 key per pair, sorted and grouped in
+    numpy, into numpy buffers.
+
+The point count alone picks the algorithm, whoever calls: an analysis and
+a search of one point set, in either mode, read the same incidence.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ from .errors import Frozen, InsufficientPointsError, InternalInconsistencyError
 from .points import ProjPoint, check_key_bits
 
 # The most pairs C(N, 2) that enumerate_lines keys by pencils: 2^16 is
-# N <= 362.  Up to here a whole `analyze` process is as fast or faster
-# without numpy than with it, its import included; from about 400 points
-# the sort path wins.
+# N <= 362.  Whole `analyze` processes of random_rational(N, 7, 9), pencils
+# against sort: 0.18 against 0.23 s and 19.6 against 31.0 MB at N = 300;
+# 0.25 against 0.24 s and 22.8 against 32.1 MB at 400; 0.36 against 0.28 s
+# and 27.3 against 33.8 MB at 512 (medians of 10 alternating pairs, from a
+# launcher with os.wait4, 2-core x86_64).
 PENCIL_MAX_PAIRS = 1 << 16
 
 
@@ -205,27 +210,26 @@ def residues(rows: list[tuple[int, ...]], d: int, p: int) -> list[tuple[int, int
     return scaled if len(set(scaled)) == len(scaled) else None
 
 
-def enumerate_lines(points: tuple[ProjPoint, ...], sort: bool = False) -> Incidence:
+def enumerate_lines(points: tuple[ProjPoint, ...]) -> Incidence:
     """The incidence of the points: all determined lines with their exact
     incident point index sets.
 
     The line through each point pair is keyed mod a prime p in which d is
     a square, by the pencil algorithm on the pencil path (``pencil_path``)
-    and by the sort algorithm above it, or at any size when sort is set:
-    a caller that loads numpy anyway (the search) gains nothing from the
-    pencils.  The map is a ring homomorphism, so the pairs of one line
-    share a key once p separates the points, and lines only merge; every
-    group of pairs is checked to be one exact line, and on a failure the
-    next prime is tried.  So sum over lines of C(m, 2) = C(N, 2), and the
-    output, sorted by incident index tuple, does not depend on the prime
-    or the path.
+    and by the sort algorithm above it, for every caller.  The map is a
+    ring homomorphism, so the pairs of one line share a key once p
+    separates the points, and lines only merge; every group of pairs is
+    checked to be one exact line, and on a failure the next prime is
+    tried.  So sum over lines of C(m, 2) = C(N, 2), and the output,
+    sorted by incident index tuple, does not depend on the prime or the
+    path.
     """
     if len(points) < 2:
         raise InsufficientPointsError("line enumeration needs at least 2 points")
     rows = [p.row for p in points]
     d = points[0].d
     check_key_bits(itertools.chain.from_iterable(rows))
-    if pencil_path(len(rows)) and not sort:
+    if pencil_path(len(rows)):
         from .pencil import pencil_lines as lines_mod
     else:
         from .sort import sort_lines as lines_mod

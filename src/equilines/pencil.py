@@ -1,13 +1,13 @@
 """The pencil enumeration of lines, in Python ints: no numpy.
 
 ``geometry.enumerate_lines`` runs it on the pencil path, at most
-``geometry.PENCIL_MAX_PAIRS`` point pairs, where a whole process is as
-fast or faster without numpy as with it, on the points as
-``geometry.residues`` reduces them mod p.  For each point i in turn, the
-pairs (i, j > i) not on a line found before are keyed by the slope mod p
-of the line through them, one pow() per pencil (Montgomery's batch
-inversion); the pairs of each key are one line through i, checked
-exactly on the integer rows when it has 3 or more points.
+``geometry.PENCIL_MAX_PAIRS`` point pairs, for the analysis and the
+search alike, on the points as ``geometry.residues`` reduces them mod p.
+For each point i in turn, the pairs (i, j > i) not on a line found
+before are keyed by the slope mod p of the line through them, one pow()
+per pencil (Montgomery's batch inversion); the pairs of each key are one
+line through i, checked exactly on the integer rows when it has 3 or
+more points.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ def _pencil_keys(point, xs, ys, zs, p: int) -> list[int]:
     keys are equal iff the lines are.  From (x0, y0, 1) it is the slope
     dy / dx, or p when dx = 0; all the slopes take one pow() (Montgomery's
     batch inversion).  From a point at infinity it is the intercept of the
-    line, or p for the line at infinity.  zs is None when every point has
-    z = 1."""
+    line, or p for the line at infinity."""
     x0, y0, z0 = point
     if not z0:  # lines parallel to (x0, y0): x0 y - y0 x is constant on each
         return [(x0 * y - y0 * x) % p if z else p for x, y, z in zip(xs, ys, zs)]
-    if zs is None:
-        dx, dy = list(map(x0.__rsub__, xs)), list(map(y0.__rsub__, ys))
-    else:
-        dx = [x - x0 * z for x, z in zip(xs, zs)]
-        dy = [y - y0 * z for y, z in zip(ys, zs)]
+    dx = [x - x0 * z for x, z in zip(xs, zs)]
+    dy = [y - y0 * z for y, z in zip(ys, zs)]
     # |dx|, |dy| < p, and dx = 0 exactly when the line is vertical: its key
     # is p, and 1 stands in for dx in the inversion.
     vertical = [v == 0 for v in dx] if 0 in dx else None
@@ -60,8 +56,6 @@ def pencil_lines(rows, d: int, residues, p: int) -> tuple[array, array, dict[int
     None when a group is not one exact line (the prime merged lines)."""
     n = len(residues)
     xs, ys, zs = (list(c) for c in zip(*residues))
-    if all(zs):
-        zs = None
     # uncovered[i][j] = 0 once the pair (i, j) lies on a line found before i.
     uncovered: list[bytearray | None] = [None] * n
     ends, flat, long_sizes = [0], [], []
@@ -69,13 +63,12 @@ def pencil_lines(rows, d: int, residues, p: int) -> tuple[array, array, dict[int
         mask = uncovered[i]
         if mask is None:
             js = range(i + 1, n)
-            pxs, pys, pzs = xs[i + 1 :], ys[i + 1 :], zs and zs[i + 1 :]
+            pxs, pys, pzs = xs[i + 1 :], ys[i + 1 :], zs[i + 1 :]
         else:
             js = list(itertools.compress(range(n), mask))
             if not js:
                 continue
-            pxs, pys = list(itertools.compress(xs, mask)), list(itertools.compress(ys, mask))
-            pzs = zs and list(itertools.compress(zs, mask))
+            pxs, pys, pzs = (list(itertools.compress(c, mask)) for c in (xs, ys, zs))
         lines = {}  # each line's points by key, in the order of their first j
         for key, j in zip(_pencil_keys(residues[i], pxs, pys, pzs, p), js):
             lines.setdefault(key, [i]).append(j)

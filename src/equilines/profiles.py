@@ -55,10 +55,10 @@ def compute_profile(config: ColoredConfiguration) -> LineProfile:
     """
     green = [c == GREEN for c in config.colors]
     incidence = config.incidence
-    # The tally follows the buffers, not the point count: the prefix tally
-    # needs no numpy, but over numpy buffers (the sort enumeration's, which
-    # the search's recount reads) it takes 17 ms on random_rational(300,
-    # 0, 9), against 1.1 ms for the block tally (best of 30, 2-core x86_64).
+    # The tally follows the buffers: the prefix tally needs no numpy, and
+    # numpy buffers come only from a set above the crossover, which loaded
+    # numpy to sort its pairs.  There the block tally is faster: 2.8 ms
+    # against 24 ms on random_rational(400, 0, 9) (best of 30, 2-core x86_64).
     tally = _prefix_tally if isinstance(incidence.points, array) else _block_tally
     cells = tally(incidence, green)
     profile = LineProfile.from_dict(cells, config.n, config.k)

@@ -2,22 +2,24 @@
 
 ``run_search`` is the one entry point.  It runs a ``SearchSpec``, which
 checks every search limit when it is made.  It enumerates the base set's
-lines once into one ``Incidence`` and takes the theorem's verdict from
+lines once into one ``Incidence``, by the algorithm the point count
+picks, as for an analysis, and takes the theorem's verdict from
 ``bounds.verdict``.  Applicability depends only on the base set and
 (n, k), never on the coloring: if the gate fails, every coloring is
 inapplicable, the result says so, and no kernel runs.  Otherwise the
 kernels read that incidence's line CSR (no array of lines times points
 is built).  Exhaustive mode evaluates every coloring with the requested
-(n, k), in numpy, on the CSR as numpy arrays, adapted once by
-``kernels.build_incidence``; local mode runs a seeded hill-descent with
-green/red swap moves drawn from the package's own PCG64 stream
-(``pcg64``), which gives numpy's PCG64 Generator draws, and loads no
-numpy for a base set on the pencil path.  Both minimize the bound
-slack, which for a fixed base set and fixed (n, k) is equivalent to
-minimizing the selected-line count, so the hot loop runs in the array
-kernels.  The winning coloring is re-evaluated through
-``bounds.evaluate_bound`` on the same incidence, and the two counts must
-agree; a mismatch raises, so the fast kernels never stand unchecked.
+(n, k), in numpy, on numpy views of the CSR buffers that
+``kernels.build_incidence`` adapts once without a copy; local mode runs
+a seeded hill-descent with green/red swap moves drawn from the
+package's own PCG64 stream (``pcg64``), which gives numpy's PCG64
+Generator draws, and loads no numpy for a base set on the pencil path.
+Both minimize the bound slack, which for a fixed base set and fixed
+(n, k) is equivalent to minimizing the selected-line count, so the hot
+loop runs in the array kernels.  The winning coloring is re-evaluated
+through ``bounds.evaluate_bound`` on the same incidence, and the two
+counts must agree; a mismatch raises, so the fast kernels never stand
+unchecked.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ EXHAUSTIVE = "exhaustive"
 LOCAL = "local"
 # Colorings one search may examine; bounds the time and memory of any request.
 MAX_COLORINGS = 10_000_000
-# Moves one local search may propose: seconds at the ~80k moves/s of a plateau.
+# Moves one local search may propose: seconds per process.  From a launcher
+# on a 2-core x86_64 host, the random_rational(18,1,9) plateau ran 100,000
+# moves in 1.0-1.2 s, and a 1000-point search 1,000,000 moves in 2.8-3.2 s.
 MAX_LOCAL_BUDGET = 1_000_000
 
 
@@ -173,14 +177,10 @@ def run_search(spec: SearchSpec) -> SearchResult:
     lexicographically smallest green index tuple.  Local mode is a seeded
     stochastic hill-descent on slack; swaps preserve n and k by
     construction, and the budget counts proposed moves beyond the initial
-    coloring, rejected proposals included.
+    coloring, rejected proposals included.  The base set's lines are
+    enumerated as an analysis of the same points enumerates them.
     """
-    # The exhaustive scan loads numpy anyway, and with it the sort path is as
-    # fast on small sets and far faster on large ones: 0.6 against 0.7 ms
-    # for the pencils on grid(5), 12 against 44 ms on random_rational(300,
-    # 0, 9) (best of 30 in one process, 2-core x86_64).  A local search on
-    # the pencil path loads no numpy.
-    base = enumerate_lines(spec.points, sort=spec.mode == EXHAUSTIVE)
+    base = enumerate_lines(spec.points)
     applicable, detail, bound = verdict(spec.theorem, spec.n_green, spec.k, base)
     if not applicable:
         return SearchResult(

@@ -1,7 +1,7 @@
 """The sort enumeration of lines, in numpy.
 
-``geometry.enumerate_lines`` runs it above the pencil path and for every
-search, on the points as ``geometry.residues`` reduces them mod p.  Each
+``geometry.enumerate_lines`` runs it above the pencil path, whoever calls,
+on the points as ``geometry.residues`` reduces them mod p.  Each
 point pair is keyed by one int64, the projective class of the cross
 product of its two residue triples (the line through it mod p), in
 blocks of pairs; the keys are sorted; and each group of equal keys is

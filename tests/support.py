@@ -384,10 +384,8 @@ def oracle_descent_replay(incidence, sel, initial_green, move_blocks, bound_num,
 
 
 KERNELS = ("oracle", "kernel")
-# Parametrization over KERNELS.  The ids name the two former search
-# backends whose algorithms these are, so the suite's test ids stayed the
-# same when the reference algorithms moved into the tests.
-KERNEL_PARAMS = [pytest.param("oracle", id="numba"), pytest.param("kernel", id="numpy")]
+# Parametrization over KERNELS, one test id per kernel set.
+KERNEL_PARAMS = [pytest.param(which, id=which) for which in KERNELS]
 
 
 def use_kernels(monkeypatch, which: str) -> None:

@@ -710,10 +710,11 @@ PENCIL_ANALYSIS = WITHOUT_NUMPY | {"equilines.sort", "equilines.kernels", "equil
         (run_cli_loading(["analyze", SQUARE], 0), PENCIL_ANALYSIS),
         (run_cli_loading(["verify", SQUARE, "--inequality", "langer"], 0), PENCIL_ANALYSIS),
         (run_cli_loading(["bounds", SQUARE, "--theorem", "equisix"], 0), PENCIL_ANALYSIS),
-        # The exhaustive scan loads numpy anyway, so it enumerates by sorting.
+        # The exhaustive scan loads numpy, but the point count alone picks
+        # the enumeration: grid(3) is keyed by pencils, as its analysis is.
         (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",
                           "equisix"], 0),
-         {"equilines.proofcheck", "equilines.pencil", "numpy.random", "dataclasses"}),
+         {"equilines.proofcheck", "equilines.sort", "numpy.random", "dataclasses"}),
         # A local search enumerates by pencils and draws its moves from
         # equilines.pcg64: no numpy at all.
         (run_cli_loading(["search", "--generator", "grid(3)", "--k", "1", "--theorem",

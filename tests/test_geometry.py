@@ -645,14 +645,15 @@ def test_max_collinear():
     assert hesse_cfg.incidence.max_collinear == 3
 
 
-def test_max_collinear_needs_two_points():
+def test_max_collinear_needs_two_points(monkeypatch):
     lonely = configuration((P(0, 0, 1),), (GREEN,), 5)
     with pytest.raises(InsufficientPointsError):
         lonely.incidence
     for points in ((), (P(0, 0, 1),)):
-        for sort in (False, True):
+        for path in PATHS:
+            use_path(monkeypatch, path)
             with pytest.raises(InsufficientPointsError):
-                enumerate_lines(points, sort=sort)
+                enumerate_lines(points)
 
 
 def test_configuration_rejects_duplicates():

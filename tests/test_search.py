@@ -113,6 +113,35 @@ def test_incidence_arrays_match_lines(monkeypatch):
         assert scans[0] == scans[1]
 
 
+# Base sets on the pencil path, one with points at infinity, and a k that
+# keeps each exhaustive scan small.
+SAME_RULE_CASES = [(grid(4), 0), (hesse(), 1),
+                   (support.random_config(12, max_total=40).points, 13)]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "local"])
+@pytest.mark.parametrize("points, k", SAME_RULE_CASES, ids=["grid-4", "hesse", "random-12"])
+def test_search_enumerates_as_the_analysis_does(monkeypatch, points, k, mode):
+    # The point count alone picks the enumeration: a search in either mode
+    # reads the pencils' array('i') buffers, as an analysis of its points
+    # does, and reports exactly what it reports on the sort path, the
+    # violations and colorings examined included.
+    assert any(p.row[4:] == (0, 0) for pts, _ in SAME_RULE_CASES for p in pts)
+    bases = []  # the incidence each search's verdict reads
+    monkeypatch.setattr(search, "verdict",
+                        lambda *args: bases.append(args[-1]) or verdict(*args))
+    spec = SearchSpec(points=points, k=k, theorem=BoundTheorem.EQUI_SIX, mode=mode,
+                      seed=5, budget=2000)
+    default = search_section(run_search(spec))
+    assert isinstance(bases[0].indptr, array) and isinstance(bases[0].points, array)
+    assert default["all_inapplicable"] is False
+    use_path(monkeypatch, "sort")
+    on_sort = search_section(run_search(spec))
+    assert not isinstance(bases[1].points, array)
+    assert {"colorings_examined", "violations"} <= on_sort.keys()
+    assert on_sort == default
+
+
 def test_spec_validation():
     pts = grid(3)
     with pytest.raises(ValueError):
