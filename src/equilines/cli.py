@@ -219,10 +219,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: internal inconsistency: {exc}\n")
         sys.stderr.write(f"reproduce: {_reproducer(args, argv)}\n")
         return 1
-    except EquilinesError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (EquilinesError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

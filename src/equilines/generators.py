@@ -16,7 +16,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import ConfigError
-from .points import ProjPoint, affine_point, check_point_count
+from .points import ProjPoint, affine_point, check_key_bits, check_point_count
 from .quadfield import quad
 
 RATIONAL_D = 5
@@ -123,6 +123,8 @@ def generate(spec: str) -> tuple[ProjPoint, ...]:
     if name not in GENERATORS:
         raise ConfigError(f"unknown generator {name!r}")
     try:
-        return GENERATORS[name](*args)
+        points = GENERATORS[name](*args)
     except (ValueError, TypeError) as exc:  # a TypeError is a wrong number of arguments
         raise ConfigError(f"bad arguments in generator spec {spec!r}: {exc}") from None
+    check_key_bits(c for p in points for c in p.row)  # as parse_config does
+    return points

@@ -23,9 +23,9 @@ One algorithm runs per search mode:
   * local: a gain-table move replay in plain Python that scores each
     proposal in O(1) from per-point gains and updates them only on
     accepted swaps.  It reads the CSR buffers as they are, ``array('i')``
-    or numpy, and the seeded moves in blocks of green and red slots, and
-    builds its Python state once from the line CSR, one int object per
-    point and per line.
+    or numpy, and the seeded moves as two flat arrays of green and red
+    slots, drawn before it starts, and builds its Python state once from
+    the line CSR, one int object per point and per line.
 
 Both take the selection table by line size, sel[m][g], and break ties on
 the best count toward the lexicographically smallest green index tuple.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .geometry import Incidence
 
@@ -194,14 +194,15 @@ def descent_replay(
     incidence: Incidence,
     sel: Sequence[Sequence[int]],
     initial_green: Sequence[int],
-    move_blocks: Iterable[tuple[Sequence[int], Sequence[int]]],
+    green_slots: Sequence[int],
+    red_slots: Sequence[int],
     bound_num: int,
     bound_den: int,
 ) -> tuple[int, list[int], int, int]:
     """Replay a seeded swap-move sequence from an initial coloring.
 
-    The moves come as blocks of (green slots, red slots), sequences of
-    ints such as the ``array``s of the search's move stream.  A proposal
+    Move t is (green_slots[t], red_slots[t]), from two equally long
+    sequences of ints such as the ``array``s the search draws.  A proposal
     swaps the green and red points at those positions in the sorted green
     and red index lists; it is accepted when it does not raise the
     selected-line count.  Returns (best_actual, best green index list,
@@ -241,34 +242,31 @@ def descent_replay(
     best = list(greens)
     best_actual = actual
     violations = int(actual * bound_den < bound_num)
-    moves = 0
-    for block_green, block_red in move_blocks:
-        moves += len(block_green)
-        for i, j in zip(block_green, block_red):
-            gp = greens[i]
-            rp = reds[j]
-            shared = pair_line[gp][rp]
-            candidate = actual + rem[gp] + add[rp] - fix[shared][counts[shared]]
-            if candidate * bound_den < bound_num:
-                violations += 1
-            if candidate > actual:
-                continue
-            actual = candidate
-            for p, step, changes in ((gp, -1, down), (rp, 1, up)):
-                for li in lines_of[p]:
-                    c = counts[li]
-                    counts[li] = c + step
-                    delta = changes[li][c]
-                    if delta is not None:
-                        ddm, ddp = delta
-                        for q in members[li]:
-                            rem[q] += ddm
-                            add[q] += ddp
-            del greens[i]
-            insort(greens, rp)
-            del reds[j]
-            insort(reds, gp)
-            if actual < best_actual or (actual == best_actual and greens < best):
-                best_actual = actual
-                best = list(greens)
-    return best_actual, best, violations, 1 + moves
+    for i, j in zip(green_slots, red_slots):
+        gp = greens[i]
+        rp = reds[j]
+        shared = pair_line[gp][rp]
+        candidate = actual + rem[gp] + add[rp] - fix[shared][counts[shared]]
+        if candidate * bound_den < bound_num:
+            violations += 1
+        if candidate > actual:
+            continue
+        actual = candidate
+        for p, step, changes in ((gp, -1, down), (rp, 1, up)):
+            for li in lines_of[p]:
+                c = counts[li]
+                counts[li] = c + step
+                delta = changes[li][c]
+                if delta is not None:
+                    ddm, ddp = delta
+                    for q in members[li]:
+                        rem[q] += ddm
+                        add[q] += ddp
+        del greens[i]
+        insort(greens, rp)
+        del reds[j]
+        insort(reds, gp)
+        if actual < best_actual or (actual == best_actual and greens < best):
+            best_actual = actual
+            best = list(greens)
+    return best_actual, best, violations, 1 + len(green_slots)

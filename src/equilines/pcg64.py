@@ -2,7 +2,7 @@
 
 ``PCG64(seed)`` gives exactly the draws of numpy's
 ``Generator(PCG64(seed))`` for ``permutation(total)`` and for
-``integers(0, n, size)`` with n <= 2**32, without importing numpy: numpy
+``integers(0, n, size)`` with n <= 2**16, without importing numpy: numpy
 does not promise to keep that stream (NEP 19), and a local search needs
 nothing else of it.  It steps _LANES states at once, packed into one
 Python int, in a few whole-int operations rather than a loop per output.
@@ -118,15 +118,16 @@ class PCG64:
         return perm
 
     def integers(self, n: int, size: int) -> array:
-        """size draws below n (1 <= n <= 2**32), as array('I'), by Lemire's
+        """size draws below n (1 <= n <= 2**16), as array('H'), by Lemire's
         method (ACM TOMACS 29(1), 2019): m = word * n, redrawn while its
         low half is below (2**32 - n) % n, gives m >> 32."""
-        if n == 1:
-            return array("I", bytes(4 * size))
+        # Filled in place: a growing array would be copied as it grows.
+        drawn, start = array("H", [0]) * size, 0
         threshold = ((1 << 32) - n) % n
-        drawn = array("I")
-        while len(drawn) < size:
-            drawn += _lemire(self._take(min(size - len(drawn), 2 * _LANES)), n, threshold)
+        while start < size and n > 1:
+            chunk = _lemire(self._take(min(size - start, 2 * _LANES)), n, threshold)
+            drawn[start : start + len(chunk)] = chunk
+            start += len(chunk)
         return drawn
 
 
@@ -147,8 +148,10 @@ def _lemire(words: bytes, n: int, threshold: int) -> array:
         top, offset = ones << 32, ones * ((1 << 32) - threshold)
         if ((even & low) + offset) & ((odd & low) + offset) & top != top:
             each = (int.from_bytes(words[i : i + 4], "little") for i in range(0, len(words), 4))
-            return array("I", [m >> 32 for w in each if (m := w * n) & _M32 >= threshold])
-    drawn = array("I", ((even >> 32 & low) | (odd & low << 32)).to_bytes(8 * slots, "little"))
+            return array("H", [m >> 32 for w in each if (m := w * n) & _M32 >= threshold])
+    # Each draw in the low 16 bits of a little-endian 32-bit word: keep those.
+    packed = ((even >> 32 & low) | (odd & low << 32)).to_bytes(8 * slots, "little")
+    drawn = array("H", memoryview(packed).cast("H")[::2].tobytes())
     if sys.byteorder == "big":
         drawn.byteswap()
     return drawn[:count]

@@ -10,10 +10,11 @@ inapplicable, the result says so, and no kernel runs.  Otherwise the
 kernels read that incidence's line CSR (no array of lines times points
 is built).  Exhaustive mode evaluates every coloring with the requested
 (n, k), in numpy, on numpy views of the CSR buffers that
-``kernels.build_incidence`` adapts once without a copy; local mode runs
-a seeded hill-descent with green/red swap moves drawn from the
-package's own PCG64 stream (``pcg64``), which gives numpy's PCG64
-Generator draws, and loads no numpy for a base set on the pencil path.
+``kernels.build_incidence`` adapts once without a copy; local mode draws
+all its green/red swap moves from the package's own PCG64 stream
+(``pcg64``), which gives numpy's PCG64 Generator draws, into two flat
+slot arrays, then replays them in a seeded hill-descent, and loads no
+numpy for a base set on the pencil path.
 Both minimize the bound slack, which for a fixed base set and fixed
 (n, k) is equivalent to minimizing the selected-line count, so the hot
 loop runs in the array kernels.  The winning coloring is re-evaluated
@@ -25,9 +26,8 @@ unchecked.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .bounds import BoundReport, evaluate_bound, verdict
 from .errors import Frozen, InternalInconsistencyError, SearchCapError
@@ -135,39 +135,19 @@ class SearchResult(NamedTuple):
         return "".join("1" if c == GREEN else "0" for c in self.best_colors)
 
 
-# Moves per block of the seeded move stream: bounds the red-slot arrays and the
-# draws' temporaries whatever the budget; the green slots take 2 bytes a move.
-_MOVE_BLOCK = 4096
-# The index of a uint32's low 16 bits among its two native uint16 halves.
-_LOW_HALF = int(sys.byteorder == "big")
-
-
-def _seeded_moves(spec: SearchSpec) -> tuple[list[int], Iterator[tuple[array, array]]]:
-    """The initial green indices and the (green slot, red slot) swap
-    proposals in blocks of _MOVE_BLOCK, all drawn from the seed's PCG64
-    stream, so a fixed spec replays exactly."""
+def _seeded_moves(spec: SearchSpec) -> tuple[list[int], array, array]:
+    """The initial green indices, then the green and the red slots of the
+    swap proposals, drawn from the seed's PCG64 stream in numpy's order:
+    the permutation, one integers(size=budget) call below n, one below
+    n_red, so a fixed spec replays exactly.  Each slot array is an
+    array('H') of 2 bytes a move (the spec has checked the point count);
+    with no red point no move is proposed."""
     rng = PCG64(spec.seed)
     n, n_red = spec.n_green, spec.total - spec.n_green
     initial_green = sorted(rng.permutation(spec.total)[:n])
-    budget = spec.budget if n_red else 0
-    return initial_green, _move_blocks(rng, n, n_red, budget)
-
-
-def _move_blocks(rng: PCG64, n: int, n_red: int, budget: int) -> Iterator[tuple[array, array]]:
-    """The blocks of budget draws below n (green slots) and of budget draws
-    below n_red (red slots) that one integers(size=budget) call each would
-    give, in that order.  A bounded draw takes a variable number of words,
-    so the red stream starts where the green slots end: those are drawn
-    first, once, into an array('H') of 2 bytes a move (the spec has
-    checked n <= MAX_POINTS)."""
-    starts = range(0, budget, _MOVE_BLOCK)
-    green = array("H")
-    for start in starts:
-        drawn = rng.integers(n, min(_MOVE_BLOCK, budget - start))
-        green.frombytes(memoryview(drawn).cast("B").cast("H")[_LOW_HALF::2].tobytes())
-    for start in starts:
-        block = green[start : start + _MOVE_BLOCK]
-        yield block, rng.integers(n_red, len(block))
+    if not n_red:
+        return initial_green, array("H"), array("H")
+    return initial_green, rng.integers(n, spec.budget), rng.integers(n_red, spec.budget)
 
 
 def run_search(spec: SearchSpec) -> SearchResult:

@@ -362,23 +362,19 @@ def oracle_exhaustive_scan(incidence, sel, n_green, bound_num, bound_den):
     return int(best_actual), best.tolist(), int(violations), int(examined)
 
 
-def oracle_descent_replay(incidence, sel, initial_green, move_blocks, bound_num, bound_den):
+def oracle_descent_replay(incidence, sel, initial_green, green_slots, red_slots, bound_num,
+                          bound_den):
     """kernels.descent_replay computed by the reference replay, which
     updates the per-line green counts of every proposal and reverts the
-    rejected ones; it reads the move blocks joined into two arrays."""
+    rejected ones."""
     initial_green = np.sort(np.asarray(initial_green, dtype=np.int64))
     mask = np.ones(incidence.total_points, dtype=bool)
     mask[initial_green] = False
     initial_red = np.flatnonzero(mask).astype(np.int64)
-    blocks = list(move_blocks)
-    moves_green, moves_red = (
-        np.fromiter((slot for block in blocks for slot in block[side]), np.int64)
-        for side in (0, 1)
-    )
     best_actual, best, violations, examined = _descent_replay(
         *point_transpose(incidence), per_line_selection(incidence, sel),
-        initial_green, initial_red, moves_green, moves_red,
-        np.int64(bound_num), np.int64(bound_den),
+        initial_green, initial_red, np.asarray(green_slots, dtype=np.int64),
+        np.asarray(red_slots, dtype=np.int64), np.int64(bound_num), np.int64(bound_den),
     )
     return int(best_actual), best.tolist(), int(violations), int(examined)
 

@@ -19,7 +19,7 @@ from equilines.bounds import BoundTheorem
 from equilines import geometry, profiles, search
 from equilines.cli import _build_parser, run_cli
 from equilines.errors import ConfigError
-from equilines.generators import generate, hesse
+from equilines.generators import generate, hesse, random_rational
 from equilines.geometry import _is_prime
 from equilines.kernels import resolve_backend
 from equilines.points import GREEN, MAX_KEY_BITS, MAX_POINTS, RED, check_key_bits, configuration
@@ -502,11 +502,12 @@ def test_cli_rejects_coordinates_above_key_limit_quickly(tmp_path, capsys):
     # 200 points with 1000-digit coordinates: a 1.2 MB config whose
     # Python-int pair keying would run for minutes.
     spec = f"random_rational(200,0,{'9' * 1000})"
-    assert run_cli(["generate", "--name", spec]) == 0
-    path = tmp_path / "wide.json"
-    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    points = random_rational(200, seed=0, bound=int("9" * 1000))
+    path = write_config(tmp_path, "wide.json",
+                        config_document(points, (GREEN,) * len(points), points[0].d))
     for argv in (
-        ["analyze", str(path)],
+        ["analyze", path],
+        ["generate", "--name", spec],
         ["search", "--generator", spec, "--k", "0", "--theorem", "equisix",
          "--mode", "local", "--budget", "1"],
     ):
@@ -514,6 +515,17 @@ def test_cli_rejects_coordinates_above_key_limit_quickly(tmp_path, capsys):
         assert run_cli(argv) == 2
         assert time.perf_counter() - start < 5.0
         assert f"the limit is {MAX_KEY_BITS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["generate", "--name"],
+                                  ["search", "--k", "1", "--theorem", "equisix", "--generator"]],
+                         ids=["generate", "search"])
+def test_cli_generators_refuse_what_analyze_refuses(argv, capsys):
+    # generate wrote these 463-bit coordinates, and analyze then refused them.
+    assert run_cli([*argv, f"random_rational(3,0,{10**70})"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a coordinate needs 463 bits; the limit is {MAX_KEY_BITS}\n"
 
 
 def test_cli_rejects_oversized_coordinate_at_its_point(tmp_path, capsys):
@@ -639,10 +651,11 @@ def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
 @pytest.mark.parametrize(
     "generator, k, budget, limit_mb",
     [
-        # The moves are drawn in blocks, never as budget-long arrays (51.6 MB
-        # when they were), save the green slots' 2 bytes a move; with
-        # numpy.random loaded it peaked at 36.4 MB, with numpy core at 33.1
-        # MB, and without numpy at 17.6-18.2 MB.
+        # The green and the red slots are drawn into two array('H')s of 2
+        # bytes a move, 4 MB here; as numpy's int64 arrays they peaked at
+        # 51.6 MB.  With numpy.random loaded it peaked at 36.4 MB, with numpy
+        # core at 33.1 MB, and without numpy at 17.6-18.2 MB while the red
+        # slots were drawn in blocks, and 19.5 MB since.
         ("grid(5)", "1", 1_000_000, 25),
         # 381,767 lines: the replay's Python state is built once from the
         # line CSR, with no transpose and no list of the whole CSR (192 MB

@@ -19,8 +19,9 @@ from equilines.pcg64 import PCG64
 # 2**64 + 5 has three entropy words and 2**160 + 3 six, so its words past
 # the fourth are mixed in last; 2**32 - 1 and 2**32 straddle a word.
 SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 3)
-# With n = 2**31 + 1 about half the words are redrawn; 2**32 keeps every one.
-BOUNDS = (1, 2, 3, 13, 1000, 2**31 + 1, 2**32)
+# The bounds of the contract, n <= 2**16: 2**16 keeps every word, and
+# n = 65175 redraws the most of any, about one word in 66,000.
+BOUNDS = (1, 2, 3, 13, 1000, 65175, 2**16)
 # The odd sizes leave half an output kept for the next call.  A packed step
 # gives 2 * _LANES words, and a bounded draw takes at most that many at once:
 # the sizes around it, and three steps' worth, cross those edges.
@@ -47,7 +48,7 @@ def test_consecutive_bounded_draws_match_numpy(seed):
     for n in BOUNDS:
         for size in SIZES:
             drawn = own.integers(n, size)
-            assert isinstance(drawn, array) and drawn.typecode == "I" and len(drawn) == size
+            assert isinstance(drawn, array) and drawn.typecode == "H" and len(drawn) == size
             assert drawn.tolist() == oracle.integers(0, n, size, dtype=np.int64).tolist(), (n, size)
 
 
@@ -55,8 +56,23 @@ def test_golden_draws():
     rng = PCG64(2**64 + 5)
     assert rng.permutation(9) == [5, 6, 8, 4, 0, 3, 2, 7, 1]
     assert rng.integers(13, 7).tolist() == [12, 1, 3, 7, 6, 8, 11]
-    assert rng.integers(2**31 + 1, 3).tolist() == [399980803, 1707519094, 734842271]
-    assert rng.integers(2**32, 2).tolist() == [1719404073, 1535074200]
+    assert rng.integers(65175, 3).tolist() == [12139, 57187, 51822]
+    assert rng.integers(2**16, 2).tolist() == [22425, 26236]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draws_with_rejections_match_numpy(seed):
+    # The words that Lemire's method redraws, counted from the raw stream:
+    # the draws must include some, and still equal numpy's.
+    n, size = 65175, 400_000
+    threshold = (2**32 - n) % n
+    raw = PCG64(seed)._take(size + 100)
+    words = [int.from_bytes(raw[i : i + 4], "little") for i in range(0, len(raw), 4)]
+    kept = [i for i, w in enumerate(words) if w * n & 0xFFFFFFFF >= threshold][:size]
+    assert len(kept) == size and kept[-1] >= size, "no word redrawn"
+    expected = [words[i] * n >> 32 for i in kept]
+    assert PCG64(seed).integers(n, size).tolist() == expected
+    assert numpy_generator(seed).integers(0, n, size, dtype=np.int64).tolist() == expected
 
 
 def little_endian(words: list[int]) -> bytes:
@@ -67,7 +83,7 @@ def little_endian(words: list[int]) -> bytes:
 def test_lemire_chunk_finds_a_lone_rejection(count):
     # Every word is kept but one, at each end and in the middle of the
     # even and the odd words: the chunk must be redone word by word.
-    n = 2**31 + 1
+    n = 65175
     threshold = (2**32 - n) % n
     kept = 2**32 - 1  # the low half of its product with n is 2**32 - n >= threshold
     assert pcg64._lemire(little_endian([kept] * count), n, threshold).tolist() == [

@@ -22,7 +22,7 @@ from support import (
 )
 
 import equilines
-from equilines import kernels, search
+from equilines import kernels, pcg64, search
 from equilines.bounds import verdict
 from equilines.cli import run_cli
 from equilines.errors import ConfigError, SearchCapError
@@ -311,10 +311,10 @@ def test_local_two_seeds_both_satisfy():
 
 @pytest.mark.parametrize("total, k", [(9, 1), (25, 1), (18, 0), (12, 10), (9, 9)],
                          ids=["9-points", "25-points", "balanced", "one-red", "all-green"])
-def test_move_blocks_join_to_the_one_shot_draws(total, k):
-    # The draws of one integers(size=budget) call for the green slots, then
-    # one for the red slots, as the moves were drawn before the blocks; with
-    # no red point there is no move to propose.
+def test_seeded_moves_are_the_one_shot_draws(total, k):
+    # numpy's draws in order: the permutation, one integers(size=budget)
+    # call for the green slots, then one for the red slots; with no red
+    # point there is no move to propose, and no draw below 0.
     points = grid(5)[:total]
     for seed in (0, 1, 7, 2**32 - 1):
         for budget in (0, 1, 4095, 4096, 4097, 9000):
@@ -328,22 +328,41 @@ def test_move_blocks_join_to_the_one_shot_draws(total, k):
                 rng.integers(0, spec.n_green, size=moves, dtype=np.int64),
                 rng.integers(0, n_red, size=moves, dtype=np.int64) if n_red else np.empty(0),
             )
-            initial, blocks = search._seeded_moves(spec)
-            blocks = list(blocks)
+            initial, *slots = search._seeded_moves(spec)
             assert initial == expected_initial.tolist()
-            assert all(g.typecode == "H" and r.typecode == "I" for g, r in blocks)
-            assert [len(g) for g, _ in blocks] == [
-                min(search._MOVE_BLOCK, moves - s) for s in range(0, moves, search._MOVE_BLOCK)
-            ]
-            assert all(len(g) == len(r) for g, r in blocks)
-            for side in (0, 1):
-                joined = [int(v) for block in blocks for v in block[side]]
-                assert joined == expected[side].tolist()
+            for drawn, oracle in zip(slots, expected):
+                assert drawn.typecode == "H" and len(drawn) == moves
+                assert drawn.tolist() == oracle.tolist()
             if n_red == 1:
-                assert all(not any(r) for _, r in blocks)
+                assert not any(slots[1])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_replay_draws_nothing(monkeypatch):
+    # Every move is drawn before the replay starts, so the replay's span
+    # in a trace holds the replay alone.
+    draws, replaying = [], []
+    take = pcg64.PCG64._take
+
+    def counting_take(self, count):
+        draws.append(bool(replaying))
+        return take(self, count)
+
+    def replay(*args):
+        replaying.append(True)
+        try:
+            return kernels.descent_replay(*args)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(pcg64.PCG64, "_take", counting_take)
+    monkeypatch.setattr(search, "descent_replay", replay)
+    spec = SearchSpec(points=grid(5), k=1, theorem=BoundTheorem.EQUI_SIX, mode="local",
+                      seed=3, budget=10_000)
+    assert run_search(spec).colorings_examined == 10_001
+    assert draws and not any(draws)
+
+
+@pytest.mark.parametrize("seed", range(10))
 def test_local_search_reports_match_the_benchmark_digests(seed, capsys):
     # The benchmark's search_local workload fails any report that is not
     # byte-identical to its recorded digest; a drifted move stream shows here.
@@ -353,22 +372,6 @@ def test_local_search_reports_match_the_benchmark_digests(seed, capsys):
             "--mode", "local", "--budget", "100000", "--seed", str(seed), "--format", "json"]
     assert run_cli(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
-
-
-@pytest.mark.parametrize("block", [4096, 1, 7])
-def test_local_search_does_not_depend_on_the_move_block(block, monkeypatch):
-    cases = [
-        (grid(5), 1, BoundTheorem.EQUI_SIX, 0, 4100),
-        (random_rational(18, seed=1, bound=9), 0, BoundTheorem.EQUI_SIX, 3, 3000),
-        (grid(4), 2, BoundTheorem.EQUI_FOUR, 11, 4097),
-    ]
-    specs = [SearchSpec(points=base, k=k, theorem=theorem, mode="local", seed=seed,
-                        budget=budget) for base, k, theorem, seed, budget in cases]
-    # One block holds all the moves: the reference replay of the one-shot arrays.
-    monkeypatch.setattr(search, "_MOVE_BLOCK", search.MAX_LOCAL_BUDGET)
-    expected = [local_outcome(run_with_kernels("oracle", spec)) for spec in specs]
-    monkeypatch.setattr(search, "_MOVE_BLOCK", block)
-    assert [local_outcome(run_search(spec)) for spec in specs] == expected
 
 
 def local_outcome(result):
@@ -384,9 +387,12 @@ def local_outcome(result):
 def test_local_deterministic_and_backend_independent():
     cases = [
         (grid(4), 2, BoundTheorem.EQUI_FOUR, 11, 3000),
+        (grid(4), 2, BoundTheorem.EQUI_FOUR, 11, 4097),
+        (grid(5), 1, BoundTheorem.EQUI_SIX, 0, 4100),
         # About 90% of these proposals are accepted, so the kernel's gain
         # tables are updated on most moves.
         (random_rational(18, seed=1, bound=9), 0, BoundTheorem.EQUI_SIX, 0, 5000),
+        (random_rational(18, seed=1, bound=9), 0, BoundTheorem.EQUI_SIX, 3, 3000),
     ]
     for base, k, theorem, seed, budget in cases:
         spec = SearchSpec(
