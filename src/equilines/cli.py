@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Subcommands: analyze, verify, bounds, search, proofcheck, generate.
-Exit codes: 0 = every evaluated check passed or was inapplicable,
-1 = some check came back unsatisfied (or a certified claim was refuted,
-or an internal cross-check failed), 2 = input or usage error.
+``verify`` and ``bounds`` print the summary and one entry of the analysis
+that ``analyze`` prints.  Exit codes: 0 = every evaluated check passed or
+was inapplicable, 1 = some check came back unsatisfied (or a certified
+claim was refuted, or an internal cross-check failed), 2 = input or usage
+error (a ConfigError or a ValueError).
 """
 
 from __future__ import annotations
@@ -13,18 +15,15 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ClaimRefutedError, ConfigError, EquilinesError, InternalInconsistencyError
+from .errors import ClaimRefutedError, ConfigError, InternalInconsistencyError
 from .reports import (
     analysis_document,
-    bound_section,
     certificate_section,
     config_document,
     dump_json,
-    inequality_section,
     parse_config,
     render_text,
     search_section,
-    summary_section,
 )
 from .tables import TEMPLATES, BoundTheorem, InequalityKind
 
@@ -67,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("proofcheck", parents=[common], help="certify coefficient claims")
     p.add_argument("--theorem", required=True, choices=[th.value for th in TEMPLATES])
 
-    p = sub.add_parser("generate", parents=[common], help="emit a config document")
+    # generate writes a config document, always JSON.
+    p = sub.add_parser("generate", help="emit a config document")
     p.add_argument("--name", required=True, metavar="SPEC")
     return parser
 
@@ -90,15 +90,15 @@ def _load_config(args, path: str):
     try:
         # Checked first: reading a FIFO would block.
         if not p.is_file():
-            raise EquilinesError(f"not a file: {shown}" if p.exists() else f"no such file: {shown}")
+            raise ConfigError(f"not a file: {shown}" if p.exists() else f"no such file: {shown}")
         text = p.read_text(encoding="utf-8")
     except OSError as exc:  # a name too long, a file we may not read
-        raise EquilinesError(f"cannot read {shown}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read {shown}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise EquilinesError(f"{shown} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        raise ConfigError(f"{shown} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         args.in_flight = parse_config(text)
-    except EquilinesError as exc:  # among several files, name the one at fault
+    except ConfigError as exc:  # among several files, name the one at fault
         raise ConfigError(f"{shown}: {exc}") from None
     return args.in_flight
 
@@ -117,41 +117,28 @@ def _cmd_analyze(args) -> int:
     return worst
 
 
-def _cmd_verify(args) -> int:
-    from .inequalities import evaluate
-    from .profiles import compute_profile
+def _print_slice(args, section: str, key: str, name: str) -> int:
+    """Print the summary and the entry of section whose key is name, both
+    taken from the file's analysis; exit 1 iff that entry is unsatisfied."""
+    doc, _ = analysis_document(_load_config(args, args.file))
+    entry = next(e for e in doc[section] if e[key] == name)
+    _emit({"summary": doc["summary"], section: [entry]}, args.format, args.decimal)
+    return 1 if entry["satisfied"] is False else 0
 
-    config = _load_config(args, args.file)
-    compute_profile(config)  # its counting identities cross-check the lines
-    report = evaluate(InequalityKind(args.inequality), config)
-    doc = {
-        "summary": summary_section(config),
-        "inequalities": [inequality_section(report)],
-    }
-    _emit(doc, args.format, args.decimal)
-    return 1 if report.satisfied is False else 0
+
+def _cmd_verify(args) -> int:
+    return _print_slice(args, "inequalities", "kind", args.inequality)
 
 
 def _cmd_bounds(args) -> int:
-    from .bounds import evaluate_bound
-    from .profiles import compute_profile
-
-    config = _load_config(args, args.file)
-    profile = compute_profile(config)
-    report = evaluate_bound(BoundTheorem(args.theorem), config, profile)
-    doc = {
-        "summary": summary_section(config),
-        "bounds": [bound_section(report)],
-    }
-    _emit(doc, args.format, args.decimal)
-    return 1 if report.satisfied is False else 0
+    return _print_slice(args, "bounds", "theorem", args.theorem)
 
 
 def _cmd_search(args) -> int:
     # The options given, else SearchSpec's defaults: they steer only the moves.
     local = {k: v for k, v in (("seed", args.seed), ("budget", args.budget)) if v is not None}
     if local and args.mode != "local":
-        raise EquilinesError(f"--{next(iter(local))} applies only to --mode local")
+        raise ConfigError(f"--{next(iter(local))} applies only to --mode local")
     from .search import SearchSpec, run_search
     from .generators import generate
 
@@ -219,7 +206,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: internal inconsistency: {exc}\n")
         sys.stderr.write(f"reproduce: {_reproducer(args, argv)}\n")
         return 1
-    except (EquilinesError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,63 +1,29 @@
-"""Exception types shared across the package, and the base of its immutable types."""
+"""The three exception types the command line tells apart, and the base of
+the package's immutable types.
+
+``ConfigError`` is an input or usage error (exit 2), whatever raised it;
+``InternalInconsistencyError`` is a bug (exit 1, with a reproducer);
+``ClaimRefutedError`` is a certified claim that does not hold (exit 1).
+Each carries its message and nothing else.
+"""
 
 
-class EquilinesError(Exception):
-    """Base class for all errors raised by this package."""
+class ConfigError(Exception):
+    """An input violates a contract: a malformed configuration document or
+    field element, points from another field, duplicate points, too few
+    points, or a search past its caps."""
 
 
-class FieldMismatchError(EquilinesError):
-    """Two elements from quadratic fields with different discriminants were mixed."""
-
-
-class InsufficientPointsError(EquilinesError):
-    """An operation needs more points than the configuration provides."""
-
-
-class DuplicatePointError(EquilinesError):
-    """A configuration contains the same projective point twice.
-
-    ``indices`` holds the colliding positions in input order.
-    """
-
-    def __init__(self, message: str, indices: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.indices = indices
-
-
-class ElementParseError(EquilinesError):
-    """A textual field element did not match the expected grammar."""
-
-
-class ConfigError(EquilinesError):
-    """A configuration document is malformed or violates an input contract."""
-
-
-class InternalInconsistencyError(EquilinesError):
+class InternalInconsistencyError(Exception):
     """An internal cross-check failed (a counting identity, or the exact
     recount of a search winner): the program has a bug."""
 
 
-class ClaimRefutedError(EquilinesError):
-    """A certified coefficient claim does not match the computed table.
-
-    Carries the offending cell (None when the failed step is not about
-    one cell) and both values; firing means either an implementation bug
-    or an erratum in the claimed inequality.
-    """
-
-    def __init__(self, message: str, cell=None, expected=None, actual=None):
-        super().__init__(message)
-        self.cell = cell
-        self.expected = expected
-        self.actual = actual
-
-
-class SearchCapError(EquilinesError):
-    """A search would exceed ``search.MAX_COLORINGS`` or ``search.MAX_LOCAL_BUDGET``."""
-
-    def __init__(self, message: str, coloring_count: int):
-        super().__init__(message)
-        self.coloring_count = coloring_count
+class ClaimRefutedError(Exception):
+    """A certified coefficient claim does not match the computed table:
+    either an implementation bug or an erratum in the claimed inequality.
+    The message names the failed step, and the cell and both values where
+    there are some."""
 
 
 class Frozen:

@@ -34,7 +34,7 @@ from collections import Counter
 from collections.abc import Iterable
 from typing import Any
 
-from .errors import Frozen, InsufficientPointsError, InternalInconsistencyError
+from .errors import ConfigError, Frozen, InternalInconsistencyError
 from .points import ProjPoint, check_key_bits
 
 # The most pairs C(N, 2) that enumerate_lines keys by pencils: 2^16 is
@@ -225,7 +225,7 @@ def enumerate_lines(points: tuple[ProjPoint, ...]) -> Incidence:
     path.
     """
     if len(points) < 2:
-        raise InsufficientPointsError("line enumeration needs at least 2 points")
+        raise ConfigError("line enumeration needs at least 2 points")
     rows = [p.row for p in points]
     d = points[0].d
     check_key_bits(itertools.chain.from_iterable(rows))

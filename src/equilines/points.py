@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, DuplicatePointError, FieldMismatchError, Frozen
+from .errors import ConfigError, Frozen
 from .quadfield import Discriminant, QuadElement, quad
 
 if TYPE_CHECKING:
@@ -34,7 +34,7 @@ def _canonical_row(*triple: QuadElement) -> tuple[int, ...]:
     (a rational pivot then) and divided by the gcd, in ints."""
     d = triple[0].d
     if triple[1].d != d or triple[2].d != d:
-        raise FieldMismatchError("coordinates of one triple must share a discriminant")
+        raise ConfigError("coordinates of one triple must share a discriminant")
     ratios = [f.as_integer_ratio() for c in triple for f in (c.a, c.b)]
     den = lcm(*(q for _, q in ratios))
     row = [p * (den // q) for p, q in ratios]
@@ -103,12 +103,12 @@ class ColoredConfiguration(Frozen):
                 raise ValueError(f"unknown color {c!r}")
         for p in points:
             if p.d != discriminant.d:
-                raise FieldMismatchError(f"point {p} does not live in Q(sqrt({discriminant.d}))")
+                raise ConfigError(f"point {p} does not live in Q(sqrt({discriminant.d}))")
         seen: dict[tuple[int, ...], int] = {}
         for i, p in enumerate(points):
             first = seen.setdefault(p.row, i)
             if first != i:
-                raise DuplicatePointError(f"points {first} and {i} coincide at {p}", (first, i))
+                raise ConfigError(f"points {first} and {i} coincide at {p}")
         greens = colors.count(GREEN)
         swapped = greens < len(points) - greens
         if swapped:

@@ -111,14 +111,12 @@ def verify_template_sign_claim(tpl: InequalityTemplate) -> SignCertificate:
         if claimed is not None:
             if value != claimed:
                 raise ClaimRefutedError(
-                    f"{tpl.name} sign: cell {cell} has coefficient {value}, claimed {claimed}",
-                    cell, claimed, value,
+                    f"{tpl.name} sign: cell {cell} has coefficient {value}, claimed {claimed}"
                 )
         elif tpl.inequality[0] * value > 0:
             raise ClaimRefutedError(
                 f"{tpl.name} sign: unclaimed cell {cell} has exceptional-sign "
-                f"coefficient {value}",
-                cell, Fraction(0), value,
+                f"coefficient {value}"
             )
     return SignCertificate(
         template_name=tpl.name,
@@ -152,8 +150,7 @@ def verify_sign_claim(theorem: BoundTheorem) -> SignCertificate:
     for cell, _ in cert.exceptional_cells:
         if not row.query.selects(*cell):
             raise ClaimRefutedError(
-                f"{tpl.name} query: exceptional cell {cell} is not selected by {row.query}",
-                cell,
+                f"{tpl.name} query: exceptional cell {cell} is not selected by {row.query}"
             )
     for n, k in product((2, 3, 4), (0, 1, 2)):
         derived = tpl.rhs(n, k) / cert.extreme_coefficient
@@ -161,8 +158,6 @@ def verify_sign_claim(theorem: BoundTheorem) -> SignCertificate:
         if derived != stated:
             raise ClaimRefutedError(
                 f"{tpl.name} rhs: at n={n}, k={k} the combination gives {derived}, "
-                f"the bound is {stated}",
-                expected=stated,
-                actual=derived,
+                f"the bound is {stated}"
             )
     return cert

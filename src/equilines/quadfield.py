@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import ElementParseError, FieldMismatchError, Frozen
+from .errors import ConfigError, Frozen
 
 # Squarefreeness is checked by trial division up to sqrt(|d|), so |d| is
 # capped to keep that check (and every config parse) fast.
@@ -73,7 +73,7 @@ class QuadElement(Frozen):
 
     def _check_same_field(self, other: QuadElement):
         if self.d != other.d:
-            raise FieldMismatchError(
+            raise ConfigError(
                 f"cannot combine elements of Q(sqrt({self.d})) and Q(sqrt({other.d}))"
             )
 
@@ -164,17 +164,17 @@ def parse_element(text: str, d: int) -> QuadElement:
     """
     s = "".join(text.split())
     if not s:
-        raise ElementParseError("empty field element")
+        raise ConfigError("empty field element")
     m = _ELEMENT_RE.match(s)
     rat, sign, coef, root = m.groups() if m else (None,) * 4
     if rat is None and root is None:
-        raise ElementParseError(f"cannot parse field element {text!r}")
+        raise ConfigError(f"cannot parse field element {text!r}")
     a = _rational(rat, text) if rat is not None else _ZERO
     b = _ZERO
     if root is not None:
         written_d = int(root)
         if written_d != d:
-            raise ElementParseError(
+            raise ConfigError(
                 f"element {text!r} uses sqrt({written_d}) but the ambient field is Q(sqrt({d}))"
             )
         b = _rational(coef, text) if coef is not None else _ONE
@@ -189,9 +189,9 @@ def _rational(part: str, text: str) -> Fraction:
     except ValueError:  # the pattern admits only digits: past int()'s digit limit
         digits = max(len(num.lstrip("-")), len(den))
         limit = sys.get_int_max_str_digits()
-        raise ElementParseError(f"a numeral has {digits} digits; the limit is {limit}") from None
+        raise ConfigError(f"a numeral has {digits} digits; the limit is {limit}") from None
     if denominator == 0:
-        raise ElementParseError(f"zero denominator in field element {text!r}")
+        raise ConfigError(f"zero denominator in field element {text!r}")
     return Fraction(numerator, denominator)
 
 

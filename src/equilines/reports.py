@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, EquilinesError
+from .errors import ConfigError
 
 # Each function imports the modules it runs, so rendering a certificate
 # loads neither the points nor numpy.
@@ -78,7 +78,7 @@ def parse_config(text: str) -> ColoredConfiguration:
                 parsed.append(parse_element("1", disc.d))
             points.append(ProjPoint(*parsed))
             check_key_bits(points[-1].row)
-        except (EquilinesError, ValueError) as exc:  # ValueError: zero triple
+        except (ConfigError, ValueError) as exc:  # ValueError: zero triple
             raise ConfigError(f"point {idx}: {exc}") from None
         colors.append(entry.get("color"))
         if colors[-1] not in COLORS:

@@ -30,7 +30,7 @@ from array import array
 from typing import NamedTuple
 
 from .bounds import BoundReport, evaluate_bound, verdict
-from .errors import Frozen, InternalInconsistencyError, SearchCapError
+from .errors import ConfigError, Frozen, InternalInconsistencyError
 from .geometry import enumerate_lines
 from .kernels import build_incidence, descent_replay, exhaustive_scan, selection_table
 from .pcg64 import PCG64
@@ -80,15 +80,12 @@ class SearchSpec(Frozen):
         # name the cap and the binomial.  MAX_LOCAL_BUDGET < MAX_COLORINGS,
         # so a local budget bounds its colorings too.
         check_point_count(self.total)
-        count = self.coloring_count()
         if self.mode == LOCAL and self.budget > MAX_LOCAL_BUDGET:
-            raise SearchCapError(
-                f"local search budget exceeds the cap of {MAX_LOCAL_BUDGET} moves", count
-            )
-        if self.mode == EXHAUSTIVE and count > MAX_COLORINGS:
-            raise SearchCapError(
+            raise ConfigError(f"local search budget exceeds the cap of {MAX_LOCAL_BUDGET} moves")
+        if self.mode == EXHAUSTIVE and self.coloring_count() > MAX_COLORINGS:
+            raise ConfigError(
                 f"exhaustive search over C({self.total}, {self.n_green}) colorings "
-                f"exceeds the cap {MAX_COLORINGS}", count,
+                f"exceeds the cap {MAX_COLORINGS}"
             )
 
     def _key(self) -> tuple:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from equilines.generators import generate, hesse, random_rational
 from equilines.geometry import _is_prime
 from equilines.kernels import resolve_backend
 from equilines.points import GREEN, MAX_KEY_BITS, MAX_POINTS, RED, check_key_bits, configuration
-from equilines.tables import IDENTITIES, Identity
+from equilines.tables import IDENTITIES, INEQUALITIES, THEOREMS, Identity, InequalityKind
 from equilines.reports import (
     analysis_document,
     config_document,
@@ -80,11 +81,9 @@ def test_parse_config_rejects_duplicates():
             {"coords": ["0", "0"], "color": "red"},
         ],
     }
-    from equilines.errors import DuplicatePointError
-
-    with pytest.raises(DuplicatePointError) as exc:
+    with pytest.raises(ConfigError) as exc:
         parse_config(dump_json(doc))
-    assert exc.value.indices == (0, 1)
+    assert str(exc.value) == "points 0 and 1 coincide at (0 : 0 : 1)"
 
 
 def test_parse_config_errors():
@@ -257,6 +256,56 @@ def test_cli_bounds(tmp_path, capsys):
     assert doc["bounds"][0]["slack"] == "1"
 
 
+SLICE_SPECS = ["hesse", "grid(4)", "near_pencil(7)", "random_rational(30,2,5)"]
+# (subcommand, option, section of the analysis, key naming an entry, the names)
+SLICES = [
+    ("verify", "--inequality", "inequalities", "kind", [k.value for k in InequalityKind]),
+    ("bounds", "--theorem", "bounds", "theorem", [th.value for th in BoundTheorem]),
+]
+
+
+@pytest.mark.parametrize("raised", [False, True], ids=["as-is", "every-rhs-raised"])
+@pytest.mark.parametrize("spec", SLICE_SPECS)
+def test_cli_verify_and_bounds_print_a_slice_of_the_analysis(
+    tmp_path, monkeypatch, capsys, spec, raised
+):
+    # verify and bounds print the summary and the one entry asked for, each
+    # as analyze prints it, and exit 1 exactly when that entry is unsatisfied.
+    # Raising every right-hand side makes each applicable entry fail.
+    if raised:
+        for kind, row in INEQUALITIES.items():
+            monkeypatch.setitem(INEQUALITIES, kind, row._replace(constant=lambda total: 10**6))
+        for th, row in THEOREMS.items():
+            monkeypatch.setitem(THEOREMS, th, row._replace(bound=lambda n, k, t: Fraction(10**6)))
+    points = generate(spec)
+    colors = tuple(RED if i % 3 == 0 else GREEN for i in range(len(points)))
+    path = write_config(tmp_path, "mixed.json", config_document(points, colors, points[0].d))
+    run_cli(["analyze", path, "--format", "json"])
+    analysis = json.loads(capsys.readouterr().out)
+    verdicts = set()
+    for command, option, section, key, names in SLICES:
+        assert [entry[key] for entry in analysis[section]] == names
+        for entry in analysis[section]:
+            code = run_cli([command, path, option, entry[key], "--format", "json"])
+            slice_doc = {"summary": analysis["summary"], section: [entry]}
+            assert capsys.readouterr().out == dump_json(slice_doc)
+            assert code == (1 if entry["satisfied"] is False else 0)
+            verdicts.add(entry["satisfied"])
+    assert (False in verdicts) == raised
+
+
+@pytest.mark.parametrize("option", [["--format", "text"], ["--format", "json"], ["--decimal"]],
+                         ids=["format-text", "format-json", "decimal"])
+def test_cli_generate_takes_no_output_options(option, capsys):
+    # generate always writes a JSON config document.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["generate", "--name", "grid(2)", *option])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(option)}\n" in captured.err
+
+
 def test_cli_proofcheck(capsys):
     assert run_cli(["proofcheck", "--theorem", "equisix"]) == 0
     out = capsys.readouterr().out
@@ -276,7 +325,7 @@ def test_cli_proofcheck_takes_no_window(capsys):
 
 def test_readme_cli_block_matches_parser():
     # Each synopsis line in README's CLI block documents exactly the flags
-    # of its subcommand, apart from the options every subcommand shares.
+    # of its subcommand, apart from help and the output options.
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
     shared = {"-h", "--help", "--format", "--decimal"}

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from equilines.cli import run_cli
-from equilines.errors import EquilinesError
+from equilines.errors import ConfigError
 from equilines.points import ColoredConfiguration
 from equilines.reports import parse_config
 
@@ -70,7 +70,7 @@ def test_parse_config_fuzz(text):
     start = time.perf_counter()
     try:
         config = parse_config(text)
-    except EquilinesError as exc:
+    except ConfigError as exc:
         event("rejected")
         assert str(exc)
     else:

@@ -144,8 +144,7 @@ def test_corrupted_template_is_refuted_at_2_2(monkeypatch):
     _set_side(monkeypatch, HIRZEBRUCH_LINEAR, "right", exceptions={2: 0, 3: 0, 4: 1})
     with pytest.raises(ClaimRefutedError) as exc:
         verify_template_sign_claim(EQUI_SIX_TEMPLATE)
-    assert exc.value.cell == (2, 2)
-    assert exc.value.expected == -2 and exc.value.actual == -1
+    assert str(exc.value) == "equisix sign: cell (2, 2) has coefficient -1, claimed -2"
 
 
 def test_unclaimed_exceptional_cell_is_refuted():
@@ -155,7 +154,9 @@ def test_unclaimed_exceptional_cell_is_refuted():
     )
     with pytest.raises(ClaimRefutedError) as exc:
         verify_template_sign_claim(missing_claim)
-    assert exc.value.cell == (1, 1)
+    assert str(exc.value) == (
+        "equifour-missing sign: unclaimed cell (1, 1) has exceptional-sign coefficient 6"
+    )
 
 
 def test_identity_simplification():

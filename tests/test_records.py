@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from equilines.errors import SearchCapError
+from equilines.errors import ConfigError
 from equilines.generators import grid
 from equilines.geometry import enumerate_lines
 from equilines.points import GREEN, RED, ColoredConfiguration, ProjPoint
@@ -68,7 +68,7 @@ def test_construction_validates():
         Discriminant(4)
     with pytest.raises(ValueError, match="r must be >= 0"):
         EquichromaticQuery(-1)
-    with pytest.raises(SearchCapError, match=f"cap of {MAX_LOCAL_BUDGET} moves"):
+    with pytest.raises(ConfigError, match=f"cap of {MAX_LOCAL_BUDGET} moves"):
         SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=LOCAL,
                    budget=MAX_LOCAL_BUDGET + 1)
 
