@@ -126,5 +126,8 @@ def generate(spec: str) -> tuple[ProjPoint, ...]:
         points = GENERATORS[name](*args)
     except (ValueError, TypeError) as exc:  # a TypeError is a wrong number of arguments
         raise ConfigError(f"bad arguments in generator spec {spec!r}: {exc}") from None
+    if len(points) < 2:  # as parse_config and the search refuse
+        raise ConfigError(f"generator spec {spec!r} gives {len(points)} point(s), "
+                          "but a point set needs at least 2")
     check_key_bits(c for p in points for c in p.row)  # as parse_config does
     return points

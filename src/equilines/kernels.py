@@ -27,8 +27,9 @@ One algorithm runs per search mode:
     slots, drawn before it starts, and builds its Python state once from
     the line CSR, one int object per point and per line.
 
-Both take the selection table by line size, sel[m][g], and break ties on
-the best count toward the lexicographically smallest green index tuple.
+Both take the selection rows by line size, sel[m][g], one row of m + 1
+ints for each line size that occurs, and break ties on the best count
+toward the lexicographically smallest green index tuple.
 The test suite holds incremental reference algorithms for both modes and
 checks these kernels against them.
 """
@@ -63,13 +64,11 @@ def build_incidence(incidence: Incidence) -> Incidence:
                      incidence.all_real)
 
 
-def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> list[list[int]]:
+def selection_table(size_counts: dict[int, int], query: EquichromaticQuery) -> dict[int, list[int]]:
     """The rows sel[m][g] = 1 iff the query selects an m-point line with g
-    green points, i.e. the cell (g, m - g), for each size m in size_counts,
-    and 0 elsewhere: width rows of width ints, width the largest m + 1."""
-    width = max(size_counts) + 1
-    return [[int(m in size_counts and g <= m and query.selects(g, m - g)) for g in range(width)]
-            for m in range(width)]
+    green points, i.e. the cell (g, m - g): one row of m + 1 ints for each
+    line size m in size_counts."""
+    return {m: [int(query.selects(g, m - g)) for g in range(m + 1)] for m in size_counts}
 
 
 # Colorings per chunk times incidences: bounds every per-chunk array.
@@ -78,7 +77,7 @@ _CHUNK_ELEMENTS = 1 << 22
 
 def exhaustive_scan(
     incidence: Incidence,
-    sel: Sequence[Sequence[int]],
+    sel: dict[int, list[int]],
     n_green: int,
     bound_num: int,
     bound_den: int,
@@ -98,12 +97,10 @@ def exhaustive_scan(
     if not 1 <= n_green <= n_points:
         raise ValueError(f"n_green must be in [1, {n_points}]")
     indptr, points = incidence.indptr, incidence.points
-    sizes = np.diff(indptr)
-    groups = []  # (points of the m-point lines, L_m x m; their selection row)
-    for m in [m for m, row in enumerate(sel) if any(row)]:
-        lines = np.flatnonzero(sizes == m)
-        members = points[indptr[lines][:, None] + np.arange(m)]
-        groups.append((members, np.array(sel[m], dtype=np.int8)))
+    starts, sizes = indptr[:-1], np.diff(indptr)
+    # (points of the m-point lines, L_m x m; their selection row)
+    groups = [(points[starts[sizes == m][:, None] + np.arange(m)], np.array(row, dtype=np.int8))
+              for m, row in sel.items() if any(row)]
     chunk_len = max(1, _CHUNK_ELEMENTS // points.shape[0])
     best_actual = -1
     best_combo = []
@@ -133,8 +130,8 @@ def exhaustive_scan(
     return best_actual, best_combo, violations, examined
 
 
-def _gain_tables(sel_row: list[int], m: int):
-    """Per-count tables of one line of m points with selection row sel_row.
+def _gain_tables(sel_row: list[int]):
+    """Per-count tables of a line whose selection row is sel_row.
 
     dm[c] = sel[c-1] - sel[c] is the change in the selected count when
     one of the line's c green points turns red, dp[c] = sel[c+1] - sel[c]
@@ -143,8 +140,9 @@ def _gain_tables(sel_row: list[int], m: int):
     dp[c]; down[c] and up[c] are the changes (d dm, d dp) when c falls or
     rises by one, or None when neither gain changes.
     """
-    dm = [0] + [sel_row[c - 1] - sel_row[c] for c in range(1, m + 1)]
-    dp = [sel_row[c + 1] - sel_row[c] for c in range(m)] + [0]
+    m = len(sel_row) - 1
+    dm = [0] + [a - b for a, b in zip(sel_row, sel_row[1:])]
+    dp = [-d for d in dm[1:]] + [0]
     fix = [a + b for a, b in zip(dm, dp)]
 
     def change(a: int, b: int):
@@ -192,7 +190,7 @@ def _replay_state(incidence: Incidence):
 
 def descent_replay(
     incidence: Incidence,
-    sel: Sequence[Sequence[int]],
+    sel: dict[int, list[int]],
     initial_green: Sequence[int],
     green_slots: Sequence[int],
     red_slots: Sequence[int],
@@ -224,7 +222,7 @@ def descent_replay(
     members, lines_of, pair_line = _replay_state(incidence)
     # Lines of one size share their selection row and tables.
     sizes = list(map(len, members))
-    by_size = {m: _gain_tables(sel[m], m) for m in set(sizes)}
+    by_size = {m: _gain_tables(row) for m, row in sel.items()}
     fix, down, up = ([by_size[m][i] for m in sizes] for i in (2, 3, 4))
 
     counts = [0] * len(sizes)

@@ -4,11 +4,13 @@ t_{i,j} counts the determined lines with exactly i green and j red
 points (``tables.LineProfile``).  ``compute_profile`` tallies them over
 the line CSR of a configuration's ``geometry.Incidence``, and checks
 every counting identity of ``tables.IDENTITIES`` exactly before it
-returns.  The tally follows the buffers: over the ``array('i')`` buffers
-of the pencil enumeration it is prefix sums in Python ints, and no numpy
-is loaded; over the numpy buffers of the sort enumeration it is a block
-tally in numpy.  The identities hold for every configuration, so a
-failure is always a kernel bug, and it raises.
+returns.  Each point weighs 1, plus N + 1 if it is green, so a line's
+weight sum names its cell; one decode turns the sums into cells.  The
+sums follow the buffers: over the ``array('i')`` buffers of the pencil
+enumeration they are prefix sums in Python ints, and no numpy is
+loaded; over the numpy buffers of the sort enumeration they are segment
+sums in numpy, taken in blocks of lines.  The identities hold for every
+configuration, so a failure is always a kernel bug, and it raises.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InternalInconsistencyError
 from .points import GREEN, ColoredConfiguration
-from .tables import IDENTITIES, Cell, LineProfile
+from .tables import IDENTITIES, LineProfile
 
 if TYPE_CHECKING:
     from .geometry import Incidence
@@ -47,20 +49,23 @@ class IdentityReport(NamedTuple):
 
 def compute_profile(config: ColoredConfiguration) -> LineProfile:
     """Tally (green, red) cell counts over the configuration's determined
-    lines, from each line's green count over the CSR buffers of its
-    (once-enumerated) incidence structure.
-
-    The counting identities are verified before the profile is returned;
-    they are cheap cross-checks of the geometry kernel.
-    """
-    green = [c == GREEN for c in config.colors]
+    lines: with weight 1 + w per green point and 1 per red one, w = N + 1,
+    an m-point line with g green points sums to m + w g.  The counting
+    identities, cheap cross-checks of the geometry kernel, are verified
+    before the profile is returned."""
+    w = config.total + 1
+    weights = [1 + w if c == GREEN else 1 for c in config.colors]
     incidence = config.incidence
-    # The tally follows the buffers: the prefix tally needs no numpy, and
-    # numpy buffers come only from a set above the crossover, which loaded
-    # numpy to sort its pairs.  There the block tally is faster: 2.8 ms
-    # against 24 ms on random_rational(400, 0, 9) (best of 30, 2-core x86_64).
-    tally = _prefix_tally if isinstance(incidence.points, array) else _block_tally
-    cells = tally(incidence, green)
+    # The sums follow the buffers: the prefix sums need no numpy, and numpy
+    # buffers come only from a set above the crossover, which loaded numpy
+    # to sort its pairs.  There the block sums are faster: 1.5 ms against
+    # 23 ms on random_rational(400, 0, 9), 9.4 against 146 ms at 1000
+    # points (best of 15, 2-core x86_64).
+    line_sums = _prefix_sums if isinstance(incidence.points, array) else _block_sums
+    cells = {}
+    for total, c in line_sums(incidence, weights).items():
+        g, m = divmod(total, w)
+        cells[g, m - g] = c
     profile = LineProfile.from_dict(cells, config.n, config.k)
     report = verify_identities(profile)
     if not report.all_passed:
@@ -72,54 +77,38 @@ def compute_profile(config: ColoredConfiguration) -> LineProfile:
     return profile._replace(identities=report)
 
 
-def _prefix_tally(incidence: Incidence, green: list[bool]) -> dict[Cell, int]:
-    """The cells of the lines by prefix sums over the CSR: with weight
-    1 + w per green point and 1 per red one, w = N + 1, an m-point line
-    with g green points sums to m + w g, the difference of the running
-    sums at the ends of its segment."""
-    w = len(green) + 1
-    weights = [1 + w * g for g in green]
+def _prefix_sums(incidence: Incidence, weights: list[int]) -> Counter:
+    """How many lines have each weight sum, by prefix sums over the
+    ``array('i')`` CSR buffers: a line's sum is the difference of the
+    running sums at the ends of its segment."""
     running = list(itertools.accumulate(map(weights.__getitem__, incidence.points), initial=0))
     at = list(map(running.__getitem__, incidence.indptr))
-    cells = {}
-    for total, c in Counter(map(sub, at[1:], at)).items():
-        g, m = divmod(total, w)
-        cells[g, m - g] = c
-    return cells
+    return Counter(map(sub, at[1:], at))
 
 
-# Lines per block of the block tally: bounds the index copies that numpy's
-# gathers and bincount make of the int32 line CSR.  One block of every line
-# adds 10 MB to the tracemalloc peak on random_rational(1000, 0, 9), on top
-# of the live incidence.
+# Lines per block of the block sums: bounds the copies that numpy's gathers
+# and sorts make of the int32 line CSR.  One block of every line peaks at
+# 14 MB under tracemalloc on random_rational(1000, 0, 9), one of 4096 lines
+# at 0.23 MB, on top of the live incidence.
 _TALLY_BLOCK = 1 << 12
 
 
-def _block_tally(incidence: Incidence, green: list[bool]) -> dict[Cell, int]:
-    """The cells of the lines in numpy: each line's green count is a segment
-    sum over the numpy CSR buffers, taken in blocks of lines."""
+def _block_sums(incidence: Incidence, weights: list[int]) -> Counter:
+    """How many lines have each weight sum, in numpy: each line's sum is a
+    segment sum over the numpy CSR buffers, taken in blocks of lines."""
     import numpy as np
 
-    flags = np.array(green, dtype=np.int8)
-    # An m-point line with g green points falls in cell g * len(sizes) + rank[m].
-    sizes = sorted(incidence.size_counts)
-    rank = np.zeros(sizes[-1] + 1, dtype=np.int32)
-    rank[sizes] = np.arange(len(sizes))
-    tally = np.zeros((sizes[-1] + 1) * len(sizes), dtype=np.int64)
+    weight = np.array(weights, dtype=np.int64)
     indptr, n_lines = incidence.indptr, len(incidence)
+    sums = Counter()
     for start in range(0, n_lines, _TALLY_BLOCK):
         stop = min(start + _TALLY_BLOCK, n_lines)
         first = indptr[start]
-        block = flags[incidence.points[first : indptr[stop]]]
-        cell = np.add.reduceat(block, indptr[start:stop] - first, dtype=np.int32)
-        cell *= len(sizes)
-        cell += rank[np.diff(indptr[start : stop + 1])]
-        tally += np.bincount(cell, minlength=tally.shape[0])
-    cells = {}
-    for cell in np.flatnonzero(tally).tolist():
-        g, r = divmod(cell, len(sizes))
-        cells[g, sizes[r] - g] = int(tally[cell])
-    return cells
+        block = weight[incidence.points[first : indptr[stop]]]
+        values, counts = np.unique(np.add.reduceat(block, indptr[start:stop] - first),
+                                   return_counts=True)
+        sums.update(dict(zip(values.tolist(), counts.tolist())))
+    return sums
 
 
 def verify_identities(profile: LineProfile) -> IdentityReport:

@@ -261,7 +261,7 @@ def analysis_document(config: ColoredConfiguration) -> tuple[dict, bool]:
 def render_text(doc: dict, decimal: bool = False) -> str:
     """Human-oriented rendering of a report document (not stability-
     guaranteed; JSON is the stable format)."""
-    out: list[str] = []
+    out = [f"file: {doc['file']}"] if "file" in doc else []
     if "summary" in doc:
         s = doc["summary"]
         out.append(

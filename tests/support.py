@@ -349,8 +349,12 @@ def point_transpose(incidence):
 
 def per_line_selection(incidence, sel) -> np.ndarray:
     """The selection row of each line, from the kernels' rows sel[m] by
-    line size m."""
-    return np.array(sel, dtype=np.int64)[np.diff(np.asarray(incidence.indptr))]
+    line size m, padded with zeros to the width of the longest line."""
+    width = max(sel) + 1
+    table = np.zeros((width, width), dtype=np.int64)
+    for m, row in sel.items():
+        table[m, : m + 1] = row
+    return table[np.diff(np.asarray(incidence.indptr))]
 
 
 def oracle_exhaustive_scan(incidence, sel, n_green, bound_num, bound_den):

@@ -180,6 +180,19 @@ def test_cli_analyze_multiple_files(tmp_path, capsys):
     assert out.count('"file"') == 2
 
 
+def test_cli_analyze_multiple_files_text(tmp_path, capsys):
+    # Each text report opens with the file it analyzes; a single file's
+    # report names none, as before.
+    p1 = write_config(tmp_path, "a.json", square_doc())
+    p2 = write_config(tmp_path, "b.json", square_doc())
+    assert run_cli(["analyze", p1]) == 0
+    single = capsys.readouterr().out
+    assert not single.startswith("file:")
+    assert run_cli(["analyze", p1, p2]) == 0
+    out = capsys.readouterr().out
+    assert out == f"file: {p1}\n{single}file: {p2}\n{single}"
+
+
 def test_cli_missing_file(tmp_path, capsys):
     assert run_cli(["verify", "missing.json", "--inequality", "melchior"]) == 2
     assert capsys.readouterr().err == "error: no such file: missing.json\n"
@@ -698,23 +711,26 @@ def test_cli_exhaustive_search_stays_small_at_400_points(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "generator, k, budget, limit_mb",
+    "generator, k, theorem, budget, limit_mb",
     [
         # The green and the red slots are drawn into two array('H')s of 2
         # bytes a move, 4 MB here; as numpy's int64 arrays they peaked at
         # 51.6 MB.  With numpy.random loaded it peaked at 36.4 MB, with numpy
         # core at 33.1 MB, and without numpy at 17.6-18.2 MB while the red
         # slots were drawn in blocks, and 19.5 MB since.
-        ("grid(5)", "1", 1_000_000, 25),
+        ("grid(5)", "1", "equisix", 1_000_000, 25),
         # 381,767 lines: the replay's Python state is built once from the
         # line CSR, with no transpose and no list of the whole CSR (192 MB
         # when it kept them).
-        ("random_rational(1000,0,9)", "0", 10, 140),
+        ("random_rational(1000,0,9)", "0", "equisix", 10, 140),
+        # Lines of 2 and 999 points: one selection row per size that occurs,
+        # not a 1000 x 1000 table padded to the longest line (47.5 MB).
+        ("near_pencil(1000)", "0", "ps1", 10, 43),
     ],
-    ids=["grid5-budget-1000000", "n1000-budget-10"],
+    ids=["grid5-budget-1000000", "n1000-budget-10", "near-pencil1000-ps1-budget-10"],
 )
-def test_cli_local_search_stays_small(tmp_path, generator, k, budget, limit_mb):
-    argv = ["search", "--generator", generator, "--k", k, "--theorem", "equisix",
+def test_cli_local_search_stays_small(tmp_path, generator, k, theorem, budget, limit_mb):
+    argv = ["search", "--generator", generator, "--k", k, "--theorem", theorem,
             "--mode", "local", "--budget", str(budget), "--format", "json"]
     report, _, peak_mb = cli_process(tmp_path, argv)
     assert json.loads(report)["search"]["colorings_examined"] == str(budget + 1)

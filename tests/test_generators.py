@@ -74,6 +74,20 @@ def test_generate_rejects_a_wrong_number_of_arguments(capsys):
     assert capsys.readouterr().err.startswith("error: bad arguments in generator spec 'grid(4,4)'")
 
 
+def test_generate_refuses_fewer_than_two_points(capsys):
+    # Every other subcommand refuses a one-point set, so generate must not
+    # write one: the builders accept grid(1) and random_rational(1, ...).
+    for spec in ("grid(1)", "random_rational(1,0,9)"):
+        with pytest.raises(ConfigError, match="needs at least 2$"):
+            generate(spec)
+        assert run_cli(["generate", "--name", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: generator spec {spec!r} gives 1 point(s), "
+                       "but a point set needs at least 2\n")
+    assert len(generate("grid(2)")) == 4
+
+
 def test_generators_reject_more_points_than_the_limit():
     assert len(near_pencil(MAX_POINTS)) == MAX_POINTS
     limit = f"limit of {MAX_POINTS}"

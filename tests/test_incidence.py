@@ -147,7 +147,7 @@ def test_search_enumerates_once_per_spec(enumerations, mode):
 
 
 def test_analysis_builds_arrays_once_per_config(builds, monkeypatch):
-    # Neither tally needs the kernels' adapter: the block tally reads the
+    # Neither tally needs the kernels' adapter: the block sums read the
     # sort path's numpy buffers as they are.
     for path in PATHS:
         use_path(monkeypatch, path)

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from support import ALL_DS, random_config, reference_profile, use_path
 import equilines.profiles as profiles_mod
 from equilines.errors import InternalInconsistencyError
 from equilines.generators import hesse
+from equilines.kernels import build_incidence
 from equilines.points import GREEN, RED, affine_point, configuration
 from equilines.profiles import compute_profile, verify_identities
 from equilines.tables import EquichromaticQuery, LineProfile, count_equichromatic
@@ -95,13 +98,25 @@ def test_array_profile_matches_per_line_tally(monkeypatch):
         config = random_config(seed)
         seen.add(config.discriminant.d)
         expected = reference_profile(config)
-        # The prefix tally, and the block tally in small blocks of lines:
-        # it must not depend on where they split.
+        # The prefix sums, and the block sums in small blocks of lines: they
+        # must not depend on where the blocks split.  A fresh configuration
+        # per path, since each caches the incidence it enumerated first.
         for path, block in (("pencil", 1), ("sort", profiles_mod._TALLY_BLOCK), ("sort", 1),
                             ("sort", 7)):
             use_path(monkeypatch, path)
             monkeypatch.setattr(profiles_mod, "_TALLY_BLOCK", block)
-            assert compute_profile(config) == expected
+            fresh = configuration(config.points, config.colors, config.discriminant.d)
+            assert isinstance(fresh.incidence.points, array) == (path == "pencil")
+            assert compute_profile(fresh) == expected
+        # Both routines over the same lines: the block sums (in blocks of 7)
+        # over numpy views of the pencil path's buffers.
+        use_path(monkeypatch, "pencil")
+        pencil = config.incidence
+        assert isinstance(pencil.points, array)
+        w = config.total + 1
+        weights = [1 + w if c == GREEN else 1 for c in config.colors]
+        assert (profiles_mod._block_sums(build_incidence(pencil), weights)
+                == profiles_mod._prefix_sums(pencil, weights))
     assert seen == set(ALL_DS)
 
 

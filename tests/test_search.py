@@ -45,20 +45,21 @@ def test_backend_resolution():
 def test_selection_table_matches_query():
     for points in (grid(3), hesse(), near_pencil(6)):
         base = enumerate_lines(points)
-        sizes = np.diff(build_incidence(base).indptr)
-        width = int(sizes.max()) + 1
         for r, max_points in ((1, 6), (2, 4), (1, None), (0, 3)):
             query = EquichromaticQuery(r, max_points)
             sel = selection_table(base.size_counts, query)
-            assert len(sel) == width and all(len(row) == width for row in sel)
-            for m in range(width):
-                for g in range(width):
-                    selected = m in base.size_counts and g <= m and query.selects(g, m - g)
-                    assert type(sel[m][g]) is int and sel[m][g] == int(selected)
-            # The per-line view the reference algorithms read.
-            per_line = [[int(g <= m and query.selects(g, m - g)) for g in range(width)]
-                        for m in sizes.tolist()]
-            assert [sel[m] for m in sizes.tolist()] == per_line
+            # One row per line size that occurs, of m + 1 ints.
+            assert list(sel) == list(base.size_counts)
+            for m, row in sel.items():
+                assert len(row) == m + 1
+                for g in range(m + 1):
+                    assert type(row[g]) is int and row[g] == int(query.selects(g, m - g))
+            # The zero-padded per-line view the reference algorithms read.
+            csr = build_incidence(base)
+            sizes = np.diff(csr.indptr).tolist()
+            assert support.per_line_selection(csr, sel).tolist() == [
+                [int(g <= m and query.selects(g, m - g)) for g in range(max(sizes) + 1)]
+                for m in sizes]
 
 
 def test_backends_agree_when_a_present_size_selects_nothing():
