@@ -9,18 +9,18 @@ modulo a random prime, and each group of pairs that share a key is
 checked to be one exact line on the integer rows (``row_det``).  The keys
 only group the pairs: a line is its points.
 
-One reduction, ``residues``, maps the points mod p for both algorithms,
-each scaled to (x, y, 1), (1, y, 0) or (0, 1, 0), and is the one place
-that rejects a prime for the points.  Two algorithms then key and group
-the pairs, chosen by their number C(N, 2), each in its own module with
-the signature (rows, d, residues, p), imported only when it runs:
+One reduction, ``residues``, maps the points mod p into one affine chart,
+where no line through two of them is vertical, and is the one place that
+rejects a prime for the points.  Two algorithms then key the pairs by
+slope and group them, chosen by their number C(N, 2), each in its own
+module with the signature (rows, d, residues, p), imported when it runs:
 
   * ``pencil``, up to PENCIL_MAX_PAIRS pairs: for each point in turn, the
-    slope mod p of the line to each later point not yet on a found line,
-    in Python ints, into ``array('i')`` buffers.  Neither it nor this
+    slope of the line to each later point not yet on a found line, in
+    Python ints, into ``array('i')`` buffers.  Neither it nor this
     module imports numpy.
-  * ``sort``, above it: one int64 key per pair, sorted and grouped in
-    numpy, into numpy buffers.
+  * ``sort``, above it: one int64 key per pair, slope p + intercept,
+    sorted and grouped in numpy, into numpy buffers.
 
 The point count alone picks the algorithm, whoever calls: an analysis and
 a search of one point set, in either mode, read the same incidence.
@@ -37,13 +37,14 @@ from typing import Any
 from .errors import ConfigError, Frozen, InternalInconsistencyError
 from .points import ProjPoint, check_key_bits
 
-# The most pairs C(N, 2) that enumerate_lines keys by pencils: 2^16 is
-# N <= 362.  Whole `analyze` processes of random_rational(N, 7, 9), pencils
-# against sort: 0.18 against 0.23 s and 19.6 against 31.0 MB at N = 300;
-# 0.25 against 0.24 s and 22.8 against 32.1 MB at 400; 0.36 against 0.28 s
-# and 27.3 against 33.8 MB at 512 (medians of 10 alternating pairs, from a
+# The most pairs C(N, 2) that enumerate_lines keys by pencils: 2^17 is
+# N <= 512.  Whole `analyze` processes of random_rational(N, 7, 9), pencils
+# against sort: 0.15 against 0.25 s and 21.6 against 31.7 MB at N = 362;
+# 0.22 against 0.26 s and 27.2 against 33.9 MB at 512, pencils faster in
+# 10 of 10 pairs; 0.28 against 0.28 s at 600 (6 of 10) and 0.37 against
+# 0.31 s at 724 (0 of 10) (medians of 10 alternating pairs, from a
 # launcher with os.wait4, 2-core x86_64).
-PENCIL_MAX_PAIRS = 1 << 16
+PENCIL_MAX_PAIRS = 1 << 17
 
 
 def pencil_path(n_points: int) -> bool:
@@ -163,15 +164,17 @@ def _primes(rows: list[tuple[int, ...]]):
 
     A prime fails for a point set only if it divides one of finitely many
     nonzero integers fixed by the rows: a component of a point's residue
-    triple, a minor of two points, or a minor of two distinct lines.  The
+    triple, a minor of two points, or a minor of two distinct lines; or if
+    its frame fails, as at most N/p + 2 C(N, 2)/p of frames do.  The
     draw is uniform over the about 1.3e7 primes of the range in which d
     has a root, and a set cannot steer which ones it meets: changing it to
     spoil the drawn primes changes the seed.  A pencil of 500 lines through
     two points each, the worst case we know, spoils at most 6 C(500, 2) =
     748,500 of them (each difference of two offsets below 2^193 has at most
-    six prime factors above 2^29), one in 18.  So the attempts per input
-    are geometric with mean below 1.06, O(1).  A fixed list of primes
-    would let such a set spoil its first few thousand, a full pass each.
+    six prime factors above 2^29), one in 18, and its frames 0.2%.  So the
+    attempts per input are geometric with mean below 1.07, O(1).  A fixed
+    list of primes would let such a set spoil its first few thousand, a
+    full pass each.
     """
     rng = random.Random(hash(tuple(rows)))
     while True:
@@ -185,29 +188,34 @@ def _primes(rows: list[tuple[int, ...]]):
 _MAX_PRIMES = 100
 
 
-def residues(rows: list[tuple[int, ...]], d: int, p: int) -> list[tuple[int, int, int]] | None:
-    """The points mod p, each as its residue triple under the ring map
-    Z[sqrt(d)] -> F_p that sends sqrt(d) to a root of d, scaled to
-    (x, y, 1), or else (1, y, 0) or (0, 1, 0).  None when d has no root mod
-    p, or when a triple vanishes or two points coincide mod p: exactly when
-    some pair's cross product vanishes, so that a line could split.  Else
-    the cross products of a line's pairs are proportional, and key alike."""
+def chart_frame(p: int) -> tuple[int, int, int]:
+    """The frame (a, b, c) drawn from p: (x : y : z) goes to ((x + c y) / w,
+    y / w) with w = z + a x + b y, a projective map (x / w alone would give
+    all points of x = 0 one x)."""
+    rng = random.Random(p)
+    return rng.randrange(p), rng.randrange(p), rng.randrange(p)
+
+
+def residues(rows: list[tuple[int, ...]], d: int, p: int) -> tuple[list[int], list[int]] | None:
+    """The points mod p, under the ring map Z[sqrt(d)] -> F_p that sends
+    sqrt(d) to a root of d, in the chart of ``chart_frame(p)``: (xs, ys).
+    None when d has no root mod p, when some w = 0, or when two points
+    share an x (a vanishing triple or coincident points always do).  Else
+    three points are collinear mod p iff their images are."""
     r = _sqrt_mod(d, p)
     if r is None:
         return None
-    scaled = []
+    a, b, c = chart_frame(p)
+    xs, ys = [], []
     for xa, xb, ya, yb, za, zb in rows:
-        x, y, z = (xa + xb * r) % p, (ya + yb * r) % p, (za + zb * r) % p
-        if z:
-            v = pow(z, -1, p)
-            scaled.append((x * v % p, y * v % p, 1))
-        elif x:
-            scaled.append((1, y * pow(x, -1, p) % p, 0))
-        elif y:
-            scaled.append((0, 1, 0))
-        else:
+        x, y = (xa + xb * r) % p, (ya + yb * r) % p
+        w = (za + zb * r + a * x + b * y) % p
+        if not w:
             return None
-    return scaled if len(set(scaled)) == len(scaled) else None
+        v = pow(w, -1, p)
+        xs.append((x + c * y) * v % p)
+        ys.append(y * v % p)
+    return (xs, ys) if len(set(xs)) == len(xs) else None
 
 
 def enumerate_lines(points: tuple[ProjPoint, ...]) -> Incidence:

@@ -8,8 +8,9 @@ picks, as for an analysis, and takes the theorem's verdict from
 (n, k), never on the coloring: if the gate fails, every coloring is
 inapplicable, the result says so, and no kernel runs.  Otherwise the
 kernels read that incidence's line CSR (no array of lines times points
-is built).  Exhaustive mode evaluates every coloring with the requested
-(n, k), in numpy, on numpy views of the CSR buffers that
+is built).  Exhaustive mode, unless its work estimate exceeds
+``MAX_SCAN_WORK``, evaluates every coloring with the requested (n, k),
+in numpy, on numpy views of the CSR buffers that
 ``kernels.build_incidence`` adapts once without a copy; local mode draws
 all its green/red swap moves from the package's own PCG64 stream
 (``pcg64``), which gives numpy's PCG64 Generator draws, into two flat
@@ -43,6 +44,15 @@ EXHAUSTIVE = "exhaustive"
 LOCAL = "local"
 # Colorings one search may examine; bounds the time and memory of any request.
 MAX_COLORINGS = 10_000_000
+# Work one exhaustive search may do, in incidences read: C(N, n) colorings
+# times the incidences on lines whose selection row is nonzero, plus 8 a
+# point for each coloring's green flags.  In one process on a 2-core x86_64
+# host the gather scan took 2.8-7.1 ns an incidence, and near-pencils,
+# whose few selected lines leave the flags most of the work, 35-46 ns a
+# point; so the slowest accepted request runs for about 30 s.  From a
+# launcher, random_rational(305,0,9), k=301, equisix and near_pencil(222),
+# k=216, ps2, both just under the cap, took 12.4 and 19.0 s.
+MAX_SCAN_WORK = 4 * 10**9
 # Moves one local search may propose: seconds per process.  From a launcher
 # on a 2-core x86_64 host, the random_rational(18,1,9) plateau ran 100,000
 # moves in 1.0-1.2 s, and a 1000-point search 1,000,000 moves in 2.8-3.2 s.
@@ -166,6 +176,13 @@ def run_search(spec: SearchSpec) -> SearchResult:
         )
     sel = selection_table(base.size_counts, THEOREMS[spec.theorem].query)
     if spec.mode == EXHAUSTIVE:
+        incidences = sum(m * count for m, count in base.size_counts.items() if any(sel[m]))
+        work = spec.coloring_count() * (incidences + 8 * spec.total)
+        if work > MAX_SCAN_WORK:
+            raise ConfigError(
+                f"exhaustive search work C({spec.total}, {spec.n_green}) x ({incidences} "
+                f"incidences + 8 x {spec.total} points) = {work} exceeds the cap {MAX_SCAN_WORK}"
+            )
         best_actual, best_green, violations, examined = exhaustive_scan(
             build_incidence(base), sel, spec.n_green, bound.numerator, bound.denominator
         )

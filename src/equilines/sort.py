@@ -1,12 +1,11 @@
 """The sort enumeration of lines, in numpy.
 
 ``geometry.enumerate_lines`` runs it above the pencil path, whoever calls,
-on the points as ``geometry.residues`` reduces them mod p.  Each
-point pair is keyed by one int64, the projective class of the cross
-product of its two residue triples (the line through it mod p), in
-blocks of pairs; the keys are sorted; and each group of equal keys is
-checked to be one exact line on the integer rows, in int64 where
-``_det_dtype`` proves the headroom and in Python ints otherwise.
+on the points in the affine chart mod p of ``geometry.residues``.  Each
+point pair is keyed by one int64, slope p + intercept of the line
+through it, in blocks of pairs; the keys are sorted; and each group of
+equal keys is checked to be one exact line on the integer rows, in int64
+where ``_det_dtype`` proves the headroom and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -51,14 +50,6 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return inv[:n]
 
 
-def _projective_keys(u: np.ndarray, v: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
-    """One int64 key per nonzero triple (u : v : w) of residues mod p < 2^30,
-    equal iff the triples are proportional: the triple scaled to make its
-    first nonzero entry 1, packed as u p^2 + v p + w < 2^61."""
-    inv = _inverse_mod(np.where(u != 0, u, np.where(v != 0, v, w)), p)
-    return (u * inv % p * p + v * inv % p) * p + w * inv % p
-
-
 def _pair_points(t: np.ndarray, row_start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The points (i, j) of pairs given by index t in np.triu_indices order,
     where row i's pairs start at row_start[i]."""
@@ -67,12 +58,11 @@ def _pair_points(t: np.ndarray, row_start: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _pair_keys(res: np.ndarray, i: np.ndarray, j: np.ndarray, p: int) -> np.ndarray:
-    """The key mod p of the line through each pair of points (i, j): their
-    cross product, as _projective_keys.  Products of residues stay < 2^60."""
-    (xi, yi, zi), (xj, yj, zj) = res[:, i], res[:, j]
-    return _projective_keys(
-        (yi * zj - zi * yj) % p, (zi * xj - xi * zj) % p, (xi * yj - yi * xj) % p, p
-    )
+    """The key of the line y = s x + t through each pair of points (i, j)
+    of the chart, s p + t < 2^60.  Products of residues stay < 2^60."""
+    (xi, yi), (xj, yj) = res[:, i], res[:, j]
+    s = (yj - yi) % p * _inverse_mod((xj - xi) % p, p) % p
+    return s * p + (yi - s * xi) % p
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -90,7 +80,7 @@ def sort_lines(rows, d: int, residues, p: int):
     n = len(rows)
     n_pairs = n * (n - 1) // 2
     row_start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
-    res = np.array(residues, dtype=np.int64).T
+    res = np.array(residues, dtype=np.int64)
     keys = np.empty(n_pairs, dtype=np.int64)
     for start in range(0, n_pairs, _PAIR_BLOCK):
         t = np.arange(start, min(start + _PAIR_BLOCK, n_pairs))

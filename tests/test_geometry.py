@@ -240,7 +240,7 @@ def reduced(points):
     with their residues: the keys of that prime group the pairs (sort path)."""
     rows = [p.row for p in points]
     return next(
-        (p, np.array(res, dtype=np.int64).T) for p in geometry._primes(rows)
+        (p, np.array(res, dtype=np.int64)) for p in geometry._primes(rows)
         if (res := geometry.residues(rows, points[0].d, p)) is not None
     )
 
@@ -252,8 +252,8 @@ def pair_keys(points, pairs):
 
 
 def test_line_key_invariant_under_irrational_scaling():
-    # Pairs on one line yield cross products differing by a field scalar
-    # that is irrational in general; the dedup key must not depend on it.
+    # Three points of one line whose rows differ by irrational scalars: the
+    # keys of its pairs must not depend on them.
     d = -3
     omega = quad(Fraction(-1, 2), Fraction(1, 2), d=d)
     a = ProjPoint(quad(0, d=d), quad(1, d=d), -quad(1, d=d))
@@ -323,7 +323,8 @@ def path_cases():
     cases += [(f"random-{d}-{total}", random_points(rng, total, d))
               for d in ALL_DS for total in (60, 400)]
     cases += [("grid-4", grid(4)), ("grid-20", grid(20)), ("hesse", hesse()),
-              ("near-pencil-10", near_pencil(10)), ("near-pencil-400", near_pencil(400))]
+              ("near-pencil-10", near_pencil(10)), ("near-pencil-400", near_pencil(400)),
+              ("grid-25", grid(25))]
     return cases
 
 
@@ -418,13 +419,12 @@ def as_point(row, d):
     return ProjPoint(*(quad(row[k], row[k + 1], d=d) for k in (0, 2, 4)))
 
 
-def oracle_pair_key(p_res, q_res, p):
-    """The modular key of _pair_keys in Python ints."""
-    (x1, y1, z1), (x2, y2, z2) = p_res, q_res
-    cross = ((y1 * z2 - z1 * y2) % p, (z1 * x2 - x1 * z2) % p, (x1 * y2 - y1 * x2) % p)
-    inv = pow(next(c for c in cross if c), -1, p)
-    u, v, w = (c * inv % p for c in cross)
-    return (u * p + v) * p + w
+def assert_chart_key(key, p_res, q_res, p):
+    """key is s p + t for the line y = s x + t mod p through the two chart
+    points, with 0 <= s, t < p: one such line exists, as their xs differ."""
+    s, t = divmod(key, p)
+    assert 0 <= s < p and 0 <= t < p
+    assert all((s * x + t - y) % p == 0 for x, y in (p_res, q_res))
 
 
 @pytest.mark.parametrize("d", ALL_DS)
@@ -443,13 +443,12 @@ def test_int64_keys_exact_just_under_headroom_threshold(d, data):
     # The keys: residues just under p keep every product below 2^60.
     p = data.draw(st.sampled_from([1_073_741_789, 2**29 + 11, 1_000_000_007]))
     residue = st.one_of(st.sampled_from([p - 1, p - 2, 1]), st.integers(0, p - 1))
-    p_res, q_res = (data.draw(st.tuples(*[residue] * 3)) for _ in range(2))
+    p_res, q_res = (data.draw(st.tuples(residue, residue)) for _ in range(2))
+    assume(p_res[0] != q_res[0])
     res = np.array([p_res, q_res], dtype=np.int64).T
-    cross = [(p_res[(k + 1) % 3] * q_res[(k + 2) % 3] - p_res[(k + 2) % 3] * q_res[(k + 1) % 3]) % p
-             for k in range(3)]
-    assume(any(cross))
     key = _pair_keys(res, np.array([0]), np.array([1]), p)
-    assert key.dtype == np.int64 and key.tolist() == [oracle_pair_key(p_res, q_res, p)]
+    assert key.dtype == np.int64
+    assert_chart_key(key.tolist()[0], p_res, q_res, p)
 
 
 @pytest.mark.parametrize("d", ALL_DS)
@@ -502,7 +501,8 @@ def cross_mod(s, t, p):
 
 def test_residues_reject_exactly_the_primes_that_can_split_a_line():
     # Small primes, where every rejection is common, checked by brute force
-    # on the raw triples under the root of d that the reduction takes.
+    # on the raw triples under the root of d that the reduction takes, and
+    # on the frame of the prime.
     rng, seen = random.Random(24), Counter()
     small_primes = [p for p in range(3, 98) if geometry._is_prime(p)]
     for _ in range(60):
@@ -513,29 +513,48 @@ def test_residues_reject_exactly_the_primes_that_can_split_a_line():
         for p in small_primes:
             res = geometry.residues(rows, d, p)
             if not any(r * r % p == d % p for r in range(p)):
-                reason = "no root"
+                seen["no root"] += 1
+                assert res is None
+                continue
+            r = geometry._sqrt_mod(d, p)
+            assert r * r % p == d % p
+            raw = [tuple((a + b * r) % p for a, b in zip(row[0::2], row[1::2])) for row in rows]
+            a, b, c = geometry.chart_frame(p)
+            assert (a, b, c) == geometry.chart_frame(p) and all(0 <= v < p for v in (a, b, c))
+            # The frame's images (x + c y : y : z + a x + b y) of the triples.
+            framed = [((x + c * y) % p, y, (z + a * x + b * y) % p) for x, y, z in raw]
+            if not all(map(any, raw)):
+                reason = "triple vanishes"
+            elif any(not any(cross_mod(s, t, p)) for s, t in itertools.combinations(raw, 2)):
+                reason = "points coincide"
+            elif not all(w for _, _, w in framed):
+                reason = "w = 0"
+            elif any((s[0] * t[2] - t[0] * s[2]) % p == 0
+                     for s, t in itertools.combinations(framed, 2)):
+                reason = "x shared"
             else:
-                r = geometry._sqrt_mod(d, p)
-                assert r * r % p == d % p
-                raw = [tuple((a + b * r) % p for a, b in zip(row[0::2], row[1::2])) for row in rows]
-                if not all(map(any, raw)):
-                    reason = "triple vanishes"
-                elif any(not any(cross_mod(s, t, p)) for s, t in itertools.combinations(raw, 2)):
-                    reason = "points coincide"
-                else:
-                    reason = None
+                reason = None
             seen[reason] += 1
             assert (res is None) == (reason is not None), (rows, d, p, reason)
             if res is None:
                 continue
-            assert len(res) == len(rows)
-            for s, t in zip(res, raw):
-                assert all(0 <= c < p for c in s)
-                assert s[2] == 1 or s[::2] == (1, 0) or s == (0, 1, 0)
+            xs, ys = res
+            assert len(xs) == len(ys) == len(rows) == len(set(xs))
+            chart = [(x, y, 1) for x, y in zip(xs, ys)]
+            for s, t in zip(chart, framed):
+                assert all(0 <= v < p for v in s)
                 assert not any(cross_mod(s, t, p))  # proportional, both nonzero
-                seen["(x, y, 1)" if s[2] else "(1, y, 0)" if s[0] else "(0, 1, 0)"] += 1
-    assert set(seen) == {"no root", "triple vanishes", "points coincide", None,
-                         "(x, y, 1)", "(1, y, 0)", "(0, 1, 0)"}, seen
+            # Three points are collinear mod p iff their chart images are.
+            for trio in itertools.combinations(range(len(rows)), 3):
+                collinear = det_mod(*(raw[k] for k in trio), p) == 0
+                assert collinear == (det_mod(*(chart[k] for k in trio), p) == 0)
+                seen["collinear"] += collinear
+    assert set(seen) == {"no root", "triple vanishes", "points coincide", "w = 0", "x shared",
+                         None, "collinear"}, seen
+
+
+def det_mod(s, t, u, p):
+    return sum(a * b for a, b in zip(cross_mod(s, t, p), u)) % p
 
 
 def merged_pencil():
@@ -584,22 +603,25 @@ def test_merged_group_must_start_at_its_first_point(monkeypatch):
     # A 3-point line {0, 1, 2} and three 2-point lines have C(4, 2) pairs
     # between them.  Merged, they would pass as the line (0, 1, 2, 2) if
     # only the count and the collinearity with the first two were checked.
+    # With one 2-point line they have 4 pairs, which no line has.
     use_path(monkeypatch, "sort")
     points = tuple(affine_point(x, y, d=5) for x, y in MERGE_XY)
-    merged = {(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (7, 8)}
     assert [line for line in reference_lines(points) if len(line) > 2] == [(0, 1, 2)]
-    primes, pair_keys_mod = [], sort._pair_keys
+    pair_keys_mod = sort._pair_keys
+    for merged in ({(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (7, 8)},
+                   {(0, 1), (0, 2), (1, 2), (3, 4)}):
+        primes = []
 
-    def merging(res, i, j, p):
-        keys = pair_keys_mod(res, i, j, p)
-        primes.append(p)
-        if len(set(primes)) == 1:  # the first prime only
-            keys[[pair in merged for pair in zip(i.tolist(), j.tolist())]] = 0
-        return keys
+        def merging(res, i, j, p):
+            keys = pair_keys_mod(res, i, j, p)
+            primes.append(p)
+            if len(set(primes)) == 1:  # the first prime only
+                keys[[pair in merged for pair in zip(i.tolist(), j.tolist())]] = 0
+            return keys
 
-    monkeypatch.setattr(sort, "_pair_keys", merging)
-    assert line_tuples(enumerate_lines(points)) == reference_lines(points)
-    assert len(set(primes)) == 2
+        monkeypatch.setattr(sort, "_pair_keys", merging)
+        assert line_tuples(enumerate_lines(points)) == reference_lines(points)
+        assert len(set(primes)) == 2
 
 
 @pytest.mark.parametrize("merged", [(1, 3), (3, 1), (1, 3, 5)],
@@ -613,8 +635,8 @@ def test_pencil_merged_slopes_fail_the_exact_check(monkeypatch, merged):
     points = tuple(affine_point(x, y, d=5) for x, y in MERGE_XY)
     primes, pencil_keys = [], pencil._pencil_keys
 
-    def merging(point, xs, ys, zs, p):
-        keys = pencil_keys(point, xs, ys, zs, p)
+    def merging(x0, y0, xs, ys, p):
+        keys = pencil_keys(x0, y0, xs, ys, p)
         primes.append(p)
         if len(set(primes)) == 1 and len(xs) == len(points) - 1:  # point 0, first prime
             for j in merged[1:]:

@@ -165,6 +165,51 @@ def test_exhaustive_cap(monkeypatch):
     assert str(exc.value) == "exhaustive search over C(16, 8) colorings exceeds the cap 100"
 
 
+def scan_work(points, k, theorem):
+    """The exhaustive work estimate of a request, from the enumerated lines
+    and the theorem's query: C(N, n) x (selected incidences + 8 N)."""
+    query = THEOREMS[theorem].query
+    sizes = np.diff(build_incidence(enumerate_lines(points)).indptr).tolist()
+    incidences = sum(m for m in sizes if any(query.selects(g, m - g) for g in range(m + 1)))
+    total = len(points)
+    return incidences, math.comb(total, (total + k) // 2) * (incidences + 8 * total)
+
+
+def test_exhaustive_work_cap(monkeypatch, capsys):
+    # random_rational(N, 0, 9) with two red points: N = 305 is the largest
+    # such request under the cap, 306 the smallest above it.  Above it the
+    # search exits 2 before the scan, and the message names the estimate.
+    theorem = BoundTheorem.EQUI_SIX
+    incidences, work = scan_work(random_rational(306, seed=0, bound=9), 302, theorem)
+    assert work > search.MAX_SCAN_WORK == 4 * 10**9
+    argv = ["search", "--generator", "random_rational(306,0,9)", "--k", "302",
+            "--theorem", "equisix"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: exhaustive search work C(306, 304) x ({incidences} incidences + 8 x 306 "
+        f"points) = {work} exceeds the cap 4000000000\n"
+    )
+    # Hours of gather scan under the coloring cap alone.
+    for total, k in ((392, 386), (1000, 996)):
+        argv = ["search", "--generator", f"random_rational({total},0,9)", "--k", str(k),
+                "--theorem", "equisix"]
+        assert run_cli(argv) == 2
+        assert "exceeds the cap 4000000000" in capsys.readouterr().err
+    # Just under the cap the request reaches the scan.
+    points = random_rational(305, seed=0, bound=9)
+    assert scan_work(points, 301, theorem)[1] <= search.MAX_SCAN_WORK
+
+    class Scanned(Exception):
+        pass
+
+    def scan(*args):
+        raise Scanned
+
+    monkeypatch.setattr(search, "exhaustive_scan", scan)
+    with pytest.raises(Scanned):
+        run_search(SearchSpec(points=points, k=301, theorem=theorem))
+
+
 def test_exhaustive_cap_names_the_binomial_not_its_digits():
     # C(1000, 500) has 300 digits: the message names the binomial, not its value.
     with pytest.raises(ConfigError) as exc:
