@@ -17,7 +17,6 @@ from .tables import THEOREMS, BoundTheorem, LineProfile, bound_value, count_equi
 
 if TYPE_CHECKING:
     from .geometry import Incidence
-    from .points import ColoredConfiguration
 
 
 class BoundReport(NamedTuple):
@@ -57,10 +56,11 @@ def verdict(
 
 
 def evaluate_bound(
-    theorem: BoundTheorem, config: ColoredConfiguration, profile: LineProfile
+    theorem: BoundTheorem, incidence: Incidence, profile: LineProfile
 ) -> BoundReport:
-    """Compare the actual equichromatic count against the theorem's bound."""
-    applicable, detail, bound = verdict(theorem, config.n, config.k, config.incidence)
+    """Compare the actual equichromatic count of the profile, a coloring of
+    the incidence's points, against the theorem's bound."""
+    applicable, detail, bound = verdict(theorem, profile.n, profile.k, incidence)
     row = THEOREMS[theorem]
     actual = count_equichromatic(profile, row.query)
     cells = row.support_cells
@@ -76,7 +76,5 @@ def evaluate_bound(
     )
 
 
-def evaluate_all_bounds(
-    config: ColoredConfiguration, profile: LineProfile
-) -> tuple[BoundReport, ...]:
-    return tuple(evaluate_bound(th, config, profile) for th in BoundTheorem)
+def evaluate_all_bounds(incidence: Incidence, profile: LineProfile) -> tuple[BoundReport, ...]:
+    return tuple(evaluate_bound(th, incidence, profile) for th in BoundTheorem)

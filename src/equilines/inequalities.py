@@ -15,7 +15,6 @@ from .tables import INEQUALITIES, InequalityKind, gate
 
 if TYPE_CHECKING:
     from .geometry import Incidence
-    from .points import ColoredConfiguration
 
 
 class InequalityReport(NamedTuple):
@@ -39,13 +38,12 @@ def _sides(kind: InequalityKind, incidence: Incidence) -> tuple[Fraction, Fracti
     return lhs, rhs
 
 
-def evaluate(kind: InequalityKind, config: ColoredConfiguration) -> InequalityReport:
+def evaluate(kind: InequalityKind, incidence: Incidence) -> InequalityReport:
     """Evaluate one inequality with exact sides and precondition status.
 
     A failed precondition yields applicable=False with satisfied=None;
     the sides are still reported for diagnostics.
     """
-    incidence = config.incidence
     applicable, detail = gate(kind, incidence, incidence.total_points, INEQUALITIES[kind].label)
     lhs, rhs = _sides(kind, incidence)
     return InequalityReport(
@@ -58,5 +56,5 @@ def evaluate(kind: InequalityKind, config: ColoredConfiguration) -> InequalityRe
     )
 
 
-def evaluate_all(config: ColoredConfiguration) -> tuple[InequalityReport, ...]:
-    return tuple(evaluate(kind, config) for kind in InequalityKind)
+def evaluate_all(incidence: Incidence) -> tuple[InequalityReport, ...]:
+    return tuple(evaluate(kind, incidence) for kind in InequalityKind)

@@ -4,23 +4,19 @@ A point is its primitive integer row (xa, xb, ya, yb, za, zb), with
 x = xa + xb*sqrt(d) etc., built fraction-free from any triple of field
 elements that spans it: equality, duplicates, realness and the pair
 keys all read the row, and the canonical Fraction triple (first nonzero
-coordinate 1) is rebuilt from it only to render the point.  No array code
-is imported here: ``geometry`` enumerates a configuration's lines on use.
+coordinate 1) is rebuilt from it only to render the point.  A
+configuration holds points and colors only: its caller enumerates the
+lines once (``geometry.enumerate_lines``) and passes that incidence on.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
 from .errors import ConfigError, Frozen
 from .quadfield import Discriminant, QuadElement, quad
-
-if TYPE_CHECKING:
-    from .geometry import Incidence
 
 GREEN = "green"
 RED = "red"
@@ -132,13 +128,6 @@ class ColoredConfiguration(Frozen):
     def k(self) -> int:
         """Green count minus red count; nonnegative by convention."""
         return 2 * self.n - self.total
-
-    @cached_property
-    def incidence(self) -> Incidence:
-        """Colorless line structure of the points, enumerated on first use."""
-        from .geometry import enumerate_lines  # only once lines are read
-
-        return enumerate_lines(self.points)
 
 
 def configuration(

@@ -2,15 +2,16 @@
 
 t_{i,j} counts the determined lines with exactly i green and j red
 points (``tables.LineProfile``).  ``compute_profile`` tallies them over
-the line CSR of a configuration's ``geometry.Incidence``, and checks
-every counting identity of ``tables.IDENTITIES`` exactly before it
-returns.  Each point weighs 1, plus N + 1 if it is green, so a line's
-weight sum names its cell; one decode turns the sums into cells.  The
-sums follow the buffers: over the ``array('i')`` buffers of the pencil
-enumeration they are prefix sums in Python ints, and no numpy is
-loaded; over the numpy buffers of the sort enumeration they are segment
-sums in numpy, taken in blocks of lines.  The identities hold for every
-configuration, so a failure is always a kernel bug, and it raises.
+the line CSR of the ``geometry.Incidence`` it is handed, under a coloring
+of its points that also gives n and k, and checks every counting identity
+of ``tables.IDENTITIES`` exactly before it returns.  Each point weighs 1,
+plus N + 1 if it is green, so a line's weight sum names its cell; one
+decode turns the sums into cells.  The sums follow the buffers: over the
+``array('i')`` buffers of the pencil enumeration they are prefix sums in
+Python ints, and no numpy is loaded; over the numpy buffers of the sort
+enumeration they are segment sums in numpy, taken in blocks of lines.
+The identities hold for every configuration, so a failure is always a
+kernel bug, and it raises.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InternalInconsistencyError
-from .points import GREEN, ColoredConfiguration
+from .points import GREEN
 from .tables import IDENTITIES, LineProfile
 
 if TYPE_CHECKING:
@@ -47,15 +48,14 @@ class IdentityReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def compute_profile(config: ColoredConfiguration) -> LineProfile:
-    """Tally (green, red) cell counts over the configuration's determined
-    lines: with weight 1 + w per green point and 1 per red one, w = N + 1,
-    an m-point line with g green points sums to m + w g.  The counting
-    identities, cheap cross-checks of the geometry kernel, are verified
-    before the profile is returned."""
-    w = config.total + 1
-    weights = [1 + w if c == GREEN else 1 for c in config.colors]
-    incidence = config.incidence
+def compute_profile(incidence: Incidence, colors: tuple[str, ...]) -> LineProfile:
+    """Tally (green, red) cell counts over the incidence's lines, colors[i]
+    coloring point i, green the majority: with weight 1 + w per green point
+    and 1 per red one, w = N + 1, an m-point line with g green points sums
+    to m + w g.  The counting identities, cheap cross-checks of the
+    geometry kernel, are verified before the profile is returned."""
+    w = len(colors) + 1
+    weights = [1 + w if c == GREEN else 1 for c in colors]
     # The sums follow the buffers: the prefix sums need no numpy, and numpy
     # buffers come only from a set above the crossover, which loaded numpy
     # to sort its pairs.  There the block sums are faster: 1.5 ms against
@@ -66,7 +66,8 @@ def compute_profile(config: ColoredConfiguration) -> LineProfile:
     for total, c in line_sums(incidence, weights).items():
         g, m = divmod(total, w)
         cells[g, m - g] = c
-    profile = LineProfile.from_dict(cells, config.n, config.k)
+    n = colors.count(GREEN)
+    profile = LineProfile.from_dict(cells, n, 2 * n - len(colors))
     report = verify_identities(profile)
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]

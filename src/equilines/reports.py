@@ -24,6 +24,7 @@ from .errors import ConfigError
 # loads neither the points nor numpy.
 if TYPE_CHECKING:
     from .bounds import BoundReport
+    from .geometry import Incidence
     from .inequalities import InequalityReport
     from .points import ColoredConfiguration, ProjPoint
     from .profiles import IdentityReport
@@ -131,21 +132,21 @@ def dump_json(doc) -> str:
 # report sections
 
 
-def summary_section(config: ColoredConfiguration) -> dict:
+def summary_section(config: ColoredConfiguration, incidence: Incidence) -> dict:
     return {
         "d": num(config.discriminant.d),
         "total_points": num(config.total),
         "green_points": num(config.n),
         "red_points": num(config.total - config.n),
         "k": num(config.k),
-        "max_collinear": num(config.incidence.max_collinear),
-        "total_lines": num(len(config.incidence)),
-        "all_real": config.incidence.all_real,
+        "max_collinear": num(incidence.max_collinear),
+        "total_lines": num(len(incidence)),
+        "all_real": incidence.all_real,
         "colors_swapped": config.colors_swapped,
     }
 
 
-def profile_section(config: ColoredConfiguration, profile: LineProfile) -> dict:
+def profile_section(incidence: Incidence, profile: LineProfile) -> dict:
     return {
         "cells": [
             {"greens": num(i), "reds": num(j), "lines": num(c)}
@@ -153,7 +154,7 @@ def profile_section(config: ColoredConfiguration, profile: LineProfile) -> dict:
         ],
         "size_marginals": [
             {"points": num(m), "lines": num(c)}
-            for m, c in config.incidence.size_counts.items()
+            for m, c in incidence.size_counts.items()
         ],
     }
 
@@ -235,17 +236,20 @@ def search_section(result: SearchResult) -> dict:
 
 
 def analysis_document(config: ColoredConfiguration) -> tuple[dict, bool]:
-    """Full report for one configuration plus an all-checks-passed flag."""
+    """Full report for one configuration plus an all-checks-passed flag: its
+    lines are enumerated once, and every section reads that incidence."""
     from .bounds import evaluate_all_bounds
+    from .geometry import enumerate_lines
     from .inequalities import evaluate_all
     from .profiles import compute_profile
 
-    profile = compute_profile(config)
-    ineqs = evaluate_all(config)
-    bnds = evaluate_all_bounds(config, profile)
+    incidence = enumerate_lines(config.points)
+    profile = compute_profile(incidence, config.colors)
+    ineqs = evaluate_all(incidence)
+    bnds = evaluate_all_bounds(incidence, profile)
     doc = {
-        "summary": summary_section(config),
-        "profile": profile_section(config, profile),
+        "summary": summary_section(config, incidence),
+        "profile": profile_section(incidence, profile),
         "identities": identities_section(profile.identities),
         "inequalities": [inequality_section(r) for r in ineqs],
         "bounds": [bound_section(r) for r in bnds],

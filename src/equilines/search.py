@@ -18,10 +18,10 @@ slot arrays, then replays them in a seeded hill-descent, and loads no
 numpy for a base set on the pencil path.
 Both minimize the bound slack, which for a fixed base set and fixed
 (n, k) is equivalent to minimizing the selected-line count, so the hot
-loop runs in the array kernels.  The winning coloring is re-evaluated
-through ``bounds.evaluate_bound`` on the same incidence, and the two
-counts must agree; a mismatch raises, so the fast kernels never stand
-unchecked.
+loop runs in the array kernels.  The winning coloring is recounted
+exactly, its profile tallied over the same incidence and checked by
+``bounds.evaluate_bound``, and the two counts must agree; a mismatch
+raises, so the fast kernels never stand unchecked.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from .errors import ConfigError, Frozen, InternalInconsistencyError
 from .geometry import enumerate_lines
 from .kernels import build_incidence, descent_replay, exhaustive_scan, selection_table
 from .pcg64 import PCG64
-from .points import GREEN, RED, ColoredConfiguration, ProjPoint, check_point_count
+from .points import GREEN, RED, ProjPoint, check_point_count
 from .profiles import compute_profile
-from .quadfield import Discriminant
 from .tables import THEOREMS, BoundTheorem
 
 EXHAUSTIVE = "exhaustive"
@@ -192,12 +191,9 @@ def run_search(spec: SearchSpec) -> SearchResult:
         )
     chosen = set(best_green)
     colors = tuple(GREEN if i in chosen else RED for i in range(spec.total))
-    config = ColoredConfiguration(Discriminant(spec.points[0].d), spec.points, colors)
-    # Same points as the base set: the recount reuses its lines rather than
-    # repeating the deterministic enumeration.  The profile is still
-    # tallied exactly, with the counting identities checked.
-    vars(config)["incidence"] = base
-    report = evaluate_bound(spec.theorem, config, compute_profile(config))
+    # The recount tallies the profile exactly, counting identities checked,
+    # over the base set's own lines.
+    report = evaluate_bound(spec.theorem, base, compute_profile(base, colors))
     if report.actual != best_actual:
         raise InternalInconsistencyError(
             f"kernel count {best_actual} != exact recount {report.actual} "

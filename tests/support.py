@@ -94,6 +94,12 @@ def random_real_config(
     return configuration(pts, colors, d)
 
 
+def incidence_of(config: ColoredConfiguration):
+    """The configuration's lines, enumerated afresh on every call: the
+    incidence that an analysis of the configuration passes to each layer."""
+    return enumerate_lines(config.points)
+
+
 def line_tuples(incidence) -> list[tuple[int, ...]]:
     """Each line's point indices, read from the incidence's CSR buffers."""
     indptr, points = incidence.indptr.tolist(), incidence.points.tolist()
@@ -157,7 +163,7 @@ def brute_force_scan(
     """Exact oracle for the search kernels: evaluate every coloring through
     the profile path.  Returns (best_actual, best green tuple, violations,
     examined), ties broken toward the lexicographically smallest combo."""
-    d = points[0].d
+    base = enumerate_lines(points)
     best_actual = None
     best_combo = None
     violations = 0
@@ -165,8 +171,7 @@ def brute_force_scan(
     for combo in itertools.combinations(range(len(points)), n_green):
         chosen = set(combo)
         colors = tuple(GREEN if i in chosen else RED for i in range(len(points)))
-        config = configuration(points, colors, d)
-        profile = compute_profile(config)
+        profile = compute_profile(base, colors)
         actual = count_equichromatic(profile, query)
         examined += 1
         if actual < bound:

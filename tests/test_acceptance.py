@@ -7,7 +7,7 @@ lines.  Every expected value is exact; there are no tolerances anywhere.
 import time
 from fractions import Fraction
 
-from support import KERNELS, random_config, random_real_config, run_with_kernels
+from support import KERNELS, incidence_of, random_config, random_real_config, run_with_kernels
 
 from equilines.bounds import BoundTheorem, evaluate_all_bounds
 from equilines.generators import generate, grid, hesse, random_rational
@@ -27,7 +27,7 @@ def test_criterion_1_identity_suite():
     start = time.perf_counter()
     for seed in range(1000):
         config = random_config(seed, max_total=20)
-        profile = compute_profile(config)
+        profile = compute_profile(incidence_of(config), config.colors)
         report = verify_identities(profile)
         assert report.all_passed, (seed, report)
     elapsed = time.perf_counter() - start
@@ -67,14 +67,15 @@ def test_criterion_2_coefficient_reproduction():
 def test_criterion_3_hesse_oracle():
     start = time.perf_counter()
     config = configuration(hesse(), (GREEN,) * 9, -3)
-    profile = compute_profile(config)
+    incidence = incidence_of(config)
+    profile = compute_profile(incidence, config.colors)
     cells = dict(profile.counts)
     assert cells.get((2, 0), 0) + cells.get((0, 2), 0) + cells.get((1, 1), 0) == 0  # t_2 = 0
-    sizes = config.incidence.size_counts
+    sizes = incidence.size_counts
     assert sizes == {3: 12}
     assert max(sizes) == 3  # max_collinear
 
-    reports = {r.kind: r for r in evaluate_all(config)}
+    reports = {r.kind: r for r in evaluate_all(incidence)}
     bp = reports[InequalityKind.BOJANOWSKI_POKORA]
     assert bp.applicable and bp.lhs == 36 and bp.rhs == 36 and bp.slack == 0
     langer = reports[InequalityKind.LANGER]
@@ -149,10 +150,11 @@ def test_criterion_5_worked_small_example():
         affine_point(0, 1, d=5),
     )
     config = configuration(pts, (GREEN, GREEN, RED, RED), 5)
-    profile = compute_profile(config)
+    incidence = incidence_of(config)
+    profile = compute_profile(incidence, config.colors)
     assert dict(profile.counts) == {(2, 0): 1, (0, 2): 1, (1, 1): 4}
 
-    reports = {r.theorem: r for r in evaluate_all_bounds(config, profile)}
+    reports = {r.theorem: r for r in evaluate_all_bounds(incidence, profile)}
     equi_six = reports[BoundTheorem.EQUI_SIX]
     assert equi_six.applicable and equi_six.actual == 4 and equi_six.bound == 3
     assert equi_six.satisfied
@@ -171,7 +173,7 @@ def test_criterion_6_real_plane_inequality_suite():
     applicable_counts = {kind: 0 for kind in InequalityKind}
     for seed in range(500):
         config = random_real_config(seed, max_total=10)
-        for report in evaluate_all(config):
+        for report in evaluate_all(incidence_of(config)):
             if report.kind is InequalityKind.MELCHIOR:
                 assert report.applicable, (seed, report)  # real, not all collinear
             if report.applicable:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import random_config
+from support import incidence_of, random_config
 
 from equilines.bounds import BoundTheorem, bound_value, evaluate_all_bounds, evaluate_bound, verdict
 from equilines.generators import grid, hesse
@@ -50,7 +50,9 @@ def test_bound_value_input_validation():
 
 def test_square_worked_example():
     config = square_config()
-    reports = {r.theorem: r for r in evaluate_all_bounds(config, compute_profile(config))}
+    incidence = incidence_of(config)
+    profile = compute_profile(incidence, config.colors)
+    reports = {r.theorem: r for r in evaluate_all_bounds(incidence, profile)}
 
     equi_six = reports[BoundTheorem.EQUI_SIX]
     assert equi_six.applicable  # max_collinear 2 <= 2n-k-2 = 2
@@ -80,14 +82,18 @@ def test_square_worked_example():
 def test_all_collinear_equi_six_inapplicable():
     pts = tuple(affine_point(i, 0, d=5) for i in range(4))
     config = configuration(pts, (GREEN, GREEN, RED, RED), 5)
-    report = evaluate_bound(BoundTheorem.EQUI_SIX, config, compute_profile(config))
+    incidence = incidence_of(config)
+    profile = compute_profile(incidence, config.colors)
+    report = evaluate_bound(BoundTheorem.EQUI_SIX, incidence, profile)
     assert not report.applicable
     assert report.satisfied is None
 
 
 def test_hesse_all_green_bounds():
     config = configuration(hesse(), (GREEN,) * 9, -3)
-    reports = {r.theorem: r for r in evaluate_all_bounds(config, compute_profile(config))}
+    incidence = incidence_of(config)
+    profile = compute_profile(incidence, config.colors)
+    reports = {r.theorem: r for r in evaluate_all_bounds(incidence, profile)}
     for theorem in (BoundTheorem.PS1, BoundTheorem.PS2, BoundTheorem.PS4):
         assert not reports[theorem].applicable  # not real
     equi_six = reports[BoundTheorem.EQUI_SIX]
@@ -135,8 +141,9 @@ def test_equi_four_support_count_excludes_zero_weight_cells():
     )
     colors = (GREEN, RED, RED, RED, GREEN, GREEN, GREEN)
     config = configuration(pts, colors, 5)
-    profile = compute_profile(config)
-    report = evaluate_bound(BoundTheorem.EQUI_FOUR, config, profile)
+    incidence = incidence_of(config)
+    profile = compute_profile(incidence, config.colors)
+    report = evaluate_bound(BoundTheorem.EQUI_FOUR, incidence, profile)
     assert report.applicable  # max_collinear 4 <= (2/3)(2n-k) = 14/3
     cells = dict(profile.counts)
     zero_weight = cells.get((1, 3), 0) + cells.get((3, 1), 0)
@@ -151,9 +158,10 @@ def test_ps3_dominated_by_equi_six():
     checked = 0
     for seed in range(80):
         config = random_config(seed, max_total=10)
-        profile = compute_profile(config)
-        ps3 = evaluate_bound(BoundTheorem.PS3, config, profile)
-        equi_six = evaluate_bound(BoundTheorem.EQUI_SIX, config, profile)
+        incidence = incidence_of(config)
+        profile = compute_profile(incidence, config.colors)
+        ps3 = evaluate_bound(BoundTheorem.PS3, incidence, profile)
+        equi_six = evaluate_bound(BoundTheorem.EQUI_SIX, incidence, profile)
         assert ps3.bound == equi_six.bound
         if ps3.applicable and equi_six.applicable:
             checked += 1
@@ -165,9 +173,10 @@ def test_ps3_dominated_by_equi_six():
 def test_random_configs_never_violate_complex_valid_bounds():
     for seed in range(60):
         config = random_config(seed, max_total=12)
-        profile = compute_profile(config)
+        incidence = incidence_of(config)
+        profile = compute_profile(incidence, config.colors)
         for theorem in (BoundTheorem.PS3, BoundTheorem.EQUI_SIX, BoundTheorem.EQUI_FOUR):
-            report = evaluate_bound(theorem, config, profile)
+            report = evaluate_bound(theorem, incidence, profile)
             if report.applicable:
                 assert report.satisfied, (seed, theorem, report)
 
@@ -185,7 +194,9 @@ def test_collinearity_limits():
 
 def test_bound_ceiling():
     config = square_config()
-    report = evaluate_bound(BoundTheorem.EQUI_FOUR, config, compute_profile(config))
+    incidence = incidence_of(config)
+    profile = compute_profile(incidence, config.colors)
+    report = evaluate_bound(BoundTheorem.EQUI_FOUR, incidence, profile)
     assert report.bound == Fraction(10, 3) and report.bound_ceiling == 4
     assert report.actual >= report.bound_ceiling
 
@@ -196,6 +207,8 @@ def test_grid_all_colorings_satisfy_equisix():
     for greens in itertools.combinations(range(4), 2):
         colors = tuple(GREEN if i in greens else RED for i in range(4))
         config = configuration(pts, colors, 5)
-        report = evaluate_bound(BoundTheorem.EQUI_SIX, config, compute_profile(config))
+        incidence = incidence_of(config)
+        profile = compute_profile(incidence, config.colors)
+        report = evaluate_bound(BoundTheorem.EQUI_SIX, incidence, profile)
         assert report.applicable and report.actual == 4 and report.bound == 3
         assert report.satisfied

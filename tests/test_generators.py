@@ -1,6 +1,6 @@
 import pytest
 
-from support import line_tuples
+from support import incidence_of, line_tuples
 
 from equilines.cli import run_cli
 from equilines.errors import ConfigError
@@ -13,14 +13,14 @@ def test_grid():
     pts = grid(2)
     assert len(pts) == 4
     config = configuration(pts, (GREEN,) * 4, 5)
-    assert config.incidence.max_collinear == 2
+    assert incidence_of(config).max_collinear == 2
     assert len(grid(3)) == 9
 
 
 def test_near_pencil():
     pts = near_pencil(5)
     config = configuration(pts, (GREEN,) * 5, 5)
-    assert config.incidence.max_collinear == 4
+    assert incidence_of(config).max_collinear == 4
     assert len(enumerate_lines(pts)) == 5  # one long line + 4 two-point lines
 
 

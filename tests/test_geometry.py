@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from support import (
     ALL_DS,
     PATHS,
+    incidence_of,
     line_tuples,
     oracle_canonical_triple,
     oracle_integer_coords,
@@ -205,7 +206,7 @@ def test_enumerate_hesse():
 def test_pair_coverage_identity():
     for seed in range(40):
         config = random_config(seed, max_total=12)
-        total = sum(math.comb(len(line), 2) for line in line_tuples(config.incidence))
+        total = sum(math.comb(len(line), 2) for line in line_tuples(incidence_of(config)))
         assert total == math.comb(config.total, 2)
 
 
@@ -228,7 +229,7 @@ def test_enumeration_is_order_independent():
 def test_line_through_matches_enumerated_line():
     for seed in (1, 5, 9):
         config = random_config(seed, max_total=9)
-        for line in line_tuples(config.incidence):
+        for line in line_tuples(incidence_of(config)):
             a, b = (config.points[i] for i in line[:2])
             for i, j in itertools.combinations(line, 2):
                 line = oracle_line_through(config.points[i], config.points[j])
@@ -339,9 +340,9 @@ def test_pencil_and_sort_paths_agree(monkeypatch, points):
     for path in PATHS:
         use_path(monkeypatch, path)
         config = configuration(points, colors, points[0].d)
-        incidence = config.incidence
+        incidence = incidence_of(config)
         seen.append((incidence.indptr.tolist(), incidence.points.tolist(),
-                     incidence.size_counts, compute_profile(config).counts))
+                     incidence.size_counts, compute_profile(incidence, config.colors).counts))
     assert seen[0] == seen[1]
 
 
@@ -654,18 +655,18 @@ def test_max_collinear():
         (GREEN, GREEN, RED, RED),
         5,
     )
-    assert square.incidence.max_collinear == 2
+    assert incidence_of(square).max_collinear == 2
     pencil_pts = tuple(P(i, 0, 1) for i in range(4)) + (P(0, 1, 1),)
     pencil = configuration(pencil_pts, (GREEN,) * 5, 5)
-    assert pencil.incidence.max_collinear == 4
+    assert incidence_of(pencil).max_collinear == 4
     hesse_cfg = configuration(hesse(), (GREEN,) * 9, -3)
-    assert hesse_cfg.incidence.max_collinear == 3
+    assert incidence_of(hesse_cfg).max_collinear == 3
 
 
 def test_max_collinear_needs_two_points(monkeypatch):
     lonely = configuration((P(0, 0, 1),), (GREEN,), 5)
     with pytest.raises(ConfigError, match="needs at least 2 points"):
-        lonely.incidence
+        incidence_of(lonely)
     for points in ((), (P(0, 0, 1),)):
         for path in PATHS:
             use_path(monkeypatch, path)

@@ -2,9 +2,11 @@
 search, into one ``geometry.Incidence``, and ``kernels.build_incidence``
 adapts it once per exhaustive search and never in an analysis or a local
 search; each analyzed
-config's profile is tallied, and its counting identities summed, once;
-parsing a config does no field arithmetic; no run adds an attribute (a
-point-to-lines transpose, say) to an incidence; the kernels' arrays view
+config's profile is tallied, on the incidence the analysis enumerated,
+and its counting identities summed, once; parsing a config does no
+field arithmetic; no run adds an attribute (a point-to-lines transpose,
+say) to an incidence, nor one (its lines, say) to a configuration, and
+no search builds a configuration; the kernels' arrays view
 the enumeration's buffers and grow with the incidences, not with lines
 times points; and the names that perfbench pins in the package still
 resolve."""
@@ -23,7 +25,7 @@ from support import KERNEL_PARAMS, PATHS, random_config, use_kernels, use_path
 from equilines import geometry, kernels, profiles
 from equilines.generators import grid, hesse, random_rational
 from equilines.geometry import Incidence, enumerate_lines
-from equilines.points import GREEN, configuration
+from equilines.points import GREEN, ColoredConfiguration, configuration
 from equilines.quadfield import QuadElement, parse_element
 from equilines.reports import analysis_document, config_document, dump_json, parse_config
 from equilines.search import EXHAUSTIVE, LOCAL, SearchSpec, run_search
@@ -67,6 +69,20 @@ def builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The incidences geometry.enumerate_lines returns, in call order."""
+    incidences = []
+    original = geometry.enumerate_lines
+
+    def recording(points):
+        incidences.append(original(points))
+        return incidences[-1]
+
+    install(monkeypatch, original, recording)
+    return incidences
+
+
 def analyzed_configs():
     return [
         configuration(hesse(), (GREEN,) * 9, -3),
@@ -82,20 +98,22 @@ def test_analysis_enumerates_once_per_config(enumerations):
     assert enumerations == [config.total for config in configs]
 
 
-def test_analysis_profiles_once_per_config(monkeypatch):
+def test_analysis_profiles_once_per_config(enumerated, monkeypatch):
     tallied = []
     original = profiles.compute_profile
 
-    def counting(config, *args, **kwargs):
-        tallied.append(config)
-        return original(config, *args, **kwargs)
+    def counting(incidence, colors):
+        tallied.append((incidence, colors))
+        return original(incidence, colors)
 
     install(monkeypatch, original, counting)
     configs = analyzed_configs()
     for config in configs:
         analysis_document(config)
-    assert len(tallied) == len(configs)
-    assert all(seen is config for seen, config in zip(tallied, configs))
+    assert len(tallied) == len(enumerated) == len(configs)
+    # The tally reads the very incidence the analysis enumerated.
+    assert all(seen is incidence for (seen, _), incidence in zip(tallied, enumerated))
+    assert [colors for _, colors in tallied] == [config.colors for config in configs]
 
 
 def test_analysis_verifies_identities_once_per_config(monkeypatch):
@@ -184,15 +202,16 @@ def built(monkeypatch):
     return arrays
 
 
-def test_no_analyze_or_search_run_adds_an_attribute_to_incidence_arrays(built, monkeypatch):
+def test_no_analyze_or_search_run_adds_an_attribute_to_incidence_arrays(
+    built, enumerated, monkeypatch
+):
     # Nothing is cached on an incidence: in particular no run builds a
     # point-to-lines transpose.
-    incidences = []
     for path in PATHS:
         use_path(monkeypatch, path)
         for config in analyzed_configs():
             analysis_document(config)
-            incidences.append(config.incidence)
+    incidences = list(enumerated)
     replayed = []
     replay = kernels.descent_replay
     install(monkeypatch, replay, lambda incidence, *args: replayed.append(incidence)
@@ -206,6 +225,32 @@ def test_no_analyze_or_search_run_adds_an_attribute_to_incidence_arrays(built, m
     fields = set(inspect.signature(Incidence).parameters)
     incidences += built + replayed
     assert [vars(incidence).keys() for incidence in incidences] == [fields] * len(incidences)
+
+
+def test_analysis_adds_no_attribute_to_its_config(monkeypatch):
+    # The analysis passes its incidence down: the configuration keeps only
+    # what its constructor stored.
+    fields = {"discriminant", "points", "colors", "colors_swapped"}
+    for path in PATHS:
+        use_path(monkeypatch, path)
+        for config in analyzed_configs():
+            assert vars(config).keys() == fields
+            analysis_document(config)
+            assert vars(config).keys() == fields
+
+
+@pytest.mark.parametrize("mode", (EXHAUSTIVE, LOCAL))
+def test_search_builds_no_configuration(monkeypatch, mode):
+    # The recount tallies the winner on the base set's incidence itself.
+    made = []
+    init = ColoredConfiguration.__init__
+    monkeypatch.setattr(ColoredConfiguration, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    spec = SearchSpec(points=grid(3), k=1, theorem=BoundTheorem.EQUI_SIX, mode=mode, budget=200)
+    assert run_search(spec).best_report is not None
+    assert made == []
+    configuration(spec.points, (GREEN,) * spec.total, 5)  # the count is live
+    assert len(made) == 1
 
 
 def test_incidence_arrays_grow_with_incidences(monkeypatch):

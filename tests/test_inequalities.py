@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from support import random_real_config
+from support import incidence_of, random_real_config
 
 from equilines.generators import grid, hesse, near_pencil
 from equilines.points import GREEN, RED, affine_point, configuration
@@ -19,7 +19,7 @@ def triangle_config():
 
 
 def test_melchior_triangle_equality():
-    report = evaluate(InequalityKind.MELCHIOR, triangle_config())
+    report = evaluate(InequalityKind.MELCHIOR, incidence_of(triangle_config()))
     assert report.applicable
     assert report.lhs == 3 and report.rhs == 3 and report.slack == 0
     assert report.satisfied
@@ -27,7 +27,7 @@ def test_melchior_triangle_equality():
 
 def test_hesse_reports():
     config = hesse_config()
-    by_kind = {r.kind: r for r in evaluate_all(config)}
+    by_kind = {r.kind: r for r in evaluate_all(incidence_of(config))}
 
     melchior = by_kind[InequalityKind.MELCHIOR]
     assert not melchior.applicable
@@ -53,14 +53,14 @@ def test_hesse_reports():
 def test_all_collinear_melchior_inapplicable():
     pts = tuple(affine_point(i, 0, d=5) for i in range(4))
     config = configuration(pts, (GREEN, GREEN, RED, RED), 5)
-    report = evaluate(InequalityKind.MELCHIOR, config)
+    report = evaluate(InequalityKind.MELCHIOR, incidence_of(config))
     assert not report.applicable
     assert "collinear" in report.precondition_detail
 
 
 def test_near_pencil_collinearity_gates():
     config = configuration(near_pencil(6), ALL_GREEN(near_pencil(6)), 5)
-    by_kind = {r.kind: r for r in evaluate_all(config)}
+    by_kind = {r.kind: r for r in evaluate_all(incidence_of(config))}
     # 5 of 6 points collinear: beyond 2N/3 = 4, N-2 = 4, and N-3 = 3.
     assert not by_kind[InequalityKind.LANGER].applicable
     assert not by_kind[InequalityKind.BOJANOWSKI_POKORA].applicable
@@ -76,24 +76,23 @@ def test_two_thirds_boundary_is_applicable():
         affine_point(0, 1, d=5),
         affine_point(1, 1, d=5),
     )
-    config = configuration(pts, ALL_GREEN(pts), 5)
-    assert config.incidence.max_collinear == 4 and Fraction(2 * 6, 3) == 4
+    incidence = incidence_of(configuration(pts, ALL_GREEN(pts), 5))
+    assert incidence.max_collinear == 4 and Fraction(2 * 6, 3) == 4
     for kind in (InequalityKind.LANGER, InequalityKind.BOJANOWSKI_POKORA):
-        report = evaluate(kind, config)
+        report = evaluate(kind, incidence)
         assert report.applicable
         assert report.satisfied
 
 
 def test_grid_reports_satisfied():
     config = configuration(grid(4), ALL_GREEN(grid(4)), 5)
-    for report in evaluate_all(config):
+    for report in evaluate_all(incidence_of(config)):
         assert report.applicable
         assert report.satisfied
 
 
-def bojanowski_pokora_fractional_slack(config):
+def bojanowski_pokora_fractional_slack(incidence):
     """Slack of the equivalent form t_2 + (3/4)t_3 - N - sum_{m>=5} (m^2/4 - m) t_m."""
-    incidence = config.incidence
     t = incidence.size_counts.get
     lhs = t(2, 0) + Fraction(3, 4) * t(3, 0)
     rhs = incidence.total_points + sum(
@@ -109,15 +108,16 @@ def test_bp_forms_equivalent_up_to_factor_four():
         configuration(grid(3), ALL_GREEN(grid(3)), 5),
         configuration(grid(4), ALL_GREEN(grid(4)), 5),
     ):
-        integer_form = evaluate(InequalityKind.BOJANOWSKI_POKORA, config)
-        fractional = bojanowski_pokora_fractional_slack(config)
+        incidence = incidence_of(config)
+        integer_form = evaluate(InequalityKind.BOJANOWSKI_POKORA, incidence)
+        fractional = bojanowski_pokora_fractional_slack(incidence)
         assert integer_form.slack == 4 * fractional
 
 
 def test_real_random_configurations_never_violate():
     for seed in range(40):
         config = random_real_config(seed, max_total=10)
-        for report in evaluate_all(config):
+        for report in evaluate_all(incidence_of(config)):
             if report.applicable:
                 assert report.satisfied, (seed, report)
 
@@ -125,15 +125,15 @@ def test_real_random_configurations_never_violate():
 def test_melchior_random_real_noncollinear():
     for seed in range(40):
         config = random_real_config(1000 + seed, max_total=10)
-        report = evaluate(InequalityKind.MELCHIOR, config)
+        report = evaluate(InequalityKind.MELCHIOR, incidence_of(config))
         assert report.applicable
         assert report.satisfied
 
 
 def test_sides_reported_when_inapplicable():
-    config = configuration(near_pencil(8), ALL_GREEN(near_pencil(8)), 5)
-    report = evaluate(InequalityKind.LANGER, config)
+    incidence = incidence_of(configuration(near_pencil(8), ALL_GREEN(near_pencil(8)), 5))
+    report = evaluate(InequalityKind.LANGER, incidence)
     assert not report.applicable
-    sizes = config.incidence.size_counts
+    sizes = incidence.size_counts
     assert report.lhs == Fraction(sum(m * c for m, c in sizes.items()))
     assert report.rhs == Fraction(8 * 11, 3)

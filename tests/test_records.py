@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from support import incidence_of
+
 from equilines.errors import ConfigError
 from equilines.generators import grid
 from equilines.geometry import enumerate_lines
@@ -76,7 +78,7 @@ def test_construction_validates():
 def test_line_profile_equality_ignores_its_identities():
     pts = grid(3)
     config = ColoredConfiguration(Discriminant(pts[0].d), pts, (GREEN,) * 5 + (RED,) * 4)
-    checked = compute_profile(config)
+    checked = compute_profile(incidence_of(config), config.colors)
     assert checked.identities is not None
     bare = LineProfile(checked.counts, checked.n, checked.k)
     assert bare.identities is None

@@ -545,8 +545,9 @@ def test_color_swap_symmetry_for_balanced_colorings():
     greens = (0, 2, 4, 6)
     colors = tuple(GREEN if i in greens else "red" for i in range(8))
     flipped = tuple("red" if c == GREEN else GREEN for c in colors)
-    p1 = compute_profile(configuration(base, colors, 5))
-    p2 = compute_profile(configuration(base, flipped, 5))
+    incidence = enumerate_lines(base)
+    p1 = compute_profile(incidence, colors)
+    p2 = compute_profile(incidence, flipped)
     assert dict(p1.counts) == {(j, i): c for (i, j), c in p2.counts}
     for r, mp in ((1, 6), (2, 4), (1, None)):
         query = EquichromaticQuery(r, mp)
