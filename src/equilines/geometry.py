@@ -17,10 +17,11 @@ module with the signature (rows, d, residues, p), imported when it runs:
 
   * ``pencil``, up to PENCIL_MAX_PAIRS pairs: for each point in turn, the
     slope of the line to each later point not yet on a found line, in
-    Python ints, into ``array('i')`` buffers.  Neither it nor this
-    module imports numpy.
+    Python ints.  Neither it nor this module imports numpy.
   * ``sort``, above it: one int64 key per pair, slope p + intercept,
-    sorted and grouped in numpy, into numpy buffers.
+    sorted and grouped in numpy, written through numpy views.
+
+Both return the line CSR in the same ``array('i')`` buffers.
 
 The point count alone picks the algorithm, whoever calls: an analysis and
 a search of one point set, in either mode, read the same incidence.
@@ -59,8 +60,8 @@ class Incidence(Frozen):
     Everything here is independent of the coloring, so one enumeration
     serves the profile, the inequalities, the bound preconditions and the
     search kernels.  Each line's points, in increasing order, are CSR
-    buffers (``indptr``, ``points``: int32, an ``array('i')`` from the
-    pencil enumeration and a numpy array from the sort); ``size_counts`` is
+    buffers (``indptr``, ``points``: int32 ``array('i')``s from either
+    enumeration, which numpy can view without a copy); ``size_counts`` is
     t_m by m ascending, and ``len()`` is the number of lines.
     """
 

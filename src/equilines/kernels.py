@@ -18,14 +18,14 @@ One algorithm runs per search mode:
 
   * exhaustive: chunked vectorized evaluation in numpy, a CSR gather and
     per-line sum over each chunk of colorings in lexicographic order.  It
-    reads the numpy views of the CSR that ``build_incidence`` adapts,
-    without a copy, from either enumeration's buffers.
+    reads the numpy views of the CSR buffers that ``build_incidence``
+    adapts, without a copy.
   * local: a gain-table move replay in plain Python that scores each
     proposal in O(1) from per-point gains and updates them only on
-    accepted swaps.  It reads the CSR buffers as they are, ``array('i')``
-    or numpy, and the seeded moves as two flat arrays of green and red
-    slots, drawn before it starts, and builds its Python state once from
-    the line CSR, one int object per point and per line.
+    accepted swaps.  It reads the ``array('i')`` CSR buffers as they are,
+    and the seeded moves as two flat arrays of green and red slots, drawn
+    before it starts, and builds its Python state once from the line CSR,
+    one int object per point and per line.
 
 Both take the selection rows by line size, sel[m][g], one row of m + 1
 ints for each line size that occurs, and break ties on the best count
@@ -55,8 +55,8 @@ def resolve_backend() -> str:
 
 
 def build_incidence(incidence: Incidence) -> Incidence:
-    """The incidence with numpy views of its line CSR buffers, which may be
-    ``array('i')``s of the pencil enumeration: no copy."""
+    """The incidence with numpy views of its ``array('i')`` line CSR
+    buffers: no copy."""
     import numpy as np
 
     return Incidence(incidence.total_points, np.frombuffer(incidence.indptr, dtype=np.int32),
@@ -163,8 +163,7 @@ def _replay_state(incidence: Incidence):
     members[l], the tuple of line l's points; lines_of[p], point p's lines
     in line order; and pair_line[p][q], the line through p and q.  Each
     point and each line is one int object, shared by all three; the CSR
-    is read in blocks of lines, ``array('i')`` or numpy, so no list of the
-    whole CSR is built."""
+    is read in blocks of lines, so no list of the whole CSR is built."""
     n_points = incidence.total_points
     points = list(range(n_points))
     point = points.__getitem__
@@ -174,7 +173,7 @@ def _replay_state(incidence: Incidence):
     indptr, n_lines = incidence.indptr, len(incidence)
     for start in range(0, n_lines, _LINE_BLOCK):
         stop = min(start + _LINE_BLOCK, n_lines)
-        first, last = int(indptr[start]), int(indptr[stop])
+        first, last = indptr[start], indptr[stop]
         bounds = [b - first for b in indptr[start : stop + 1].tolist()]
         flat = list(map(point, incidence.points[first:last].tolist()))
         for li, a, b in zip(range(start, stop), bounds, bounds[1:]):

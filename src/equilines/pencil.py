@@ -44,19 +44,13 @@ def pencil_lines(rows, d: int, residues, p: int) -> tuple[array, array, dict[int
     None when a group is not one exact line (the prime merged lines)."""
     xs, ys = residues
     n = len(xs)
-    # uncovered[i][j] = 0 once the pair (i, j) lies on a line found before i.
-    uncovered: list[bytearray | None] = [None] * n
+    # uncovered[i][j] = 1 for j > i until the pair (i, j) lies on a line
+    # found before i.
+    uncovered = [bytearray(i + 1) + b"\1" * (n - i - 1) for i in range(n)]
     ends, flat, long_sizes = [0], [], []
-    for i in range(n - 1):
-        mask = uncovered[i]
-        if mask is None:
-            js = range(i + 1, n)
-            pxs, pys = xs[i + 1 :], ys[i + 1 :]
-        else:
-            js = list(itertools.compress(range(n), mask))
-            if not js:
-                continue
-            pxs, pys = (list(itertools.compress(c, mask)) for c in (xs, ys))
+    for i, mask in enumerate(uncovered[:-1]):
+        js = list(itertools.compress(range(n), mask))
+        pxs, pys = (list(itertools.compress(c, mask)) for c in (xs, ys))
         lines = {}  # each line's points by key, in the order of their first j
         for key, j in zip(_pencil_keys(xs[i], ys[i], pxs, pys, p), js):
             lines.setdefault(key, [i]).append(j)
@@ -65,11 +59,9 @@ def pencil_lines(rows, d: int, residues, p: int) -> tuple[array, array, dict[int
                 if not _on_one_line(rows, line, d):
                     return None
                 for k in range(1, len(line) - 1):
-                    j = line[k]
-                    if uncovered[j] is None:
-                        uncovered[j] = bytearray(j + 1) + bytearray(b"\1") * (n - j - 1)
+                    row = uncovered[line[k]]
                     for later in line[k + 1 :]:
-                        uncovered[j][later] = 0
+                        row[later] = 0
                 long_sizes.append(len(line))
         flat.extend(itertools.chain.from_iterable(lines.values()))
         ends.extend(itertools.accumulate(map(len, lines.values()), initial=ends.pop()))

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .geometry import Incidence
     from .inequalities import InequalityReport
     from .points import ColoredConfiguration, ProjPoint
-    from .profiles import IdentityReport
+    from .profiles import IdentityCheck
     from .proofcheck import SignCertificate
     from .search import SearchResult
     from .tables import LineProfile
@@ -159,10 +159,10 @@ def profile_section(incidence: Incidence, profile: LineProfile) -> dict:
     }
 
 
-def identities_section(report: IdentityReport) -> list[dict]:
+def identities_section(checks: tuple[IdentityCheck, ...]) -> list[dict]:
     return [
         {"name": c.name, "lhs": num(c.lhs), "rhs": num(c.rhs), "passed": c.passed}
-        for c in report.checks
+        for c in checks
     ]
 
 

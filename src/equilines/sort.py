@@ -6,11 +6,14 @@ point pair is keyed by one int64, slope p + intercept of the line
 through it, in blocks of pairs; the keys are sorted; and each group of
 equal keys is checked to be one exact line on the integer rows, in int64
 where ``_det_dtype`` proves the headroom and in Python ints otherwise.
+The line CSR goes into ``array('i')`` buffers, the pencil path's format,
+written through numpy views of them.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import numpy as np
 
@@ -72,7 +75,7 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lengths) + (np.arange(total) - offsets)
 
 
-def sort_lines(rows, d: int, residues, p: int):
+def sort_lines(rows, d: int, residues, p: int) -> tuple[array, array, dict[int, int]] | None:
     """The sort enumeration of ``geometry.enumerate_lines`` at the prime p,
     from the points' ``geometry.residues``: the lines as (indptr, points,
     size_counts) of ``geometry.Incidence``, grouping their pairs by the keys
@@ -129,15 +132,18 @@ def sort_lines(rows, d: int, residues, p: int):
     at = np.searchsorted(t, first)  # the checked lines among all
     sizes = np.full(t.shape[0], 2, dtype=np.int32)
     sizes[at] = m
-    indptr = np.zeros(t.shape[0] + 1, dtype=np.int32)
-    np.cumsum(sizes, out=indptr[1:])
+    # Views of the array('i') buffers: no copy.
+    indptr = array("i", [0]) * (t.shape[0] + 1)
+    ends = np.frombuffer(indptr, dtype=np.int32)
+    np.cumsum(sizes, out=ends[1:])
     del sizes
-    members, starts = np.empty(indptr[-1], dtype=np.int32), indptr[:-1]
+    members = array("i", [0]) * int(ends[-1])
+    flat, starts = np.frombuffer(members, dtype=np.int32), ends[:-1]
     # In blocks: one _pair_points call over every line takes the
     # tracemalloc peak on random_rational(1000, 0, 9) from 12.3 to 19.9 MB.
     for start in range(0, t.shape[0], _PAIR_BLOCK):
         b = slice(start, start + _PAIR_BLOCK)
-        members[starts[b]], members[starts[b] + 1] = _pair_points(t[b], row_start)
+        flat[starts[b]], flat[starts[b] + 1] = _pair_points(t[b], row_start)
     # The other points of each checked line follow its first pair.
-    members[_ragged(indptr[at] + 2, m - 2)] = x[rest]
+    flat[_ragged(ends[at] + 2, m - 2)] = x[rest]
     return indptr, members, size_counts_of(t.shape[0], m.tolist())

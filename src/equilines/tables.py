@@ -27,7 +27,7 @@ from .errors import Frozen
 
 if TYPE_CHECKING:
     from .geometry import Incidence
-    from .profiles import IdentityReport
+    from .profiles import IdentityCheck
 
 Cell = tuple[int, int]
 
@@ -118,7 +118,7 @@ class LineProfile(NamedTuple):
     counts: tuple[tuple[Cell, int], ...]
     n: int
     k: int
-    identities: IdentityReport | None = None
+    identities: tuple[IdentityCheck, ...] | None = None
 
     @classmethod
     def from_dict(cls, cells: dict[Cell, int], n: int, k: int) -> LineProfile:

@@ -468,9 +468,7 @@ def test_cli_internal_inconsistency_prints_the_config_in_flight(
 ):
     # A tampered identity check, as in test_profiles, that fails only the
     # Hesse configuration (n = 5): analyze reads the square first.
-    real, fake = profiles.verify_identities, profiles.IdentityReport(
-        (profiles.IdentityCheck("mixed_pairs", 0, 1),)
-    )
+    real, fake = profiles.verify_identities, (profiles.IdentityCheck("mixed_pairs", 0, 1),)
     monkeypatch.setattr(profiles, "verify_identities", lambda p: fake if p.n == 5 else real(p))
     doc = config_document(hesse(), ("green", "red") * 4 + ("green",), -3)
     path = write_config(tmp_path, "hesse.json", doc)

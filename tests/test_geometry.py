@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from support import (
 
 from equilines import geometry, pencil, sort
 from equilines.errors import ConfigError, InternalInconsistencyError
-from equilines.generators import grid, hesse, near_pencil
+from equilines.generators import generate, grid, hesse, near_pencil
 from equilines.geometry import enumerate_lines, row_cross, row_det
 from equilines.sort import _det_dtype, _pair_keys
 from equilines.points import (
@@ -44,6 +46,7 @@ from equilines.quadfield import (
     is_squarefree,
     quad,
 )
+from equilines.reports import analysis_document, dump_json
 
 
 def P(x, y, z, d=5):
@@ -341,9 +344,23 @@ def test_pencil_and_sort_paths_agree(monkeypatch, points):
         use_path(monkeypatch, path)
         config = configuration(points, colors, points[0].d)
         incidence = incidence_of(config)
-        seen.append((incidence.indptr.tolist(), incidence.points.tolist(),
+        # Both paths hand Incidence the same format: int32 array('i')s.
+        for buffer in (incidence.indptr, incidence.points):
+            assert type(buffer) is array and buffer.typecode == "i" and buffer.itemsize == 4
+        seen.append((incidence.indptr, incidence.points,
                      incidence.size_counts, compute_profile(incidence, config.colors).counts))
     assert seen[0] == seen[1]
+
+
+def test_a_report_above_the_crossover_is_pinned():
+    # The benchmark's recorded digests cover sets of at most 200 points, all
+    # on the pencil path: this report of 600 points pins the sort path's.
+    points = generate("random_rational(600,0,9)")
+    assert not geometry.pencil_path(len(points))
+    colors = tuple(GREEN if i % 3 else RED for i in range(len(points)))
+    doc = analysis_document(configuration(points, colors, points[0].d))[0]
+    assert hashlib.sha256(dump_json(doc).encode()).hexdigest() == (
+        "2b880100854ef4d2c27161752590a2cd888600e394822af4753449ba01dd3058")
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -405,6 +422,15 @@ def test_enumerate_lines_on_large_discriminant(monkeypatch):
         use_path(monkeypatch, path)
         lines = enumerate_lines(pts)
         assert line_tuples(lines) == reference_lines(pts)
+
+
+@pytest.mark.parametrize("d", ALL_DS)
+def test_int64_headroom_rule_is_the_stated_bound(d):
+    # _det_dtype picks int64 exactly while 6 m^3 (1 + |d|)^2 < 2^63, the
+    # bound its docstring proves: a looser rule could overflow, and a
+    # stricter one sends rows that int64 holds exactly to Python ints.
+    m = largest_int64_component(d)
+    assert 6 * m**3 * (1 + abs(d)) ** 2 < 2**63 <= 6 * (m + 1) ** 3 * (1 + abs(d)) ** 2
 
 
 def largest_int64_component(d):
@@ -623,6 +649,27 @@ def test_merged_group_must_start_at_its_first_point(monkeypatch):
         monkeypatch.setattr(sort, "_pair_keys", merging)
         assert line_tuples(enumerate_lines(points)) == reference_lines(points)
         assert len(set(primes)) == 2
+
+
+def test_merged_group_fails_on_its_first_exact_triple(monkeypatch):
+    # Points 0, 1 and 3 lie on y = 0 and point 2 does not.  Merged into one
+    # group under the first prime, the six pairs pass the count and the
+    # first-point checks, and only the first triple that the exact check
+    # reads, (0, 1, 2), is not collinear.
+    use_path(monkeypatch, "sort")
+    points = tuple(affine_point(x, y, d=5) for x, y in ((0, 0), (1, 0), (1, 5), (2, 0)))
+    primes, pair_keys_mod = [], sort._pair_keys
+
+    def merging(res, i, j, p):
+        keys = pair_keys_mod(res, i, j, p)
+        primes.append(p)
+        if len(set(primes)) == 1:
+            keys[:] = 0
+        return keys
+
+    monkeypatch.setattr(sort, "_pair_keys", merging)
+    assert line_tuples(enumerate_lines(points)) == reference_lines(points)
+    assert len(set(primes)) == 2
 
 
 @pytest.mark.parametrize("merged", [(1, 3), (3, 1), (1, 3, 5)],

@@ -165,8 +165,8 @@ def test_search_enumerates_once_per_spec(enumerations, mode):
 
 
 def test_analysis_builds_arrays_once_per_config(builds, monkeypatch):
-    # Neither tally needs the kernels' adapter: the block sums read the
-    # sort path's numpy buffers as they are.
+    # Neither tally needs the kernels' adapter: the block sums make their
+    # own numpy views of the enumeration's buffers.
     for path in PATHS:
         use_path(monkeypatch, path)
         for config in analyzed_configs():

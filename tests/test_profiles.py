@@ -1,5 +1,3 @@
-from array import array
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from support import ALL_DS, incidence_of, random_config, reference_profile, use_
 import equilines.profiles as profiles_mod
 from equilines.errors import InternalInconsistencyError
 from equilines.generators import hesse
-from equilines.kernels import build_incidence
 from equilines.points import GREEN, RED, affine_point, configuration
 from equilines.profiles import compute_profile, verify_identities
 from equilines.tables import EquichromaticQuery, LineProfile, count_equichromatic
@@ -52,9 +49,9 @@ def test_profile_hesse_all_green():
 def test_identities_square():
     config = square_config()
     profile = compute_profile(incidence_of(config), config.colors)
-    report = verify_identities(profile)
-    assert report.all_passed
-    mixed = report.checks[0]
+    checks = verify_identities(profile)
+    assert all(c.passed for c in checks)
+    mixed = checks[0]
     assert mixed.name == "mixed_pairs" and mixed.lhs == 4 and mixed.rhs == 4
 
 
@@ -66,9 +63,9 @@ def test_identities_single_line():
     config = configuration(pts, colors, 5)
     profile = compute_profile(incidence_of(config), config.colors)
     assert dict(profile.counts) == {(n, n - k): 1}
-    report = verify_identities(profile)
-    assert report.checks[0].lhs == n * (n - k)
-    assert report.all_passed
+    checks = verify_identities(profile)
+    assert checks[0].lhs == n * (n - k)
+    assert all(c.passed for c in checks)
 
 
 def test_identities_random_configs():
@@ -77,7 +74,7 @@ def test_identities_random_configs():
     for seed in range(60):
         config = random_config(seed, max_total=14)
         profile = compute_profile(incidence_of(config), config.colors)
-        assert verify_identities(profile).all_passed
+        assert all(c.passed for c in verify_identities(profile))
         # pair coverage: every point pair lies on exactly one line
         covered = sum(
             (comb(i, 2) + comb(j, 2) + i * j) * c for (i, j), c in profile.counts
@@ -90,7 +87,7 @@ def test_checked_mode_raises_on_tampered_kernel(monkeypatch):
     monkeypatch.setattr(
         profiles_mod,
         "verify_identities",
-        lambda profile: profiles_mod.IdentityReport(fake_checks),
+        lambda profile: fake_checks,
     )
     config = square_config()
     with pytest.raises(InternalInconsistencyError):
@@ -98,6 +95,12 @@ def test_checked_mode_raises_on_tampered_kernel(monkeypatch):
 
 
 def test_array_profile_matches_per_line_tally(monkeypatch):
+    # The point count picks the routine, as it picks the enumeration.
+    ran = []
+    for name in ("_prefix_sums", "_block_sums"):
+        real = getattr(profiles_mod, name)
+        monkeypatch.setattr(profiles_mod, name,
+                            lambda *args, real=real, name=name: ran.append(name) or real(*args))
     seen = set()
     for seed in range(40):
         config = random_config(seed)
@@ -110,23 +113,19 @@ def test_array_profile_matches_per_line_tally(monkeypatch):
             use_path(monkeypatch, path)
             monkeypatch.setattr(profiles_mod, "_TALLY_BLOCK", block)
             incidence = incidence_of(config)
-            assert isinstance(incidence.points, array) == (path == "pencil")
             assert compute_profile(incidence, config.colors) == expected
-        # Both routines over the same lines: the block sums (in blocks of 7)
-        # over numpy views of the pencil path's buffers.
-        use_path(monkeypatch, "pencil")
-        pencil = incidence_of(config)
-        assert isinstance(pencil.points, array)
+            assert ran.pop() == ("_prefix_sums" if path == "pencil" else "_block_sums")
+        # Both routines over the same buffers, the block sums in blocks of 7.
         w = config.total + 1
         weights = [1 + w if c == GREEN else 1 for c in config.colors]
-        assert (profiles_mod._block_sums(build_incidence(pencil), weights)
-                == profiles_mod._prefix_sums(pencil, weights))
+        assert (profiles_mod._block_sums(incidence, weights)
+                == profiles_mod._prefix_sums(incidence, weights))
     assert seen == set(ALL_DS)
 
 
 def test_tampered_profile_fails_identities():
     profile = LineProfile.from_dict({(2, 0): 1, (0, 2): 1, (1, 1): 3}, 2, 0)
-    assert not verify_identities(profile).all_passed
+    assert not all(c.passed for c in verify_identities(profile))
 
 
 def test_count_equichromatic_square():

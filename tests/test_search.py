@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 from array import array
 from pathlib import Path
 
@@ -85,8 +86,8 @@ def test_incidence_arrays_match_lines(monkeypatch):
         for path in PATHS:
             use_path(monkeypatch, path)
             base = enumerate_lines(points)
-            # The pencil path's buffers are array('i')s, the sort path's numpy.
-            assert isinstance(base.points, array) == (path == "pencil")
+            # Both paths' buffers are array('i')s, which the kernels view.
+            assert isinstance(base.points, array) and base.points.typecode == "i"
             csr = build_incidence(base)
             assert csr.total_points == base.total_points
             point_indptr, point_lines = support.point_transpose(csr)
@@ -124,9 +125,9 @@ SAME_RULE_CASES = [(grid(4), 0), (hesse(), 1),
 @pytest.mark.parametrize("points, k", SAME_RULE_CASES, ids=["grid-4", "hesse", "random-12"])
 def test_search_enumerates_as_the_analysis_does(monkeypatch, points, k, mode):
     # The point count alone picks the enumeration: a search in either mode
-    # reads the pencils' array('i') buffers, as an analysis of its points
-    # does, and reports exactly what it reports on the sort path, the
-    # violations and colorings examined included.
+    # reads the pencils' lines, as an analysis of its points does, and
+    # reports exactly what it reports on the sort path, the violations and
+    # colorings examined included.
     assert any(p.row[4:] == (0, 0) for pts, _ in SAME_RULE_CASES for p in pts)
     bases = []  # the incidence each search's verdict reads
     monkeypatch.setattr(search, "verdict",
@@ -138,7 +139,8 @@ def test_search_enumerates_as_the_analysis_does(monkeypatch, points, k, mode):
     assert default["all_inapplicable"] is False
     use_path(monkeypatch, "sort")
     on_sort = search_section(run_search(spec))
-    assert not isinstance(bases[1].points, array)
+    # The same lines in the same array('i') buffers.
+    assert (bases[1].indptr, bases[1].points) == (bases[0].indptr, bases[0].points)
     assert {"colorings_examined", "violations"} <= on_sort.keys()
     assert on_sort == default
 
@@ -404,6 +406,28 @@ def test_the_replay_draws_nothing(monkeypatch):
                       seed=3, budget=10_000)
     assert run_search(spec).colorings_examined == 10_001
     assert draws and not any(draws)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_replay_reads_the_csr_across_line_block_edges(monkeypatch, path):
+    # The replay reads the line CSR in blocks of _LINE_BLOCK lines: blocks of
+    # 1 and 7 lines split it everywhere, on either path's buffers.
+    use_path(monkeypatch, path)
+    rng = random.Random(11)
+    query = THEOREMS[BoundTheorem.EQUI_SIX].query
+    for points in (grid(4), hesse(), support.random_config(14, max_total=40).points):
+        base = enumerate_lines(points)
+        sel = selection_table(base.size_counts, query)
+        n = base.total_points
+        n_green = n // 2 + 1
+        moves = 300
+        args = (sel, rng.sample(range(n), n_green),
+                array("H", (rng.randrange(n_green) for _ in range(moves))),
+                array("H", (rng.randrange(n - n_green) for _ in range(moves))), len(base), 2)
+        expected = support.oracle_descent_replay(base, *args)
+        for block in (1, 7):
+            monkeypatch.setattr(kernels, "_LINE_BLOCK", block)
+            assert kernels.descent_replay(base, *args) == expected
 
 
 @pytest.mark.parametrize("seed", range(10))
