@@ -96,9 +96,8 @@ def test_checked_mode_raises_on_tampered_kernel(monkeypatch):
 
 def test_array_profile_matches_per_line_tally(monkeypatch):
     # The point count picks the routine, as it picks the enumeration.
-    ran = []
-    for name in ("_prefix_sums", "_block_sums"):
-        real = getattr(profiles_mod, name)
+    ran, tally = [], {name: getattr(profiles_mod, name) for name in ("_prefix_sums", "_block_sums")}
+    for name, real in tally.items():
         monkeypatch.setattr(profiles_mod, name,
                             lambda *args, real=real, name=name: ran.append(name) or real(*args))
     seen = set()
@@ -114,12 +113,12 @@ def test_array_profile_matches_per_line_tally(monkeypatch):
             monkeypatch.setattr(profiles_mod, "_TALLY_BLOCK", block)
             incidence = incidence_of(config)
             assert compute_profile(incidence, config.colors) == expected
-            assert ran.pop() == ("_prefix_sums" if path == "pencil" else "_block_sums")
+            assert ran == ["_prefix_sums" if path == "pencil" else "_block_sums"]
+            ran.clear()
         # Both routines over the same buffers, the block sums in blocks of 7.
         w = config.total + 1
         weights = [1 + w if c == GREEN else 1 for c in config.colors]
-        assert (profiles_mod._block_sums(incidence, weights)
-                == profiles_mod._prefix_sums(incidence, weights))
+        assert tally["_block_sums"](incidence, weights) == tally["_prefix_sums"](incidence, weights)
     assert seen == set(ALL_DS)
 
 
